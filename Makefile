@@ -65,39 +65,43 @@ bench-big:
 # bench-big-smoke is the tier-1 slice of bench-big: the same sweep on a
 # scaled-down member of the giant family, plus the window-proportional
 # peak-memory gate (streamed evaluator footprint must stay O(window),
-# far under the materialized whole-set footprint) and the fused-pass
+# far under the materialized whole-set footprint), the fused-pass
 # counter gate (eval.passes / eval.fused_points / window loads must be
-# identical at Workers 1 and 8 on the smoke-scale giant core).
+# identical at Workers 1 and 8 on the smoke-scale giant core), and the
+# fused table bench's >= 5x window-load amortization.
 bench-big-smoke:
 	$(GO) test -run 'TestStreamingPeakMemorySmoke|TestFusedCountersWorkerInvariance' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGiantSweep$$|BenchmarkFusedGiantTable$$' -benchtime 1x -short ./internal/core
 
 # kernel-equivalence asserts the word-parallel kernel and sweep-pruning
 # exactness contracts: both plane-building paths agree with each other
-# and with the real encoder, pruned tables are deeply equal to unpruned
-# ones on every d695/industrial core, steady-state tdcCost runs at 0
-# allocs/op on both paths, tables built through the streaming window
-# evaluator are deeply equal to resident builds at every window and
-# worker count (including the window-boundary fuzz seeds), and the fuzz
-# seed corpora for the word and codec kernels still pass.
+# and with the real encoder, unpruned tables match the pruned goldens
+# on every d695/industrial core, steady-state tdcCost runs at 0
+# allocs/op on both paths over a kept whole-set window, every
+# d695/industrial table is byte-identical to its checked-in golden
+# encoding at windows 0/64 (and 1 on d695) × workers 1/2/8, tables
+# built at every window and worker count are deeply equal to the
+# window-0 build (including the window-boundary fuzz seeds), and the
+# fuzz seed corpora for the word and codec kernels still pass.
 kernel-equivalence:
-	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder' -count=1 ./internal/core
+	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
 
 # fused-equivalence asserts the fused single-pass sweep's exactness
-# contracts under the race detector: tables built through the fused
-# streaming path are bit-identical to per-point (DisableFusion) builds
-# on every d695 core plus the decay/compressible synthetics at windows
-# 1/64/∞ × workers 1/8 (including multi-batch schedules), the mid-pass
-# LB/UB pruning drops candidates without changing the table, every
-# fused and pruning counter is worker-count invariant, the steady-state
-# fused window kernel runs at 0 allocs/op, and the selenc append-form
-# ops kernel the evaluator delegates to agrees with the real encoder's
+# contracts under the race detector: tables built by the fused sweep
+# (windows 1/64) are bit-identical to the per-band sweep over one
+# whole-set window (windows 0/∞) on every d695/industrial core plus the
+# decay/compressible synthetics × workers 1/8 (including multi-batch
+# schedules), the schedule follows the window count, the mid-pass LB/UB
+# pruning drops candidates without changing the table, every fused and
+# pruning counter is worker-count invariant, the steady-state fused
+# window kernel runs at 0 allocs/op, and the selenc append-form ops
+# kernel the evaluator delegates to agrees with the real encoder's
 # slice cost.
 fused-equivalence:
-	$(GO) test -race -count=1 -timeout 600s -run 'TestFusedTableEquivalence|TestFusedMidPassPruning|TestFusedCountersWorkerInvariance|TestBuildTableBandBoundaries' ./internal/core
+	$(GO) test -race -count=1 -timeout 600s -run 'TestFusedTableEquivalence|TestStreamingTableEquivalence|TestFusedMidPassPruning|TestFusedCountersWorkerInvariance|TestBuildTableBandBoundaries' ./internal/core
 	$(GO) test -count=1 -run 'TestFusedWindowKernelZeroAlloc|TestSliceOpsMaskAgreesWithCost' ./internal/core ./internal/selenc
 
 # robustness asserts the failure-model contracts under the race

@@ -56,26 +56,36 @@ func (c Config) better(o Config) bool {
 	return c.Volume < o.Volume
 }
 
-// Residency-mode constants of the evaluator. An evaluator either holds
-// the whole test set resident (the historical path: cubes materialized
-// once, flat planes cached across the sweep) or streams it from a
-// cube.Source in bounded windows, pricing each window and recycling the
-// buffers — O(window) peak memory instead of O(test set), with results
-// bit-identical to the resident path (DeepEqual-gated in the tests).
+// Window constants of the evaluator. Every evaluator prices its core's
+// cubes from a cube.Source, one window at a time. A pass over several
+// windows reloads recycled buffers window by window — O(window) peak
+// memory instead of O(test set) — while a single whole-set window is
+// loaded on the first pass and kept, so later passes reload nothing.
+// The window moves memory and the table build's sweep schedule, never
+// results (DeepEqual- and golden-gated in the tests).
 const (
-	// DefaultEvalWindow is the window size (in cubes) the streaming path
-	// uses when a caller asks for streaming without choosing one.
+	// DefaultEvalWindow is the window size (in cubes) used when a core is
+	// streamed without an explicit choice.
 	DefaultEvalWindow = 64
-	// EvalWindowAll requests the streaming machinery with a single
-	// whole-set window — the ∞ point of the window axis, used by the
-	// equivalence gates.
+	// EvalWindowAll streams the whole set as one window — the ∞ point of
+	// the window axis.
 	EvalWindowAll = -1
 	// autoStreamRawBits is the auto-mode threshold: a core whose raw
 	// stimulus image (StimulusBits × Patterns) reaches this many bits is
-	// streamed with DefaultEvalWindow; smaller cores stay resident so the
-	// benchmark-class workloads keep the cached-plane kernel wins.
+	// streamed with DefaultEvalWindow; smaller cores price their cached
+	// test set as one kept whole-set window, so the benchmark-class
+	// workloads keep the cached-plane kernel wins.
 	autoStreamRawBits = int64(1) << 31
 )
+
+// checkEvalWindow rejects window settings NewEvaluatorWindow cannot
+// honour: anything negative other than EvalWindowAll.
+func checkEvalWindow(window int) error {
+	if window < 0 && window != EvalWindowAll {
+		return fmt.Errorf("core: EvalWindow %d (want > 0, 0 for auto, or EvalWindowAll)", window)
+	}
+	return nil
+}
 
 // evalWindow is the per-window state shared by every consumer of one
 // loaded cube window: the flattened care refs (cube.Window), the
@@ -90,39 +100,45 @@ type evalWindow struct {
 	count int // cubes in the loaded window
 
 	// dense selects the plane-building strategy for this window's cubes
-	// (kernel.go): resident evaluators fix it once from the whole set's
-	// care density, streaming ones re-measure per window.
+	// (kernel.go), measured from the window's care density at each load.
 	dense bool
 
 	// Dense path: per-cube flat planes in flat stimulus order. They
 	// depend only on the window's cubes — not on m — so every evaluation
-	// point sharing the window shares them. Resident mode builds them
-	// once for the whole set (flatBuilt); streaming mode rebuilds per
-	// window into recycled buffers.
+	// point sharing the window shares them. Each load rebuilds them into
+	// recycled buffers; a kept whole-set window keeps them for the
+	// evaluator's life.
 	flatWords int
-	flatBuilt bool
 	flatCare  []uint64 // [cube][flatWords]
 	flatValue []uint64
 }
 
 // Evaluator evaluates test configurations of one core. It is the hot
-// kernel of the (w, m) exploration: the core's test cubes are flattened
-// into a contiguous care-bit array (the whole set when resident, one
-// window at a time when streaming), the most recent wrapper design (and
-// its stimulus map) is kept so consecutive evaluations at the same m
-// share it, and the word-kernel plane scratch (kernel.go) is reused
-// across the whole sweep. An Evaluator is not safe for concurrent use;
-// parallel sweeps give each worker its own (see lookup.go) or a mirror
-// sharing a producer's loaded window (see fused.go).
+// kernel of the (w, m) exploration: the core's test cubes are read from
+// a cube.Source and flattened into a contiguous care-bit array one
+// window at a time (one kept whole-set window for benchmark-size
+// cores), the most recent wrapper design (and its stimulus map) is kept
+// so consecutive evaluations at the same m share it, and the
+// word-kernel plane scratch (kernel.go) is reused across the whole
+// sweep. An Evaluator is not safe for concurrent use; parallel sweeps
+// give each worker its own (see lookup.go) or a mirror sharing a
+// producer's loaded window (see fused.go).
 type Evaluator struct {
 	core *soc.Core
-	ts   *cube.Set   // resident mode: the materialized set (nil when streaming)
-	src  cube.Source // streaming mode: the replayable cube stream (nil when resident)
+	src  cube.Source // the replayable cube stream (nil on a mirror)
 
-	patterns int  // total cubes per evaluation pass
-	numBits  int  // stimulus bits per cube
-	window   int  // cubes per streamed window; 0 in resident mode
-	streamed bool // streaming-mode kernel layout (src != nil, or a mirror of such)
+	patterns int // total cubes per evaluation pass
+	numBits  int // stimulus bits per cube
+	window   int // cubes per window, at most patterns
+	// careBits is the whole set's care-bit count when it is known up
+	// front (a cached set), so its one load sizes the refs exactly
+	// instead of growing them cube by cube; 0 otherwise.
+	careBits int
+
+	// forceDense, when non-nil, replaces the measured-density strategy
+	// choice of every window this evaluator loads — the seam that lets
+	// the tests run both kernels over one core.
+	forceDense *bool
 
 	// win is the loaded cube window the kernels price against: &ownWin
 	// for a self-loading evaluator, the producer's window for a mirror.
@@ -145,10 +161,11 @@ type Evaluator struct {
 	noTDCEvals  *telemetry.Counter
 	windowLoads *telemetry.Counter
 	windowCubes *telemetry.Counter
-	// windowHist distributes the wall-clock cost of streamed window
-	// loads (source replay + plane build). Resident passes load nothing,
-	// so they record nothing; the clock is only read when a sink is
-	// attached.
+	// windowHist distributes the wall-clock cost of the window loads of
+	// multi-window passes (source replay + plane build). A kept
+	// whole-set window loads once per evaluator — a count that follows
+	// the worker pool, not the sweep — so it records nothing; the clock
+	// is only read when a sink is attached.
 	windowHist *telemetry.Histogram
 	// peakHeap is the heap high-water gauge, sampled at window
 	// boundaries every heapSampleStride loads (ReadMemStats is
@@ -198,38 +215,43 @@ func (e *Evaluator) checkpoint() error {
 	return e.ctx.Err()
 }
 
-// NewEvaluator prepares an evaluator for the core in automatic
-// residency mode: cores whose raw stimulus image stays under the
-// streaming threshold are materialized (generating and caching the test
-// set on the core), larger ones stream with the default window. Use
-// NewEvaluatorWindow to choose explicitly.
+// NewEvaluator prepares an evaluator for the core in automatic window
+// mode (see NewEvaluatorWindow).
 func NewEvaluator(c *soc.Core) (*Evaluator, error) {
 	return NewEvaluatorWindow(c, 0)
 }
 
-// NewEvaluatorWindow prepares an evaluator with an explicit residency
-// choice. window > 0 streams the test set in windows of that many
-// cubes; EvalWindowAll streams the whole set as one window; 0 picks
-// automatically (resident below autoStreamRawBits, streaming with
-// DefaultEvalWindow at or above it). Other negative values are
-// rejected. Streamed and resident evaluators price identically — the
-// choice moves peak memory, never results.
+// NewEvaluatorWindow prepares an evaluator with an explicit window
+// choice. window > 0 streams the core's TestSource in windows of that
+// many cubes; EvalWindowAll streams it as one whole-set window; 0 picks
+// automatically: below autoStreamRawBits the test set is generated once
+// (cached on the core) and priced as one whole-set window, at or above
+// it the source streams with DefaultEvalWindow. Other negative values
+// are rejected. Every choice prices identically — the window moves peak
+// memory, never results.
 func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
-	if window < 0 && window != EvalWindowAll {
-		return nil, fmt.Errorf("core: EvalWindow %d (want > 0, 0 for auto, or EvalWindowAll)", window)
-	}
-	if window == 0 && c.StimulusVolumeBits() >= autoStreamRawBits {
-		window = DefaultEvalWindow
-	}
-	if window == 0 {
-		return newResidentEvaluator(c)
-	}
-	src, err := c.TestSource()
-	if err != nil {
+	if err := checkEvalWindow(window); err != nil {
 		return nil, err
 	}
+	var src cube.Source
+	careBits := 0
+	if window == 0 && c.StimulusVolumeBits() < autoStreamRawBits {
+		ts, err := c.TestSet()
+		if err != nil {
+			return nil, err
+		}
+		src, window, careBits = cube.NewSetSource(ts), EvalWindowAll, ts.TotalCareBits()
+	} else {
+		var err error
+		if src, err = c.TestSource(); err != nil {
+			return nil, err
+		}
+		if window == 0 {
+			window = DefaultEvalWindow
+		}
+	}
 	if window == EvalWindowAll || window > src.Len() {
-		window = src.Len()
+		window = max(src.Len(), 1)
 	}
 	e := &Evaluator{
 		core:     c,
@@ -237,11 +259,16 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 		patterns: src.Len(),
 		numBits:  src.NumBits(),
 		window:   window,
-		streamed: true,
+		careBits: careBits,
 	}
 	e.win = &e.ownWin
 	e.ownWin.Off = make([]int, 0, window+1)
 	return e, nil
+}
+
+// windows returns the number of cube windows per evaluation pass.
+func (e *Evaluator) windows() int {
+	return (e.patterns + e.window - 1) / e.window
 }
 
 // mirror returns a co-evaluator sharing this evaluator's loaded window:
@@ -256,72 +283,50 @@ func (e *Evaluator) mirror() *Evaluator {
 		patterns: e.patterns,
 		numBits:  e.numBits,
 		window:   e.window,
-		streamed: e.streamed,
 		win:      e.win,
 	}
 }
 
-// newResidentEvaluator materializes the core's test set (cached on the
-// core) and flattens it into the evaluator's whole-set care array — the
-// historical construction.
-func newResidentEvaluator(c *soc.Core) (*Evaluator, error) {
-	ts, err := c.TestSet()
-	if err != nil {
-		return nil, err
-	}
-	e := &Evaluator{
-		core:     c,
-		ts:       ts,
-		patterns: ts.Len(),
-		numBits:  c.StimulusBits(),
-	}
-	e.win = &e.ownWin
-	e.ownWin.Refs = make([]uint64, 0, ts.TotalCareBits())
-	e.ownWin.Off = make([]int, 0, ts.Len()+1)
-	for _, cb := range ts.Cubes {
-		e.ownWin.AppendCube(cb)
-	}
-	e.ownWin.Seal()
-	e.ownWin.start, e.ownWin.count = 0, ts.Len()
-	// Pick the kernel's plane-building strategy from the measured care
-	// density of the test set (kernel.go). The streaming path defers
-	// this to each window's measured density instead.
-	if bits := int64(c.StimulusBits()) * int64(ts.Len()); bits > 0 {
-		density := float64(ts.TotalCareBits()) / float64(bits)
-		e.ownWin.dense = density >= denseDensityThreshold
-	}
-	return e, nil
+// kept reports whether the loaded window holds the whole set: once a
+// single-window evaluator has loaded it, every later pass prices the
+// same window, planes included, without touching the source again.
+func (e *Evaluator) kept() bool {
+	return e.win.count == e.patterns
 }
 
 // beginPass rewinds the evaluator to the first cube of an evaluation
-// pass; nextWindow then yields the pass's windows in order. The
-// resident pass is a single preloaded whole-set window, so the pair
-// compiles down to today's flat loop; the streaming pass replays the
-// source and reloads windows into the recycled care array.
+// pass; nextWindow then yields the pass's windows in order, replaying
+// the source into the recycled care array unless the whole set is
+// already loaded.
 func (e *Evaluator) beginPass() {
 	e.passPos = 0
-	if e.src != nil {
+	if !e.kept() {
 		e.src.Reset()
 	}
 }
 
 // nextWindow advances to the next cube window of the current pass,
 // returning false when the pass is exhausted. After a true return,
-// cubes [winStart, winStart+winCount) are loaded and patternOps prices
-// them by window-local index.
+// cubes [win.start, win.start+win.count) are loaded and patternOps
+// prices them by window-local index. Every window a pass prices counts
+// in the window telemetry, a kept one included, so the counts follow
+// the sweep and not the worker pool.
 func (e *Evaluator) nextWindow() bool {
 	if e.passPos >= e.patterns {
 		return false
 	}
-	if e.src == nil {
-		e.win.start, e.win.count = 0, e.patterns
+	if e.kept() {
 		e.passPos = e.patterns
 		e.noteWindow(e.patterns)
 		return true
 	}
+	timed := e.windowHist != nil && e.window < e.patterns
 	var t0 time.Time
-	if e.windowHist != nil {
+	if timed {
 		t0 = time.Now()
+	}
+	if cap(e.win.Refs) < e.careBits {
+		e.win.Refs = make([]uint64, 0, e.careBits)
 	}
 	n := min(e.window, e.patterns-e.passPos)
 	loaded := e.win.Load(e.src, n)
@@ -338,19 +343,23 @@ func (e *Evaluator) nextWindow() bool {
 	// density: a sweep over a decaying test set can use the transpose
 	// kernel for the dense head and the scatter kernel for the sparse
 	// tail of one pass.
-	density := float64(e.win.CareBits()) / (float64(e.numBits) * float64(loaded))
-	e.win.dense = density >= denseDensityThreshold
+	if e.forceDense != nil {
+		e.win.dense = *e.forceDense
+	} else {
+		density := float64(e.win.CareBits()) / (float64(e.numBits) * float64(loaded))
+		e.win.dense = density >= denseDensityThreshold
+	}
 	if e.win.dense {
 		e.win.buildFlatPlanes(e.numBits)
 	}
-	if e.windowHist != nil {
+	if timed {
 		e.windowHist.Observe(time.Since(t0))
 	}
 	e.noteWindow(loaded)
 	return true
 }
 
-// noteWindow accounts one window load of n cubes and samples the heap
+// noteWindow accounts one priced window of n cubes and samples the heap
 // high-water gauge every heapSampleStride loads. All of it is nil-safe
 // and free without a telemetry sink.
 func (e *Evaluator) noteWindow(n int) {

@@ -200,13 +200,16 @@ func TestKernelPathsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev.win.dense = dense
+				ev.forceDense = &dense
 				for gi, gc := range []bool{true, false} {
 					cfg, err := ev.TDC(m, gc)
 					if err != nil {
 						t.Fatal(err)
 					}
 					results[pi][gi] = cfg
+				}
+				if ev.win.dense != dense {
+					t.Fatalf("%s: forced dense=%v, window priced with dense=%v", c.Name, dense, ev.win.dense)
 				}
 			}
 			if results[0] != results[1] {
@@ -227,12 +230,15 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.win.dense = dense
+		ev.forceDense = &dense
 		d, err := ev.Design(9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.tdcCost(d, true) // warm the scratch
+		ev.tdcCost(d, true) // load and keep the whole-set window, warm the scratch
+		if ev.win.dense != dense || !ev.kept() {
+			t.Fatalf("dense=%v: loaded window dense=%v kept=%v", dense, ev.win.dense, ev.kept())
+		}
 		allocs := testing.AllocsPerRun(20, func() {
 			ev.tdcCost(d, true)
 			ev.tdcCost(d, false)

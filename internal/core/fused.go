@@ -1,20 +1,22 @@
-// Fused single-pass (w, m) sweep: the streaming build of a lookup
-// table prices every evaluation point of a batch against each loaded
-// cube window before the next window loads, instead of running one
-// full pass over the test set per point. One producer evaluator
-// streams the cube source once per batch; each window is flattened
-// (and, on the dense path, scattered into flat planes) exactly once
-// and shared read-only with a crew of mirror evaluators that carry the
-// per-point partial state forward. The per-pass evaluator cursor of
-// tdcCost is replaced by per-point accumulators (codeword totals and
-// the overlapped-shift time sum), and the band sweep's incumbent
+// Fused single-pass (w, m) sweep: a table build whose evaluator reads
+// the test set in several windows prices every evaluation point of a
+// batch against each loaded cube window before the next window loads,
+// instead of running one full pass over the test set per point. One
+// producer evaluator streams the cube source once per batch; each
+// window is flattened (and, on the dense path, scattered into flat
+// planes) exactly once and shared read-only with a crew of mirror
+// evaluators that carry the per-point partial state forward. The
+// per-pass evaluator cursor of tdcCost is replaced by per-point
+// accumulators (codeword totals and the overlapped-shift time sum),
+// and the band sweep's incumbent
 // pruning becomes mid-pass: a point whose running lower bound is
 // already strictly lex-worse than the best upper bound among its
 // band's peers (or the band incumbent from earlier batches) drops out
 // at a window boundary. Both pruning rules are exact, so fused tables
-// are DeepEqual-identical to unfused ones — the fused-equivalence gate
-// of `make check` — while `eval.window_loads` falls from
-// O(points × windows) to O(batches × windows).
+// are identical to the per-band sweep's over one whole-set window —
+// the fused-equivalence and golden gates of `make check` — while
+// `eval.window_loads` falls from O(points × windows) to
+// O(batches × windows).
 package core
 
 import (
@@ -25,7 +27,6 @@ import (
 	"time"
 
 	"soctap/internal/selenc"
-	"soctap/internal/soc"
 	"soctap/internal/telemetry"
 	"soctap/internal/wrapper"
 )
@@ -84,18 +85,16 @@ type fusedCounters struct {
 	coreLoads  *telemetry.Counter
 }
 
-// sweepBandsFused evaluates every band of a streaming table build
-// through the fused pass machinery, filling each band's best
-// configuration. The result is bit-identical to running sweepBand per
-// band: points are folded into their band incumbents in sweepBand's
-// own order (descending m, replace on lex-<=), and every pruning rule
-// only discards points whose true cost is provably strictly worse
-// than another feasible configuration of the same band.
-func sweepBandsFused(ctx context.Context, c *soc.Core, opts TableOptions, bands []bandJob, pc pruneCounters, tel *telemetry.Sink) error {
-	producer, err := NewEvaluatorWindow(c, opts.EvalWindow)
-	if err != nil {
-		return err
-	}
+// sweepBandsFused evaluates every band of a multi-window table build
+// through the fused pass machinery, streaming the producer's source and
+// filling each band's best configuration. The result is bit-identical
+// to running sweepBand per band: points are folded into their band
+// incumbents in sweepBand's own order (descending m, replace on lex-<=),
+// and every pruning rule only discards points whose true cost is
+// provably strictly worse than another feasible configuration of the
+// same band.
+func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions, bands []bandJob, pc pruneCounters, tel *telemetry.Sink) error {
+	c := producer.core
 	producer.attachTelemetry(tel)
 	producer.bindContext(ctx)
 	fc := fusedCounters{

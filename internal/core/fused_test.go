@@ -11,13 +11,13 @@ import (
 	"soctap/internal/wrapper"
 )
 
-// TestFusedTableEquivalence is the bit-identity guarantee of the fused
-// sweep against the per-point streaming path it replaces: for every
-// d695 core plus the decay and compressible synthetics, tables built
-// with fusion (the streaming default) must be deeply equal to
-// DisableFusion builds at windows 1, 64 and ∞, Workers 1 and 8 alike.
-// The matrix re-runs at a tiny batch size so band incumbents carry
-// across fused passes — the multi-batch schedule a giant core sees.
+// TestFusedTableEquivalence holds the fused sweep to its oracle, the
+// per-band sweep over one whole-set window: for every d695 core plus the
+// decay and compressible synthetics, builds at EvalWindow 1 and 64, at
+// the default and at a tiny fused batch size (band incumbents carried
+// across passes), at Workers 1 and 8, must be deeply equal to the
+// EvalWindowAll build. The schedule must follow the window count: a set
+// spanning several windows runs fused passes, a single window runs none.
 func TestFusedTableEquivalence(t *testing.T) {
 	type tc struct {
 		core *soc.Core
@@ -28,38 +28,45 @@ func TestFusedTableEquivalence(t *testing.T) {
 		cases = append(cases, tc{c, TableOptions{MaxWidth: 8, BandSamples: 3}})
 	}
 	cases = append(cases, tc{decayCore(13), TableOptions{MaxWidth: 12}})
-	cases = append(cases, tc{compressibleCore(17), TableOptions{MaxWidth: 10, BandSamples: 4}})
-	for _, batch := range []int{fusedBatchPoints, 3} {
-		windows := streamWindows
-		if batch != fusedBatchPoints {
-			windows = []int{DefaultEvalWindow}
+	cases = append(cases, tc{compressibleCore(19), TableOptions{MaxWidth: 10, BandSamples: 4}})
+	batches := []int{fusedBatchPoints, 3}
+	defer func(old int) { fusedBatchPoints = old }(fusedBatchPoints)
+	for _, cse := range cases {
+		fusedBatchPoints = batches[0]
+		whole := cse.opts
+		whole.EvalWindow = EvalWindowAll
+		oracle, err := BuildTable(cse.core, whole)
+		if err != nil {
+			t.Fatal(err)
 		}
-		old := fusedBatchPoints
-		fusedBatchPoints = batch
-		for _, cse := range cases {
-			for _, window := range windows {
+		for _, window := range []int{1, DefaultEvalWindow} {
+			ev, err := NewEvaluatorWindow(cse.core, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fused := ev.windows() > 1
+			for _, batch := range batches {
+				fusedBatchPoints = batch
 				for _, workers := range []int{1, 8} {
 					opts := cse.opts
 					opts.EvalWindow = window
 					opts.Workers = workers
-					opts.DisableFusion = true
-					plain, err := BuildTable(cse.core, opts)
+					tel := telemetry.New()
+					got, err := buildTable(context.Background(), cse.core, opts, tel)
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.DisableFusion = false
-					fused, err := BuildTable(cse.core, opts)
-					if err != nil {
-						t.Fatal(err)
+					if passes := tel.Snapshot().Counters["eval.passes"]; fused != (passes > 0) {
+						t.Errorf("%s window=%d batch=%d workers=%d: %d fused passes over %d windows",
+							cse.core.Name, window, batch, workers, passes, ev.windows())
 					}
-					if !reflect.DeepEqual(fused, plain) {
-						t.Errorf("%s batch=%d window=%d workers=%d: fused table differs from unfused",
-							cse.core.Name, batch, window, workers)
+					if !reflect.DeepEqual(got, oracle) {
+						t.Errorf("%s window=%d batch=%d workers=%d: table differs from the whole-set-window build",
+							cse.core.Name, window, batch, workers)
 					}
 				}
 			}
 		}
-		fusedBatchPoints = old
 	}
 }
 
@@ -67,14 +74,14 @@ func TestFusedTableEquivalence(t *testing.T) {
 // with compressible patterns and an exhaustive band sweep, the fused
 // build must prune candidates (eval.pruned > 0), record its pass
 // telemetry consistently (loads ≥ passes ≥ 1, at most one pass per
-// batch of points), and still produce the exact DisableFusion table.
+// batch of points), and still produce the exact table of the per-band
+// sweep over one whole-set window.
 func TestFusedMidPassPruning(t *testing.T) {
 	c := compressibleCore(29)
 	opts := TableOptions{MaxWidth: 10, BandSamples: -1, EvalWindow: 4}
-	plain, err := BuildTable(c, TableOptions{
-		MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples,
-		EvalWindow: opts.EvalWindow, DisableFusion: true,
-	})
+	whole := opts
+	whole.EvalWindow = EvalWindowAll
+	plain, err := BuildTable(c, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +91,7 @@ func TestFusedMidPassPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fused, plain) {
-		t.Fatal("fused table differs from unfused")
+		t.Fatal("fused table differs from the whole-set-window build")
 	}
 	sn := tel.Snapshot()
 	passes := sn.Counters["eval.passes"]
@@ -195,8 +202,8 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.streamed {
-		t.Fatal("expected a streaming evaluator")
+	if ev.windows() < 2 {
+		t.Fatal("expected a multi-window evaluator")
 	}
 	newPoint := func(m int) *fusedPoint {
 		d, err := wrapper.New(c, m)

@@ -3,14 +3,14 @@
 // as two slice-major word planes — a care plane and a value plane, one
 // row of ceil(m/64) words per scan-in slice — and priced with popcounts
 // and mask walks (see selenc's mask layout). Two strategies build the
-// planes, chosen once per evaluator from the test set's measured care
-// density:
+// planes, chosen per loaded cube window from its measured care density:
 //
 //   - dense (d695-class cores): per-cube flat bit planes are built once
-//     and cached for the whole (w,m) sweep; per design, wrapper
-//     StimulusSegments bulk-copy them into chain-major rows and a 64×64
-//     block transpose re-slices them to slice-major. No per-care-bit
-//     work inside the sweep at all.
+//     per window load and shared by every point priced against it (a
+//     kept whole-set window keeps them for the whole (w,m) sweep); per
+//     design, wrapper StimulusSegments bulk-copy them into chain-major
+//     rows and a 64×64 block transpose re-slices them to slice-major. No
+//     per-care-bit work inside the sweep at all.
 //   - sparse (industrial-class cores): care bits are scattered through
 //     the StimulusMap directly into the slice-major planes; only dirty
 //     rows are priced and re-zeroed, so work scales with the cube's
@@ -50,9 +50,9 @@ type kernelScratch struct {
 
 	// Sparse path: stimulus map plus dirty-row bookkeeping. The slice
 	// planes are all-zero between patterns; scatters dirty rows, the
-	// walk prices them, and the clear pass restores the invariant. In
-	// streaming mode refs resolves lazily on first sparse use, so
-	// dense-only passes never build (or retain) a stimulus map.
+	// walk prices them, and the clear pass restores the invariant. refs
+	// resolves lazily on first sparse use, so dense-only passes never
+	// build (or retain) a stimulus map.
 	refs  []wrapper.CellRef
 	dirty []int32
 	mark  []bool
@@ -69,14 +69,23 @@ type kernelScratch struct {
 	sliceValue []uint64
 	// sliceZeroed tracks the sparse path's all-zero plane invariant.
 	// The dense kernel overwrites walked words without restoring them,
-	// so in streaming mode — where the strategy may flip between
-	// windows — a sparse window after a dense one must first re-zero
-	// the planes. Resident evaluators never flip and keep the flag's
-	// initial value for their whole life.
+	// so — as the strategy may flip between windows — a sparse window
+	// after a dense one must first re-zero the planes.
 	sliceZeroed bool
 }
 
-// kernelPrepare (re)targets the kernel scratch at a wrapper design.
+// kernelPrepare (re)targets the kernel scratch at a wrapper design for
+// a pass whose plane-building strategy may differ from window to
+// window: both the dense path's segment/transpose state and the sparse
+// path's scatter state are targeted at the design, with the slice
+// planes at the dense (padded) size — a superset of the sparse layout,
+// so either kernel can run against them. Per-cube flat planes are not
+// built here; each dense window load builds its own (buildFlatPlanes on
+// the shared window). The design's stimulus map and segments are
+// deferred to the first sparse or dense pattern that needs them: a
+// fused batch holds many designs alive at once, and a map per design is
+// only worth its O(stimulus bits) memory when a sparse window actually
+// scatters through it, while a sparse-only sweep never needs segments.
 // Consecutive calls with the same design are free.
 func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 	ks := &e.kern
@@ -87,65 +96,7 @@ func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 	ks.si = d.ScanIn
 	ks.chainWords = (d.M + 63) / 64
 	ks.siWords = (d.ScanIn + 63) / 64
-
-	if e.streamed {
-		e.kernelPrepareStreaming(d)
-		return
-	}
-
-	if e.win.dense {
-		ks.segs = d.StimulusSegments()
-		e.win.buildFlatPlanesOnce(e.numBits)
-		chainNeed := ks.chainWords * 64 * ks.siWords
-		if cap(ks.chainCare) < chainNeed {
-			ks.chainCare = make([]uint64, chainNeed)
-			ks.chainValue = make([]uint64, chainNeed)
-		}
-		ks.chainCare = ks.chainCare[:chainNeed]
-		ks.chainValue = ks.chainValue[:chainNeed]
-		sliceNeed := ks.siWords * 64 * ks.chainWords
-		if cap(ks.sliceCare) < sliceNeed {
-			ks.sliceCare = make([]uint64, sliceNeed)
-			ks.sliceValue = make([]uint64, sliceNeed)
-		}
-		ks.sliceCare = ks.sliceCare[:sliceNeed]
-		ks.sliceValue = ks.sliceValue[:sliceNeed]
-		return
-	}
-
-	ks.refs = d.StimulusMap()
-	// Growth via make starts zeroed and the clear pass keeps every word
-	// that was ever used zeroed, so re-slicing a larger capacity down
-	// never exposes stale bits.
-	sliceNeed := ks.si * ks.chainWords
-	if cap(ks.sliceCare) < sliceNeed {
-		ks.sliceCare = make([]uint64, sliceNeed)
-		ks.sliceValue = make([]uint64, sliceNeed)
-		ks.sliceZeroed = true
-	}
-	ks.sliceCare = ks.sliceCare[:sliceNeed]
-	ks.sliceValue = ks.sliceValue[:sliceNeed]
-	if cap(ks.mark) < ks.si {
-		ks.mark = make([]bool, ks.si)
-		ks.dirty = make([]int32, 0, ks.si)
-	}
-	ks.mark = ks.mark[:ks.si]
-}
-
-// kernelPrepareStreaming readies the scratch for a streamed evaluation
-// pass, where the plane-building strategy may differ from window to
-// window: both the dense path's segment/transpose state and the sparse
-// path's scatter state are targeted at the design, with the slice
-// planes at the dense (padded) size — a superset of the sparse layout,
-// so either kernel can run against them. Per-cube flat planes are not
-// built here; each dense window builds its own (buildFlatPlanes on the
-// shared window). The stimulus map is deferred to the first sparse
-// window (patternOpsSparse): a fused batch holds many designs alive at
-// once, and a map per design is only worth its O(stimulus bits) memory
-// when a sparse window actually scatters through it.
-func (e *Evaluator) kernelPrepareStreaming(d *wrapper.Design) {
-	ks := &e.kern
-	ks.segs = d.StimulusSegments()
+	ks.segs = nil
 	ks.refs = nil
 
 	chainNeed := ks.chainWords * 64 * ks.siWords
@@ -172,27 +123,10 @@ func (e *Evaluator) kernelPrepareStreaming(d *wrapper.Design) {
 	ks.mark = ks.mark[:ks.si]
 }
 
-// buildFlatPlanesOnce materializes every cube of a resident window as
-// dense care/value planes in flat stimulus order, once per evaluator:
-// the flat layout does not depend on m, so the whole (w,m) sweep shares
-// them. This whole-set allocation is exactly what the streaming path
-// avoids — see buildFlatPlanes.
-func (w *evalWindow) buildFlatPlanesOnce(numBits int) {
-	if w.flatBuilt {
-		return
-	}
-	w.flatWords = (numBits + 63) / 64
-	n := w.count * w.flatWords
-	w.flatCare = make([]uint64, n)
-	w.flatValue = make([]uint64, n)
-	w.scatterFlat()
-	w.flatBuilt = true
-}
-
-// buildFlatPlanes materializes the loaded cube window as flat
-// care/value planes, recycling the buffers across windows — the
-// streaming counterpart of buildFlatPlanesOnce, bounded at window ×
-// flatWords words instead of testset × flatWords.
+// buildFlatPlanes materializes the loaded cube window as dense
+// care/value planes in flat stimulus order, recycling the buffers
+// across windows — window × flatWords words. The flat layout does not
+// depend on m, so every point priced against the window shares them.
 func (w *evalWindow) buildFlatPlanes(numBits int) {
 	w.flatWords = (numBits + 63) / 64
 	n := w.count * w.flatWords
@@ -240,6 +174,10 @@ func (e *Evaluator) patternOpsDense(j int, k int64, groupCopy bool) int64 {
 	win := e.win
 	cw, siW := ks.chainWords, ks.siWords
 	ks.sliceZeroed = false
+	if ks.segs == nil {
+		// Deferred from kernelPrepare, like the sparse path's map.
+		ks.segs = ks.prepared.StimulusSegments()
+	}
 
 	clear(ks.chainCare)
 	clear(ks.chainValue)
@@ -290,7 +228,7 @@ func (e *Evaluator) patternOpsSparse(j int, k int64, groupCopy bool) int64 {
 	ks := &e.kern
 	cw := ks.chainWords
 	if ks.refs == nil {
-		// Deferred from kernelPrepareStreaming: the design's stimulus
+		// Deferred from kernelPrepare: the design's stimulus
 		// map is only materialized once a sparse window needs it (it is
 		// sync.Once-cached on the design, so this is allocation-free
 		// after the first sparse window per design).

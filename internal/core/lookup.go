@@ -38,22 +38,18 @@ type TableOptions struct {
 	// exists for verification and benchmark comparison and, like
 	// Workers, is erased from cache keys and recorded options.
 	DisablePruning bool
-	// EvalWindow selects the evaluator's residency mode (see
-	// NewEvaluatorWindow): 0 picks automatically by core size, > 0
-	// streams the test set in windows of that many cubes, EvalWindowAll
-	// streams the whole set as one window. Streamed and resident builds
-	// produce bit-identical tables (the streaming-equivalence gate), so
-	// EvalWindow only moves peak memory and — like Workers — is erased
-	// from cache keys and from the options recorded on the table.
+	// EvalWindow selects the evaluator's cube window (see
+	// NewEvaluatorWindow): 0 picks automatically by core size (the cached
+	// test set as one whole-set window, or DefaultEvalWindow past the
+	// streaming threshold), > 0 streams the test set in windows of that
+	// many cubes, EvalWindowAll streams the whole set as one window. The
+	// window count picks the sweep schedule: one window runs the
+	// per-band sweep over the kept window, several run the fused sweep.
+	// Every setting produces the same table bit for bit (the golden and
+	// streaming-equivalence gates), so EvalWindow only moves peak memory
+	// and — like Workers — is erased from cache keys and from the options
+	// recorded on the table.
 	EvalWindow int
-	// DisableFusion turns off the fused single-pass (w, m) sweep on the
-	// streaming path, falling back to one full source pass per
-	// evaluation point (resident builds never fuse — the set is already
-	// in memory). Fusion is exact: fused and unfused tables are
-	// bit-identical (the fused-equivalence gate), so the knob exists for
-	// verification and benchmarking and — like Workers — is erased from
-	// cache keys and from the options recorded on the table.
-	DisableFusion bool
 }
 
 func (o TableOptions) withDefaults() TableOptions {
@@ -74,16 +70,18 @@ func (o TableOptions) normalized() TableOptions {
 	o.Workers = 0
 	o.DisablePruning = false
 	o.EvalWindow = 0
-	o.DisableFusion = false
 	return o
 }
 
-// streamingEval reports whether the EvalWindow setting selects the
-// streaming evaluator path for this core — explicitly (non-zero
-// window), or automatically when the raw stimulus image crosses the
-// residency threshold. Mirrors NewEvaluatorWindow's mode choice.
-func streamingEval(c *soc.Core, window int) bool {
-	return window != 0 || c.StimulusVolumeBits() >= autoStreamRawBits
+// Validate reports whether the options can build a table: MaxWidth
+// (after defaults) must be positive and EvalWindow a value
+// NewEvaluatorWindow accepts. buildTable runs the same check; request
+// boundaries call it to refuse bad options before any work starts.
+func (o TableOptions) Validate() error {
+	if w := o.withDefaults().MaxWidth; w < 1 {
+		return fmt.Errorf("core: MaxWidth %d", w)
+	}
+	return checkEvalWindow(o.EvalWindow)
 }
 
 // resolveWorkers maps a Workers option to an actual pool size: zero (or
@@ -264,22 +262,20 @@ func BuildTableContext(ctx context.Context, c *soc.Core, opts TableOptions) (*Ta
 // accounted, and the build itself is counted.
 func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *telemetry.Sink) (*Table, error) {
 	opts = opts.withDefaults()
-	if opts.MaxWidth < 1 {
-		return nil, fmt.Errorf("core: MaxWidth %d", opts.MaxWidth)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Validate the core's test set up front. In resident mode this also
-	// generates it, warming the cache every worker's Evaluator shares;
-	// in streaming mode materializing the set would defeat the windowed
-	// path's O(window) residency, so only the spec is validated (a
-	// source probe generates nothing).
-	if streamingEval(c, opts.EvalWindow) {
-		if _, err := c.TestSource(); err != nil {
-			return nil, err
-		}
-	} else if _, err := c.TestSet(); err != nil {
+	// This evaluator validates the core's test cubes up front, its window
+	// count picks the TDC sweep schedule, and the fused sweep uses it as
+	// its producer. Below the streaming threshold its construction also
+	// generates the set, warming the cache every worker's Evaluator
+	// shares; a streamed source generates nothing, keeping O(window)
+	// residency.
+	producer, err := NewEvaluatorWindow(c, opts.EvalWindow)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -335,17 +331,20 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 		}
 		return fmt.Sprintf("tdc band w=%d", bands[i-directM].w)
 	}
-	// On the streaming path the banded sweep fuses: every loaded window
-	// is priced against all active (w, m) points before the next loads,
-	// so the source is traversed once per batch instead of once per
-	// point. The no-TDC side is closed-form (no cube pass) and stays on
-	// the plain worker pool either way.
-	fused := streamingEval(c, opts.EvalWindow) && !opts.DisableFusion
+	// The TDC sweep's schedule follows the evaluator's window count. One
+	// window — the whole set, loaded once per evaluator and kept — runs
+	// each band as one worker-pool task (sweepBand), a full pass over
+	// the kept window per point. Several windows fuse: every loaded
+	// window is priced against all active (w, m) points before the next
+	// loads, so the source is traversed once per batch instead of once
+	// per point. The no-TDC side is closed-form (no cube pass) and stays
+	// on the plain worker pool either way.
+	fused := producer.windows() > 1
 	n := directM + len(bands)
 	if fused {
 		n = directM
 	}
-	err := forEachEval(ctx, c, opts.Workers, opts.EvalWindow, n, tel, point, func(ev *Evaluator, i int) error {
+	err = forEachEval(ctx, c, opts.Workers, opts.EvalWindow, n, tel, point, func(ev *Evaluator, i int) error {
 		if i < directM {
 			cfg, err := ev.NoTDC(i + 1)
 			if err != nil {
@@ -363,7 +362,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 		return nil
 	})
 	if err == nil && fused && len(bands) > 0 {
-		err = sweepBandsFused(ctx, c, opts, bands, pc, tel)
+		err = sweepBandsFused(ctx, producer, opts, bands, pc, tel)
 	}
 	if err != nil {
 		if canceled(err) {
@@ -588,13 +587,6 @@ func SweepTDCContext(ctx context.Context, c *soc.Core, lo, hi, workers int) ([]C
 	}
 	if hi < lo {
 		return nil, fmt.Errorf("core: empty sweep range [%d,%d] for %s", lo, hi, c.Name)
-	}
-	if streamingEval(c, 0) {
-		if _, err := c.TestSource(); err != nil {
-			return nil, err
-		}
-	} else if _, err := c.TestSet(); err != nil {
-		return nil, err
 	}
 	out := make([]Config, hi-lo+1)
 	point := func(i int) string { return fmt.Sprintf("tdc m=%d", lo+i) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -329,37 +331,28 @@ func TestBuildTableErrors(t *testing.T) {
 
 // TestBuildTablePruningGoldenEquivalence is the zero-loss guarantee of
 // the lower-bound pruning: for every d695 and industrial core, the
-// table built with pruning must be deeply equal to the table built
-// without it, whether the sweep runs sequentially or on 8 workers.
-// Industrial cores use a reduced band sampling so the full matrix stays
-// tractable under -race; d695 cores run with the default options.
+// table built without pruning, sequentially or on 8 workers, must
+// encode to the bytes of the checked-in golden table, which
+// TestGoldenTables holds equal to the pruned build. Industrial cores
+// use a reduced band sampling so the full matrix stays tractable under
+// -race; d695 cores run with the default options.
 func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
-	type tc struct {
-		core *soc.Core
-		opts TableOptions
-	}
-	var cases []tc
-	for _, c := range soc.D695().Cores {
-		cases = append(cases, tc{c, TableOptions{}})
-	}
-	for _, name := range soc.IndustrialCoreNames() {
-		cases = append(cases, tc{soc.MustIndustrialCore(name), TableOptions{BandSamples: 12}})
-	}
-	for _, cse := range cases {
+	for _, gc := range goldenCases() {
+		key, path := goldenFile(gc.core)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 8} {
-			opts := cse.opts
+			opts := gc.opts
 			opts.Workers = workers
-			pruned, err := BuildTable(cse.core, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			opts.DisablePruning = true
-			plain, err := BuildTable(cse.core, opts)
+			plain, err := BuildTable(gc.core, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(pruned, plain) {
-				t.Errorf("%s workers=%d: pruned table differs from unpruned", cse.core.Name, workers)
+			if !bytes.Equal(encodeTableV2(key, plain), want) {
+				t.Errorf("%s workers=%d: unpruned table differs from the pruned golden %s", gc.core.Name, workers, path)
 			}
 		}
 	}

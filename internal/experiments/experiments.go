@@ -35,7 +35,7 @@ var engineWorkers int
 // here.
 func SetWorkers(n int) { engineWorkers = n }
 
-// engineEvalWindow selects the evaluator residency mode of every
+// engineEvalWindow selects the evaluator cube window of every
 // experiment's table builds (see core.TableOptions.EvalWindow); 0 (the
 // default) picks automatically by core size. Results are bit-identical
 // for every setting.

@@ -326,6 +326,9 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 	if req.opts.Tables.EvalWindow, err = intParam(q.Get("eval-window"), 0); err != nil {
 		return nil, fmt.Errorf("eval-window: %w", err)
 	}
+	if err := req.opts.Tables.Validate(); err != nil {
+		return nil, fmt.Errorf("eval-window: %w", err)
+	}
 	req.opts.EnableDict = q.Get("techsel") == "1" || q.Get("techsel") == "true"
 	req.stream = q.Get("stream") == "1" || q.Get("stream") == "true"
 

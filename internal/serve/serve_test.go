@@ -128,6 +128,7 @@ func TestOptimizeValidation(t *testing.T) {
 		{"unknown style", "width=16&style=quantum", tinyDesign[:200], http.StatusBadRequest},
 		{"bad timeout", "width=16&timeout=-3s", tinyDesign[:200], http.StatusBadRequest},
 		{"bad kinds", "width=16&kinds=froth", tinyDesign[:200], http.StatusBadRequest},
+		{"bad eval-window", "design=d695&width=16&eval-window=-5", "", http.StatusBadRequest},
 		{"oversized body", "width=16", tinyDesign, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
