@@ -73,16 +73,17 @@ bench-big-smoke:
 	$(GO) test -run 'TestStreamingPeakMemorySmoke|TestFusedCountersWorkerInvariance' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGiantSweep$$|BenchmarkFusedGiantTable$$' -benchtime 1x -short ./internal/core
 
-# kernel-equivalence asserts the word-parallel kernel and sweep-pruning
-# exactness contracts: both plane-building paths agree with each other
-# and with the real encoder, unpruned tables match the pruned goldens
-# on every d695/industrial core, steady-state tdcCost runs at 0
-# allocs/op on both paths over a kept whole-set window, every
-# d695/industrial table is byte-identical to its checked-in golden
-# encoding at windows 0/64 (and 1 on d695) × workers 1/2/8, tables
-# built at every window and worker count are deeply equal to the
-# window-0 build (including the window-boundary fuzz seeds), and the
-# fuzz seed corpora for the word and codec kernels still pass.
+# kernel-equivalence asserts the counting kernel and sweep-pruning
+# exactness contracts: the kernel agrees with the real encoder (group
+# copy) and with a per-target-bit count (no group copy) on dense, thin,
+# combinational, small and tied-slice cores, unpruned tables match the
+# pruned goldens on every d695/industrial core, steady-state tdcCost
+# runs at 0 allocs/op on a dense and a thin core over a kept whole-set
+# window, every d695/industrial table is byte-identical to its
+# checked-in golden encoding at windows 0/64 (and 1 on d695) × workers
+# 1/2/8, tables built at every window and worker count are deeply equal
+# to the window-0 build (including the window-boundary fuzz seeds), and
+# the fuzz seed corpora for the word and codec kernels still pass.
 kernel-equivalence:
 	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
@@ -96,23 +97,25 @@ kernel-equivalence:
 # decay/compressible synthetics × workers 1/8 (including multi-batch
 # schedules), the schedule follows the window count, the mid-pass LB/UB
 # pruning drops candidates without changing the table, every fused and
-# pruning counter is worker-count invariant, the steady-state fused
-# window kernel runs at 0 allocs/op, and the selenc append-form ops
-# kernel the evaluator delegates to agrees with the real encoder's
-# slice cost.
+# pruning counter is worker-count invariant, every sampled band point
+# of both schedules is accounted as a completed evaluation or a pruned
+# candidate (globally and per core, workers 1/2/8), and the
+# steady-state fused window kernel runs at 0 allocs/op.
 fused-equivalence:
-	$(GO) test -race -count=1 -timeout 600s -run 'TestFusedTableEquivalence|TestStreamingTableEquivalence|TestFusedMidPassPruning|TestFusedCountersWorkerInvariance|TestBuildTableBandBoundaries' ./internal/core
-	$(GO) test -count=1 -run 'TestFusedWindowKernelZeroAlloc|TestSliceOpsMaskAgreesWithCost' ./internal/core ./internal/selenc
+	$(GO) test -race -count=1 -timeout 600s -run 'TestFusedTableEquivalence|TestStreamingTableEquivalence|TestFusedMidPassPruning|TestFusedCountersWorkerInvariance|TestBuildTableBandBoundaries|TestPruneAccounting' ./internal/core
+	$(GO) test -count=1 -run 'TestFusedWindowKernelZeroAlloc' ./internal/core
 
 # robustness asserts the failure-model contracts under the race
 # detector with a tight timeout: the singleflight deadlock regression
 # (a poisoned cache entry would hang here, not pass), panic containment
 # at the core package boundary, prompt cancellation with no goroutine
 # leaks, bit-identical results through the context-threaded entry
-# points, disk-store fault injection, and malformed-design rejection.
+# points, disk-store fault injection, and malformed-design rejection —
+# explicit test cubes included (off-width, out-of-range, repeated or
+# unsorted care positions never reach the kernels).
 robustness:
 	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
-	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels' ./internal/soc
+	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
 
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
 # container round-trips byte-exactly against the checked-in golden file

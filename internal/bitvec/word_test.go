@@ -212,37 +212,10 @@ func TestWriter(t *testing.T) {
 	}
 }
 
-func TestTranspose64(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 50; trial++ {
-		var in, got [64]uint64
-		for i := range in {
-			in[i] = rng.Uint64()
-		}
-		got = in
-		Transpose64(&got)
-		for r := 0; r < 64; r++ {
-			for c := 0; c < 64; c++ {
-				want := in[r]&(1<<uint(c)) != 0
-				have := got[c]&(1<<uint(r)) != 0
-				if want != have {
-					t.Fatalf("transpose: out[%d] bit %d = %v, want in[%d] bit %d = %v",
-						c, r, have, r, c, want)
-				}
-			}
-		}
-		// Involution: transposing twice restores the input.
-		Transpose64(&got)
-		if got != in {
-			t.Fatal("Transpose64 is not an involution")
-		}
-	}
-}
-
 // FuzzWordKernels cross-checks the word-parallel primitives against
-// naive per-bit loops on arbitrary inputs: ExtractRange, IterOnes and
-// Transpose64 (per the kernel-equivalence contract), plus a
-// ReadBits/WriteBits round trip.
+// naive per-bit loops on arbitrary inputs: ExtractRange and IterOnes
+// (per the kernel-equivalence contract), plus a ReadBits/WriteBits
+// round trip.
 func FuzzWordKernels(f *testing.F) {
 	f.Add([]byte{0x01}, uint16(3), uint8(7))
 	f.Add([]byte{0xff, 0x00, 0xaa, 0x55, 0x12, 0x34, 0x56, 0x78, 0x9a}, uint16(17), uint8(40))
@@ -291,21 +264,6 @@ func FuzzWordKernels(f *testing.F) {
 			v.WriteBits(start, got, width)
 			if v.ReadBits(start, width) != got {
 				t.Fatal("WriteBits(ReadBits(…)) not idempotent")
-			}
-		}
-
-		// Transpose64 vs the naive double loop, seeded from raw.
-		var in [64]uint64
-		for i := range raw {
-			in[i%64] ^= uint64(raw[i]) << uint((i*8)%56)
-		}
-		out := in
-		Transpose64(&out)
-		for r := 0; r < 64; r++ {
-			for c := 0; c < 64; c++ {
-				if (in[r]>>uint(c))&1 != (out[c]>>uint(r))&1 {
-					t.Fatalf("Transpose64 mismatch at (%d,%d)", r, c)
-				}
 			}
 		}
 	})
@@ -357,17 +315,6 @@ func BenchmarkCompatibleWith(b *testing.B) {
 		if !tv.CompatibleWith(o) {
 			b.Fatal("incompatible")
 		}
-	}
-}
-
-func BenchmarkTranspose64(b *testing.B) {
-	var m [64]uint64
-	for i := range m {
-		m[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Transpose64(&m)
 	}
 }
 

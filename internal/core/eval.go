@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"soctap/internal/cube"
-	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/telemetry"
 	"soctap/internal/wrapper"
@@ -74,7 +73,7 @@ const (
 	// stimulus image (StimulusBits × Patterns) reaches this many bits is
 	// streamed with DefaultEvalWindow; smaller cores price their cached
 	// test set as one kept whole-set window, so the benchmark-class
-	// workloads keep the cached-plane kernel wins.
+	// workloads generate their cubes once and never replay a source.
 	autoStreamRawBits = int64(1) << 31
 )
 
@@ -88,38 +87,24 @@ func checkEvalWindow(window int) error {
 }
 
 // evalWindow is the per-window state shared by every consumer of one
-// loaded cube window: the flattened care refs (cube.Window), the
-// window's position in the pass, the measured-density strategy choice,
-// and the dense path's m-independent flat planes. One producer
-// evaluator loads it; mirror evaluators (see mirror) price the same
-// window read-only through their own kernel scratch — the data-sharing
-// contract of the fused sweep (fused.go).
+// loaded cube window: the flattened care refs (cube.Window) and the
+// window's position in the pass. One producer evaluator loads it;
+// mirror evaluators (see mirror) price the same window read-only
+// through their own kernel scratch — the data-sharing contract of the
+// fused sweep (fused.go).
 type evalWindow struct {
 	cube.Window
 	start int // global index of the window's first cube
 	count int // cubes in the loaded window
-
-	// dense selects the plane-building strategy for this window's cubes
-	// (kernel.go), measured from the window's care density at each load.
-	dense bool
-
-	// Dense path: per-cube flat planes in flat stimulus order. They
-	// depend only on the window's cubes — not on m — so every evaluation
-	// point sharing the window shares them. Each load rebuilds them into
-	// recycled buffers; a kept whole-set window keeps them for the
-	// evaluator's life.
-	flatWords int
-	flatCare  []uint64 // [cube][flatWords]
-	flatValue []uint64
 }
 
 // Evaluator evaluates test configurations of one core. It is the hot
 // kernel of the (w, m) exploration: the core's test cubes are read from
 // a cube.Source and flattened into a contiguous care-bit array one
 // window at a time (one kept whole-set window for benchmark-size
-// cores), the most recent wrapper design (and its stimulus map) is kept
-// so consecutive evaluations at the same m share it, and the
-// word-kernel plane scratch (kernel.go) is reused across the whole
+// cores), the most recent wrapper design (and its kernel tables) is
+// kept so consecutive evaluations at the same m share it, and the
+// counting kernel's scratch (kernel.go) is reused across the whole
 // sweep. An Evaluator is not safe for concurrent use; parallel sweeps
 // give each worker its own (see lookup.go) or a mirror sharing a
 // producer's loaded window (see fused.go).
@@ -128,17 +113,11 @@ type Evaluator struct {
 	src  cube.Source // the replayable cube stream (nil on a mirror)
 
 	patterns int // total cubes per evaluation pass
-	numBits  int // stimulus bits per cube
 	window   int // cubes per window, at most patterns
 	// careBits is the whole set's care-bit count when it is known up
 	// front (a cached set), so its one load sizes the refs exactly
 	// instead of growing them cube by cube; 0 otherwise.
 	careBits int
-
-	// forceDense, when non-nil, replaces the measured-density strategy
-	// choice of every window this evaluator loads — the seam that lets
-	// the tests run both kernels over one core.
-	forceDense *bool
 
 	// win is the loaded cube window the kernels price against: &ownWin
 	// for a self-loading evaluator, the producer's window for a mirror.
@@ -149,10 +128,14 @@ type Evaluator struct {
 	// (see beginPass/nextWindow).
 	passPos int
 
-	kern kernelScratch // word-parallel slice kernel state
+	kern kernelScratch // counting kernel state
 
 	lastM int // most recently built wrapper design (0 = none)
 	lastD *wrapper.Design
+	// pt is the pricing state of ptD, the most recently priced design
+	// (see point), so its kernel table is built once per design.
+	pt  tdcPoint
+	ptD *wrapper.Design
 
 	// Kernel-invocation counters; nil (a no-op) unless a telemetry sink
 	// is attached. Counts are deterministic: one per evaluated config
@@ -162,10 +145,10 @@ type Evaluator struct {
 	windowLoads *telemetry.Counter
 	windowCubes *telemetry.Counter
 	// windowHist distributes the wall-clock cost of the window loads of
-	// multi-window passes (source replay + plane build). A kept
-	// whole-set window loads once per evaluator — a count that follows
-	// the worker pool, not the sweep — so it records nothing; the clock
-	// is only read when a sink is attached.
+	// multi-window passes (source replay). A kept whole-set window loads
+	// once per evaluator — a count that follows the worker pool, not the
+	// sweep — so it records nothing; the clock is only read when a sink
+	// is attached.
 	windowHist *telemetry.Histogram
 	// peakHeap is the heap high-water gauge, sampled at window
 	// boundaries every heapSampleStride loads (ReadMemStats is
@@ -257,7 +240,6 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 		core:     c,
 		src:      src,
 		patterns: src.Len(),
-		numBits:  src.NumBits(),
 		window:   window,
 		careBits: careBits,
 	}
@@ -281,7 +263,6 @@ func (e *Evaluator) mirror() *Evaluator {
 	return &Evaluator{
 		core:     e.core,
 		patterns: e.patterns,
-		numBits:  e.numBits,
 		window:   e.window,
 		win:      e.win,
 	}
@@ -289,7 +270,7 @@ func (e *Evaluator) mirror() *Evaluator {
 
 // kept reports whether the loaded window holds the whole set: once a
 // single-window evaluator has loaded it, every later pass prices the
-// same window, planes included, without touching the source again.
+// same window without touching the source again.
 func (e *Evaluator) kept() bool {
 	return e.win.count == e.patterns
 }
@@ -338,19 +319,6 @@ func (e *Evaluator) nextWindow() bool {
 		// treat it as end-of-pass rather than spinning.
 		e.passPos = e.patterns
 		return false
-	}
-	// The dense/sparse strategy is chosen per window from its measured
-	// density: a sweep over a decaying test set can use the transpose
-	// kernel for the dense head and the scatter kernel for the sparse
-	// tail of one pass.
-	if e.forceDense != nil {
-		e.win.dense = *e.forceDense
-	} else {
-		density := float64(e.win.CareBits()) / (float64(e.numBits) * float64(loaded))
-		e.win.dense = density >= denseDensityThreshold
-	}
-	if e.win.dense {
-		e.win.buildFlatPlanes(e.numBits)
 	}
 	if timed {
 		e.windowHist.Observe(time.Since(t0))
@@ -426,24 +394,28 @@ func (e *Evaluator) NoTDC(m int) (Config, error) {
 // groupCopy disables the codec's group-copy mode when false (the
 // ablation knob for the two-mode design choice).
 func (e *Evaluator) TDC(m int, groupCopy bool) (Config, error) {
+	cfg, _, err := e.tdc(m, groupCopy, Config{})
+	return cfg, err
+}
+
+// tdc is TDC with a bound: a feasible bound lets the pass be abandoned
+// once the configuration provably loses to it (see priceWindow), and ok
+// reports whether the evaluation completed. Only completed evaluations
+// count in eval.tdc_evals.
+func (e *Evaluator) tdc(m int, groupCopy bool, bound Config) (cfg Config, ok bool, err error) {
 	if err := e.checkpoint(); err != nil {
-		return Config{}, err
+		return Config{}, false, err
 	}
 	d, err := e.Design(m)
 	if err != nil {
-		return Config{}, err
+		return Config{}, false, err
+	}
+	pt := e.point(d)
+	if !e.tdcCost(pt, groupCopy, bound, nil) {
+		return Config{}, false, nil
 	}
 	e.tdcEvals.Inc()
-	time, volume := e.tdcCost(d, groupCopy)
-	return Config{
-		Feasible: true,
-		UseTDC:   true,
-		Codec:    CodecSelEnc,
-		Width:    selenc.CodewordWidth(m),
-		M:        m,
-		Time:     time,
-		Volume:   volume,
-	}, nil
+	return pt.config(e.patterns), true, nil
 }
 
 // PatternBits returns the exact compressed size in bits of every test
@@ -454,65 +426,43 @@ func (e *Evaluator) PatternBits(m int) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := int64(selenc.PayloadBits(m))
-	w := k + 2
-	si := int64(d.ScanIn)
-	e.kernelPrepare(d)
-
+	pt := e.point(d)
 	out := make([]int64, e.patterns)
-	j := 0
-	e.beginPass()
-	for e.nextWindow() {
-		for lj := 0; lj < e.win.count; lj++ {
-			out[j] = (si + e.patternOps(lj, k, true)) * w
-			j++
-		}
+	e.tdcCost(pt, true, Config{}, out)
+	for j := range out {
+		out[j] *= pt.w
 	}
 	return out, nil
 }
 
-// tdcCost computes the exact test time and compressed volume for a
-// wrapper design, without materializing codewords. It reproduces
-// selenc's cost model — per slice, one header plus min(t, 2) codewords
-// per group holding t target bits (fill = per-slice care majority) — via
-// the word-parallel plane kernel (kernel.go) and is validated against
-// the real encoder in the tests.
-func (e *Evaluator) tdcCost(d *wrapper.Design, groupCopy bool) (time, volume int64) {
-	k := int64(selenc.PayloadBits(d.M))
-	w := k + 2
-	si := int64(d.ScanIn)
-	so := int64(d.ScanOut)
-	e.kernelPrepare(d)
-
-	var totalCW int64
-	j := 0
-	e.beginPass()
-	for e.nextWindow() {
-		for lj := 0; lj < e.win.count; lj++ {
-			// One header per slice (including fully-X slices) plus the
-			// encoding operations.
-			cw := si + e.patternOps(lj, k, groupCopy)
-			totalCW += cw
-			if j == 0 {
-				time += cw
-			} else if cw > so {
-				time += cw
-			} else {
-				time += so
-			}
-			j++
-		}
+// point returns the evaluator's pricing state for design d, building
+// the kernel table (into recycled storage) only when d differs from the
+// last design priced.
+func (e *Evaluator) point(d *wrapper.Design) *tdcPoint {
+	if e.ptD != d {
+		e.pt, e.ptD = newTDCPoint(d, e.pt.cells), d
 	}
-	time += int64(e.patterns) + so
-	volume = totalCW * w
-	return time, volume
+	return &e.pt
 }
 
-func flushGroup(t int, groupCopy bool) int64 {
-	if groupCopy && t >= 2 {
-		return 2
+// tdcCost runs one pass over the core's cubes, pricing each into pt's
+// accumulators without materializing codewords. It reproduces selenc's
+// cost model — per slice, one header plus min(t, 2) codewords per group
+// holding t target bits (fill = per-slice care majority) — through the
+// counting kernel (kernel.go), and is validated against the real
+// encoder in the tests. It returns false when a feasible bound
+// abandoned the pass (see priceWindow); perCW, when non-nil, receives
+// every pattern's codeword count. On true, pt.config yields the
+// configuration.
+func (e *Evaluator) tdcCost(pt *tdcPoint, groupCopy bool, bound Config, perCW []int64) bool {
+	pt.totalCW, pt.timeAcc = 0, 0
+	e.beginPass()
+	for e.nextWindow() {
+		if !e.priceWindow(pt, groupCopy, bound, perCW) {
+			return false
+		}
 	}
-	return int64(t)
+	return true
 }
 
 // EvalNoTDC evaluates testing the core through m direct TAM wires with

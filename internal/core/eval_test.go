@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"soctap/internal/cube"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/wrapper"
@@ -118,6 +119,31 @@ func TestQuickCostModelEquivalence(t *testing.T) {
 }
 
 func referenceTDCquiet(c *soc.Core, m int) (int64, int64) {
+	return referenceCost(c, m, func(slice []selenc.CareBit) int64 {
+		return int64(len(selenc.EncodeSlice(m, slice)))
+	})
+}
+
+// referenceTDCTargets is the no-group-copy reference: per slice, one
+// header plus one single-bit codeword per target bit, the targets being
+// the care bits that differ from selenc.ChooseFill.
+func referenceTDCTargets(c *soc.Core, m int) (int64, int64) {
+	return referenceCost(c, m, func(slice []selenc.CareBit) int64 {
+		fill := selenc.ChooseFill(slice)
+		cw := int64(1)
+		for _, cb := range slice {
+			if cb.Value != fill {
+				cw++
+			}
+		}
+		return cw
+	})
+}
+
+// referenceCost slices every cube through the wrapper design's stimulus
+// map, prices each sorted slice with sliceCW and applies the test-time
+// formula — the ground truth the counting kernel must match.
+func referenceCost(c *soc.Core, m int, sliceCW func(slice []selenc.CareBit) int64) (int64, int64) {
 	d, _ := wrapper.New(c, m)
 	ts, _ := c.TestSet()
 	refs := d.StimulusMap()
@@ -133,7 +159,7 @@ func referenceTDCquiet(c *soc.Core, m int) (int64, int64) {
 		var cw int64
 		for _, slice := range slices {
 			sortCare(slice)
-			cw += int64(len(selenc.EncodeSlice(m, slice)))
+			cw += sliceCW(slice)
 		}
 		totalCW += cw
 		if j == 0 {
@@ -174,77 +200,128 @@ func TestEvalTDCLargeCubeMatchesRealEncoder(t *testing.T) {
 	}
 }
 
-// TestKernelPathsAgree forces both plane-building strategies of the
-// word kernel — dense (flat planes + transpose) and sparse (scatter
-// over dirty rows) — onto the same cores and requires identical costs
-// from each, for both group-copy settings. The density heuristic may
-// pick either path; correctness must never depend on the choice.
-func TestKernelPathsAgree(t *testing.T) {
-	cores := []*soc.Core{
-		smallCore(7),
-		{Name: "dense", Inputs: 20, Outputs: 10, ScanChains: []int{70, 40, 40, 10},
-			Patterns: 15, CareDensity: 0.55, Clustering: 0.3, Seed: 9},
-		{Name: "thin", Inputs: 8, Outputs: 8, ScanChains: []int{90, 90, 90, 90, 90, 90},
-			Patterns: 12, CareDensity: 0.02, Clustering: 0.8, Seed: 31},
-		{Name: "comb", Inputs: 130, Outputs: 5, Patterns: 9,
-			CareDensity: 0.4, Seed: 12},
-	}
-	for _, c := range cores {
-		for _, m := range []int{1, 3, 17, c.MaxWrapperChains()} {
-			if m > c.MaxWrapperChains() {
-				continue
-			}
-			var results [2][2]Config
-			for pi, dense := range []bool{false, true} {
-				ev, err := NewEvaluator(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev.forceDense = &dense
-				for gi, gc := range []bool{true, false} {
-					cfg, err := ev.TDC(m, gc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					results[pi][gi] = cfg
-				}
-				if ev.win.dense != dense {
-					t.Fatalf("%s: forced dense=%v, window priced with dense=%v", c.Name, dense, ev.win.dense)
-				}
-			}
-			if results[0] != results[1] {
-				t.Errorf("%s m=%d: sparse %+v != dense %+v", c.Name, m, results[0], results[1])
-			}
-		}
-	}
+// denseCore and thinCore bracket the care densities the counting
+// kernel sees: d695-class dense cubes and industrial-class thin ones.
+func denseCore() *soc.Core {
+	return &soc.Core{Name: "dense", Inputs: 20, Outputs: 10, ScanChains: []int{70, 40, 40, 10},
+		Patterns: 15, CareDensity: 0.55, Clustering: 0.3, Seed: 9}
 }
 
-// TestKernelSteadyStateZeroAlloc is the 0 allocs/op gate for the word
-// kernel: once the scratch planes are warm, repeated tdcCost calls on
-// both paths must not allocate. Run by the `make check`
-// kernel-equivalence target.
-func TestKernelSteadyStateZeroAlloc(t *testing.T) {
-	c := smallCore(77)
-	for _, dense := range []bool{false, true} {
+func thinCore() *soc.Core {
+	return &soc.Core{Name: "thin", Inputs: 8, Outputs: 8, ScanChains: []int{90, 90, 90, 90, 90, 90},
+		Patterns: 12, CareDensity: 0.02, Clustering: 0.8, Seed: 31}
+}
+
+// tieCore is a combinational core priced at m = 10 (k = 4, not a
+// divisor of 10: groups {0-3}, {4-7}, {8-9}) as a single slice per
+// cube. Every cube ties (ones·2 = care), and the two fills cost
+// differently under group copy — fill 0, as selenc.ChooseFill breaks
+// ties, leaves the ones as targets, fill 1 the zeros.
+func tieCore() *soc.Core {
+	set := cube.NewSet(10)
+	for _, onesZeros := range [][2][]int{
+		{{0, 1, 2}, {4, 5, 8}},       // fill 0: 2 ops, fill 1: 3
+		{{4, 5, 6, 7}, {0, 3, 8, 9}}, // fill 0: 2 ops, fill 1: 4
+	} {
+		cb := cube.NewCube(10)
+		for i, positions := range onesZeros {
+			for _, pos := range positions {
+				cb.Set(pos, i == 0)
+			}
+		}
+		if err := set.Add(cb); err != nil {
+			panic(err)
+		}
+	}
+	return &soc.Core{Name: "tie", Inputs: 10, Outputs: 4, Patterns: 2, ExplicitCubes: set}
+}
+
+// TestKernelPathsAgree holds the counting kernel to the reference
+// encoder on cores spanning the care densities it sees (dense 0.55,
+// thin 0.02, combinational, small) plus a core whose slices tie: with
+// group copy, TDC must equal the real encoder's stream
+// (referenceTDCquiet); without it, the reference is one codeword per
+// target bit of selenc.ChooseFill. m runs over 1, widths that are not
+// a multiple of the payload width k, and the core's maximum.
+func TestKernelPathsAgree(t *testing.T) {
+	type row struct {
+		core *soc.Core
+		ms   []int
+	}
+	var rows []row
+	for _, c := range []*soc.Core{
+		smallCore(7), denseCore(), thinCore(),
+		{Name: "comb", Inputs: 130, Outputs: 5, Patterns: 9, CareDensity: 0.4, Seed: 12},
+	} {
+		rows = append(rows, row{c, []int{1, 3, 17, c.MaxWrapperChains()}})
+	}
+	rows = append(rows, row{tieCore(), []int{10}})
+	for _, r := range rows {
+		c := r.core
 		ev, err := NewEvaluator(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.forceDense = &dense
+		for _, m := range r.ms {
+			if m > c.MaxWrapperChains() {
+				continue
+			}
+			for _, gc := range []bool{true, false} {
+				cfg, err := ev.TDC(m, gc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := referenceTDCquiet
+				if !gc {
+					ref = referenceTDCTargets
+				}
+				if wantTime, wantVol := ref(c, m); cfg.Time != wantTime || cfg.Volume != wantVol {
+					t.Errorf("%s m=%d groupCopy=%v: kernel (τ=%d, V=%d) != reference (τ=%d, V=%d)",
+						c.Name, m, gc, cfg.Time, cfg.Volume, wantTime, wantVol)
+				}
+			}
+		}
+	}
+	// The tie row must actually tie.
+	referenceCost(tieCore(), 10, func(slice []selenc.CareBit) int64 {
+		ones := 0
+		for _, cb := range slice {
+			if cb.Value {
+				ones++
+			}
+		}
+		if ones*2 != len(slice) {
+			t.Errorf("tie core slice has %d ones among %d care bits, want a tie", ones, len(slice))
+		}
+		return 1
+	})
+}
+
+// TestKernelSteadyStateZeroAlloc is the 0 allocs/op gate for the
+// counting kernel: once the counters are warm, repeated tdcCost calls
+// over a kept whole-set window must not allocate, on a dense and on a
+// thin core. Run by the `make check` kernel-equivalence target.
+func TestKernelSteadyStateZeroAlloc(t *testing.T) {
+	for _, c := range []*soc.Core{denseCore(), thinCore()} {
+		ev, err := NewEvaluator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d, err := ev.Design(9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.tdcCost(d, true) // load and keep the whole-set window, warm the scratch
-		if ev.win.dense != dense || !ev.kept() {
-			t.Fatalf("dense=%v: loaded window dense=%v kept=%v", dense, ev.win.dense, ev.kept())
+		pt := ev.point(d)
+		ev.tdcCost(pt, true, Config{}, nil) // load and keep the whole-set window, warm the counters
+		if !ev.kept() {
+			t.Fatalf("%s: whole-set window not kept", c.Name)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			ev.tdcCost(d, true)
-			ev.tdcCost(d, false)
+			ev.tdcCost(pt, true, Config{}, nil)
+			ev.tdcCost(pt, false, Config{}, nil)
 		})
 		if allocs != 0 {
-			t.Errorf("dense=%v: steady-state tdcCost allocates %.1f allocs/op, want 0", dense, allocs)
+			t.Errorf("%s: steady-state tdcCost allocates %.1f allocs/op, want 0", c.Name, allocs)
 		}
 	}
 }

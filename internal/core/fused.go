@@ -3,19 +3,18 @@
 // batch against each loaded cube window before the next window loads,
 // instead of running one full pass over the test set per point. One
 // producer evaluator streams the cube source once per batch; each
-// window is flattened (and, on the dense path, scattered into flat
-// planes) exactly once and shared read-only with a crew of mirror
-// evaluators that carry the per-point partial state forward. The
+// window is flattened exactly once and shared read-only with a crew of
+// mirror evaluators that carry the per-point partial state forward. The
 // per-pass evaluator cursor of tdcCost is replaced by per-point
-// accumulators (codeword totals and the overlapped-shift time sum),
-// and the band sweep's incumbent
-// pruning becomes mid-pass: a point whose running lower bound is
-// already strictly lex-worse than the best upper bound among its
-// band's peers (or the band incumbent from earlier batches) drops out
-// at a window boundary. Both pruning rules are exact, so fused tables
-// are identical to the per-band sweep's over one whole-set window —
-// the fused-equivalence and golden gates of `make check` — while
-// `eval.window_loads` falls from O(points × windows) to
+// accumulators (codeword totals and the overlapped-shift time sum), and
+// the band sweep's incumbent pruning runs at window boundaries: a point
+// whose running lower bound (tdcPoint.lowerBound, the bound sweepBand
+// prunes against cube by cube) is already strictly lex-worse than the
+// best upper bound among its band's peers (or the band incumbent from
+// earlier batches) drops out. Both pruning rules are exact, so fused
+// tables are identical to the per-band sweep's over one whole-set
+// window — the fused-equivalence and golden gates of `make check` —
+// while `eval.window_loads` falls from O(points × windows) to
 // O(batches × windows).
 package core
 
@@ -26,41 +25,32 @@ import (
 	"sync/atomic"
 	"time"
 
-	"soctap/internal/selenc"
 	"soctap/internal/telemetry"
 	"soctap/internal/wrapper"
 )
 
 // fusedBatchPoints bounds how many evaluation points share one
-// streamed pass. Each in-flight point pins its wrapper design (and, on
-// sparse windows, that design's stimulus map), so the batch size
-// trades pass count against peak memory; 64 keeps a giant-profile
-// band sweep at a handful of passes while the resident designs stay
-// far below one window of cube data. A variable so tests can force
-// multi-batch schedules on small cores.
+// streamed pass. Each in-flight point pins its kernel cell table (one
+// entry per stimulus cell), so the batch size trades pass count against
+// peak memory; 64 keeps a giant-profile band sweep at a handful of
+// passes while the resident tables stay far below one window of cube
+// data. A variable so tests can force multi-batch schedules on small
+// cores.
 var fusedBatchPoints = 64
 
-// fusedPoint is the per-point partial state of one (w, m) evaluation
-// riding a fused pass: the design and its cost-model constants, the
-// running accumulators that replace the per-pass cursor, and the
-// resolved configuration once the pass completes.
+// fusedPoint is one (w, m) evaluation riding a fused pass: its pricing
+// state (the design's kernel table and the running accumulators that
+// replace the per-pass cursor), its band, and the resolved
+// configuration once the pass completes.
 type fusedPoint struct {
+	tdcPoint
 	band int // index into the band jobs
-	m    int
-	w    int64 // codeword width CodewordWidth(m)
-	k    int64 // payload bits
-	d    *wrapper.Design
-	si   int64
-	so   int64
 	// ubcw is an admissible per-pattern codeword upper bound: si slice
 	// headers plus at most min(m, 2·GroupCount(m)) operation codewords
 	// per slice. Paired with the per-pattern lower bound of si (one
 	// header per slice), it brackets every unseen pattern's cost for
 	// the mid-pass pruning rule.
 	ubcw int64
-
-	totalCW int64 // codewords emitted so far
-	timeAcc int64 // cw_1 + Σ_{j>1} max(cw_j, so) so far
 
 	pruned bool
 	cfg    Config
@@ -132,8 +122,7 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 			b := &bands[r.band]
 			if b.best.Feasible && !opts.DisablePruning {
 				if bt, bv := coreBound(producer, r.m, b.w); boundWorse(bt, bv, b.best) {
-					pc.pruned.Inc()
-					pc.corePruned.Inc()
+					pc.drop()
 					continue
 				}
 			}
@@ -143,21 +132,13 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 			}
 			if b.best.Feasible && !opts.DisablePruning {
 				if bt, bv := designBound(producer, d, b.w); boundWorse(bt, bv, b.best) {
-					pc.pruned.Inc()
-					pc.corePruned.Inc()
+					pc.drop()
 					continue
 				}
 			}
-			k := int64(selenc.PayloadBits(r.m))
-			si := int64(d.ScanIn)
-			ub := int64(r.m)
-			if g := 2 * int64(selenc.GroupCount(r.m)); g < ub {
-				ub = g
-			}
-			batch = append(batch, &fusedPoint{
-				band: r.band, m: r.m, w: k + 2, k: k, d: d,
-				si: si, so: int64(d.ScanOut), ubcw: si * (1 + ub),
-			})
+			pt := newTDCPoint(d, nil)
+			ub := min(int64(r.m), 2*int64(pt.groups))
+			batch = append(batch, &fusedPoint{tdcPoint: pt, band: r.band, ubcw: pt.si * (1 + ub)})
 		}
 		fc.points.Add(int64(len(batch)))
 		fc.corePoints.Add(int64(len(batch)))
@@ -227,50 +208,26 @@ func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, b
 			continue
 		}
 		producer.tdcEvals.Inc()
-		p.cfg = Config{
-			Feasible: true,
-			UseTDC:   true,
-			Codec:    CodecSelEnc,
-			Width:    int(p.w),
-			M:        p.m,
-			Time:     p.timeAcc + int64(producer.patterns) + p.so,
-			Volume:   p.totalCW * p.w,
-		}
+		p.cfg = p.config(producer.patterns)
 	}
 	return nil
 }
 
 // priceWindowPoint costs the loaded window against one point's
-// accumulators: per cube, si slice headers plus the encoding operation
-// count, summed into the codeword total and the overlapped-shift time
-// term (cw_1 plain, max(cw_j, so) beyond). Exactly tdcCost's inner
-// loop, with the cursor state carried by the point instead of the
-// pass. Steady state is allocation-free (gate-enforced).
+// accumulators — tdcCost's per-window step (priceWindow) with the
+// cursor state carried by the point instead of the pass. Steady state
+// is allocation-free (gate-enforced).
 func (e *Evaluator) priceWindowPoint(p *fusedPoint) {
-	e.kernelPrepare(p.d)
-	si, so, k := p.si, p.so, p.k
-	totalCW, timeAcc := p.totalCW, p.timeAcc
-	base := e.win.start
-	for lj := 0; lj < e.win.count; lj++ {
-		cw := si + e.patternOps(lj, k, true)
-		totalCW += cw
-		if base+lj == 0 {
-			timeAcc += cw
-		} else if cw > so {
-			timeAcc += cw
-		} else {
-			timeAcc += so
-		}
-	}
-	p.totalCW, p.timeAcc = totalCW, timeAcc
+	e.priceWindow(&p.tdcPoint, true, Config{}, nil)
 }
 
 // pruneFusedWindow is the deterministic mid-pass prune step: with pos
 // of patterns cubes priced, a point's final (time, volume) is bracketed
 // by closed-form bounds on the rem remaining cubes —
 //
-//	LB: every pattern emits at least its si slice headers, and each
-//	    remaining one adds at least max(si, so) cycles;
+//	LB: tdcPoint.lowerBound, the bound sweepBand prunes against: every
+//	    pattern emits at least its si slice headers, and each remaining
+//	    one adds at least max(si, so) cycles;
 //	UB: no pattern emits more than ubcw codewords, so each remaining
 //	    one adds at most max(ubcw, so) cycles.
 //
@@ -285,7 +242,7 @@ func pruneFusedWindow(pos, patterns int, bands []bandJob, ubs []bandUB, active [
 	if pos >= patterns {
 		return active
 	}
-	rem := int64(patterns - pos)
+	rem := patterns - pos
 	for i := range ubs {
 		ubs[i] = bandUB{}
 	}
@@ -297,12 +254,8 @@ func pruneFusedWindow(pos, patterns int, bands []bandJob, ubs []bandUB, active [
 				ub.t, ub.v, ub.ok = b.Time, b.Volume, true
 			}
 		}
-		maxcw := p.ubcw
-		if p.so > maxcw {
-			maxcw = p.so
-		}
-		ut := p.timeAcc + rem*maxcw + int64(patterns) + p.so
-		uv := (p.totalCW + rem*p.ubcw) * p.w
+		ut := p.timeAcc + int64(rem)*max(p.ubcw, p.so) + int64(patterns) + p.so
+		uv := (p.totalCW + int64(rem)*p.ubcw) * p.w
 		if !ub.ok || ut < ub.t || (ut == ub.t && uv < ub.v) {
 			ub.t, ub.v, ub.ok = ut, uv, true
 		}
@@ -310,16 +263,10 @@ func pruneFusedWindow(pos, patterns int, bands []bandJob, ubs []bandUB, active [
 	out := active[:0]
 	for _, p := range active {
 		ub := ubs[p.band]
-		maxL := p.si
-		if p.so > maxL {
-			maxL = p.so
-		}
-		lt := p.timeAcc + rem*maxL + int64(patterns) + p.so
-		lv := (p.totalCW + rem*p.si) * p.w
+		lt, lv := p.lowerBound(rem, patterns)
 		if ub.ok && (lt > ub.t || (lt == ub.t && lv > ub.v)) {
 			p.pruned = true
-			pc.pruned.Inc()
-			pc.corePruned.Inc()
+			pc.drop()
 			continue
 		}
 		out = append(out, p)

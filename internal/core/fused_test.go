@@ -116,21 +116,7 @@ func TestFusedMidPassPruning(t *testing.T) {
 		t.Error("exhaustive fused sweep pruned nothing; expected incumbent/mid-pass drops")
 	}
 	// Pruned + evaluated must account for every sampled band point.
-	var sampled int64
-	maxM := c.MaxWrapperChains()
-	for w := 3; w <= opts.MaxWidth; w++ {
-		lo, hi, err := selenc.MBand(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo > maxM {
-			break
-		}
-		if hi > maxM {
-			hi = maxM
-		}
-		sampled += int64(len(sampleBand(lo, hi, opts.BandSamples)))
-	}
+	sampled := sampledBandPoints(t, c, opts)
 	pruned := sn.Counters["prune."+c.Name+".pruned"]
 	evals := sn.Counters["prune."+c.Name+".evals"]
 	if pruned+evals != sampled {
@@ -210,8 +196,7 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := int64(selenc.PayloadBits(m))
-		return &fusedPoint{m: m, w: k + 2, k: k, d: d, si: int64(d.ScanIn), so: int64(d.ScanOut)}
+		return &fusedPoint{tdcPoint: newTDCPoint(d, nil)}
 	}
 	p := newPoint(8)
 	mir := ev.mirror()
@@ -220,7 +205,7 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	if !ev.nextWindow() {
 		t.Fatal("empty first window")
 	}
-	// Warm: design prep, lazy stimulus map, slice-plane sizing.
+	// Warm: counter sizing.
 	ev.priceWindowPoint(p)
 	mir.priceWindowPoint(mp)
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -32,9 +32,12 @@ type TableOptions struct {
 	// options recorded on the table.
 	Workers int
 	// DisablePruning turns off the incumbent lower-bound pruning of the
-	// banded (w, m) sweep. Pruning is exact — only provably dominated
-	// candidates are skipped and the table is bit-identical either way
-	// (see bandBounds and the golden-equivalence test) — so the knob
+	// banded (w, m) sweep: the pre-pass bounds that skip a candidate
+	// before pricing it (coreBound, designBound) and the mid-pass bound
+	// that abandons one part-way through its cubes (tdcPoint.lowerBound,
+	// in both sweep schedules). Pruning is exact — only provably
+	// dominated candidates are dropped and the table is bit-identical
+	// either way (the pruning golden-equivalence test) — so the knob
 	// exists for verification and benchmark comparison and, like
 	// Workers, is erased from cache keys and recorded options.
 	DisablePruning bool
@@ -423,28 +426,36 @@ type pruneCounters struct {
 	coreEvals  *telemetry.Counter
 }
 
+// drop accounts one pruned candidate.
+func (pc pruneCounters) drop() {
+	pc.pruned.Inc()
+	pc.corePruned.Inc()
+}
+
 // sweepBand finds the best TDC configuration in one codeword-width
 // band, sweeping the sampled m values from highest to lowest. With
 // pruning enabled, each candidate is first checked against two
 // admissible lower bounds — one from the core alone (no wrapper
 // design), then one from the exact wrapper depths — and skipped when
 // the bound is already strictly lex-worse (time, then volume) than the
-// incumbent.
+// incumbent; a candidate that survives them is priced against the
+// incumbent and abandoned mid-pass once its running lower bound
+// (tdcPoint.lowerBound) is strictly lex-worse.
 //
-// The result is identical to evaluating every candidate: both bounds
-// are true lower bounds on (time, volume), so a pruned candidate's
-// actual cost is strictly worse than the incumbent and can never be the
-// band winner; lex-equal candidates are never pruned (their bound is
-// not strictly worse) and ties resolve to the smallest m exactly as an
-// ascending first-win reduction would.
+// The result is identical to evaluating every candidate: all three
+// bounds are true lower bounds on (time, volume), so a pruned
+// candidate's actual cost is strictly worse than the incumbent and can
+// never be the band winner; lex-equal candidates are never pruned
+// (their bound is not strictly worse) and ties resolve to the smallest
+// m exactly as an ascending first-win reduction would.
 func sweepBand(ev *Evaluator, w int, ms []int, disablePruning bool, pc pruneCounters) (Config, error) {
 	var best Config
 	for i := len(ms) - 1; i >= 0; i-- {
 		m := ms[i]
+		var bound Config
 		if best.Feasible && !disablePruning {
 			if bt, bv := coreBound(ev, m, w); boundWorse(bt, bv, best) {
-				pc.pruned.Inc()
-				pc.corePruned.Inc()
+				pc.drop()
 				continue
 			}
 			d, err := ev.Design(m)
@@ -452,14 +463,18 @@ func sweepBand(ev *Evaluator, w int, ms []int, disablePruning bool, pc pruneCoun
 				return Config{}, err
 			}
 			if bt, bv := designBound(ev, d, w); boundWorse(bt, bv, best) {
-				pc.pruned.Inc()
-				pc.corePruned.Inc()
+				pc.drop()
 				continue
 			}
+			bound = best
 		}
-		cfg, err := ev.TDC(m, true)
+		cfg, ok, err := ev.tdc(m, true, bound)
 		if err != nil {
 			return Config{}, err
+		}
+		if !ok {
+			pc.drop()
+			continue
 		}
 		pc.coreEvals.Inc()
 		// Replace on lex-<=: at equal (time, volume) the smaller m wins,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"reflect"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
+	"soctap/internal/telemetry"
 )
 
 func compressibleCore(seed int64) *soc.Core {
@@ -355,5 +357,91 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 				t.Errorf("%s workers=%d: unpruned table differs from the pruned golden %s", gc.core.Name, workers, path)
 			}
 		}
+	}
+}
+
+// sampledBandPoints counts the (w, m) points a table build with opts
+// samples across its codeword-width bands — the candidates the band
+// sweep either evaluates or prunes.
+func sampledBandPoints(t *testing.T, c *soc.Core, opts TableOptions) int64 {
+	t.Helper()
+	opts = opts.withDefaults()
+	var sampled int64
+	maxM := c.MaxWrapperChains()
+	for w := 3; w <= opts.MaxWidth; w++ {
+		lo, hi, err := selenc.MBand(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo > maxM {
+			break
+		}
+		sampled += int64(len(sampleBand(lo, min(hi, maxM), opts.BandSamples)))
+	}
+	return sampled
+}
+
+// TestPruneAccounting pins the bookkeeping of exact pruning in both
+// sweep schedules — pre-pass skips and mid-pass abandonments alike: on
+// every d695 core and one industrial core, at window 0 (the per-band
+// sweep) and DefaultEvalWindow (the fused sweep wherever the set spans
+// several windows), every sampled band point is either a completed
+// evaluation or a pruned candidate, globally (eval.tdc_evals +
+// eval.pruned) and per core (prune.<core>.evals + prune.<core>.pruned),
+// and every counter of the build is identical at Workers 1, 2 and 8.
+func TestPruneAccounting(t *testing.T) {
+	cases := goldenCases()[:len(soc.D695().Cores)+1] // d695, then ckt-1
+	var bandSweeps, fusedSweeps int
+	var prunedTotal int64
+	for _, gc := range cases {
+		c := gc.core
+		sampled := sampledBandPoints(t, c, gc.opts)
+		for _, window := range []int{0, DefaultEvalWindow} {
+			var want map[string]int64
+			for _, workers := range []int{1, 2, 8} {
+				opts := gc.opts
+				opts.EvalWindow = window
+				opts.Workers = workers
+				tel := telemetry.New()
+				if _, err := buildTable(context.Background(), c, opts, tel); err != nil {
+					t.Fatal(err)
+				}
+				// A counter a path registers without counting (the crew's
+				// panic.recovered) reads as absent.
+				got := make(map[string]int64)
+				for name, v := range tel.Snapshot().Counters {
+					if v != 0 {
+						got[name] = v
+					}
+				}
+				if want != nil {
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s window=%d workers=%d: counters %v differ from workers=1 %v",
+							c.Name, window, workers, got, want)
+					}
+					continue
+				}
+				want = got
+				if got["eval.passes"] > 0 {
+					fusedSweeps++
+				} else {
+					bandSweeps++
+				}
+				prunedTotal += got["eval.pruned"]
+				if n := got["eval.tdc_evals"] + got["eval.pruned"]; n != sampled {
+					t.Errorf("%s window=%d: eval.tdc_evals %d + eval.pruned %d = %d, want %d sampled points",
+						c.Name, window, got["eval.tdc_evals"], got["eval.pruned"], n, sampled)
+				}
+				evals, pruned := got["prune."+c.Name+".evals"], got["prune."+c.Name+".pruned"]
+				if evals+pruned != sampled {
+					t.Errorf("%s window=%d: prune.%s.evals %d + .pruned %d = %d, want %d sampled points",
+						c.Name, window, c.Name, evals, pruned, evals+pruned, sampled)
+				}
+			}
+		}
+	}
+	if bandSweeps == 0 || fusedSweeps == 0 || prunedTotal == 0 {
+		t.Errorf("ran %d band and %d fused sweeps pruning %d candidates; want both schedules pruning",
+			bandSweeps, fusedSweeps, prunedTotal)
 	}
 }

@@ -28,10 +28,9 @@ func trimmedCore(c *soc.Core, patterns int) *soc.Core {
 	return out
 }
 
-// decayCore has a strongly decaying density profile chosen so that at
-// small windows the head windows measure dense (≥ denseDensityThreshold)
-// and the tail windows sparse — every pass flips the kernel strategy
-// mid-stream, exercising the slice-plane re-zeroing handoff.
+// decayCore has a strongly decaying density profile: at small windows
+// the head windows are dense and the tail windows sparse, so window
+// boundaries fall between cubes of very different care-bit counts.
 func decayCore(seed int64) *soc.Core {
 	return &soc.Core{
 		Name: "decay", Inputs: 10, Outputs: 8,

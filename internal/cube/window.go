@@ -66,8 +66,5 @@ func (w *Window) Len() int {
 	return len(w.Off) - 1
 }
 
-// CareBits returns the total number of care bits loaded.
-func (w *Window) CareBits() int { return len(w.Refs) }
-
 // CubeRefs returns cube j's packed care refs.
 func (w *Window) CubeRefs(j int) []uint64 { return w.Refs[w.Off[j]:w.Off[j+1]] }

@@ -48,8 +48,8 @@ func TestWindowLoadMatchesSource(t *testing.T) {
 					}
 					care += len(refs)
 				}
-				if w.CareBits() != care {
-					t.Fatalf("window=%d: CareBits %d, want %d", window, w.CareBits(), care)
+				if len(w.Refs) != care {
+					t.Fatalf("window=%d: %d care refs, want %d", window, len(w.Refs), care)
 				}
 				seen += n
 			}
@@ -64,8 +64,8 @@ func TestWindowLoadMatchesSource(t *testing.T) {
 // once at high water) and an empty window reports zero cubes.
 func TestWindowRecycling(t *testing.T) {
 	var w Window
-	if w.Len() != 0 || w.CareBits() != 0 {
-		t.Fatalf("fresh window not empty: len %d, care %d", w.Len(), w.CareBits())
+	if w.Len() != 0 || len(w.Refs) != 0 {
+		t.Fatalf("fresh window not empty: len %d, care %d", w.Len(), len(w.Refs))
 	}
 	spec := sourceSpecs()[0]
 	src, err := NewGenerator(spec)

@@ -5,9 +5,10 @@
 //	value[i] — bit p set iff position p is specified as 1
 //
 // with position p at bit p%64 of word p/64, value ⊆ care, and all bits
-// at positions >= m zero. This is the layout the core evaluator builds
-// directly from wrapper stimulus maps, so slice pricing is popcounts
-// and masks over whole words — no per-bit loops and no sorting.
+// at positions >= m zero. This is the layout the ATE stream builder
+// scatters directly from wrapper stimulus maps, so slice encoding is
+// popcounts and masks over whole words — no per-bit loops and no
+// sorting.
 package selenc
 
 import (
@@ -58,63 +59,6 @@ func SliceCostMask(m int, care, value []uint64) int {
 		}
 	}
 	return cost + flushGroupCost(inGroup)
-}
-
-// SliceOpsMask prices one slice row held as care/value word masks
-// without its header codeword: per group of k payload bits holding t
-// target bits, min(t, 2) operation codewords — or t single-bit
-// codewords each when group-copy encoding is disabled. Targets are the
-// care bits whose value differs from the row's majority fill
-// (ChooseFillMask). This is the append-form costing kernel the core
-// evaluator runs per slice against shared window planes, so it takes
-// the payload width k directly instead of re-deriving it from m;
-// for any m-bit row,
-//
-//	SliceCostMask(m, care, value) == 1 + SliceOpsMask(PayloadBits(m), true, care, value)
-//
-// (cross-checked by TestSliceOpsMaskAgreesWithCost). The planes must
-// satisfy the layout contract above; bits past the row width must be
-// zero in care.
-func SliceOpsMask(k int64, groupCopy bool, care, value []uint64) int64 {
-	careCount, ones := 0, 0
-	for i, c := range care {
-		careCount += bits.OnesCount64(c)
-		ones += bits.OnesCount64(value[i] & c)
-	}
-	if careCount == 0 {
-		return 0
-	}
-	var fillMask uint64
-	if ones*2 > careCount {
-		fillMask = ^uint64(0)
-	}
-	if !groupCopy {
-		// Without group copy every target bit is one single-bit
-		// codeword: a pure popcount.
-		var ops int64
-		for i, c := range care {
-			ops += int64(bits.OnesCount64(c & (value[i] ^ fillMask)))
-		}
-		return ops
-	}
-	var ops int64
-	group := int64(-1)
-	inGroup := 0
-	for wi, c := range care {
-		t := c & (value[wi] ^ fillMask)
-		base := wi << 6
-		for t != 0 {
-			g := int64(base+bits.TrailingZeros64(t)) / k
-			t &= t - 1
-			if g != group {
-				ops += int64(flushGroupCost(inGroup))
-				group = g
-				inGroup = 0
-			}
-			inGroup++
-		}
-	}
-	return ops + int64(flushGroupCost(inGroup))
 }
 
 // EncodeSliceMask encodes one slice of width m from word masks. It

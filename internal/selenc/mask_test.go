@@ -1,7 +1,6 @@
 package selenc
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -31,44 +30,5 @@ func TestAppendEncodeSliceMask(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("accumulated stream differs:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestSliceOpsMaskAgreesWithCost: the exported append-form ops kernel
-// must agree with SliceCostMask minus the header for every slice —
-// SliceOpsMask is the piece the core evaluator prices per slice row, so
-// any drift here would silently skew every fused table. The no-group-
-// copy mode must degenerate to a popcount of the target bits.
-func TestSliceOpsMaskAgreesWithCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, m := range []int{1, 3, 17, 63, 64, 65, 130} {
-		k := int64(PayloadBits(m))
-		for trial := 0; trial < 200; trial++ {
-			var care []CareBit
-			for pos := 0; pos < m; pos++ {
-				switch rng.Intn(4) {
-				case 0:
-					care = append(care, CareBit{Pos: pos, Value: true})
-				case 1:
-					care = append(care, CareBit{Pos: pos, Value: false})
-				}
-			}
-			careW, valueW := SliceMasks(m, care)
-			ops := SliceOpsMask(k, true, careW, valueW)
-			if want := int64(SliceCostMask(m, careW, valueW)) - 1; ops != want {
-				t.Fatalf("m=%d trial=%d: SliceOpsMask=%d, SliceCostMask-1=%d", m, trial, ops, want)
-			}
-			// Without group copy, every target bit is one codeword.
-			fill := ChooseFillMask(careW, valueW)
-			targets := int64(0)
-			for _, cb := range care {
-				if cb.Value != fill {
-					targets++
-				}
-			}
-			if got := SliceOpsMask(k, false, careW, valueW); got != targets {
-				t.Fatalf("m=%d trial=%d: no-group-copy ops=%d, want %d targets", m, trial, got, targets)
-			}
-		}
 	}
 }

@@ -54,7 +54,9 @@ type Core struct {
 	Seed         int64
 
 	// ExplicitCubes, when non-nil, is used verbatim as the core's test
-	// set (its width must equal StimulusBits and its length Patterns).
+	// set (its width must equal StimulusBits, its length Patterns, and
+	// every cube must share the width with strictly ascending, in-range
+	// care positions).
 	ExplicitCubes *cube.Set
 
 	cubesOnce sync.Once
@@ -161,6 +163,36 @@ func (c *Core) Validate() error {
 			return fmt.Errorf("soc: core %s: %d explicit cubes, want %d patterns",
 				c.Name, c.ExplicitCubes.Len(), c.Patterns)
 		}
+		for j, cb := range c.ExplicitCubes.Cubes {
+			if err := checkExplicitCube(cb, c.ExplicitCubes.NumBits); err != nil {
+				return fmt.Errorf("soc: core %s: explicit cube %d: %v", c.Name, j, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkExplicitCube holds an attached cube to the form the evaluation
+// kernels price: the set's width, and care positions strictly ascending
+// and in range. The kernels trust this form — an out-of-range position
+// would be priced against a neighbouring cube's bits, and a duplicate
+// counted twice — so it is checked here, at the boundary.
+func checkExplicitCube(cb *cube.Cube, numBits int) error {
+	if cb == nil {
+		return fmt.Errorf("nil cube")
+	}
+	if cb.NumBits != numBits {
+		return fmt.Errorf("width %d, want %d", cb.NumBits, numBits)
+	}
+	prev := -1
+	for _, bit := range cb.Care {
+		switch {
+		case bit.Pos < 0 || bit.Pos >= numBits:
+			return fmt.Errorf("care position %d out of range [0,%d)", bit.Pos, numBits)
+		case bit.Pos <= prev:
+			return fmt.Errorf("care position %d after %d (positions must be strictly ascending)", bit.Pos, prev)
+		}
+		prev = bit.Pos
 	}
 	return nil
 }
@@ -210,9 +242,9 @@ func (c *Core) TestSource() (cube.Source, error) {
 }
 
 // StimulusVolumeBits returns NumBits × Patterns as an int64 — the raw
-// stimulus image size the materialized evaluator path would shadow in
-// its flat planes, used to decide when to stream instead. Overflow-safe
-// for any core passing Validate.
+// stimulus image size of the core's test set, used to decide when to
+// stream it instead of materializing it. Overflow-safe for any core
+// passing Validate.
 func (c *Core) StimulusVolumeBits() int64 {
 	return int64(c.StimulusBits()) * int64(c.Patterns)
 }

@@ -12,6 +12,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"soctap/internal/cube"
 )
 
 // parseDesign builds a one-core design file around the given core body
@@ -140,6 +142,64 @@ func TestValidateStructuralBounds(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("baseline core must validate: %v", err)
+	}
+}
+
+// TestValidateRejectsMalformedExplicitCubes: an attached test set is
+// priced by kernels that trust its cubes' form, so Validate must refuse
+// any cube off the set's width or with care positions out of range,
+// repeated or unsorted — naming the core, the cube and the position.
+func TestValidateRejectsMalformedExplicitCubes(t *testing.T) {
+	const bits = 100
+	core := func(mutate func(cubes []*cube.Cube)) *Core {
+		set := cube.NewSet(bits)
+		for j := 0; j < 3; j++ {
+			cb := cube.NewCube(bits)
+			cb.Set(j, true)
+			cb.Set(50+j, false)
+			if err := set.Add(cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mutate(set.Cubes)
+		return &Core{Name: "explicit", Inputs: bits, Outputs: 4, Patterns: 3, ExplicitCubes: set}
+	}
+	appendBit := func(cb *cube.Cube, pos int) {
+		cb.Care = append(cb.Care, cube.CareBit{Pos: pos, Value: true})
+	}
+	cases := []struct {
+		name   string
+		mutate func(cubes []*cube.Cube)
+		want   []string // substrings of the expected error
+	}{
+		{"out-of-range", func(cs []*cube.Cube) { appendBit(cs[0], 128) },
+			[]string{"core explicit", "cube 0", "position 128"}},
+		{"negative", func(cs []*cube.Cube) { cs[1].Care[0].Pos = -1 },
+			[]string{"core explicit", "cube 1", "position -1"}},
+		{"duplicate", func(cs []*cube.Cube) { appendBit(cs[2], 52) },
+			[]string{"core explicit", "cube 2", "position 52"}},
+		{"unsorted", func(cs []*cube.Cube) { appendBit(cs[1], 7) },
+			[]string{"core explicit", "cube 1", "position 7"}},
+		{"wrong-width", func(cs []*cube.Cube) { cs[2].NumBits = bits + 28 },
+			[]string{"core explicit", "cube 2", "width 128"}},
+		{"nil-cube", func(cs []*cube.Cube) { cs[1] = nil },
+			[]string{"core explicit", "cube 1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := core(tc.mutate).Validate()
+			if err == nil {
+				t.Fatal("malformed explicit cube validated")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %q", err, w)
+				}
+			}
+		})
+	}
+	if err := core(func([]*cube.Cube) {}).Validate(); err != nil {
+		t.Fatalf("well-formed explicit cubes must validate: %v", err)
 	}
 }
 
