@@ -33,20 +33,25 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTable' -benchmem ./internal/core
 
 # bench-smoke compiles and runs each fast benchmark exactly once — a
-# regression tripwire for the benchmark code itself, cheap enough for
-# the tier-1 gate (no timing is measured at -benchtime=1x).
+# regression tripwire for the benchmark code itself (the simulator's
+# BenchmarkVerifyPlan included), cheap enough for the tier-1 gate (no
+# timing is measured at -benchtime=1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule|BenchmarkGreedy50Cores' -benchtime 1x ./internal/sched
-	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch|BenchmarkVerifyPlan$$' -benchtime 1x .
 
-# bench-json archives the four headline benchmarks as a dated,
+# bench-json archives the headline benchmarks as a dated,
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
-# alloc stats and any custom metrics, parsed by cmd/benchjson.
+# alloc stats and any custom metrics, parsed by cmd/benchjson. The
+# rungs run the paper artifacts and the search once each, then the
+# greedy schedule, the cache tiers, the simulator (BenchmarkVerifyPlan)
+# and the warm socserve request.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 	@echo wrote BENCH_$$(date +%Y-%m-%d).json
@@ -83,7 +88,9 @@ bench-big-smoke:
 # checked-in golden encoding at windows 0/64 (and 1 on d695) × workers
 # 1/2/8, tables built at every window and worker count are deeply equal
 # to the window-0 build (including the window-boundary fuzz seeds), and
-# the fuzz seed corpora for the word and codec kernels still pass.
+# the fuzz seed corpora for the word and codec kernels still pass (the
+# codec's: encode/decode round trip, cost model = encoder, and the
+# append encoder leaving its buffer's prefix untouched).
 kernel-equivalence:
 	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
@@ -112,10 +119,18 @@ fused-equivalence:
 # leaks, bit-identical results through the context-threaded entry
 # points, disk-store fault injection, and malformed-design rejection —
 # explicit test cubes included (off-width, out-of-range, repeated or
-# unsorted care positions never reach the kernels).
+# unsorted care positions never reach the kernels) — and the simulator's
+# own failure model: VerifyPlan rejects corrupted plans (a core dropped
+# or tested twice, a choice off its schedule item, a width, time or
+# plan total that disagrees with the simulation, the wrapper design or
+# the bus), verifies dictionary plans at the capacity they record and
+# direct-access plans whose bus is wider than a core's useful wrapper
+# chains, and every flip of a header prefix or single-bit payload bit of
+# a shipped stream, or a dropped last codeword, fails the receiver.
 robustness:
 	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
+	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail' ./internal/sim
 
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
 # container round-trips byte-exactly against the checked-in golden file

@@ -178,7 +178,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println("ok: all stimuli delivered bit-exactly, volumes match")
+		fmt.Println("ok: all stimuli delivered bit-exactly, volumes and test times match")
 	}
 
 	if err := stopProfiles(); err != nil {

@@ -8,9 +8,11 @@ package atevec
 
 import (
 	"fmt"
+	"slices"
 
 	"soctap/internal/bitvec"
 	"soctap/internal/core"
+	"soctap/internal/cube"
 	"soctap/internal/dictenc"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
@@ -69,80 +71,34 @@ func Build(res *core.Result) (*Image, error) {
 	return im, nil
 }
 
-// coreStream re-encodes one core's stimuli under a configuration.
-// Patterns are pulled one at a time from the core's cube stream: the
-// selective-encoding and direct codecs hold only O(pattern) scratch
-// beyond the output stream itself, so giant cores re-encode without
-// their test set ever being resident. (The dictionary codec inherently
-// needs every slice to build its dictionary and keeps them all.)
+// coreStream re-encodes one core's stimuli under a configuration. The
+// cubes come from soc.Core.Cubes, so a streamed core is pulled one
+// pattern at a time: the selective-encoding and direct codecs hold only
+// O(pattern) scratch beyond the output stream itself, and giant cores
+// re-encode without their test set ever being resident. (The dictionary
+// codec inherently needs every slice to build its dictionary and keeps
+// them all.)
 func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 	d, err := wrapper.New(c, cfg.M)
 	if err != nil {
 		return nil, err
 	}
-	src, err := c.TestSource()
+	src, err := c.Cubes()
 	if err != nil {
 		return nil, err
 	}
-	refs := d.StimulusMap()
-	si := d.ScanIn
-
 	switch cfg.Codec {
 	case core.CodecSelEnc:
-		// Scatter each pattern's care bits into reusable per-slice word
-		// planes and encode straight off the masks — the mask encoder
-		// needs no sorted care lists and the codeword buffer grows in
-		// place via the append form.
-		nw := (cfg.M + 63) / 64
-		careW := make([]uint64, si*nw)
-		valueW := make([]uint64, si*nw)
-		var cws []selenc.Codeword
-		for {
-			cb, ok := src.Next()
-			if !ok {
-				break
-			}
-			clear(careW)
-			clear(valueW)
-			for _, bit := range cb.Care {
-				r := refs[bit.Pos]
-				wi := int(r.Depth)*nw + int(r.Chain)>>6
-				mask := uint64(1) << uint(r.Chain&63)
-				careW[wi] |= mask
-				if bit.Value {
-					valueW[wi] |= mask
-				}
-			}
-			for depth := 0; depth < si; depth++ {
-				cws = selenc.AppendEncodeSliceMask(cws, cfg.M,
-					careW[depth*nw:(depth+1)*nw], valueW[depth*nw:(depth+1)*nw])
-			}
+		enc := NewEncoder(d)
+		stream := new(bitvec.Vector)
+		for cb, ok := src.Next(); ok; cb, ok = src.Next() {
+			stream.Append(enc.Encode(cb))
 		}
-		return selenc.PackStream(cfg.M, cws), nil
+		return stream, nil
 	case core.CodecDict:
-		var all []dictenc.Slice
-		for {
-			cb, ok := src.Next()
-			if !ok {
-				break
-			}
-			slices := make([][]selenc.CareBit, si)
-			for _, bit := range cb.Care {
-				r := refs[bit.Pos]
-				slices[r.Depth] = append(slices[r.Depth], selenc.CareBit{Pos: int(r.Chain), Value: bit.Value})
-			}
-			for _, s := range slices {
-				sortCare(s)
-				all = append(all, s)
-			}
-		}
-		dict, err := dictenc.Build(cfg.M, cfg.DictWords, all)
+		_, bools, err := DictStream(d, src, cfg.DictWords)
 		if err != nil {
 			return nil, err
-		}
-		var bools []bool
-		for _, s := range all {
-			bools = dict.Encode(bools, s)
 		}
 		v := bitvec.New(len(bools))
 		for i, b := range bools {
@@ -153,13 +109,14 @@ func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 		// Raw scan slices, X filled with 0, slice-major delivery. Each
 		// care bit's output position follows from its (chain, depth)
 		// cell directly, so no per-slice staging is needed.
-		v := bitvec.New(src.Len() * si * cfg.M)
+		refs := d.StimulusMap()
+		v := bitvec.New(src.Len() * d.ScanIn * cfg.M)
 		for pi := 0; ; pi++ {
 			cb, ok := src.Next()
 			if !ok {
 				break
 			}
-			base := pi * si * cfg.M
+			base := pi * d.ScanIn * cfg.M
 			for _, bit := range cb.Care {
 				if r := refs[bit.Pos]; bit.Value {
 					v.Set(base+int(r.Depth)*cfg.M+int(r.Chain), true)
@@ -172,12 +129,94 @@ func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 	}
 }
 
-func sortCare(care []selenc.CareBit) {
-	for i := 1; i < len(care); i++ {
-		for j := i; j > 0 && care[j-1].Pos > care[j].Pos; j-- {
-			care[j-1], care[j] = care[j], care[j-1]
+// Encoder produces a core's selective-encoding stream one pattern at a
+// time: each pattern's care bits are grouped into its scan slices, every
+// slice is encoded by selenc.AppendEncodeSlice, and the codewords are
+// packed as they cross the TAM. Build concatenates these per-pattern
+// streams into the image, and the simulator decodes the same bits, so
+// what is verified is what ships. All scratch is reused across
+// patterns.
+type Encoder struct {
+	m    int
+	refs []wrapper.CellRef
+	care []selenc.CareBit // the pattern's (chain, value) care bits, grouped by scan depth
+	end  []int            // end[d]: end of depth d's group in care
+	cws  []selenc.Codeword
+	bits bitvec.Vector
+}
+
+// NewEncoder returns an encoder for the wrapper design's core at the
+// design's m wrapper chains.
+func NewEncoder(d *wrapper.Design) *Encoder {
+	return &Encoder{m: d.M, refs: d.StimulusMap(), end: make([]int, d.ScanIn)}
+}
+
+// Encode returns the packed codewords of one pattern, its ScanIn slices
+// in scan-in order. The vector is reused by the next call.
+func (e *Encoder) Encode(cb *cube.Cube) *bitvec.Vector {
+	e.scatter(cb)
+	e.cws = e.cws[:0]
+	for d := range e.end {
+		e.cws = selenc.AppendEncodeSlice(e.cws, e.m, e.slice(d))
+	}
+	selenc.PackStream(&e.bits, e.m, e.cws)
+	return &e.bits
+}
+
+// scatter groups the cube's care bits by the scan depth their cell loads
+// at (a counting sort) and sorts each group by chain.
+func (e *Encoder) scatter(cb *cube.Cube) {
+	clear(e.end)
+	for _, bit := range cb.Care {
+		e.end[e.refs[bit.Pos].Depth]++
+	}
+	n := 0
+	for d, count := range e.end {
+		e.end[d] = n // start of depth d until the placement pass below
+		n += count
+	}
+	e.care = slices.Grow(e.care[:0], n)[:n]
+	for _, bit := range cb.Care {
+		r := e.refs[bit.Pos]
+		e.care[e.end[r.Depth]] = selenc.CareBit{Pos: int(r.Chain), Value: bit.Value}
+		e.end[r.Depth]++
+	}
+	for d := range e.end {
+		selenc.SortCare(e.slice(d))
+	}
+}
+
+// slice returns the care list of the slice at scan depth d.
+func (e *Encoder) slice(d int) []selenc.CareBit {
+	if d == 0 {
+		return e.care[:e.end[0]]
+	}
+	return e.care[e.end[d-1]:e.end[d]]
+}
+
+// DictStream builds the dictionary codec's stream for one pass of src
+// under the wrapper design: every scan slice of the pass trains a
+// dictionary of at most words entries, then each slice is encoded in
+// pattern order. It returns the dictionary, which the ATE downloads
+// once, and the stream bits.
+func DictStream(d *wrapper.Design, src cube.Source, words int) (*dictenc.Dictionary, []bool, error) {
+	e := NewEncoder(d)
+	var all []dictenc.Slice
+	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
+		e.scatter(cb)
+		for depth := range e.end {
+			all = append(all, slices.Clone(e.slice(depth)))
 		}
 	}
+	dict, err := dictenc.Build(d.M, words, all)
+	if err != nil {
+		return nil, nil, err
+	}
+	var stream []bool
+	for _, s := range all {
+		stream = dict.Encode(stream, s)
+	}
+	return dict, stream, nil
 }
 
 // Stats summarizes the image's ATE footprint.

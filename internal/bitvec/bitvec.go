@@ -89,6 +89,25 @@ func (v *Vector) OnesCount() int {
 	return c
 }
 
+// Reset resizes the vector to n zero bits, keeping its backing words
+// when their capacity suffices: the reusable-buffer form of New.
+func (v *Vector) Reset(n int) {
+	nw := (n + wordBits - 1) / wordBits
+	v.words = slices.Grow(v.words[:0], nw)[:nw]
+	clear(v.words)
+	v.n = n
+}
+
+// Append extends v by the bits of o, growing v's backing words as
+// needed.
+func (v *Vector) Append(o *Vector) {
+	old, nw := len(v.words), (v.n+o.n+wordBits-1)/wordBits
+	v.words = slices.Grow(v.words, nw-old)[:nw]
+	clear(v.words[old:]) // capacity reused after a Reset may hold stale words
+	CopyBits(v.words, v.n, o.words, 0, o.n)
+	v.n += o.n
+}
+
 // Clone returns a deep copy of the vector.
 func (v *Vector) Clone() *Vector {
 	c := &Vector{n: v.n, words: make([]uint64, len(v.words))}

@@ -66,6 +66,46 @@ func TestVectorCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestVectorResetAndAppend: Reset leaves n zero bits whatever the vector
+// held before, and Append concatenates at any bit offset, matching a
+// per-bit reference and keeping the tail beyond Len zero (so Equal
+// holds), also when it grows into words a Reset kept.
+func TestVectorResetAndAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := func(n int) *Vector {
+		v := New(n)
+		for i := 0; i < n; i++ {
+			v.Set(i, rng.Intn(2) == 1)
+		}
+		return v
+	}
+	v := random(300)
+	for _, n := range []int{0, 5, 64, 200, 129, 400} {
+		v.Reset(n)
+		if !v.Equal(New(n)) {
+			t.Fatalf("Reset(%d) left %s", n, v)
+		}
+	}
+	// Appending into capacity a Reset kept must not pick up stale words.
+	v = random(500)
+	v.Reset(3)
+	ref := make([]bool, 3)
+	for trial := 0; trial < 50; trial++ {
+		o := random(rng.Intn(150))
+		v.Append(o)
+		for i := 0; i < o.Len(); i++ {
+			ref = append(ref, o.Get(i))
+		}
+		want := New(len(ref))
+		for i, b := range ref {
+			want.Set(i, b)
+		}
+		if !v.Equal(want) {
+			t.Fatalf("after %d appends: got %s, want %s", trial+1, v, want)
+		}
+	}
+}
+
 func TestVectorEqual(t *testing.T) {
 	a := New(65)
 	b := New(65)

@@ -69,12 +69,6 @@ const (
 	// EvalWindowAll streams the whole set as one window — the ∞ point of
 	// the window axis.
 	EvalWindowAll = -1
-	// autoStreamRawBits is the auto-mode threshold: a core whose raw
-	// stimulus image (StimulusBits × Patterns) reaches this many bits is
-	// streamed with DefaultEvalWindow; smaller cores price their cached
-	// test set as one kept whole-set window, so the benchmark-class
-	// workloads generate their cubes once and never replay a source.
-	autoStreamRawBits = int64(1) << 31
 )
 
 // checkEvalWindow rejects window settings NewEvaluatorWindow cannot
@@ -207,10 +201,11 @@ func NewEvaluator(c *soc.Core) (*Evaluator, error) {
 // NewEvaluatorWindow prepares an evaluator with an explicit window
 // choice. window > 0 streams the core's TestSource in windows of that
 // many cubes; EvalWindowAll streams it as one whole-set window; 0 picks
-// automatically: below autoStreamRawBits the test set is generated once
-// (cached on the core) and priced as one whole-set window, at or above
-// it the source streams with DefaultEvalWindow. Other negative values
-// are rejected. Every choice prices identically — the window moves peak
+// by soc.Core.StreamsCubes: a resident core's test set is generated
+// once (cached on the core) and priced as one whole-set window, so the
+// benchmark-class workloads never replay a source; a streamed core's
+// source streams with DefaultEvalWindow. Other negative values are
+// rejected. Every choice prices identically — the window moves peak
 // memory, never results.
 func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 	if err := checkEvalWindow(window); err != nil {
@@ -218,7 +213,7 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 	}
 	var src cube.Source
 	careBits := 0
-	if window == 0 && c.StimulusVolumeBits() < autoStreamRawBits {
+	if window == 0 && !c.StreamsCubes() {
 		ts, err := c.TestSet()
 		if err != nil {
 			return nil, err

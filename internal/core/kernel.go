@@ -9,7 +9,7 @@
 //  1. map each ref through the design's StimulusMap to its slice row
 //     (Depth) and tally the row's ones-minus-zeros balance;
 //  2. take the row's fill (balance > 0: ones win, ties go to 0, exactly
-//     as selenc.ChooseFillMask) and count every target bit into its
+//     as selenc.ChooseFill) and count every target bit into its
 //     (row, group) slot, adding an operation on a slot's first and
 //     second target with group copy, or on every target without;
 //  3. re-zero the touched row and slot counters.

@@ -54,7 +54,7 @@ func EvalDict(c *soc.Core, m, dictWords int) (Config, error) {
 			slices[r.Depth] = append(slices[r.Depth], selenc.CareBit{Pos: int(r.Chain), Value: bit.Value})
 		}
 		for _, s := range slices {
-			sortCareBits(s)
+			selenc.SortCare(s)
 		}
 		perPattern[pi] = slices
 		all = append(all, slices...)
@@ -97,14 +97,6 @@ func EvalDict(c *soc.Core, m, dictWords int) (Config, error) {
 		Time:      time,
 		Volume:    volume,
 	}, nil
-}
-
-func sortCareBits(care []selenc.CareBit) {
-	for i := 1; i < len(care); i++ {
-		for j := i; j > 0 && care[j-1].Pos > care[j].Pos; j-- {
-			care[j-1], care[j] = care[j], care[j-1]
-		}
-	}
 }
 
 // TechSelection is the outcome of per-core technique selection: the

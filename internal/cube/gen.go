@@ -1,10 +1,11 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // GenSpec parameterizes the deterministic synthetic cube generator. The
@@ -146,10 +147,11 @@ func placeCare(c *Cube, pos int, v bool) {
 }
 
 // sortCare restores the sorted-by-position invariant after placeCare
-// appends. Positions are unique, so a plain sort reproduces exactly the
-// layout incremental Cube.Set insertion would have built.
+// appends. Positions are unique, so any sort reproduces exactly the
+// layout incremental Cube.Set insertion would have built; the generic
+// slices.SortFunc avoids sort.Slice's reflection-based swapper.
 func sortCare(c *Cube) {
-	sort.Slice(c.Care, func(i, j int) bool { return c.Care[i].Pos < c.Care[j].Pos })
+	slices.SortFunc(c.Care, func(a, b CareBit) int { return cmp.Compare(a.Pos, b.Pos) })
 }
 
 // genScanCube places clusters in (chain, depth) coordinates: each

@@ -17,15 +17,23 @@ import (
 // whenever a codeword completes the previous slice, the slice is
 // returned. Call Flush after the last codeword to retrieve the final
 // slice.
+//
+// The machine builds slices in two recycled buffers, alternating at
+// each header, so stepping allocates nothing once both exist. A slice
+// returned by Step or Flush therefore stays valid only until the next
+// header is stepped; a caller that keeps slices must clone them, as Run
+// does.
 type Decompressor struct {
 	m       int
 	k       int
 	nGroups int
 
-	cur          *bitvec.Vector // slice under construction
-	pendingGroup int            // group index awaiting its data codeword, or -1
-	cycles       int64          // codewords consumed
-	slices       int64          // slices emitted
+	cur          *bitvec.Vector    // slice under construction, or nil
+	bufs         [2]*bitvec.Vector // slice buffers, alternated per header
+	next         int               // index of the buffer the next header takes
+	pendingGroup int               // group index awaiting its data codeword, or -1
+	cycles       int64             // codewords consumed
+	slices       int64             // slices emitted
 }
 
 // New returns a decompressor with m slice outputs.
@@ -66,10 +74,12 @@ func (d *Decompressor) Step(cw selenc.Codeword) (*bitvec.Vector, error) {
 	switch cw.Prefix {
 	case selenc.PrefixHeader:
 		done := d.cur
-		d.cur = bitvec.New(d.m)
-		if cw.Payload&1 != 0 { // fill flag
-			d.cur.SetAll(true)
+		if d.bufs[d.next] == nil {
+			d.bufs[d.next] = bitvec.New(d.m)
 		}
+		d.cur = d.bufs[d.next]
+		d.next ^= 1
+		d.cur.SetAll(cw.Payload&1 != 0) // fill flag
 		if done != nil {
 			d.slices++
 		}
@@ -99,9 +109,7 @@ func (d *Decompressor) Step(cw selenc.Codeword) (*bitvec.Vector, error) {
 			return nil, fmt.Errorf("decomp: cycle %d: stray data codeword", d.cycles)
 		}
 		base := d.pendingGroup * d.k
-		for b := 0; b < d.k && base+b < d.m; b++ {
-			d.cur.Set(base+b, cw.Payload&(1<<uint(b)) != 0)
-		}
+		d.cur.WriteBits(base, uint64(cw.Payload), min(d.k, d.m-base))
 		d.pendingGroup = -1
 		return nil, nil
 	default:
@@ -124,7 +132,7 @@ func (d *Decompressor) Flush() (*bitvec.Vector, error) {
 
 // Run decompresses an entire codeword stream, returning all slices. It
 // is equivalent to selenc.DecodeStream but exercises the cycle-accurate
-// machine.
+// machine. Each slice is cloned out of the recycled buffers.
 func (d *Decompressor) Run(stream []selenc.Codeword) ([]*bitvec.Vector, error) {
 	var out []*bitvec.Vector
 	for _, cw := range stream {
@@ -133,7 +141,7 @@ func (d *Decompressor) Run(stream []selenc.Codeword) ([]*bitvec.Vector, error) {
 			return nil, err
 		}
 		if s != nil {
-			out = append(out, s)
+			out = append(out, s.Clone())
 		}
 	}
 	s, err := d.Flush()
@@ -141,7 +149,7 @@ func (d *Decompressor) Run(stream []selenc.Codeword) ([]*bitvec.Vector, error) {
 		return nil, err
 	}
 	if s != nil {
-		out = append(out, s)
+		out = append(out, s.Clone())
 	}
 	return out, nil
 }

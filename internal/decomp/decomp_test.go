@@ -65,6 +65,48 @@ func TestRunMatchesDecodeStream(t *testing.T) {
 	}
 }
 
+// TestRunUnaffectedByBufferReuse: the machine recycles two slice
+// buffers, so Run must hand out copies. Slices Run returned stay intact
+// while the same machine decodes more slices, and each is its own
+// vector.
+func TestRunUnaffectedByBufferReuse(t *testing.T) {
+	const m = 20
+	var stream []selenc.Codeword
+	for s := 0; s < 6; s++ {
+		stream = append(stream, selenc.EncodeSlice(m, []selenc.CareBit{{Pos: s, Value: true}, {Pos: s + 7, Value: true}})...)
+	}
+	want, err := selenc.DecodeStream(m, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := New(m)
+	got, err := d.Run(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(selenc.EncodeSlice(m, []selenc.CareBit{{Pos: 19, Value: true}})); err != nil {
+		t.Fatal(err)
+	}
+	for _, cw := range selenc.EncodeSlice(m, nil) {
+		if _, err := d.Step(cw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d slices, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Errorf("slice %d changed after later decoding: %s, want %s", i, got[i], want[i])
+		}
+		for j := range i {
+			if got[i] == got[j] {
+				t.Errorf("slices %d and %d share one vector", j, i)
+			}
+		}
+	}
+}
+
 func TestStepEmitsOnNextHeader(t *testing.T) {
 	m := 16
 	d, _ := New(m)

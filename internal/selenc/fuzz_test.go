@@ -1,6 +1,7 @@
 package selenc
 
 import (
+	"slices"
 	"testing"
 
 	"soctap/internal/bitvec"
@@ -59,37 +60,27 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			seen[pos] = true
 			care = append(care, CareBit{Pos: pos, Value: raw[i+1]&1 == 1})
 		}
-		// EncodeSlice requires sorted care lists.
-		for i := 1; i < len(care); i++ {
-			for j := i; j > 0 && care[j-1].Pos > care[j].Pos; j-- {
-				care[j-1], care[j] = care[j], care[j-1]
-			}
-		}
+		SortCare(care) // EncodeSlice requires sorted care lists
 		cws := EncodeSlice(m, care)
 		if len(cws) != SliceCost(m, care) {
 			t.Fatal("cost model diverged from encoder")
 		}
-		// The mask kernels must agree with the legacy care-bit path on
-		// arbitrary slices: same cost, same codeword stream.
-		careW, valueW := SliceMasks(m, care)
-		if got := SliceCostMask(m, careW, valueW); got != len(cws) {
-			t.Fatalf("SliceCostMask = %d, legacy SliceCost = %d", got, len(cws))
+		// The append form must extend a non-empty buffer with exactly
+		// EncodeSlice's codewords, leaving the existing prefix untouched.
+		prefix := []Codeword{{Prefix: PrefixHeader, Payload: 1}, {Prefix: PrefixSingle, Payload: uint32(m - 1)}}
+		got := AppendEncodeSlice(slices.Clone(prefix), m, care)
+		if !slices.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("AppendEncodeSlice disturbed the dst prefix: %v", got[:len(prefix)])
 		}
-		maskCws := EncodeSliceMask(m, careW, valueW)
-		if len(maskCws) != len(cws) {
-			t.Fatalf("EncodeSliceMask emitted %d codewords, legacy %d", len(maskCws), len(cws))
+		if !slices.Equal(got[len(prefix):], cws) {
+			t.Fatalf("AppendEncodeSlice appended %v, EncodeSlice returned %v", got[len(prefix):], cws)
 		}
-		for i := range cws {
-			if maskCws[i] != cws[i] {
-				t.Fatalf("codeword %d: mask %+v, legacy %+v", i, maskCws[i], cws[i])
-			}
-		}
-		slices, err := DecodeStream(m, cws)
-		if err != nil || len(slices) != 1 {
+		decoded, err := DecodeStream(m, cws)
+		if err != nil || len(decoded) != 1 {
 			t.Fatalf("decode failed: %v", err)
 		}
 		for _, cb := range care {
-			if slices[0].Get(cb.Pos) != cb.Value {
+			if decoded[0].Get(cb.Pos) != cb.Value {
 				t.Fatalf("care bit %d corrupted", cb.Pos)
 			}
 		}

@@ -146,84 +146,78 @@ func flushGroupCost(t int) int {
 // EncodeSlice encodes one slice of width m. care lists the specified
 // bits, sorted by position, with positions in [0, m).
 func EncodeSlice(m int, care []CareBit) []Codeword {
-	for i, cb := range care {
-		if cb.Pos < 0 || cb.Pos >= m {
-			panic(fmt.Sprintf("selenc: care position %d out of range [0,%d)", cb.Pos, m))
-		}
-		if i > 0 && care[i-1].Pos >= cb.Pos {
-			panic("selenc: care list not strictly sorted")
-		}
-	}
+	return AppendEncodeSlice(nil, m, care)
+}
+
+// AppendEncodeSlice is EncodeSlice in append form: the slice's codewords
+// are appended to dst and the extended slice returned, so a consumer
+// encoding many slices grows one codeword buffer and allocates nothing
+// once it is large enough. One pass over the sorted care list finds
+// each group's run of care bits by Pos/k: a run with one target bit is
+// a single-bit codeword, a run with two or more is a group-copy pair
+// whose literal holds the run's care bits over a fill background.
+func AppendEncodeSlice(dst []Codeword, m int, care []CareBit) []Codeword {
 	fill := ChooseFill(care)
 	k := PayloadBits(m)
-
-	// Bucket target bits by group.
-	type group struct {
-		idx     int
-		targets []CareBit // care bits differing from fill
-		careAll []CareBit // all care bits in the group (for literals)
-	}
-	var groups []group
-	byIdx := make(map[int]int)
-	for _, cb := range care {
-		g := cb.Pos / k
-		gi, ok := byIdx[g]
-		if !ok {
-			gi = len(groups)
-			byIdx[g] = gi
-			groups = append(groups, group{idx: g})
-		}
-		groups[gi].careAll = append(groups[gi].careAll, cb)
-		if cb.Value != fill {
-			groups[gi].targets = append(groups[gi].targets, cb)
-		}
-	}
-
 	header := Codeword{Prefix: PrefixHeader}
+	var fillBits uint32
 	if fill {
 		header.Payload |= headerFillBit
+		fillBits = 1<<uint(k) - 1
 	}
-	nTargets := 0
-	for _, g := range groups {
-		nTargets += len(g.targets)
-	}
-	if nTargets == 0 {
-		return []Codeword{header}
-	}
+	dst = append(dst, header)
 
-	out := []Codeword{header}
-	for _, g := range groups {
+	prev := -1
+	for i := 0; i < len(care); {
+		g := care[i].Pos / k
+		base := g * k
+		lit := fillBits
+		targets, target := 0, 0
+		for ; i < len(care) && care[i].Pos-base < k; i++ {
+			cb := care[i]
+			if cb.Pos < 0 || cb.Pos >= m {
+				panic(fmt.Sprintf("selenc: care position %d out of range [0,%d)", cb.Pos, m))
+			}
+			if cb.Pos <= prev {
+				panic("selenc: care list not strictly sorted")
+			}
+			prev = cb.Pos
+			if cb.Value {
+				lit |= 1 << uint(cb.Pos-base)
+			} else {
+				lit &^= 1 << uint(cb.Pos-base)
+			}
+			if cb.Value != fill {
+				targets++
+				target = cb.Pos
+			}
+		}
 		switch {
-		case len(g.targets) == 0:
-			// All care bits equal fill; nothing to transmit.
-		case len(g.targets) == 1:
-			out = append(out, Codeword{Prefix: PrefixSingle, Payload: uint32(g.targets[0].Pos)})
-		default:
-			// Group copy: literal k bits, care bits as specified,
-			// don't-cares at fill.
-			var lit uint32
-			if fill {
-				width := k
-				if rem := m - g.idx*k; rem < width {
-					width = rem
-				}
-				lit = (1 << uint(width)) - 1
+		case targets == 1:
+			dst = append(dst, Codeword{Prefix: PrefixSingle, Payload: uint32(target)})
+		case targets > 1:
+			// Group copy: the literal's bits past the slice end stay
+			// clear so the last, narrower group decodes in range.
+			if rem := m - base; rem < k {
+				lit &= 1<<uint(rem) - 1
 			}
-			base := g.idx * k
-			for _, cb := range g.careAll {
-				bit := uint(cb.Pos - base)
-				if cb.Value {
-					lit |= 1 << bit
-				} else {
-					lit &^= 1 << bit
-				}
-			}
-			out = append(out,
-				Codeword{Prefix: PrefixGroup, Payload: uint32(g.idx)},
+			dst = append(dst,
+				Codeword{Prefix: PrefixGroup, Payload: uint32(g)},
 				Codeword{Prefix: PrefixData, Payload: lit})
 		}
 	}
-	return out
+	return dst
+}
+
+// SortCare sorts a slice's care list by position. Scattering a cube's
+// care bits into scan slices leaves each slice's list short and nearly
+// sorted, which suits an insertion sort; it allocates nothing.
+func SortCare(care []CareBit) {
+	for i := 1; i < len(care); i++ {
+		for j := i; j > 0 && care[j-1].Pos > care[j].Pos; j-- {
+			care[j-1], care[j] = care[j], care[j-1]
+		}
+	}
 }
 
 // DecodeStream expands a codeword stream back into fully-specified
@@ -287,33 +281,37 @@ func DecodeStream(m int, stream []Codeword) ([]*bitvec.Vector, error) {
 	return out, nil
 }
 
-// PackStream serializes codewords for slice width m into a bit vector,
-// codeword 0 first, prefix bits before payload bits, LSB-first within
-// each field. The result models the exact TAM bit traffic; its length is
-// len(stream) * CodewordWidth(m).
-func PackStream(m int, stream []Codeword) *bitvec.Vector {
-	k := PayloadBits(m)
-	w := k + 2
-	v := bitvec.New(len(stream) * w)
+// PackStream serializes codewords for slice width m into v, codeword 0
+// first, prefix bits before payload bits, LSB-first within each field.
+// The result models the exact TAM bit traffic; v is reset to its length,
+// len(stream) * CodewordWidth(m), keeping its backing words when they
+// are big enough, so a packer reusing v allocates nothing.
+func PackStream(v *bitvec.Vector, m int, stream []Codeword) {
+	w := CodewordWidth(m)
+	v.Reset(len(stream) * w)
 	wr := bitvec.NewWriter(v.Words())
 	for _, cw := range stream {
 		wr.AppendBits(uint64(cw.Prefix)|uint64(cw.Payload)<<2, w)
 	}
-	return v
 }
 
 // UnpackStream parses a bit vector produced by PackStream back into
 // codewords for slice width m.
 func UnpackStream(m int, v *bitvec.Vector) ([]Codeword, error) {
-	k := PayloadBits(m)
-	w := k + 2
+	return AppendUnpackStream(nil, m, v)
+}
+
+// AppendUnpackStream is UnpackStream in append form: the codewords are
+// appended to dst, so a consumer unpacking stream after stream reuses
+// one buffer.
+func AppendUnpackStream(dst []Codeword, m int, v *bitvec.Vector) ([]Codeword, error) {
+	w := CodewordWidth(m)
 	if v.Len()%w != 0 {
-		return nil, fmt.Errorf("selenc: stream length %d not a multiple of codeword width %d", v.Len(), w)
+		return dst, fmt.Errorf("selenc: stream length %d not a multiple of codeword width %d", v.Len(), w)
 	}
-	out := make([]Codeword, v.Len()/w)
-	for i := range out {
-		raw := v.ReadBits(i*w, w)
-		out[i] = Codeword{Prefix: uint8(raw & 3), Payload: uint32(raw >> 2)}
+	for pos := 0; pos < v.Len(); pos += w {
+		raw := v.ReadBits(pos, w)
+		dst = append(dst, Codeword{Prefix: uint8(raw & 3), Payload: uint32(raw >> 2)})
 	}
-	return out, nil
+	return dst, nil
 }

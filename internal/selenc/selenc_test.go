@@ -2,6 +2,7 @@ package selenc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -168,6 +169,33 @@ func TestEncodeGroupCopyMode(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeSlice: the append form must extend dst with exactly
+// the codewords EncodeSlice returns, leaving the existing prefix
+// untouched — the contract a consumer accumulating one codeword buffer
+// across many slices relies on.
+func TestAppendEncodeSlice(t *testing.T) {
+	const m = 70
+	care := [][]CareBit{
+		nil,
+		{{Pos: 3, Value: true}},
+		{{Pos: 0, Value: false}, {Pos: 17, Value: true}, {Pos: 69, Value: true}},
+		{{Pos: 5, Value: true}, {Pos: 6, Value: true}, {Pos: 7, Value: false}, {Pos: 64, Value: false}},
+		{{Pos: 63, Value: true}, {Pos: 66, Value: false}, {Pos: 68, Value: false}, {Pos: 69, Value: true}},
+	}
+	var got, want []Codeword
+	for _, c := range care {
+		want = append(want, EncodeSlice(m, c)...)
+		before := slices.Clone(got)
+		got = AppendEncodeSlice(got, m, c)
+		if !slices.Equal(got[:len(before)], before) {
+			t.Fatalf("append disturbed the existing prefix (%d codewords)", len(before))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("accumulated stream differs:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestSliceCostMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
@@ -260,7 +288,8 @@ func TestQuickPackUnpack(t *testing.T) {
 		m := rng.Intn(400) + 1
 		care := randomCare(rng, m, rng.Float64()*0.4)
 		cws := EncodeSlice(m, care)
-		v := PackStream(m, cws)
+		v := new(bitvec.Vector)
+		PackStream(v, m, cws)
 		if v.Len() != len(cws)*CodewordWidth(m) {
 			return false
 		}

@@ -3,120 +3,64 @@ package sim
 import (
 	"fmt"
 
-	"soctap/internal/bitvec"
-	"soctap/internal/core"
-	"soctap/internal/dictenc"
-	"soctap/internal/selenc"
+	"soctap/internal/atevec"
 	"soctap/internal/soc"
 	"soctap/internal/wrapper"
 )
 
 // RunDictCore simulates the complete dictionary-compressed test of one
-// core: the dictionary is rebuilt exactly as the planner builds it, the
-// whole test set is encoded to a bit stream, decoded slice by slice,
-// and the delivered stimulus checked against every cube.
+// core: the dictionary and stream are built exactly as the ATE image
+// ships them (atevec.DictStream, capacity dictWords), the stream is
+// decoded slice by slice, and each delivered slice is checked against
+// the care bits its cube loads at that scan depth. A pattern's b stream
+// bits arrive over W wires in max(ceil(b/W), scan-in depth) cycles,
+// which enter the test time as in RunTDCCore.
 func RunDictCore(c *soc.Core, m, dictWords int) (*CoreReport, error) {
 	d, err := wrapper.New(c, m)
 	if err != nil {
 		return nil, err
 	}
-	ts, err := c.TestSet()
+	src, err := c.Cubes()
 	if err != nil {
 		return nil, err
 	}
-	refs := d.StimulusMap()
-	si := d.ScanIn
-
-	// Rebuild the training set in the planner's deterministic order.
-	perPattern := make([][]dictenc.Slice, ts.Len())
-	var all []dictenc.Slice
-	for pi, cb := range ts.Cubes {
-		slices := make([]dictenc.Slice, si)
-		for _, bit := range cb.Care {
-			r := refs[bit.Pos]
-			slices[r.Depth] = append(slices[r.Depth], selenc.CareBit{Pos: int(r.Chain), Value: bit.Value})
-		}
-		for _, s := range slices {
-			sortSlice(s)
-		}
-		perPattern[pi] = slices
-		all = append(all, slices...)
-	}
-	dict, err := dictenc.Build(m, dictWords, all)
+	dict, stream, err := atevec.DictStream(d, src, dictWords)
 	if err != nil {
 		return nil, err
 	}
-
-	rep := &CoreReport{
-		Core:     c.Name,
-		M:        m,
-		W:        1 + dict.IndexBits(),
-		Patterns: ts.Len(),
-	}
-	var stream []bool
-	for _, slices := range perPattern {
-		for _, s := range slices {
-			stream = dict.Encode(stream, s)
-		}
-	}
+	rep := &CoreReport{Core: c.Name, M: m, W: 1 + dict.IndexBits(), Patterns: src.Len()}
+	want := newExpected(d)
+	si, so := int64(d.ScanIn), int64(d.ScanOut)
 	off := 0
-	for pi, cb := range ts.Cubes {
-		delivered := make([]*bitvec.Vector, si)
-		for sIdx := 0; sIdx < si; sIdx++ {
+	src.Reset()
+	for pi := 0; ; pi++ {
+		cb, ok := src.Next()
+		if !ok {
+			break
+		}
+		want.load(cb)
+		start := off
+		for depth := 0; depth < d.ScanIn; depth++ {
 			v, next, err := dict.Decode(stream, off)
 			if err != nil {
-				return nil, fmt.Errorf("sim: core %s pattern %d slice %d: %w", c.Name, pi, sIdx, err)
+				return nil, fmt.Errorf("sim: core %s pattern %d slice %d: %w", c.Name, pi, depth, err)
 			}
-			delivered[sIdx] = v
 			off = next
+			rep.Mismatches += want.check(depth, v)
 			rep.Slices++
 		}
-		for _, bit := range cb.Care {
-			r := refs[bit.Pos]
-			if delivered[r.Depth].Get(int(r.Chain)) != bit.Value {
-				rep.Mismatches++
-			}
+		cycles := max((int64(off-start)+int64(rep.W)-1)/int64(rep.W), si)
+		if pi > 0 {
+			cycles = max(cycles, so)
 		}
+		rep.Time += cycles
 	}
 	if off != len(stream) {
 		return nil, fmt.Errorf("sim: core %s: %d of %d stream bits consumed", c.Name, off, len(stream))
 	}
+	rep.Time += int64(rep.Patterns) + so
 	// The stream plus the one-time dictionary download is the ATE
 	// volume the planner charges.
 	rep.VolumeBits = int64(len(stream)) + int64(len(dict.Words)*m)
 	return rep, nil
-}
-
-func sortSlice(care []selenc.CareBit) {
-	for i := 1; i < len(care); i++ {
-		for j := i; j > 0 && care[j-1].Pos > care[j].Pos; j-- {
-			care[j-1], care[j] = care[j], care[j-1]
-		}
-	}
-}
-
-// verifyDictConfig checks one dictionary configuration against the
-// bit-level simulation. The configuration does not record the
-// dictionary capacity, so verification re-derives it: the configuration
-// is accepted if some explored capacity reproduces both the interface
-// width and the exact volume with zero stimulus mismatches.
-func verifyDictConfig(c *soc.Core, cfg core.Config) error {
-	var lastErr error
-	for _, dw := range core.DefaultDictSizes {
-		rep, err := RunDictCore(c, cfg.M, dw)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if rep.W != cfg.Width || rep.VolumeBits != cfg.Volume {
-			lastErr = fmt.Errorf("sim: core %s: dict capacity %d gives w=%d vol=%d, config has w=%d vol=%d",
-				c.Name, dw, rep.W, rep.VolumeBits, cfg.Width, cfg.Volume)
-			continue
-		}
-		if rep.Mismatches != 0 {
-			return fmt.Errorf("sim: core %s: %d stimulus mismatches", c.Name, rep.Mismatches)
-		}
-		return nil
-	}
-	return fmt.Errorf("sim: core %s: no dictionary capacity reproduces the configuration: %v", c.Name, lastErr)
 }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"soctap/internal/core"
+	"soctap/internal/soc"
 )
 
 func TestRunDictCoreDeliversStimulus(t *testing.T) {
@@ -39,6 +41,9 @@ func TestDictSimMatchesAnalytic(t *testing.T) {
 		if rep.W != cfg.Width {
 			t.Errorf("D=%d: simulated width %d != analytic %d", dw, rep.W, cfg.Width)
 		}
+		if rep.Time != cfg.Time {
+			t.Errorf("D=%d: simulated time %d != analytic %d", dw, rep.Time, cfg.Time)
+		}
 	}
 }
 
@@ -55,5 +60,34 @@ func TestVerifyConfigDict(t *testing.T) {
 	bad.Volume += 7
 	if err := VerifyConfig(c, bad); err == nil {
 		t.Error("tampered dict volume passed verification")
+	}
+	bad = cfg
+	bad.Time += 7
+	if err := VerifyConfig(c, bad); err == nil {
+		t.Error("tampered dict time passed verification")
+	}
+}
+
+// TestVerifyPlanDictRecordedCapacity: a plan whose dictionaries were
+// built at a non-default capacity verifies, because verification
+// rebuilds each dictionary from the capacity its configuration records.
+func TestVerifyPlanDictRecordedCapacity(t *testing.T) {
+	for _, sizes := range [][]int{{8}, {4, 8}} {
+		s := &soc.SOC{Name: "dictsoc", Cores: []*soc.Core{simCore(44), simCore(45)}}
+		s.Cores[1].Name = "sc2"
+		res, err := core.Optimize(s, 12, core.Options{
+			Style:      core.StyleTDCPerCore,
+			Tables:     core.TableOptions{MaxWidth: 12},
+			EnableDict: true, DictSizes: sizes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(res.Choices, func(ch core.CoreChoice) bool { return ch.Config.Codec == core.CodecDict }) {
+			t.Fatalf("sizes %v: plan chose no dictionary", sizes)
+		}
+		if err := VerifyPlan(res); err != nil {
+			t.Errorf("sizes %v: %v", sizes, err)
+		}
 	}
 }

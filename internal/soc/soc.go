@@ -249,6 +249,25 @@ func (c *Core) StimulusVolumeBits() int64 {
 	return int64(c.StimulusBits()) * int64(c.Patterns)
 }
 
+// StreamsCubes is the residency rule of every multi-pass consumer of
+// the core's cubes (the evaluator's automatic window, the simulator, the
+// ATE image writer): a core whose raw stimulus image reaches 2^31 bits
+// streams from TestSource at O(pattern) residency; a smaller one reads
+// its cached TestSet, so no consumer re-runs the generator.
+func (c *Core) StreamsCubes() bool { return c.StimulusVolumeBits() >= 1<<31 }
+
+// Cubes returns one pass over the core's cubes under StreamsCubes.
+func (c *Core) Cubes() (cube.Source, error) {
+	if c.StreamsCubes() {
+		return c.TestSource()
+	}
+	ts, err := c.TestSet()
+	if err != nil {
+		return nil, err
+	}
+	return cube.NewSetSource(ts), nil
+}
+
 // MustTestSet is TestSet but panics on error; for use with the built-in
 // (known-valid) designs.
 func (c *Core) MustTestSet() *cube.Set {
