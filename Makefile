@@ -33,25 +33,27 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTable' -benchmem ./internal/core
 
 # bench-smoke compiles and runs each fast benchmark exactly once — a
-# regression tripwire for the benchmark code itself (the simulator's
-# BenchmarkVerifyPlan included), cheap enough for the tier-1 gate (no
-# timing is measured at -benchtime=1x).
+# regression tripwire for the benchmark code itself (the warm searches
+# on d695 and System4 and the simulator's BenchmarkVerifyPlan
+# included), cheap enough for the tier-1 gate (no timing is measured at
+# -benchtime=1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule|BenchmarkGreedy50Cores' -benchtime 1x ./internal/sched
-	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch|BenchmarkVerifyPlan$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch$$|BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchtime 1x .
 
 # bench-json archives the headline benchmarks as a dated,
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
 # alloc stats and any custom metrics, parsed by cmd/benchjson. The
 # rungs run the paper artifacts and the search once each, then the
-# greedy schedule, the cache tiers, the simulator (BenchmarkVerifyPlan)
+# greedy schedule, the cache tiers, the warm System4 search
+# (BenchmarkOptimizeSearchSystem4), the simulator (BenchmarkVerifyPlan)
 # and the warm socserve request.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 	@echo wrote BENCH_$$(date +%Y-%m-%d).json
@@ -86,13 +88,18 @@ bench-big-smoke:
 # runs at 0 allocs/op on a dense and a thin core over a kept whole-set
 # window, every d695/industrial table is byte-identical to its
 # checked-in golden encoding at windows 0/64 (and 1 on d695) × workers
-# 1/2/8, tables built at every window and worker count are deeply equal
-# to the window-0 build (including the window-boundary fuzz seeds), and
-# the fuzz seed corpora for the word and codec kernels still pass (the
+# 1/2/8, every plan of d695, d2758 and System1-4 (W_TAM 8..64 × three
+# styles × MergeSearch × NaiveOrder: partition in bus order, makespan,
+# volume, schedule items and each core's Config) is byte-identical to
+# the checked-in golden plans at workers 1/2/8, tables built at every
+# window and worker count are deeply equal to the window-0 build
+# (including the window-boundary fuzz seeds), and the fuzz seed corpora
+# for the word and codec kernels still pass (the word kernels': CopyBits
+# against a per-bit reference and a ReadBits/WriteBits round trip; the
 # codec's: encode/decode round trip, cost model = encoder, and the
 # append encoder leaving its buffer's prefix untouched).
 kernel-equivalence:
-	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables' -count=1 ./internal/core
+	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
@@ -115,7 +122,8 @@ fused-equivalence:
 # robustness asserts the failure-model contracts under the race
 # detector with a tight timeout: the singleflight deadlock regression
 # (a poisoned cache entry would hang here, not pass), panic containment
-# at the core package boundary, prompt cancellation with no goroutine
+# at the core package boundary (table builds and the architecture
+# search), prompt cancellation with no goroutine
 # leaks, bit-identical results through the context-threaded entry
 # points, disk-store fault injection, and malformed-design rejection —
 # explicit test cubes included (off-width, out-of-range, repeated or
@@ -128,7 +136,7 @@ fused-equivalence:
 # chains, and every flip of a header prefix or single-bit payload bit of
 # a shipped stream, or a dropped last codeword, fails the receiver.
 robustness:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
+	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
 	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail' ./internal/sim
 

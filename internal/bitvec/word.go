@@ -1,30 +1,17 @@
 // Word-level primitives: the word-parallel substrate under the codec
-// kernels. Everything here operates on whole 64-bit words — popcounts,
-// masked reads, bulk bit copies and trailing-zero iteration — so hot
+// kernels. Everything here operates on whole 64-bit words — masked
+// reads and writes, bulk bit copies and an append cursor — so hot
 // paths never touch bits one at a time. Each primitive is property-tested against a per-bit reference
 // loop in word_test.go and cross-checked by FuzzWordKernels.
 package bitvec
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Words exposes the vector's backing words. Word i holds bits
 // [64i, 64i+64) with bit position p at bit p%64 (LSB first). Callers
 // may read and write words in place but must not resize the slice and
-// must keep the tail bits beyond Len() zero (see SetWord, which masks
-// them for you).
+// must keep the tail bits beyond Len() zero.
 func (v *Vector) Words() []uint64 { return v.words }
-
-// SetWord stores w into word index i, masking off any bits beyond the
-// vector's length so the all-zero-tail invariant holds.
-func (v *Vector) SetWord(i int, w uint64) {
-	v.words[i] = w
-	if i == len(v.words)-1 {
-		v.clearTail()
-	}
-}
 
 // ReadBits returns the n bits starting at position pos, packed LSB
 // first (bit pos at bit 0 of the result). n must be in [0, 64] and the
@@ -75,41 +62,6 @@ func (v *Vector) WriteBits(pos int, b uint64, n int) {
 	if off+uint(n) > 64 {
 		rem := off + uint(n) - 64
 		v.words[wi+1] = v.words[wi+1]&^(1<<rem-1) | b>>(64-off)
-	}
-}
-
-// ExtractRange copies the n bits starting at position start into dst,
-// packed LSB first from dst[0] (a mask-aligned sub-vector read). dst is
-// grown as needed and returned; its tail bits beyond n are zeroed. The
-// range [start, start+n) must lie inside the vector.
-func (v *Vector) ExtractRange(start, n int, dst []uint64) []uint64 {
-	if n < 0 || start < 0 || start+n > v.n {
-		panic(fmt.Sprintf("bitvec: ExtractRange(%d, %d) out of range [0,%d)", start, n, v.n))
-	}
-	nw := (n + 63) / 64
-	if cap(dst) < nw {
-		dst = make([]uint64, nw)
-	}
-	dst = dst[:nw]
-	for i := range dst {
-		dst[i] = 0
-	}
-	CopyBits(dst, 0, v.words, start, n)
-	return dst
-}
-
-// IterOnes calls fn with the position of every set bit in ascending
-// order, using TrailingZeros64 to jump between set bits. Iteration
-// stops early when fn returns false.
-func (v *Vector) IterOnes(fn func(pos int) bool) {
-	for wi, w := range v.words {
-		base := wi << 6
-		for w != 0 {
-			if !fn(base + bits.TrailingZeros64(w)) {
-				return
-			}
-			w &= w - 1
-		}
 	}
 }
 
@@ -176,12 +128,5 @@ func (w *Writer) AppendBits(b uint64, n int) {
 	if off+uint(n) > 64 {
 		w.words[wi+1] |= b >> (64 - off)
 	}
-	w.pos += n
-}
-
-// AppendRange appends n bits read from src starting at bit srcOff — the
-// bulk-copy form of AppendBits.
-func (w *Writer) AppendRange(src []uint64, srcOff, n int) {
-	CopyBits(w.words, w.pos, src, srcOff, n)
 	w.pos += n
 }

@@ -19,23 +19,6 @@ func randVector(rng *rand.Rand, n int, density float64) (*Vector, []bool) {
 	return v, ref
 }
 
-func TestWordsSetWord(t *testing.T) {
-	v := New(70)
-	v.SetWord(0, ^uint64(0))
-	v.SetWord(1, ^uint64(0)) // only 6 tail bits are real
-	if got := v.OnesCount(); got != 70 {
-		t.Fatalf("OnesCount = %d, want 70 (SetWord must mask tail bits)", got)
-	}
-	if w := v.Words(); len(w) != 2 || w[1] != 0x3F {
-		t.Fatalf("words = %#x, want tail masked to 0x3f", w)
-	}
-	for i := 0; i < 70; i++ {
-		if !v.Get(i) {
-			t.Fatalf("bit %d not visible through Get after SetWord", i)
-		}
-	}
-}
-
 func TestReadWriteBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -80,33 +63,6 @@ func TestReadWriteBits(t *testing.T) {
 	}
 }
 
-func TestExtractRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var scratch []uint64
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(500) + 1
-		v, ref := randVector(rng, n, 0.4)
-		width := rng.Intn(n + 1)
-		start := rng.Intn(n - width + 1)
-		scratch = v.ExtractRange(start, width, scratch)
-		if wantWords := (width + 63) / 64; len(scratch) != wantWords {
-			t.Fatalf("ExtractRange returned %d words, want %d", len(scratch), wantWords)
-		}
-		for b := 0; b < width; b++ {
-			got := scratch[b>>6]&(1<<uint(b&63)) != 0
-			if got != ref[start+b] {
-				t.Fatalf("ExtractRange(%d, %d): bit %d = %v, want %v", start, width, b, got, ref[start+b])
-			}
-		}
-		// Tail bits beyond width must be zero.
-		if rem := width & 63; rem != 0 && len(scratch) > 0 {
-			if scratch[len(scratch)-1]>>uint(rem) != 0 {
-				t.Fatalf("ExtractRange left stale tail bits")
-			}
-		}
-	}
-}
-
 func TestCopyBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
@@ -132,44 +88,6 @@ func TestCopyBits(t *testing.T) {
 	}
 }
 
-func TestIterOnes(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(400) + 1
-		v, ref := randVector(rng, n, rng.Float64())
-		var got []int
-		v.IterOnes(func(pos int) bool {
-			got = append(got, pos)
-			return true
-		})
-		var want []int
-		for i, b := range ref {
-			if b {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("IterOnes visited %d bits, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("IterOnes[%d] = %d, want %d", i, got[i], want[i])
-			}
-		}
-	}
-	// Early stop.
-	v := New(128)
-	v.SetAll(true)
-	count := 0
-	v.IterOnes(func(int) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("IterOnes ignored early stop: %d visits", count)
-	}
-}
-
 func TestWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
@@ -178,19 +96,11 @@ func TestWriter(t *testing.T) {
 		wr := NewWriter(v.Words())
 		var ref []bool
 		for wr.Pos() < n-64 {
-			if rng.Intn(2) == 0 {
-				width := rng.Intn(65)
-				b := rng.Uint64()
-				wr.AppendBits(b, width)
-				for k := 0; k < width; k++ {
-					ref = append(ref, b&(1<<uint(k)) != 0)
-				}
-			} else {
-				src, srcRef := randVector(rng, rng.Intn(64)+1, 0.5)
-				width := rng.Intn(src.Len() + 1)
-				off := rng.Intn(src.Len() - width + 1)
-				wr.AppendRange(src.Words(), off, width)
-				ref = append(ref, srcRef[off:off+width]...)
+			width := rng.Intn(65)
+			b := rng.Uint64()
+			wr.AppendBits(b, width)
+			for k := 0; k < width; k++ {
+				ref = append(ref, b&(1<<uint(k)) != 0)
 			}
 		}
 		if wr.Pos() != len(ref) {
@@ -213,9 +123,9 @@ func TestWriter(t *testing.T) {
 }
 
 // FuzzWordKernels cross-checks the word-parallel primitives against
-// naive per-bit loops on arbitrary inputs: ExtractRange and IterOnes
-// (per the kernel-equivalence contract), plus a ReadBits/WriteBits
-// round trip.
+// naive per-bit loops on arbitrary inputs: CopyBits into a zeroed
+// destination (per the kernel-equivalence contract), plus a
+// ReadBits/WriteBits round trip.
 func FuzzWordKernels(f *testing.F) {
 	f.Add([]byte{0x01}, uint16(3), uint8(7))
 	f.Add([]byte{0xff, 0x00, 0xaa, 0x55, 0x12, 0x34, 0x56, 0x78, 0x9a}, uint16(17), uint8(40))
@@ -229,33 +139,18 @@ func FuzzWordKernels(f *testing.F) {
 			}
 		}
 
-		// ExtractRange vs per-bit reference.
+		// CopyBits vs per-bit reference.
 		width := int(widthRaw)
 		if width > n {
 			width = n
 		}
 		start := int(startRaw) % (n - width + 1)
-		words := v.ExtractRange(start, width, nil)
+		words := make([]uint64, (width+63)/64)
+		CopyBits(words, 0, v.Words(), start, width)
 		for b := 0; b < width; b++ {
 			if got := words[b>>6]&(1<<uint(b&63)) != 0; got != v.Get(start+b) {
-				t.Fatalf("ExtractRange(%d,%d) bit %d = %v, want %v", start, width, b, got, v.Get(start+b))
+				t.Fatalf("CopyBits(%d,%d) bit %d = %v, want %v", start, width, b, got, v.Get(start+b))
 			}
-		}
-
-		// IterOnes vs per-bit scan.
-		var ones []int
-		v.IterOnes(func(pos int) bool { ones = append(ones, pos); return true })
-		k := 0
-		for i := 0; i < n; i++ {
-			if v.Get(i) {
-				if k >= len(ones) || ones[k] != i {
-					t.Fatalf("IterOnes missed bit %d", i)
-				}
-				k++
-			}
-		}
-		if k != len(ones) {
-			t.Fatalf("IterOnes reported %d extra bits", len(ones)-k)
 		}
 
 		// ReadBits/WriteBits round trip at the fuzzed offset.
@@ -316,17 +211,4 @@ func BenchmarkCompatibleWith(b *testing.B) {
 			b.Fatal("incompatible")
 		}
 	}
-}
-
-func BenchmarkIterOnes(b *testing.B) {
-	v := New(4096)
-	for i := 0; i < 4096; i += 7 {
-		v.Set(i, true)
-	}
-	b.ReportAllocs()
-	sum := 0
-	for i := 0; i < b.N; i++ {
-		v.IterOnes(func(pos int) bool { sum += pos; return true })
-	}
-	_ = sum
 }

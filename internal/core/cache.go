@@ -164,14 +164,9 @@ func (cc *Cache) GetContext(ctx context.Context, c *soc.Core, opts TableOptions)
 	return cc.get(ctx, c, opts, nil)
 }
 
-// GetInstrumented is Get with telemetry: cache probes and any resulting
-// build are counted into tel's cache.*/diskcache.*/eval.* registries.
-// A nil tel makes it identical to Get.
-func (cc *Cache) GetInstrumented(c *soc.Core, opts TableOptions, tel *telemetry.Sink) (*Table, error) {
-	return cc.get(context.Background(), c, opts, tel)
-}
-
-// GetInstrumentedContext combines GetContext and GetInstrumented.
+// GetInstrumentedContext is GetContext with telemetry: cache probes and
+// any resulting build are counted into tel's cache.*/diskcache.*/eval.*
+// registries. A nil tel makes it identical to GetContext.
 func (cc *Cache) GetInstrumentedContext(ctx context.Context, c *soc.Core, opts TableOptions, tel *telemetry.Sink) (*Table, error) {
 	return cc.get(ctx, c, opts, tel)
 }

@@ -78,13 +78,12 @@ type Options struct {
 	// the pair that shortens the schedule most. The best of the even-
 	// split and merge-seeded searches wins.
 	MergeSearch bool
-	// Workers bounds the evaluation engine's parallelism: per-core
-	// lookup tables are built concurrently, each table's (w, m)
-	// exploration fans out over the same bound (unless Tables.Workers
-	// overrides it), and the architecture search evaluates candidate
-	// partitions concurrently. Zero defaults to runtime.GOMAXPROCS(0);
-	// 1 recovers the fully sequential engine. Results are bit-identical
-	// for every setting.
+	// Workers bounds the table builds' parallelism: per-core lookup
+	// tables are built concurrently, and each table's (w, m) exploration
+	// fans out over the same bound (unless Tables.Workers overrides it).
+	// The architecture search always runs on the calling goroutine.
+	// Zero defaults to runtime.GOMAXPROCS(0); 1 recovers the fully
+	// sequential engine. Results are bit-identical for every setting.
 	Workers int
 	// TableCacheDir, when non-empty, layers a persistent on-disk table
 	// store under the (possibly implicit) in-memory Cache: lookup tables
@@ -239,67 +238,15 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 	}
 
 	sctx := newSearchCtx(ctx, s, wtam, selectors, opts)
-
 	spSearch := tel.Child("search")
-	spRefine := spSearch.Child("refine")
 	searchTiming := spSearch.Begin()
-	var bestPart tam.Partition
-	bestMk := int64(-1)
-	consider := func(part tam.Partition, mk int64) {
-		if !opts.DisableRefinement {
-			rt := spRefine.Begin()
-			part, mk = sctx.refine(part, mk, opts.MaxIterations)
-			rt.End()
-		}
-		if bestMk < 0 || mk < bestMk {
-			bestPart, bestMk = part, mk
-		}
-	}
-	// Even splits for every bus count are independent; evaluate the
-	// whole sweep as one batch, then refine in k order.
-	evens := make([]tam.Partition, 0, kmax)
-	for k := 1; k <= kmax; k++ {
-		part, err := tam.Even(wtam, k)
-		if err != nil {
-			return nil, err
-		}
-		evens = append(evens, part)
-	}
-	kt := spSearch.Child("k-sweep").Begin()
-	evenMks := sctx.evalBatch(evens)
-	kt.End()
-	// Distinguish an aborted search from genuine infeasibility before
-	// interpreting the batch: a cancelled batch leaves non-positive
-	// makespans that mean nothing.
-	if err := sctx.failure(); err != nil {
+	bestPart, err := sctx.search(kmax, opts, spSearch)
+	if err != nil {
 		return nil, err
-	}
-	for k, mk := range evenMks {
-		if mk <= 0 {
-			// Recover the scheduler's error for the message.
-			_, err := sctx.schedule(evens[k])
-			return nil, fmt.Errorf("core: scheduling %d buses: %w", k+1, err)
-		}
-		consider(evens[k], mk)
-	}
-	if err := sctx.failure(); err != nil {
-		return nil, err
-	}
-	if opts.MergeSearch {
-		mt := spSearch.Child("merge").Begin()
-		part, mk, err := sctx.mergeSearch(wtam, kmax)
-		mt.End()
-		if err != nil {
-			return nil, err
-		}
-		consider(part, mk)
-		if err := sctx.failure(); err != nil {
-			return nil, err
-		}
 	}
 	searchTiming.End()
 	// Materialize the winning schedule (the search compares makespans
-	// only); by construction it reproduces bestMk.
+	// only); by construction it reproduces the winner's makespan.
 	st := tel.Child("schedule").Begin()
 	bestSched, err := sctx.schedule(bestPart)
 	st.End()
@@ -421,52 +368,26 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 	return selectors, nil
 }
 
-// searchCtx carries the architecture search's shared state: the dense
-// duration matrix, the search-wide makespan memo, and the worker pool
-// configuration. One context spans the whole search of an Optimize call
-// — the k-loop, every refine, and the merge pass share the memo, so a
-// partition scheduled by one phase is never re-scheduled by another.
+// searchCtx carries the architecture search's state: the dense
+// duration matrix and the one planner every candidate is scheduled on.
+// The search runs on the calling goroutine and computes exactly one
+// greedy makespan per candidate it generates; refine and mergeSearch
+// generate only neighbours whose width multiset is new to their round
+// (see firstOfWidth), so no candidate needs remembering.
 type searchCtx struct {
-	nCores  int
-	wtam    int
-	durMat  []int64 // dur[core*(wtam+1)+width], widths 1..wtam
-	naive   bool
-	workers int
-	// ctx governs the search; check is ctx.Err bound once when ctx is
-	// cancellable (nil otherwise, so Background costs nothing) and is
-	// consulted per candidate schedule through sched.Planner.Check.
-	ctx   context.Context
-	check func() error
-	// panicked/panicMu/panicErr record the first panic contained on a
-	// batch worker (the flag is the lock-free fast-path signal);
-	// failure() surfaces it (or the context error) between search
-	// phases.
-	panicked atomic.Bool
-	panicMu  sync.Mutex
-	panicErr error
-	sink     *telemetry.Sink
-	// memo maps Partition.Key() (the canonical width multiset — the
-	// greedy makespan is invariant under bus reordering) to the
-	// schedule's makespan; infeasible partitions memoize as -1.
-	memo map[string]int64
+	nCores int
+	wtam   int
+	durMat []int64 // dur[core*(wtam+1)+width], widths 1..wtam
+	naive  bool
+	// ctx governs the search. The planner consults ctx.Err once per
+	// schedule when ctx is cancellable, and a cancelled schedule reads
+	// as infeasible, so search checks ctx between phases before taking
+	// a non-positive makespan for infeasibility.
+	ctx context.Context
 	// durFn is sc.dur bound once, so the hot loops don't allocate a
 	// method value per schedule evaluation.
-	durFn sched.Duration
-	// planner is the calling goroutine's scratch; batch workers get
-	// their own.
+	durFn   sched.Duration
 	planner sched.Planner
-
-	// Makespan-memo accounting: hits are candidates served from the
-	// memo (including within-batch duplicates), misses are schedules
-	// actually computed. Both are deterministic for any Workers setting
-	// because batch contents are. placements is shared by every worker
-	// planner (the counter is atomic).
-	memoHits   *telemetry.Counter
-	memoMisses *telemetry.Counter
-	placements *telemetry.Counter
-	// scheduleHist distributes per-placement wall clock; shared by every
-	// worker planner like placements (the histogram is atomic).
-	scheduleHist *telemetry.Histogram
 }
 
 // newSearchCtx precomputes the dense duration matrix: one flat int64
@@ -474,18 +395,14 @@ type searchCtx struct {
 // closure chain in the scheduler's inner loop with an array load.
 func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selector, opts Options) *searchCtx {
 	sc := &searchCtx{
-		nCores:  len(s.Cores),
-		wtam:    wtam,
-		durMat:  make([]int64, len(s.Cores)*(wtam+1)),
-		naive:   opts.NaiveOrder,
-		workers: opts.Workers,
-		ctx:     ctx,
-		memo:    make(map[string]int64),
-		sink:    opts.Telemetry.Sink(),
+		nCores: len(s.Cores),
+		wtam:   wtam,
+		durMat: make([]int64, len(s.Cores)*(wtam+1)),
+		naive:  opts.NaiveOrder,
+		ctx:    ctx,
 	}
 	if ctx.Done() != nil {
-		sc.check = ctx.Err
-		sc.planner.Check = sc.check
+		sc.planner.Check = ctx.Err
 	}
 	for c := range s.Cores {
 		row := sc.durMat[c*(wtam+1) : (c+1)*(wtam+1)]
@@ -497,53 +414,10 @@ func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selecto
 	}
 	sc.durFn = sc.dur
 	if sink := opts.Telemetry.Sink(); sink != nil {
-		sc.memoHits = sink.Counter("search.memo_hits")
-		sc.memoMisses = sink.Counter("search.memo_misses")
-		sc.placements = sink.Counter("sched.placements")
-		sc.scheduleHist = sink.Histogram("sched.schedule_seconds")
-		sc.planner.Placements = sc.placements
-		sc.planner.ScheduleSeconds = sc.scheduleHist
+		sc.planner.Placements = sink.Counter("sched.placements")
+		sc.planner.ScheduleSeconds = sink.Histogram("sched.schedule_seconds")
 	}
 	return sc
-}
-
-// notePanic records the first panic contained on a batch worker.
-func (sc *searchCtx) notePanic(r any) {
-	sc.sink.Counter("panic.recovered").Inc()
-	sc.panicMu.Lock()
-	if sc.panicErr == nil {
-		sc.panicErr = newPanicError("", "schedule evaluation", r)
-	}
-	sc.panicMu.Unlock()
-	sc.panicked.Store(true)
-}
-
-// aborted is the lock-free per-candidate abort check of the batch
-// loops: a noted panic or a done context. With a Background context and
-// no panic it is one atomic load.
-func (sc *searchCtx) aborted() bool {
-	if sc.panicked.Load() {
-		return true
-	}
-	return sc.check != nil && sc.check() != nil
-}
-
-// failure returns the error that should abort the search, if any: a
-// contained worker panic first (it is the more specific diagnosis),
-// then the context's cancellation. Optimize consults it between
-// search phases, before interpreting batch results — a cancelled batch
-// leaves non-positive makespans that must not be read as infeasibility.
-func (sc *searchCtx) failure() error {
-	sc.panicMu.Lock()
-	err := sc.panicErr
-	sc.panicMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if sc.check != nil {
-		return sc.check()
-	}
-	return nil
 }
 
 // dur is the scheduler's duration callback over the dense matrix.
@@ -568,15 +442,19 @@ func (sc *searchCtx) schedule(p tam.Partition) (*sched.Schedule, error) {
 	return sc.planner.Greedy(sc.nCores, p, sc.durFn)
 }
 
-// makespan evaluates one partition on the given planner: the schedule's
-// makespan, or -1 when some core is infeasible on every bus.
-func (sc *searchCtx) makespan(p tam.Partition, pl *sched.Planner) int64 {
+// makespan schedules one candidate partition: the schedule's makespan,
+// or -1 when some core is infeasible on every bus or ctx is done. The
+// greedy makespan depends on the multiset of bus widths only — ties
+// between buses go to the wider one, and buses of equal width are
+// interchangeable — which is what lets the search skip neighbours that
+// only reorder widths.
+func (sc *searchCtx) makespan(p tam.Partition) int64 {
 	var mk int64
 	var err error
 	if sc.naive {
-		mk, err = pl.InOrderMakespan(sc.nCores, p, sc.durFn)
+		mk, err = sc.planner.InOrderMakespan(sc.nCores, p, sc.durFn)
 	} else {
-		mk, err = pl.GreedyMakespan(sc.nCores, p, sc.durFn)
+		mk, err = sc.planner.GreedyMakespan(sc.nCores, p, sc.durFn)
 	}
 	if err != nil {
 		return -1
@@ -584,153 +462,116 @@ func (sc *searchCtx) makespan(p tam.Partition, pl *sched.Planner) int64 {
 	return mk
 }
 
-// evalBatch returns the makespan of every candidate partition (aligned
-// with cands; -1 marks infeasible), serving repeats from the memo and
-// fanning the misses out over the worker pool. Each miss is a pure
-// function of its partition and is written to an indexed slot, so the
-// result — and every search decision derived from it — is bit-identical
-// for any Workers setting.
-func (sc *searchCtx) evalBatch(cands []tam.Partition) []int64 {
-	return sc.evalBatchKeys(cands, nil)
-}
-
-// evalBatchKeys is evalBatch with the candidates' canonical keys
-// precomputed (callers that already derived them for dedup pass them
-// through instead of re-canonicalizing).
-func (sc *searchCtx) evalBatchKeys(cands []tam.Partition, keys []string) []int64 {
-	out := make([]int64, len(cands))
-	if keys == nil {
-		keys = make([]string, len(cands))
-		for i, p := range cands {
-			keys[i] = p.Key()
-		}
-	}
-	var misses []int
-	inBatch := make(map[string]bool, len(cands))
-	for i := range cands {
-		if _, ok := sc.memo[keys[i]]; ok {
-			continue
-		}
-		if !inBatch[keys[i]] {
-			inBatch[keys[i]] = true
-			misses = append(misses, i)
-		}
-	}
-
-	sc.memoHits.Add(int64(len(cands) - len(misses)))
-	sc.memoMisses.Add(int64(len(misses)))
-
-	workers := resolveWorkers(sc.workers, len(misses))
-	if workers <= 1 {
-		sc.evalMisses(cands, misses, out, &sc.planner)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pl := sched.Planner{Placements: sc.placements, ScheduleSeconds: sc.scheduleHist, Check: sc.check}
-				for {
-					if sc.aborted() {
-						return
-					}
-					n := int(next.Add(1)) - 1
-					if n >= len(misses) {
-						return
-					}
-					i := misses[n]
-					sc.evalOne(cands[i], &pl, &out[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for _, i := range misses {
-		sc.memo[keys[i]] = out[i]
-	}
-	for i := range cands {
-		out[i] = sc.memo[keys[i]]
-	}
-	return out
-}
-
-// evalMisses is the sequential batch loop, stopping early when the
-// search is aborted (the unevaluated slots stay zero; Optimize never
-// reads an aborted batch — see failure()).
-func (sc *searchCtx) evalMisses(cands []tam.Partition, misses []int, out []int64, pl *sched.Planner) {
-	for _, i := range misses {
-		if sc.aborted() {
-			return
-		}
-		sc.evalOne(cands[i], pl, &out[i])
-	}
-}
-
-// evalOne evaluates one candidate with panic containment: a panic
-// inside the scheduler is noted on the search context instead of
-// unwinding (on a batch worker it would kill the process).
-func (sc *searchCtx) evalOne(p tam.Partition, pl *sched.Planner, out *int64) {
+// search runs Steps 3 and 4 of the paper over makespans: the even split
+// for every bus count 1..kmax, each refined by single-wire moves, then
+// (with MergeSearch) the refined result of the bottom-up merge pass. It
+// returns the first partition with the smallest makespan. A panic
+// anywhere in the search — in the scheduler or the neighbour
+// generation — is returned as a *PanicError rather than unwinding into
+// the caller.
+func (sc *searchCtx) search(kmax int, opts Options, span *telemetry.Span) (best tam.Partition, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			sc.notePanic(r)
+			span.Sink().Counter("panic.recovered").Inc()
+			best, err = nil, newPanicError("", "architecture search", r)
 		}
 	}()
-	*out = sc.makespan(p, pl)
+	spSweep, spRefine := span.Child("k-sweep"), span.Child("refine")
+	bestMk := int64(-1)
+	consider := func(part tam.Partition, mk int64) {
+		if !opts.DisableRefinement {
+			rt := spRefine.Begin()
+			part, mk = sc.refine(part, mk, opts.MaxIterations)
+			rt.End()
+		}
+		if bestMk < 0 || mk < bestMk {
+			best, bestMk = part, mk
+		}
+	}
+	for k := 1; k <= kmax; k++ {
+		part, err := tam.Even(sc.wtam, k)
+		if err != nil {
+			return nil, err
+		}
+		kt := spSweep.Begin()
+		mk := sc.makespan(part)
+		kt.End()
+		if err := sc.ctx.Err(); err != nil {
+			return nil, err
+		}
+		if mk <= 0 {
+			// Recover the scheduler's error for the message.
+			_, err := sc.schedule(part)
+			return nil, fmt.Errorf("core: scheduling %d buses: %w", k, err)
+		}
+		consider(part, mk)
+	}
+	if opts.MergeSearch {
+		mt := span.Child("merge").Begin()
+		part, mk, err := sc.mergeSearch(kmax)
+		mt.End()
+		if err != nil {
+			return nil, err
+		}
+		consider(part, mk)
+	}
+	if err := sc.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return best, nil
+}
+
+// firstOfWidth reports whether no bus before i, other than bus skip,
+// has bus i's width. The width multiset a wire move or a merge between
+// buses (i, j) yields depends on their two widths alone, so refine and
+// mergeSearch schedule a pair only when i is the first bus of its width
+// and j the first bus of its width other than i: each multiset a round
+// can reach is scheduled once, through the pair the (i, j) scan meets
+// first.
+func firstOfWidth(p tam.Partition, i, skip int) bool {
+	for k := 0; k < i; k++ {
+		if k != skip && p[k] == p[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // refine hill-climbs over single-wire moves between buses, taking the
-// best improving neighbor each round (partitions deduplicated by
-// canonical key). Each round's neighborhood is evaluated as one batch;
-// the reduction scans in the sequential (from, to) order, so the chosen
-// neighbor matches the sequential search exactly.
+// first strictly best move each round. Moves are tried in place on a
+// private copy of part and undone after their schedule. A move from a
+// bus of width w+1 to one of width w only swaps two widths and is
+// skipped. No candidate is remembered across rounds: every partition an
+// earlier round scheduled has a makespan no smaller than the current
+// one, and a round accepts only a strictly smaller makespan.
 func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Partition, int64) {
-	seen := map[string]bool{part.Key(): true}
-	var cands []tam.Partition
-	var keys []string
+	part = part.Clone()
 	for iter := 0; iter < maxIter; iter++ {
-		if sc.aborted() {
-			// Results past this point are meaningless; Optimize's
-			// failure() check discards them.
-			return part, mk
-		}
-		cands, keys = cands[:0], keys[:0]
-		for from := range part {
-			for to := range part {
-				if from == to {
+		from, to, next := -1, -1, mk
+		for i, wi := range part {
+			if wi <= 1 || !firstOfWidth(part, i, -1) {
+				continue
+			}
+			for j, wj := range part {
+				if j == i || wi == wj+1 || !firstOfWidth(part, j, i) {
 					continue
 				}
-				q, err := part.MoveWire(from, to)
-				if err != nil {
-					continue
+				part[i]--
+				part[j]++
+				m := sc.makespan(part)
+				part[i]++
+				part[j]--
+				if m > 0 && m < next {
+					from, to, next = i, j, m
 				}
-				key := q.Key()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				cands = append(cands, q)
-				keys = append(keys, key)
 			}
 		}
-		if len(cands) == 0 {
-			return part, mk
+		if from < 0 {
+			break
 		}
-		mks := sc.evalBatchKeys(cands, keys)
-		best := -1
-		for i := range cands {
-			if mks[i] <= 0 {
-				continue // infeasible neighbor
-			}
-			if best < 0 || mks[i] < mks[best] {
-				best = i
-			}
-		}
-		if best < 0 || mks[best] >= mk {
-			return part, mk
-		}
-		part, mk = cands[best], mks[best]
+		part[from]--
+		part[to]++
+		mk = next
 	}
 	return part, mk
 }
@@ -738,65 +579,52 @@ func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Part
 // mergeSearch runs the bottom-up pass: start from kmax unit-ish buses
 // and repeatedly merge the pair of buses whose union shortens the
 // schedule most (or hurts it least), keeping the best partition seen.
-// Each round's merge candidates are evaluated as one batch.
-func (sc *searchCtx) mergeSearch(wtam, kmax int) (tam.Partition, int64, error) {
-	part, err := tam.Even(wtam, kmax)
+// Each merge candidate is generated into one reused partition, which
+// becomes the current partition when its merge wins the round.
+func (sc *searchCtx) mergeSearch(kmax int) (tam.Partition, int64, error) {
+	part, err := tam.Even(sc.wtam, kmax)
 	if err != nil {
 		return nil, 0, err
 	}
-	mk := sc.evalBatch([]tam.Partition{part})[0]
-	if err := sc.failure(); err != nil {
+	mk := sc.makespan(part)
+	if err := sc.ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	if mk <= 0 {
 		_, err := sc.schedule(part)
 		return nil, 0, fmt.Errorf("core: merge search seed: %w", err)
 	}
-	bestPart, bestMk := part, mk
-	var cands []tam.Partition
+	bestPart, bestMk := part.Clone(), mk
+	cand := make(tam.Partition, 0, len(part))
+	// merged writes part with buses i < j replaced by their union,
+	// appended last, into cand.
+	merged := func(i, j int) tam.Partition {
+		cand = append(cand[:0], part[:i]...)
+		cand = append(cand, part[i+1:j]...)
+		cand = append(cand, part[j+1:]...)
+		return append(cand, part[i]+part[j])
+	}
 	for len(part) > 1 {
-		if err := sc.failure(); err != nil {
-			return nil, 0, err
-		}
-		// Widths matter, positions do not: merging bus i into bus j is
-		// characterized by the merged width, so only distinct pairs of
-		// widths need scheduling.
-		tried := map[[2]int]bool{}
-		cands = cands[:0]
-		for i := 0; i < len(part); i++ {
-			for j := i + 1; j < len(part); j++ {
-				key := [2]int{part[i], part[j]}
-				if key[0] > key[1] {
-					key[0], key[1] = key[1], key[0]
-				}
-				if tried[key] {
-					continue
-				}
-				tried[key] = true
-				merged := make(tam.Partition, 0, len(part)-1)
-				merged = append(merged, part[:i]...)
-				merged = append(merged, part[i+1:j]...)
-				merged = append(merged, part[j+1:]...)
-				merged = append(merged, part[i]+part[j])
-				cands = append(cands, merged)
-			}
-		}
-		mks := sc.evalBatch(cands)
-		next := -1
-		for i := range cands {
-			if mks[i] <= 0 {
+		bi, bj, next := -1, -1, int64(-1)
+		for i := range part {
+			if !firstOfWidth(part, i, -1) {
 				continue
 			}
-			if next < 0 || mks[i] < mks[next] {
-				next = i
+			for j := i + 1; j < len(part); j++ {
+				if !firstOfWidth(part, j, i) {
+					continue
+				}
+				if m := sc.makespan(merged(i, j)); m > 0 && (next < 0 || m < next) {
+					bi, bj, next = i, j, m
+				}
 			}
 		}
-		if next < 0 {
+		if bi < 0 {
 			break
 		}
-		part, mk = cands[next], mks[next]
-		if mk < bestMk {
-			bestPart, bestMk = part, mk
+		part, cand = merged(bi, bj), part
+		if next < bestMk {
+			bestPart, bestMk = part.Clone(), next
 		}
 	}
 	return bestPart, bestMk, nil

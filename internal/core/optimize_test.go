@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"soctap/internal/soc"
@@ -254,7 +255,7 @@ func TestOptimizeCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TestTime != a.TestTime || c.Partition.Key() != a.Partition.Key() {
+	if c.TestTime != a.TestTime || !slices.Equal(c.Partition, a.Partition) {
 		t.Error("cached rerun diverged")
 	}
 }
@@ -269,7 +270,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TestTime != b.TestTime || a.Volume != b.Volume || a.Partition.Key() != b.Partition.Key() {
+	if a.TestTime != b.TestTime || a.Volume != b.Volume || !slices.Equal(a.Partition, b.Partition) {
 		t.Error("optimizer nondeterministic across identical fresh inputs")
 	}
 }
@@ -299,9 +300,9 @@ func TestOptimizeMergeSearchNeverWorse(t *testing.T) {
 	}
 }
 
-// TestOptimizeSearchWorkersDeterminism asserts the parallel architecture
-// search is bit-identical to the sequential one on d695: every
-// search-relevant Result field matches for any Workers setting.
+// TestOptimizeSearchWorkersDeterminism asserts the plan is bit-identical
+// for any Workers setting on d695: every search-relevant Result field
+// matches the sequential engine's.
 func TestOptimizeSearchWorkersDeterminism(t *testing.T) {
 	s := soc.D695()
 	var cache Cache

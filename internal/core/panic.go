@@ -1,16 +1,17 @@
 package core
 
 // Panic containment at the core package boundary. The evaluation engine
-// fans work out over worker goroutines (forEachEval, buildSelectors,
-// evalBatch); a panic inside one of those workers — a kernel bug, a
-// malformed core that slipped past validation — would otherwise kill
+// fans table builds out over worker goroutines (forEachEval,
+// buildSelectors); a panic inside one of those workers — a kernel bug,
+// a malformed core that slipped past validation — would otherwise kill
 // the whole process, and a panic inside a singleflight table build
 // would additionally strand every waiter on the poisoned cache entry.
 // Instead, every worker converts panics into a *PanicError carrying the
 // offending core and (w, m) evaluation point, and the error propagates
 // through the normal error paths (including the singleflight entry,
 // which is evicted so later callers rebuild rather than inherit the
-// failure).
+// failure). The architecture search runs on the calling goroutine
+// under one deferred recover (searchCtx.search).
 
 import (
 	"context"

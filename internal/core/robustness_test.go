@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"soctap/internal/soc"
+	"soctap/internal/telemetry"
 )
 
 // TestCacheGetPanicNoDeadlock is the regression test for the
@@ -176,6 +177,38 @@ func TestForEachEvalPanicContained(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Errorf("workers=%d: PanicError carries no stack trace", workers)
 		}
+	}
+}
+
+// TestSearchPanicContained: a panic inside the architecture search —
+// here the scheduler's duration callback, failing part-way through the
+// refinement — is returned as a *PanicError and counted on the run's
+// sink, never unwinding into the caller.
+func TestSearchPanicContained(t *testing.T) {
+	s := testSOC()
+	selectors := make([]selector, len(s.Cores))
+	for i := range selectors {
+		selectors[i] = func(w int) Config { return Config{Feasible: true, Time: int64(1000 / w)} }
+	}
+	sink := telemetry.New()
+	sc := newSearchCtx(context.Background(), s, 16, selectors, Options{Telemetry: sink.Root()})
+	calls := 0
+	sc.durFn = func(core, width int) int64 {
+		if calls++; calls > 200 {
+			panic("scheduler blew up")
+		}
+		return sc.dur(core, width)
+	}
+	part, err := sc.search(len(s.Cores), Options{MaxIterations: 64}, sink.Root())
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("search returned (%v, %v), want a *PanicError", part, err)
+	}
+	if pe.Point != "architecture search" || len(pe.Stack) == 0 {
+		t.Errorf("PanicError = (%q, %d stack bytes)", pe.Point, len(pe.Stack))
+	}
+	if n := sink.Snapshot().Counters["panic.recovered"]; n != 1 {
+		t.Errorf("panic.recovered = %d, want 1", n)
 	}
 }
 

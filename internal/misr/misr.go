@@ -58,9 +58,6 @@ func (m *MISR) Steps() int64 { return m.steps }
 // XContaminated reports whether any unmasked X reached the register.
 func (m *MISR) XContaminated() bool { return m.xBits > 0 }
 
-// XBits returns the number of unmasked X bits absorbed.
-func (m *MISR) XBits() int64 { return m.xBits }
-
 // XCycles returns the number of compaction cycles that absorbed at
 // least one unmasked X.
 func (m *MISR) XCycles() int64 { return m.xCycles }

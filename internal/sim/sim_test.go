@@ -313,7 +313,10 @@ func TestShippedStreamMutationsFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := c.MustTestSet()
+	ts, err := c.TestSet()
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc := atevec.NewEncoder(d)
 	streams := make([]*bitvec.Vector, ts.Len())
 	for pi, cb := range ts.Cubes {
@@ -381,7 +384,10 @@ func TestShippedStreamMutationsFail(t *testing.T) {
 func TestRunTDCCoreAllocsFlat(t *testing.T) {
 	allocs := func(repeat int) float64 {
 		base := simCore(71)
-		ts := base.MustTestSet()
+		ts, err := base.TestSet()
+		if err != nil {
+			t.Fatal(err)
+		}
 		explicit := &cube.Set{NumBits: ts.NumBits}
 		for range repeat {
 			explicit.Cubes = append(explicit.Cubes, ts.Cubes...)

@@ -268,16 +268,6 @@ func (c *Core) Cubes() (cube.Source, error) {
 	return cube.NewSetSource(ts), nil
 }
 
-// MustTestSet is TestSet but panics on error; for use with the built-in
-// (known-valid) designs.
-func (c *Core) MustTestSet() *cube.Set {
-	s, err := c.TestSet()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // SOC is a core-based system-on-chip.
 type SOC struct {
 	Name  string

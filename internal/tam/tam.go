@@ -4,10 +4,7 @@
 // optimizer's architecture search is built on.
 package tam
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition is the widths of the k TAM buses, in bus order. All widths
 // are positive.
@@ -65,76 +62,6 @@ func Even(total, k int) (Partition, error) {
 		}
 	}
 	return p, nil
-}
-
-// MoveWire returns a copy of p with one wire moved from bus `from` to bus
-// `to`, or an error if that would empty the source bus.
-func (p Partition) MoveWire(from, to int) (Partition, error) {
-	if from < 0 || from >= len(p) || to < 0 || to >= len(p) || from == to {
-		return nil, fmt.Errorf("tam: invalid wire move %d -> %d", from, to)
-	}
-	if p[from] <= 1 {
-		return nil, fmt.Errorf("tam: bus %d cannot give up its last wire", from)
-	}
-	c := p.Clone()
-	c[from]--
-	c[to]++
-	return c, nil
-}
-
-// Canonical returns the partition sorted by decreasing width — two
-// partitions with the same multiset of widths canonicalize identically,
-// which the architecture search uses to avoid revisiting states.
-func (p Partition) Canonical() Partition {
-	c := p.Clone()
-	sort.Sort(sort.Reverse(sort.IntSlice(c)))
-	return c
-}
-
-// Key returns a comparable string form of the canonical partition. It
-// is the architecture search's memoization key, so it avoids Canonical's
-// clone and the interface-based sort: partitions are short (one entry
-// per bus), and an insertion sort over a stack buffer is both
-// allocation-free and order-deterministic.
-func (p Partition) Key() string {
-	var cbuf [32]int
-	c := cbuf[:0]
-	if len(p) > len(cbuf) {
-		c = make([]int, 0, len(p))
-	}
-	c = append(c, p...)
-	for i := 1; i < len(c); i++ {
-		v := c[i]
-		j := i - 1
-		for j >= 0 && c[j] < v {
-			c[j+1] = c[j]
-			j--
-		}
-		c[j+1] = v
-	}
-	var bbuf [96]byte
-	b := bbuf[:0]
-	for i, w := range c {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendInt(b, w)
-	}
-	return string(b)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [12]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 // Architecture is a TAM partition plus the assignment of each core

@@ -1,8 +1,8 @@
 // Package telemetry is the instrumentation and observability layer of
 // the optimizer pipeline: hierarchical phase spans (parse → per-core
 // table builds → architecture search → schedule → verify), race-safe
-// counters registered by subsystem (cache hits, memo hits, kernel
-// invocations), wall-clock timers (worker busy time), log2-bucketed
+// counters registered by subsystem (cache hits, schedule placements,
+// kernel invocations), wall-clock timers (worker busy time), log2-bucketed
 // latency histograms with quantiles (histogram.go), a bounded
 // non-blocking event bus for live consumers (bus.go), and HTTP
 // exposition — /metrics, /healthz, streaming /events, /debug/pprof —
