@@ -7,8 +7,10 @@ GO ?= go
 # dated benchmark archive with `make bench-json` and note the numbers.
 check: vet build test race bench-smoke bench-big-smoke telemetry-overhead kernel-equivalence fused-equivalence robustness cachefmt obs serve
 
+# vet also fails when any Go file in the tree is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -33,12 +35,12 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTable' -benchmem ./internal/core
 
 # bench-smoke compiles and runs each fast benchmark exactly once — a
-# regression tripwire for the benchmark code itself (the warm searches
-# on d695 and System4 and the simulator's BenchmarkVerifyPlan
-# included), cheap enough for the tier-1 gate (no timing is measured at
-# -benchtime=1x).
+# regression tripwire for the benchmark code itself (the point setup of
+# a new m, the warm searches on d695 and System4 and the simulator's
+# BenchmarkVerifyPlan included), cheap enough for the tier-1 gate (no
+# timing is measured at -benchtime=1x).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkPointSetup|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule|BenchmarkGreedy50Cores' -benchtime 1x ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch$$|BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchtime 1x .
 
@@ -46,12 +48,14 @@ bench-smoke:
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
 # alloc stats and any custom metrics, parsed by cmd/benchjson. The
 # rungs run the paper artifacts and the search once each, then the
-# greedy schedule, the cache tiers, the warm System4 search
-# (BenchmarkOptimizeSearchSystem4), the simulator (BenchmarkVerifyPlan)
-# and the warm socserve request.
+# greedy schedule, the point setup of a new m (BenchmarkPointSetup) and
+# one core's serial table build, the cache tiers, the warm System4
+# search (BenchmarkOptimizeSearchSystem4), the simulator
+# (BenchmarkVerifyPlan) and the warm socserve request.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
@@ -83,10 +87,15 @@ bench-big-smoke:
 # kernel-equivalence asserts the counting kernel and sweep-pruning
 # exactness contracts: the kernel agrees with the real encoder (group
 # copy) and with a per-target-bit count (no group copy) on dense, thin,
-# combinational, small and tied-slice cores, unpruned tables match the
-# pruned goldens on every d695/industrial core, steady-state tdcCost
-# runs at 0 allocs/op on a dense and a thin core over a kept whole-set
-# window, every d695/industrial table is byte-identical to its
+# combinational, small, input-free, one-long-chain and tied-slice cores
+# at windows 0, 1 and 64, the point table lands every stimulus cell on
+# its StimulusMap row and (row, group) slot on random cores at every m,
+# unpruned tables match the pruned goldens on every d695/industrial
+# core, steady-state tdcCost runs at 0 allocs/op on a dense and a thin
+# core over a kept whole-set window (and a new m allocates only
+# wrapper.New's own), wrapper.New builds every design of the paper
+# cores and of random cores field for field like its reference form,
+# every d695/industrial table is byte-identical to its
 # checked-in golden encoding at windows 0/64 (and 1 on d695) × workers
 # 1/2/8, every plan of d695, d2758 and System1-4 (W_TAM 8..64 × three
 # styles × MergeSearch × NaiveOrder: partition in bus order, makespan,
@@ -99,8 +108,9 @@ bench-big-smoke:
 # codec's: encode/decode round trip, cost model = encoder, and the
 # append encoder leaving its buffer's prefix untouched).
 kernel-equivalence:
-	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
+	$(GO) test -run 'TestKernelPathsAgree|TestSegmentTableMatchesStimulusMap|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
+	$(GO) test -run 'TestNewMatchesReference' -count=1 ./internal/wrapper
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
 
@@ -125,7 +135,10 @@ fused-equivalence:
 # at the core package boundary (table builds and the architecture
 # search), prompt cancellation with no goroutine
 # leaks, bit-identical results through the context-threaded entry
-# points, disk-store fault injection, and malformed-design rejection —
+# points, disk-store fault injection, the counting kernel's slot
+# scratch staying within StimulusBits bytes on a small upload whose
+# point at MaxWrapperChains once needed si × GroupCount(m), and
+# malformed-design rejection —
 # explicit test cubes included (off-width, out-of-range, repeated or
 # unsorted care positions never reach the kernels) — and the simulator's
 # own failure model: VerifyPlan rejects corrupted plans (a core dropped
@@ -136,7 +149,7 @@ fused-equivalence:
 # chains, and every flip of a header prefix or single-bit payload bit of
 # a shipped stream, or a dropped last codeword, fails the receiver.
 robustness:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
+	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt|TestKernelSlotScratchBounded' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
 	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail' ./internal/sim
 

@@ -44,6 +44,40 @@ func BenchmarkTDCCostKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkPointSetup measures what a new m costs before its pass: the
+// wrapper design and the kernel's segment table, on a warm evaluator,
+// alternating between two m values so every iteration prices a new
+// design — on benchCore and on the industrial ckt-12 (1,600 scan
+// chains, 856 input cells). The point table is written into recycled
+// storage, so the allocations are wrapper.New's own.
+func BenchmarkPointSetup(b *testing.B) {
+	for _, c := range []*soc.Core{benchCore(), soc.MustIndustrialCore("ckt-12")} {
+		b.Run(c.Name, func(b *testing.B) {
+			ev, err := NewEvaluator(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms := [2]int{c.MaxWrapperChains() / 2, c.MaxWrapperChains()/2 + 1}
+			for _, m := range ms {
+				d, err := ev.Design(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ev.point(d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := ev.Design(ms[i&1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				ev.point(d)
+			}
+		})
+	}
+}
+
 // BenchmarkTDCCostKernelDisabled measures the instrumented TDC path —
 // counter Inc included — with no sink attached. Comparing it against
 // BenchmarkTDCCostKernel bounds the disabled-telemetry overhead
@@ -66,11 +100,9 @@ func benchmarkTDCTelemetry(b *testing.B, sink *telemetry.Sink) {
 		b.Fatal(err)
 	}
 	ev.attachTelemetry(sink)
-	d, err := ev.Design(48)
-	if err != nil {
+	if _, err := ev.Design(48); err != nil {
 		b.Fatal(err)
 	}
-	d.StimulusMap()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -81,11 +81,11 @@ func checkEvalWindow(window int) error {
 }
 
 // evalWindow is the per-window state shared by every consumer of one
-// loaded cube window: the flattened care refs (cube.Window) and the
-// window's position in the pass. One producer evaluator loads it;
-// mirror evaluators (see mirror) price the same window read-only
-// through their own kernel scratch — the data-sharing contract of the
-// fused sweep (fused.go).
+// loaded cube window: the flattened care refs (cube.Window), re-encoded
+// to segment refs at load (segmentRefs), and the window's position in
+// the pass. One producer evaluator loads it; mirror evaluators (see
+// mirror) price the same window read-only through their own kernel
+// scratch — the data-sharing contract of the fused sweep (fused.go).
 type evalWindow struct {
 	cube.Window
 	start int // global index of the window's first cube
@@ -96,7 +96,7 @@ type evalWindow struct {
 // kernel of the (w, m) exploration: the core's test cubes are read from
 // a cube.Source and flattened into a contiguous care-bit array one
 // window at a time (one kept whole-set window for benchmark-size
-// cores), the most recent wrapper design (and its kernel tables) is
+// cores), the most recent wrapper design (and its point table) is
 // kept so consecutive evaluations at the same m share it, and the
 // counting kernel's scratch (kernel.go) is reused across the whole
 // sweep. An Evaluator is not safe for concurrent use; parallel sweeps
@@ -117,6 +117,9 @@ type Evaluator struct {
 	// for a self-loading evaluator, the producer's window for a mirror.
 	win    *evalWindow
 	ownWin evalWindow
+	// starts holds the segment boundaries (segmentStarts) each loaded
+	// window's refs are re-encoded against.
+	starts []uint64
 
 	// passPos is the global index of the first cube of the next window
 	// (see beginPass/nextWindow).
@@ -127,7 +130,7 @@ type Evaluator struct {
 	lastM int // most recently built wrapper design (0 = none)
 	lastD *wrapper.Design
 	// pt is the pricing state of ptD, the most recently priced design
-	// (see point), so its kernel table is built once per design.
+	// (see point), so its point table is built once per design.
 	pt  tdcPoint
 	ptD *wrapper.Design
 
@@ -240,6 +243,7 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 	}
 	e.win = &e.ownWin
 	e.ownWin.Off = make([]int, 0, window+1)
+	e.starts = segmentStarts(c)
 	return e, nil
 }
 
@@ -283,10 +287,11 @@ func (e *Evaluator) beginPass() {
 
 // nextWindow advances to the next cube window of the current pass,
 // returning false when the pass is exhausted. After a true return,
-// cubes [win.start, win.start+win.count) are loaded and patternOps
-// prices them by window-local index. Every window a pass prices counts
-// in the window telemetry, a kept one included, so the counts follow
-// the sweep and not the worker pool.
+// cubes [win.start, win.start+win.count) are loaded, their refs
+// re-encoded to segment refs, and patternOps prices them by
+// window-local index. Every window a pass prices counts in the window
+// telemetry, a kept one included, so the counts follow the sweep and
+// not the worker pool.
 func (e *Evaluator) nextWindow() bool {
 	if e.passPos >= e.patterns {
 		return false
@@ -315,6 +320,7 @@ func (e *Evaluator) nextWindow() bool {
 		e.passPos = e.patterns
 		return false
 	}
+	segmentRefs(e.win.Refs, e.starts)
 	if timed {
 		e.windowHist.Observe(time.Since(t0))
 	}
@@ -342,7 +348,7 @@ func (e *Evaluator) noteWindow(n int) {
 
 // Design returns the wrapper design for m chains, reusing the previous
 // one when m is unchanged — this is what lets TDC, PatternBits and
-// NoTDC calls at the same m share one design and stimulus map.
+// NoTDC calls at the same m share one design and point table.
 func (e *Evaluator) Design(m int) (*wrapper.Design, error) {
 	if e.lastD != nil && e.lastM == m {
 		return e.lastD, nil
@@ -431,11 +437,11 @@ func (e *Evaluator) PatternBits(m int) ([]int64, error) {
 }
 
 // point returns the evaluator's pricing state for design d, building
-// the kernel table (into recycled storage) only when d differs from the
+// the point table (into recycled storage) only when d differs from the
 // last design priced.
 func (e *Evaluator) point(d *wrapper.Design) *tdcPoint {
 	if e.ptD != d {
-		e.pt, e.ptD = newTDCPoint(d, e.pt.cells), d
+		e.pt, e.ptD = newTDCPoint(d, e.pt.segs), d
 	}
 	return &e.pt
 }

@@ -236,13 +236,31 @@ func tieCore() *soc.Core {
 	return &soc.Core{Name: "tie", Inputs: 10, Outputs: 4, Patterns: 2, ExplicitCubes: set}
 }
 
+// noInputCore has no wrapper input cells, so every segment is a scan
+// chain; longChainCore has one deep chain among many single-cell input
+// segments, so at large m one codec group is hundreds of rows deep and
+// every other group one row.
+func noInputCore() *soc.Core {
+	return &soc.Core{Name: "noinputs", Outputs: 7, ScanChains: []int{33, 20, 20, 9, 4},
+		Patterns: 14, CareDensity: 0.3, Clustering: 0.5, DensityDecay: 0.4, Seed: 5}
+}
+
+func longChainCore() *soc.Core {
+	return &soc.Core{Name: "longchain", Inputs: 150, Outputs: 20, ScanChains: []int{400},
+		Patterns: 10, CareDensity: 0.2, Clustering: 0.6, Seed: 8}
+}
+
 // TestKernelPathsAgree holds the counting kernel to the reference
 // encoder on cores spanning the care densities it sees (dense 0.55,
-// thin 0.02, combinational, small) plus a core whose slices tie: with
-// group copy, TDC must equal the real encoder's stream
-// (referenceTDCquiet); without it, the reference is one codeword per
-// target bit of selenc.ChooseFill. m runs over 1, widths that are not
-// a multiple of the payload width k, and the core's maximum.
+// thin 0.02, combinational, small), a core with no input cells, a core
+// with one long chain and many inputs (codec groups of very unequal
+// depths) and a core whose slices tie: with group copy, TDC must equal
+// the real encoder's stream (referenceTDCquiet); without it, the
+// reference is one codeword per target bit of selenc.ChooseFill. m runs
+// over 1, widths that are not a multiple of the payload width k, and
+// the core's maximum. Every row is priced through the kept whole-set
+// window and through windows of 1 and 64 cubes, so the care refs are
+// re-encoded to segment refs on every load.
 func TestKernelPathsAgree(t *testing.T) {
 	type row struct {
 		core *soc.Core
@@ -252,32 +270,40 @@ func TestKernelPathsAgree(t *testing.T) {
 	for _, c := range []*soc.Core{
 		smallCore(7), denseCore(), thinCore(),
 		{Name: "comb", Inputs: 130, Outputs: 5, Patterns: 9, CareDensity: 0.4, Seed: 12},
+		noInputCore(), longChainCore(),
 	} {
-		rows = append(rows, row{c, []int{1, 3, 17, c.MaxWrapperChains()}})
+		rows = append(rows, row{c, []int{1, 3, 17, 40, c.MaxWrapperChains()}})
 	}
 	rows = append(rows, row{tieCore(), []int{10}})
 	for _, r := range rows {
 		c := r.core
-		ev, err := NewEvaluator(c)
-		if err != nil {
-			t.Fatal(err)
+		var evs []*Evaluator
+		for _, window := range []int{0, 1, 64} {
+			ev, err := NewEvaluatorWindow(c, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, ev)
 		}
 		for _, m := range r.ms {
 			if m > c.MaxWrapperChains() {
 				continue
 			}
 			for _, gc := range []bool{true, false} {
-				cfg, err := ev.TDC(m, gc)
-				if err != nil {
-					t.Fatal(err)
-				}
 				ref := referenceTDCquiet
 				if !gc {
 					ref = referenceTDCTargets
 				}
-				if wantTime, wantVol := ref(c, m); cfg.Time != wantTime || cfg.Volume != wantVol {
-					t.Errorf("%s m=%d groupCopy=%v: kernel (τ=%d, V=%d) != reference (τ=%d, V=%d)",
-						c.Name, m, gc, cfg.Time, cfg.Volume, wantTime, wantVol)
+				wantTime, wantVol := ref(c, m)
+				for _, ev := range evs {
+					cfg, err := ev.TDC(m, gc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cfg.Time != wantTime || cfg.Volume != wantVol {
+						t.Errorf("%s m=%d groupCopy=%v window=%d: kernel (τ=%d, V=%d) != reference (τ=%d, V=%d)",
+							c.Name, m, gc, ev.window, cfg.Time, cfg.Volume, wantTime, wantVol)
+					}
 				}
 			}
 		}
@@ -297,10 +323,78 @@ func TestKernelPathsAgree(t *testing.T) {
 	})
 }
 
+// TestSegmentTableMatchesStimulusMap holds the point table to the
+// wrapper's stimulus map on random cores at every m in
+// 1..MaxWrapperChains: re-encoding a stimulus cell's position to a
+// segment ref and adding its offset to the segment's base row must give
+// the cell's StimulusMap depth, the value bit must survive, and two
+// cells must share a counter slot exactly when they share (Depth,
+// Chain/k). Every slot lies below the point's slot count, which never
+// exceeds StimulusBits.
+func TestSegmentTableMatchesStimulusMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 120; i++ {
+		chains := make([]int, rng.Intn(8))
+		for j := range chains {
+			chains[j] = 1 + rng.Intn(40)
+		}
+		c := &soc.Core{Name: "seg", Inputs: rng.Intn(20), Outputs: rng.Intn(10), Bidirs: rng.Intn(3),
+			ScanChains: chains, Patterns: 1, CareDensity: 0.5}
+		if i%4 == 0 {
+			c.Inputs, c.Bidirs = 0, 0
+		}
+		if c.StimulusBits() == 0 {
+			continue
+		}
+		refs := make([]uint64, c.StimulusBits())
+		for pos := range refs {
+			refs[pos] = uint64(pos)<<1 | uint64(pos%3&1)
+		}
+		segmentRefs(refs, segmentStarts(c))
+		for m := 1; m <= c.MaxWrapperChains(); m++ {
+			d, err := wrapper.New(c, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := newTDCPoint(d, nil)
+			if pt.slots > c.StimulusBits() {
+				t.Fatalf("core %d m=%d: %d slots exceed %d stimulus bits", i, m, pt.slots, c.StimulusBits())
+			}
+			k := int32(selenc.PayloadBits(m))
+			slotOf := make(map[[2]int32]int32)
+			cellOf := make(map[int32][2]int32)
+			for pos, p := range refs {
+				s, off := pt.segs[p>>32], int32(uint32(p)>>1)
+				want := d.StimulusMap()[pos]
+				if int(p&1) != pos%3&1 {
+					t.Fatalf("core %d: cell %d lost its value bit", i, pos)
+				}
+				if s.row+off != want.Depth {
+					t.Fatalf("core %d m=%d: cell %d at row %d, StimulusMap depth %d", i, m, pos, s.row+off, want.Depth)
+				}
+				slot := s.slot + off
+				if slot < 0 || int(slot) >= pt.slots {
+					t.Fatalf("core %d m=%d: cell %d slot %d outside [0,%d)", i, m, pos, slot, pt.slots)
+				}
+				key := [2]int32{want.Depth, want.Chain / k}
+				if prev, ok := slotOf[key]; ok && prev != slot {
+					t.Fatalf("core %d m=%d: (depth, group) %v in slots %d and %d", i, m, key, prev, slot)
+				}
+				if prev, ok := cellOf[slot]; ok && prev != key {
+					t.Fatalf("core %d m=%d: slot %d shared by (depth, group) %v and %v", i, m, slot, prev, key)
+				}
+				slotOf[key], cellOf[slot] = slot, key
+			}
+		}
+	}
+}
+
 // TestKernelSteadyStateZeroAlloc is the 0 allocs/op gate for the
 // counting kernel: once the counters are warm, repeated tdcCost calls
 // over a kept whole-set window must not allocate, on a dense and on a
-// thin core. Run by the `make check` kernel-equivalence target.
+// thin core; and moving a warm evaluator to a new m — design, point
+// table and a pass — allocates nothing beyond wrapper.New's own
+// allocations. Run by the `make check` kernel-equivalence target.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	for _, c := range []*soc.Core{denseCore(), thinCore()} {
 		ev, err := NewEvaluator(c)
@@ -322,6 +416,30 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: steady-state tdcCost allocates %.1f allocs/op, want 0", c.Name, allocs)
+		}
+
+		ms := []int{5, 12, c.MaxWrapperChains()}
+		for _, m := range ms { // warm the counters to every design's high-water mark
+			if _, err := ev.TDC(m, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		newM := testing.AllocsPerRun(20, func() {
+			i++
+			if _, err := ev.TDC(ms[i%len(ms)], true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		i = 0
+		design := testing.AllocsPerRun(20, func() {
+			i++
+			if _, err := wrapper.New(c, ms[i%len(ms)]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if newM > design {
+			t.Errorf("%s: moving to a new m allocates %.1f allocs/op, wrapper.New alone %.1f", c.Name, newM, design)
 		}
 	}
 }

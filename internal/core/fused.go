@@ -25,17 +25,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soctap/internal/selenc"
 	"soctap/internal/telemetry"
 	"soctap/internal/wrapper"
 )
 
 // fusedBatchPoints bounds how many evaluation points share one
-// streamed pass. Each in-flight point pins its kernel cell table (one
-// entry per stimulus cell), so the batch size trades pass count against
-// peak memory; 64 keeps a giant-profile band sweep at a handful of
-// passes while the resident tables stay far below one window of cube
-// data. A variable so tests can force multi-batch schedules on small
-// cores.
+// streamed pass. Each in-flight point pins its kernel point table (one
+// entry per input cell and scan chain), so the batch size trades pass
+// count against peak memory; 64 keeps a giant-profile band sweep at a
+// handful of passes while the resident tables stay far below one
+// window of cube data. A variable so tests can force multi-batch
+// schedules on small cores.
 var fusedBatchPoints = 64
 
 // fusedPoint is one (w, m) evaluation riding a fused pass: its pricing
@@ -137,7 +138,7 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 				}
 			}
 			pt := newTDCPoint(d, nil)
-			ub := min(int64(r.m), 2*int64(pt.groups))
+			ub := min(int64(r.m), 2*int64(selenc.GroupCount(r.m)))
 			batch = append(batch, &fusedPoint{tdcPoint: pt, band: r.band, ubcw: pt.si * (1 + ub)})
 		}
 		fc.points.Add(int64(len(batch)))

@@ -3,39 +3,53 @@
 // codec group holding t target bits, min(t, 2) operation codewords (t
 // without group copy), where the targets are the care bits that differ
 // from the slice's majority fill. Every term is a count, so the kernel
-// never materializes a slice: it walks a cube's packed care refs three
-// times —
+// never materializes a slice.
 //
-//  1. map each ref through the design's StimulusMap to its slice row
-//     (Depth) and tally the row's ones-minus-zeros balance;
+// A segment is one wrapper input cell or one whole scan chain: the
+// wrapper places it as a unit, so its cells occupy consecutive rows of
+// one wrapper chain. When a window loads, each care ref is re-encoded
+// once from pos<<1|value to seg<<32|offset<<1|value (segmentRefs), and
+// a design's point table holds one (row, slot) base per segment, so a
+// cell lands at row base+offset and slot base+offset. Slots are
+// group-major — base[chain/k] + row, base the prefix sum of each codec
+// group's deepest chain — so the slot counters never outnumber the
+// stimulus cells. The kernel then walks a cube's refs three times —
+//
+//  1. resolve each ref's row and slot once, and tally the row's
+//     balance, ones minus zeros;
 //  2. take the row's fill (balance > 0: ones win, ties go to 0, exactly
-//     as selenc.ChooseFill) and count every target bit into its
-//     (row, group) slot, adding an operation on a slot's first and
-//     second target with group copy, or on every target without;
+//     as selenc.ChooseFill) and count every target bit into its slot,
+//     adding an operation on a slot's first and second target with
+//     group copy, or on every target without — branch-free in both arms;
 //  3. re-zero the touched row and slot counters.
 //
 // Work is proportional to the cube's care bits, whatever the design's
-// depth or width. The stimulus map and the chain → group table are
-// folded once per design into one (row, slot) cell table that travels
-// with the evaluation point; the counters are Evaluator scratch grown
-// to high-water marks and all-zero between cubes, so steady-state
-// pricing allocates nothing
+// depth or width, and a new design costs its wrapper plus O(inputs +
+// scan chains) table entries — no table has one entry per stimulus
+// cell. The point table is written into recycled storage and the
+// counters are Evaluator scratch grown to high-water marks and all-zero
+// between cubes, so steady-state pricing allocates nothing
 // (gate-enforced by `make check`). The kernel is exact: the
 // real-encoder cross-checks and the golden tables are its oracle.
 package core
 
 import (
+	"sort"
+
 	"soctap/internal/selenc"
+	"soctap/internal/soc"
 	"soctap/internal/wrapper"
 )
 
-// kernelScratch holds the counters of one Evaluator's counting kernel.
-// Both are all-zero between cubes; the per-window data the kernel reads
-// (the flattened care refs) lives on the evaluator's evalWindow (eval.go)
-// so mirrors can share a producer's window while owning their counters.
+// kernelScratch holds the counters of one Evaluator's counting kernel
+// and the resolved cells of the cube it is pricing. The counters are
+// all-zero between cubes; the per-window data the kernel reads (the
+// flattened care refs) lives on the evaluator's evalWindow (eval.go) so
+// mirrors can share a producer's window while owning their scratch.
 type kernelScratch struct {
-	bal  []int32 // per slice row: ones minus zeros among its care bits
-	slot []uint8 // per (row, group): target bits counted, saturating at 2
+	bal  []int32     // per slice row: ones minus zeros among its care bits
+	slot []uint8     // per (group, row) slot: target bits counted, saturating at 2
+	at   []kernelSeg // per care ref of the cube: its row and slot
 }
 
 // fit grows the counters to cover pt's design.
@@ -43,56 +57,103 @@ func (ks *kernelScratch) fit(pt *tdcPoint) {
 	if rows := int(pt.si); len(ks.bal) < rows {
 		ks.bal = make([]int32, rows)
 	}
-	if n := int(pt.si) * pt.groups; len(ks.slot) < n {
+	if n := pt.slots; len(ks.slot) < n {
 		ks.slot = make([]uint8, n)
 	}
 }
 
-// tdcPoint is one (w, m) evaluation in progress: the table the counting
-// kernel reads for its wrapper design, the design's cost-model
+// tdcPoint is one (w, m) evaluation in progress: the point table the
+// counting kernel reads for its wrapper design, the design's cost-model
 // constants, and the running accumulators of one pass over the cubes.
-// It does not retain the design, so a fused batch holds one table per
-// point, not the design's stimulus map as well.
+// It does not retain the design, so a fused batch holds one
+// O(inputs + scan chains) table per point.
 type tdcPoint struct {
-	m      int          // wrapper chains
-	cells  []kernelCell // per stimulus cell, in flat order
-	groups int          // codec groups per slice, selenc.GroupCount(m)
-	si, so int64        // scan-in and scan-out depth
-	w      int64        // codeword width, selenc.CodewordWidth(m)
+	m      int         // wrapper chains
+	segs   []kernelSeg // per segment: input cells, then scan chains
+	slots  int         // group-major counter slots the design needs
+	si, so int64       // scan-in and scan-out depth
+	w      int64       // codeword width, selenc.CodewordWidth(m)
 
 	totalCW int64 // codewords emitted so far
 	timeAcc int64 // cw_1 + Σ_{j>1} max(cw_j, so) so far
 }
 
-// kernelCell is where one stimulus cell lands in every cube: its slice
-// row (wrapper depth) and its (row, group) counter slot,
-// row·GroupCount(m) + chain/k.
-type kernelCell struct{ row, slot int32 }
+// kernelSeg is where a segment's first cell lands in every cube: its
+// slice row (wrapper depth) and its counter slot, base[chain/k] + row,
+// where base is the prefix sum of each codec group's deepest chain. The
+// cell at offset o of the segment lands at row+o and slot+o.
+type kernelSeg struct{ row, slot int32 }
 
-// newTDCPoint maps design d's stimulus cells through its StimulusMap and
-// a chain → group table, reusing cells' storage when it is large enough.
-func newTDCPoint(d *wrapper.Design, cells []kernelCell) tdcPoint {
+// newTDCPoint writes design d's point table straight from its chains,
+// reusing segs' storage when it is large enough.
+func newTDCPoint(d *wrapper.Design, segs []kernelSeg) tdcPoint {
+	c := d.Core
+	nIn := c.InCells()
+	if n := nIn + len(c.ScanChains); cap(segs) < n {
+		segs = make([]kernelSeg, n)
+	} else {
+		segs = segs[:n]
+	}
 	k := selenc.PayloadBits(d.M)
-	g := selenc.GroupCount(d.M)
-	group := make([]int32, d.M)
-	for ch := range group {
-		group[ch] = int32(ch / k)
-	}
-	refs := d.StimulusMap()
-	if cap(cells) < len(refs) {
-		cells = make([]kernelCell, len(refs))
-	}
-	cells = cells[:len(refs)]
-	for i, r := range refs {
-		cells[i] = kernelCell{row: r.Depth, slot: r.Depth*int32(g) + group[r.Chain]}
+	in := 0               // next input-cell segment
+	var base, depth int32 // current group's first slot and deepest chain
+	for ci := range d.Chains {
+		ch := &d.Chains[ci]
+		if ci%k == 0 {
+			base, depth = base+depth, 0
+		}
+		for x := int32(0); x < int32(ch.InCells); x++ {
+			segs[in] = kernelSeg{row: x, slot: base + x}
+			in++
+		}
+		row := int32(ch.InCells)
+		for _, sc := range ch.ScanChains {
+			segs[nIn+sc] = kernelSeg{row: row, slot: base + row}
+			row += int32(c.ScanChains[sc])
+		}
+		depth = max(depth, row)
 	}
 	return tdcPoint{
-		m:      d.M,
-		cells:  cells,
-		groups: g,
-		si:     int64(d.ScanIn),
-		so:     int64(d.ScanOut),
-		w:      int64(k + 2),
+		m:     d.M,
+		segs:  segs,
+		slots: int(base + depth),
+		si:    int64(d.ScanIn),
+		so:    int64(d.ScanOut),
+		w:     int64(k + 2),
+	}
+}
+
+// segmentStarts returns the segment boundaries segmentRefs re-encodes
+// against: the flat start of every scan chain of c, after its input
+// cells, plus a final end sentinel.
+func segmentStarts(c *soc.Core) []uint64 {
+	starts := make([]uint64, len(c.ScanChains)+1)
+	starts[0] = uint64(c.InCells())
+	for i, l := range c.ScanChains {
+		starts[i+1] = starts[i] + uint64(l)
+	}
+	return starts
+}
+
+// segmentRefs re-encodes a loaded window's care refs in place, from
+// pos<<1|value to seg<<32|offset<<1|value against segmentStarts'
+// boundaries: input cell i is segment i at offset 0, and a scan cell is
+// segment InCells+chain at its offset in that chain. Consecutive refs
+// usually share a chain, so a binary search runs only when a ref leaves
+// the previous ref's chain.
+func segmentRefs(refs []uint64, starts []uint64) {
+	nIn := starts[0]
+	sc := 0
+	for i, p := range refs {
+		pos := p >> 1
+		if pos < nIn {
+			refs[i] = pos<<32 | p&1
+			continue
+		}
+		if pos < starts[sc] || pos >= starts[sc+1] {
+			sc = sort.Search(len(starts)-1, func(c int) bool { return starts[c+1] > pos })
+		}
+		refs[i] = (nIn+uint64(sc))<<32 | (pos-starts[sc])<<1 | p&1
 	}
 }
 
@@ -159,40 +220,50 @@ func (e *Evaluator) priceWindow(pt *tdcPoint, groupCopy bool, bound Config, perC
 
 // patternOps returns the selective-encoding operation count (codewords
 // beyond the per-slice headers) of cube j of the loaded window under
-// pt's design — the counting kernel described above.
+// pt's design — the counting kernel described above. The first pass
+// resolves each ref's (row, slot) once into scratch, which the other
+// two walk. Both counting arms are branch-free: a row's fill is the
+// sign bit of -balance (ones win only when the balance is positive), a
+// ref is a target when its value differs from the fill, and a target
+// adds an operation exactly when its slot holds fewer than two — with
+// counts of at most 2, c>>1^1.
 func (e *Evaluator) patternOps(pt *tdcPoint, j int, groupCopy bool) int64 {
 	refs := e.win.CubeRefs(j)
-	cells := pt.cells
+	if cap(e.kern.at) < len(refs) {
+		e.kern.at = make([]kernelSeg, len(refs))
+	}
+	at := e.kern.at[:len(refs)]
+	segs := pt.segs
 	bal := e.kern.bal
-	for _, p := range refs {
-		bal[cells[p>>1].row] += int32(p&1)<<1 - 1
+	for i, p := range refs {
+		s, off := segs[p>>32], int32(uint32(p)>>1)
+		s.row += off
+		s.slot += off
+		at[i] = s
+		bal[s.row] += int32(p&1)<<1 - 1
 	}
 	var ops int64
 	if groupCopy {
 		slot := e.kern.slot
-		for _, p := range refs {
-			c := cells[p>>1]
-			if (bal[c.row] > 0) != (p&1 != 0) {
-				if slot[c.slot] < 2 {
-					slot[c.slot]++
-					ops++
-				}
-			}
+		for i, p := range refs {
+			s := at[i]
+			target := uint8(uint32(-bal[s.row])>>31) ^ uint8(p&1)
+			c := &slot[s.slot]
+			inc := target & (*c>>1 ^ 1)
+			*c += inc
+			ops += int64(inc)
 		}
-		for _, p := range refs {
-			c := cells[p>>1]
-			slot[c.slot] = 0
-			bal[c.row] = 0
+		for _, s := range at {
+			slot[s.slot] = 0
+			bal[s.row] = 0
 		}
 		return ops
 	}
-	for _, p := range refs {
-		if (bal[cells[p>>1].row] > 0) != (p&1 != 0) {
-			ops++
-		}
+	for i, p := range refs {
+		ops += int64(uint32(-bal[at[i].row])>>31 ^ uint32(p&1))
 	}
-	for _, p := range refs {
-		bal[cells[p>>1].row] = 0
+	for _, s := range at {
+		bal[s.row] = 0
 	}
 	return ops
 }

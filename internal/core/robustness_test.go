@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,5 +341,33 @@ func TestOptimizeContextMatchesOptimize(t *testing.T) {
 					workers, r.tag, r.res.TestTime, r.res.Volume, ref.TestTime, ref.Volume)
 			}
 		}
+	}
+}
+
+// TestKernelSlotScratchBounded prices a small valid upload — one
+// 65,536-cell scan chain and 32,768 inputs, about 100 bytes of .soc
+// text — at MaxWrapperChains. A slot scratch of si × GroupCount(m)
+// bytes would take 65,536 × 2,049 bytes at that point, so a handful of
+// such uploads could exhaust memory; the kernel's group-major slots
+// keep it within StimulusBits bytes.
+func TestKernelSlotScratchBounded(t *testing.T) {
+	const text = "SocName deep\nCore deep\n Inputs 32768\n Outputs 1\n ScanChains 1 65536\n Patterns 1\n CareDensity 0.01\nEndCore\n"
+	s, err := soc.Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Cores[0]
+	ev, err := NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.MaxWrapperChains()
+	for _, gc := range []bool{true, false} {
+		if _, err := ev.TDC(m, gc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(ev.kern.slot); n > c.StimulusBits() {
+		t.Errorf("m=%d: slot scratch is %d bytes, want at most StimulusBits = %d", m, n, c.StimulusBits())
 	}
 }

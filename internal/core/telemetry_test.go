@@ -195,11 +195,6 @@ func TestKernelDisabledTelemetryZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := ev.Design(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.StimulusMap() // warm the memoized map
 	if _, err := ev.TDC(12, true); err != nil {
 		t.Fatal(err)
 	}

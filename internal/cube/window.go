@@ -11,7 +11,9 @@ package cube
 //
 // A Window's buffers are recycled across loads; consumers must not
 // retain slices into Refs/Off past the next Load/Reset. Loading is the
-// producer's alone; concurrent readers are safe between loads.
+// producer's alone; concurrent readers are safe between loads. The
+// producer owns Refs after a load: the evaluator re-encodes them in
+// place into its own segment form before any reader prices them.
 type Window struct {
 	Refs []uint64
 	Off  []int

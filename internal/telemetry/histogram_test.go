@@ -14,12 +14,12 @@ func TestHistogramBuckets(t *testing.T) {
 	if h != s.Histogram("x_seconds") {
 		t.Fatal("histogram registry returned distinct instruments for one name")
 	}
-	h.Record(0)  // bucket 0
-	h.Record(-5) // bucket 0 (non-positive)
-	h.Record(1)  // bucket 1: [1,1]
-	h.Record(2)  // bucket 2: [2,3]
-	h.Record(3)  // bucket 2
-	h.Record(4)  // bucket 3: [4,7]
+	h.Record(0)                    // bucket 0
+	h.Record(-5)                   // bucket 0 (non-positive)
+	h.Record(1)                    // bucket 1: [1,1]
+	h.Record(2)                    // bucket 2: [2,3]
+	h.Record(3)                    // bucket 2
+	h.Record(4)                    // bucket 3: [4,7]
 	h.Observe(8 * time.Nanosecond) // bucket 4: [8,15]
 
 	if h.Count() != 7 {

@@ -13,6 +13,7 @@ package wrapper
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -61,54 +62,60 @@ func New(core *soc.Core, m int) (*Design, error) {
 
 	d := &Design{Core: core, M: m, Chains: make([]Chain, m)}
 
-	// Step 1: best-fit-decreasing on internal scan chains. Sort scan
-	// chains by length (descending) and repeatedly place the next chain
-	// on the wrapper chain with minimum accumulated scan length.
-	type sc struct{ idx, len int }
-	scs := make([]sc, len(core.ScanChains))
+	// Step 1: best-fit-decreasing on internal scan chains. Take the scan
+	// chains by length (descending, ties by index) and place each on the
+	// wrapper chain with minimum accumulated scan length (ties by chain
+	// index). Both orders are packed integer keys: length and load stay
+	// below 2^32 (soc.MaxStimulusBits), so one compare orders a pair.
+	keys := make([]uint64, len(core.ScanChains))
 	for i, l := range core.ScanChains {
-		scs[i] = sc{i, l}
+		keys[i] = uint64(math.MaxUint32-uint32(l))<<32 | uint64(i)
 	}
-	slices.SortFunc(scs, func(a, b sc) int {
-		if a.len != b.len {
-			return b.len - a.len
-		}
-		return a.idx - b.idx
-	})
-	// Min-load priority queue as a plain typed heap. The (load, chain)
-	// order is a strict total order, so the popped minimum is unique at
-	// every step and the assignment matches any correct heap
-	// implementation. chain i starts at slot i with load 0, which is
-	// already a valid min-heap.
+	slices.Sort(keys)
+	// Min-load priority queue of load<<32 | chain keys. The order is a
+	// strict total order, so the popped minimum is unique at every step.
+	// Chain i starts at slot i with load 0, already a valid min-heap.
 	h := make(loadHeap, m)
 	for i := range h {
-		h[i].chain = i
+		h[i] = uint64(i)
 	}
-	for _, s := range scs {
-		cl := h[0]
-		d.Chains[cl.chain].ScanChains = append(d.Chains[cl.chain].ScanChains, s.idx)
-		d.Chains[cl.chain].ScanLen += s.len
-		h[0].load += s.len
+	count := make([]int, m) // scan chains placed on each wrapper chain
+	for i, key := range keys {
+		sc, ch := uint32(key), uint32(h[0])
+		keys[i] = uint64(ch)<<32 | uint64(sc) // placement i, by wrapper chain
+		count[ch]++
+		d.Chains[ch].ScanLen += core.ScanChains[sc]
+		h[0] += uint64(core.ScanChains[sc]) << 32
 		h.siftDown(0)
 	}
+	// One backing array holds every wrapper chain's scan chains, each
+	// run in placement order (a counting sort of the placements).
+	end := 0
+	for ch, n := range count {
+		count[ch] = end
+		end += n
+	}
+	order := make([]int, len(keys))
+	for _, key := range keys {
+		ch := key >> 32
+		order[count[ch]] = int(uint32(key))
+		count[ch]++
+	}
+	start := 0
+	for ch, stop := range count {
+		if stop > start {
+			d.Chains[ch].ScanChains = order[start:stop:stop]
+		}
+		start = stop
+	}
 
-	// Step 2: water-fill wrapper input cells over scan-in heights.
-	inHeights := make([]int, m)
-	for i := range d.Chains {
-		inHeights[i] = d.Chains[i].ScanLen
-	}
-	for i, add := range waterFill(inHeights, core.InCells()) {
-		d.Chains[i].InCells = add
-	}
-
-	// Step 3: water-fill wrapper output cells over scan-out heights.
-	outHeights := make([]int, m)
-	for i := range d.Chains {
-		outHeights[i] = d.Chains[i].ScanLen
-	}
-	for i, add := range waterFill(outHeights, core.OutCells()) {
-		d.Chains[i].OutCells = add
-	}
+	// Steps 2 and 3: water-fill wrapper input cells over scan-in heights
+	// and wrapper output cells over scan-out heights. Both start from the
+	// chains' scan lengths, so one ascending (height, chain) order — the
+	// heap's final keys, sorted — serves both.
+	slices.Sort(h)
+	waterFill(h, core.InCells(), func(ch, add int) { d.Chains[ch].InCells = add })
+	waterFill(h, core.OutCells(), func(ch, add int) { d.Chains[ch].OutCells = add })
 
 	for i := range d.Chains {
 		if l := d.Chains[i].StimulusLen(); l > d.ScanIn {
@@ -121,20 +128,10 @@ func New(core *soc.Core, m int) (*Design, error) {
 	return d, nil
 }
 
-// chainLoad/loadHeap implement the BFD min-load priority queue without
-// container/heap, whose interface{}-based Push/Pop would box a
-// chainLoad on every scan-chain placement and dominate the allocation
-// profile of the (w,m) sweep.
-type chainLoad struct{ chain, load int }
-
-type loadHeap []chainLoad
-
-func (h loadHeap) less(i, j int) bool {
-	if h[i].load != h[j].load {
-		return h[i].load < h[j].load
-	}
-	return h[i].chain < h[j].chain
-}
+// loadHeap is the BFD min-load priority queue of packed load<<32 | chain
+// keys, without container/heap, whose interface{}-based Push/Pop would
+// box a key on every scan-chain placement.
+type loadHeap []uint64
 
 // siftDown restores the heap property after h[i]'s key increased.
 func (h loadHeap) siftDown(i int) {
@@ -144,10 +141,10 @@ func (h loadHeap) siftDown(i int) {
 			return
 		}
 		min := l
-		if r := l + 1; r < len(h) && h.less(r, l) {
+		if r := l + 1; r < len(h) && h[r] < h[l] {
 			min = r
 		}
-		if !h.less(min, i) {
+		if h[min] >= h[i] {
 			return
 		}
 		h[i], h[min] = h[min], h[i]
@@ -155,32 +152,24 @@ func (h loadHeap) siftDown(i int) {
 	}
 }
 
-// waterFill distributes n unit cells over bins with the given initial
-// heights so that the resulting maximum height is minimized (classic
-// water-filling). It returns the per-bin additions.
-func waterFill(heights []int, n int) []int {
-	add := make([]int, len(heights))
-	if n <= 0 || len(heights) == 0 {
-		return add
+// waterFill distributes n unit cells over bins so that the resulting
+// maximum height is minimized (classic water-filling). order lists the
+// bins as height<<32 | bin keys in ascending order; fill receives the
+// addition of every bin at or below the final waterline (the other bins
+// receive nothing).
+func waterFill(order []uint64, n int, fill func(bin, add int)) {
+	if n <= 0 || len(order) == 0 {
+		return
 	}
-	idx := make([]int, len(heights))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if heights[a] != heights[b] {
-			return heights[a] - heights[b]
-		}
-		return a - b
-	})
+	height := func(i int) int { return int(order[i] >> 32) }
 
 	// Raise a waterline over the sorted bins: absorb whole tiers while
 	// the budget allows, then spread the remainder evenly.
-	level := heights[idx[0]]
+	level := height(0)
 	filled := 0 // cells already allocated below the waterline
 	count := 1  // bins at or below the waterline
-	for count < len(idx) {
-		next := heights[idx[count]]
+	for count < len(order) {
+		next := height(count)
 		cost := (next - level) * count
 		if filled+cost >= n {
 			break
@@ -194,14 +183,12 @@ func waterFill(heights []int, n int) []int {
 	per := remaining / count
 	extra := remaining % count
 	for i := 0; i < count; i++ {
-		b := idx[i]
-		target := level + per
+		add := level + per - height(i)
 		if i < extra {
-			target++
+			add++
 		}
-		add[b] = target - heights[b]
+		fill(int(uint32(order[i])), add)
 	}
-	return add
 }
 
 // TestTime returns the core test application time in clock cycles for

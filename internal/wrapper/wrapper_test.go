@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,19 @@ func TestCombinationalCore(t *testing.T) {
 	}
 }
 
+// fillHeights runs waterFill over bins of the given initial heights and
+// returns the per-bin additions.
+func fillHeights(heights []int, n int) []int {
+	order := make([]uint64, len(heights))
+	for i, h := range heights {
+		order[i] = uint64(h)<<32 | uint64(i)
+	}
+	slices.Sort(order)
+	add := make([]int, len(heights))
+	waterFill(order, n, func(bin, a int) { add[bin] = a })
+	return add
+}
+
 func TestWaterFill(t *testing.T) {
 	cases := []struct {
 		heights []int
@@ -209,7 +223,7 @@ func TestWaterFill(t *testing.T) {
 		{[]int{1}, 7, 8},
 	}
 	for _, cse := range cases {
-		add := waterFill(cse.heights, cse.n)
+		add := fillHeights(cse.heights, cse.n)
 		total := 0
 		maxH := 0
 		for i, a := range add {
@@ -242,7 +256,7 @@ func TestQuickWaterFillOptimal(t *testing.T) {
 		}
 		n := rng.Intn(100)
 
-		add := waterFill(heights, n)
+		add := fillHeights(heights, n)
 		got := 0
 		total := 0
 		for i := range heights {
