@@ -51,13 +51,16 @@ bench-smoke:
 # greedy schedule, the point setup of a new m (BenchmarkPointSetup) and
 # one core's serial table build, the cache tiers, the warm System4
 # search (BenchmarkOptimizeSearchSystem4), the simulator
-# (BenchmarkVerifyPlan) and the warm socserve request.
+# (BenchmarkVerifyPlan on d695 and d2758, at GOMAXPROCS 1 and 2: its
+# replays fan out over the CPUs, and benchjson keeps one name per
+# GOMAXPROCS value) and the warm socserve request.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 	@echo wrote BENCH_$$(date +%Y-%m-%d).json
@@ -144,14 +147,21 @@ fused-equivalence:
 # own failure model: VerifyPlan rejects corrupted plans (a core dropped
 # or tested twice, a choice off its schedule item, a width, time or
 # plan total that disagrees with the simulation, the wrapper design or
-# the bus), verifies dictionary plans at the capacity they record and
+# the bus, a partition that is not the schedule's bus widths, has a
+# bus with no wire or exceeds W_TAM) and malformed ones (no result,
+# schedule or SOC, a bus time missing) with an error rather than a
+# panic, verifies dictionary plans at the capacity they record and
 # direct-access plans whose bus is wider than a core's useful wrapper
 # chains, and every flip of a header prefix or single-bit payload bit of
-# a shipped stream, or a dropped last codeword, fails the receiver.
+# a shipped stream, or a dropped last codeword, fails the receiver. Its
+# replay fan-out reports the plan-order first error at GOMAXPROCS 1, 2
+# and 4, turns a panicking replay into a *core.PanicError naming the
+# core with no goroutine left behind, and verifies every style's plan
+# of d695 and d2758 at W_TAM 8..64 on one worker and on two.
 robustness:
 	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt|TestKernelSlotScratchBounded' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
-	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail' ./internal/sim
+	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail|TestVerifyPlanFirstErrorInPlanOrder|TestVerifyPlanPanicContained|TestVerifyPlanAllStyles' ./internal/sim
 
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
 # container round-trips byte-exactly against the checked-in golden file

@@ -297,22 +297,27 @@ func BenchmarkOptimizeSearchSystem4(b *testing.B) {
 }
 
 // BenchmarkVerifyPlan measures the cycle-accurate verification of a
-// complete d695 plan.
+// complete plan at W_TAM 32: d695's is bounded by its largest replay
+// (s38584), d2758's has five compressed cores.
 func BenchmarkVerifyPlan(b *testing.B) {
-	s := soctap.D695()
-	res, err := soctap.Optimize(s, 32, soctap.Options{
-		Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64},
-		Cache: experiments.SharedCache(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := soctap.VerifyPlan(res); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"d695", "d2758"} {
+		b.Run(name, func(b *testing.B) {
+			s, _ := soctap.Benchmark(name)
+			res, err := soctap.Optimize(s, 32, soctap.Options{
+				Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64},
+				Cache: experiments.SharedCache(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := soctap.VerifyPlan(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

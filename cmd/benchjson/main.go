@@ -45,6 +45,9 @@ type Benchmark struct {
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	PeakBytes   int64              `json:"peak_bytes,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// procs is the GOMAXPROCS the result was measured at: its name's
+	// -N suffix, or 1 when go test printed none.
+	procs int
 }
 
 // Report is the file layout: run metadata plus results in input order.
@@ -132,6 +135,7 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
 	}
+	qualifyProcs(rep.Benchmarks)
 	if *merge && *out != "" {
 		if err := mergeExisting(*out, &rep); err != nil {
 			fatal(err)
@@ -172,11 +176,12 @@ func parseLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: f[0], Iterations: iters}
-	// Strip the -GOMAXPROCS suffix from the name.
+	b := Benchmark{Name: f[0], Iterations: iters, procs: 1}
+	// Strip the -GOMAXPROCS suffix from the name (qualifyProcs puts it
+	// back where it is needed).
 	if i := strings.LastIndexByte(b.Name, '-'); i > 0 {
-		if _, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-			b.Name = b.Name[:i]
+		if n, err := strconv.Atoi(b.Name[i+1:]); err == nil {
+			b.Name, b.procs = b.Name[:i], n
 		}
 	}
 	for i := 2; i+1 < len(f); i += 2 {
@@ -204,6 +209,27 @@ func parseLine(line string) (Benchmark, bool) {
 		}
 	}
 	return b, true
+}
+
+// qualifyProcs names each result of a benchmark that one run measured
+// at several GOMAXPROCS values (go test -cpu 1,2) with its -N suffix, so
+// each value keeps a name of its own and -compare pairs like with like.
+// A benchmark measured at one value keeps its bare name, so archives
+// written before any -cpu rung still line up.
+func qualifyProcs(bs []Benchmark) {
+	procs := make(map[string]map[int]bool)
+	for _, b := range bs {
+		k := b.Pkg + " " + b.Name
+		if procs[k] == nil {
+			procs[k] = make(map[int]bool)
+		}
+		procs[k][b.procs] = true
+	}
+	for i, b := range bs {
+		if len(procs[b.Pkg+" "+b.Name]) > 1 {
+			bs[i].Name = fmt.Sprintf("%s-%d", b.Name, b.procs)
+		}
+	}
 }
 
 // mergeExisting folds a prior report at path into rep: prior results

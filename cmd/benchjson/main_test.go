@@ -57,6 +57,45 @@ func TestParseLine(t *testing.T) {
 	}
 }
 
+// TestQualifyProcs: a benchmark measured at GOMAXPROCS 1 and 2 in one
+// run keeps one name per value (go test prints no suffix at 1), and one
+// measured at a single value keeps its bare name, in either package.
+func TestQualifyProcs(t *testing.T) {
+	var bs []Benchmark
+	for _, line := range []string{
+		"BenchmarkVerifyPlan/d695     \t 200\t 5000000 ns/op",
+		"BenchmarkVerifyPlan/d695-2   \t 300\t 3000000 ns/op",
+		"BenchmarkVerifyPlan/d2758    \t 200\t 6000000 ns/op",
+		"BenchmarkVerifyPlan/d2758-2  \t 300\t 3500000 ns/op",
+		"BenchmarkOptimizeSearch-2    \t 500\t 250000 ns/op",
+		"BenchmarkGreedySchedule      \t 900\t 1000 ns/op",
+	} {
+		b, ok := parseLine(line)
+		if !ok {
+			t.Fatalf("line %q not parsed", line)
+		}
+		b.Pkg = "soctap"
+		bs = append(bs, b)
+	}
+	other, _ := parseLine("BenchmarkVerifyPlan/d695-2 \t 1\t 1 ns/op")
+	other.Pkg = "soctap/other"
+	bs = append(bs, other)
+	qualifyProcs(bs)
+	var names []string
+	for _, b := range bs {
+		names = append(names, b.Name)
+	}
+	want := []string{
+		"BenchmarkVerifyPlan/d695-1", "BenchmarkVerifyPlan/d695-2",
+		"BenchmarkVerifyPlan/d2758-1", "BenchmarkVerifyPlan/d2758-2",
+		"BenchmarkOptimizeSearch", "BenchmarkGreedySchedule",
+		"BenchmarkVerifyPlan/d695",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("names %v, want %v", names, want)
+	}
+}
+
 // TestMergeExisting: re-run results replace their prior entry, prior
 // results not re-run survive ahead of the new ones, and a missing
 // merge target degenerates to a plain write.

@@ -35,7 +35,7 @@ func main() {
 	design := flag.String("design", "", "built-in design name (d695, d2758, System1..System4) or path to a .soc file")
 	width := flag.Int("width", 32, "total TAM width W_TAM in wires")
 	styleName := flag.String("style", "tdc-per-core", "architecture style: no-tdc, tdc-per-tam, tdc-per-core")
-	verify := flag.Bool("verify", false, "verify the plan by cycle-accurate simulation")
+	verify := flag.Bool("verify", false, "verify the plan by cycle-accurate simulation, replaying its cores on every CPU (GOMAXPROCS)")
 	maxTAMs := flag.Int("max-tams", 0, "cap on the number of TAM buses (0 = number of cores)")
 	bandSamples := flag.Int("band-samples", 0, "m values sampled per codeword-width band (0 = default 48, -1 = exhaustive)")
 	workers := flag.Int("workers", 0, "evaluation-engine worker goroutines (0 = one per CPU, 1 = sequential; results are identical)")
@@ -229,7 +229,7 @@ func fatal(err error) {
 }
 
 func loadDesign(name string) (*soc.SOC, error) {
-	if s, ok := soc.AllBenchmarks()[name]; ok {
+	if s, ok := soc.Benchmark(name); ok {
 		return s, nil
 	}
 	f, err := os.Open(name)

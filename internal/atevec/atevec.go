@@ -46,6 +46,9 @@ type Image struct {
 // Build composes the image for an optimized plan by re-encoding every
 // core's test set under its chosen configuration.
 func Build(res *core.Result) (*Image, error) {
+	if res == nil || res.SOC == nil {
+		return nil, fmt.Errorf("atevec: plan has no result or SOC")
+	}
 	im := &Image{Design: res.SOC.Name, Depth: res.TestTime}
 	im.Buses = make([]Bus, len(res.Partition))
 	for b, w := range res.Partition {
@@ -55,6 +58,9 @@ func Build(res *core.Result) (*Image, error) {
 		c := res.SOC.CoreByName(ch.Core)
 		if c == nil {
 			return nil, fmt.Errorf("atevec: unknown core %q", ch.Core)
+		}
+		if ch.Bus < 0 || ch.Bus >= len(im.Buses) {
+			return nil, fmt.Errorf("atevec: core %s on bus %d of a %d-bus partition", ch.Core, ch.Bus, len(im.Buses))
 		}
 		stream, err := coreStream(c, ch.Config)
 		if err != nil {

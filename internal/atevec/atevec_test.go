@@ -6,6 +6,7 @@ import (
 	"soctap/internal/core"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
+	"soctap/internal/tam"
 )
 
 func imageSOC() *soc.SOC {
@@ -161,5 +162,25 @@ func TestBuildUnknownCore(t *testing.T) {
 	res.Choices[0].Core = "ghost"
 	if _, err := Build(res); err == nil {
 		t.Error("unknown core accepted")
+	}
+}
+
+// TestBuildRejectsMalformedPlans: a nil plan or SOC, or a choice on a
+// bus the partition does not have, is an error rather than a panic.
+func TestBuildRejectsMalformedPlans(t *testing.T) {
+	res := optimized(t, core.Options{Style: core.StyleTDCPerCore})
+	res.Partition = tam.Partition{7, 7}
+	for _, bus := range []int{5, -1} {
+		res.Choices[0].Bus = bus
+		if _, err := Build(res); err == nil {
+			t.Errorf("choice on bus %d of partition %v accepted", bus, res.Partition)
+		}
+	}
+	if _, err := Build(nil); err == nil {
+		t.Error("nil plan accepted")
+	}
+	res.SOC = nil
+	if _, err := Build(res); err == nil {
+		t.Error("plan without a SOC accepted")
 	}
 }

@@ -22,7 +22,9 @@ import (
 
 // PanicError is a panic recovered at the core package boundary,
 // converted into an error instead of unwinding into the caller (or
-// killing the process when raised on a worker goroutine).
+// killing the process when raised on a worker goroutine). sim.VerifyPlan
+// returns one too when a core's replay panics, with the replayed
+// configuration as its Point.
 type PanicError struct {
 	Core  string // core being evaluated ("" when unknown)
 	Point string // evaluation point, e.g. "tdc band w=12" or "no-tdc m=3"

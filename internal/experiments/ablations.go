@@ -149,7 +149,7 @@ func Verify() (*VerifyResult, error) {
 	defer expSpan("verify").End()
 	out := &VerifyResult{}
 	for _, name := range []string{"d695", "System1"} {
-		s, ok := soc.AllBenchmarks()[name]
+		s, ok := soc.Benchmark(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown design %s", name)
 		}

@@ -52,9 +52,13 @@ func (s *Schedule) sortItems() {
 	})
 }
 
-// Validate checks schedule consistency: no overlap within a bus, bus
-// times match item extents, makespan is the max bus time.
+// Validate checks schedule consistency: one bus time per bus, no
+// overlap within a bus, bus times match item extents, makespan is the
+// max bus time.
 func (s *Schedule) Validate() error {
+	if len(s.BusTimes) != len(s.Widths) {
+		return fmt.Errorf("sched: %d bus times for %d buses", len(s.BusTimes), len(s.Widths))
+	}
 	busEnd := make([]int64, len(s.Widths))
 	perBus := make([][]Item, len(s.Widths))
 	for _, it := range s.Items {

@@ -136,6 +136,22 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBusTimeCount: a schedule whose bus times do not
+// match its buses one for one is an error, not an index panic.
+func TestValidateRejectsBusTimeCount(t *testing.T) {
+	for _, widths := range [][]int{{4, 4, 4}, {4}} {
+		s := &Schedule{
+			Widths:   widths,
+			Items:    []Item{{Core: 0, Bus: 0, Start: 0, Duration: 10}},
+			BusTimes: []int64{10, 0},
+			Makespan: 10,
+		}
+		if err := s.Validate(); err == nil {
+			t.Errorf("%d bus times for %d buses validated", len(s.BusTimes), len(widths))
+		}
+	}
+}
+
 func TestGreedyPowerRespectsCeiling(t *testing.T) {
 	base := []int64{100, 100, 100, 100}
 	power := []int{5, 5, 5, 5}

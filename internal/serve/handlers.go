@@ -280,7 +280,7 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 	}
 
 	if name := q.Get("design"); name != "" {
-		soc, ok := soctap.AllBenchmarks()[name]
+		soc, ok := soctap.Benchmark(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown built-in design %q", name)
 		}

@@ -9,8 +9,15 @@
 package sim
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"soctap/internal/atevec"
 	"soctap/internal/bitvec"
@@ -239,27 +246,94 @@ func VerifyConfig(c *soc.Core, cfg core.Config) error {
 // VerifyPlan validates a complete optimization result: the schedule is
 // structurally sound, the plan's bookkeeping agrees with its schedule
 // and its SOC (checkPlan), and every core's chosen configuration is
-// confirmed by VerifyConfig.
+// confirmed by VerifyConfig. Each core expands its stream through its
+// own decompressor, so the replays share no state: they run on
+// min(GOMAXPROCS, len(Choices)) workers, the calling goroutine among
+// them, which claim choices in plan order and stop claiming once one
+// has failed. The error returned is the failing choice's with the
+// lowest index, the one a replay in plan order would stop at; a panic
+// during a replay comes back as a *core.PanicError naming the core and
+// its configuration.
 func VerifyPlan(res *core.Result) error {
+	if res == nil || res.Schedule == nil || res.SOC == nil {
+		return errors.New("sim: plan has no result, schedule or SOC")
+	}
 	if err := res.Schedule.Validate(); err != nil {
 		return err
 	}
 	if err := checkPlan(res); err != nil {
 		return err
 	}
-	for _, ch := range res.Choices {
-		if err := VerifyConfig(res.SOC.CoreByName(ch.Core), ch.Config); err != nil {
+	return replay(res)
+}
+
+// replay runs VerifyConfig on every choice of a checked plan. Workers
+// claim choices through one counter, so when a choice fails every
+// choice before it has been claimed and runs to completion: the
+// lowest-index error among those replayed is the plan-order one. One
+// worker replays on the calling goroutine and starts none.
+func replay(res *core.Result) error {
+	errs := make([]error, len(res.Choices))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(res.Choices) {
+				return
+			}
+			if errs[i] = verifyChoice(res.SOC, res.Choices[i]); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(res.Choices)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkPlan checks what no single configuration can: every SOC core is
-// tested exactly once; choice i is schedule item i (same core, bus and
-// start, duration = Config.Time) and fits its bus; and the plan's totals
-// are the schedule's makespan and the sum of the configured volumes.
+// verifyChoice replays one choice, containing a panic on the goroutine
+// that raised it.
+func verifyChoice(s *soc.SOC, ch core.CoreChoice) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cfg := ch.Config
+			point := fmt.Sprintf("replay %s w=%d m=%d", cmp.Or(cfg.Codec, "direct"), cfg.Width, cfg.M)
+			err = &core.PanicError{Core: ch.Core, Point: point, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return VerifyConfig(s.CoreByName(ch.Core), ch.Config)
+}
+
+// checkPlan checks what no single configuration can: the partition is
+// the schedule's bus widths, every bus has a wire and together they use
+// at most WTAM; every SOC core is tested exactly once; choice i is
+// schedule item i (same core, bus and start, duration = Config.Time)
+// and fits its bus; and the plan's totals are the schedule's makespan
+// and the sum of the configured volumes.
 func checkPlan(res *core.Result) error {
+	if !slices.Equal(res.Partition, res.Schedule.Widths) {
+		return fmt.Errorf("sim: partition %v, schedule bus widths %v", res.Partition, res.Schedule.Widths)
+	}
+	if err := res.Partition.Validate(0); err != nil {
+		return err
+	}
+	if w := res.Partition.TotalWidth(); w > res.WTAM {
+		return fmt.Errorf("sim: partition %v uses %d wires, W_TAM is %d", res.Partition, w, res.WTAM)
+	}
 	if len(res.Choices) != len(res.Schedule.Items) {
 		return fmt.Errorf("sim: %d choices for %d scheduled tests", len(res.Choices), len(res.Schedule.Items))
 	}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"soctap/internal/atevec"
 	"soctap/internal/bitvec"
@@ -162,11 +165,41 @@ func TestRunTDCCoreErrors(t *testing.T) {
 	}
 }
 
+// benchCache holds the built-in designs' tables for the tests that plan
+// them, shared so each table is built once per test binary.
+var benchCache core.Cache
+
+// benchPlan optimizes a built-in design on the shared cache.
+func benchPlan(t *testing.T, name string, wtam int, style core.Style) *core.Result {
+	t.Helper()
+	s, ok := soc.Benchmark(name)
+	if !ok {
+		t.Fatalf("no built-in design %s", name)
+	}
+	res, err := core.Optimize(s, wtam, core.Options{
+		Style: style, Tables: core.TableOptions{MaxWidth: 64}, Cache: &benchCache,
+	})
+	if err != nil {
+		t.Fatalf("%s W_TAM %d %v: %v", name, wtam, style, err)
+	}
+	return res
+}
+
+// withProcs runs f at GOMAXPROCS n and restores the previous setting.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestVerifyPlanAllStyles: every style's plan verifies, on a small SOC
+// and on d695 and d2758 at W_TAM 8..64, with the replays on one worker
+// and on two.
 func TestVerifyPlanAllStyles(t *testing.T) {
+	styles := []core.Style{core.StyleNoTDC, core.StyleTDCPerTAM, core.StyleTDCPerCore}
 	s := &soc.SOC{Name: "stylesoc", Cores: []*soc.Core{simCore(41), simCore(42), simCore(43)}}
 	s.Cores[1].Name = "sc2"
 	s.Cores[2].Name = "sc3"
-	for _, style := range []core.Style{core.StyleNoTDC, core.StyleTDCPerTAM, core.StyleTDCPerCore} {
+	for _, style := range styles {
 		res, err := core.Optimize(s, 12, core.Options{
 			Style:  style,
 			Tables: core.TableOptions{MaxWidth: 12},
@@ -176,6 +209,20 @@ func TestVerifyPlanAllStyles(t *testing.T) {
 		}
 		if err := VerifyPlan(res); err != nil {
 			t.Errorf("style %v failed verification: %v", style, err)
+		}
+	}
+	for _, name := range []string{"d695", "d2758"} {
+		for wtam := 8; wtam <= 64; wtam += 8 {
+			for _, style := range styles {
+				res := benchPlan(t, name, wtam, style)
+				for _, procs := range []int{1, 2} {
+					withProcs(procs, func() {
+						if err := VerifyPlan(res); err != nil {
+							t.Errorf("%s W_TAM %d %v at GOMAXPROCS %d: %v", name, wtam, style, procs, err)
+						}
+					})
+				}
+			}
 		}
 	}
 }
@@ -284,6 +331,35 @@ func TestVerifyPlanCatchesCorruptPlans(t *testing.T) {
 		{"direct width is not m", core.StyleNoTDC, func(t *testing.T, res *core.Result) {
 			res.Choices[0].Config.Width--
 		}},
+		{"100 wires added to every bus", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			for b := range res.Partition {
+				res.Partition[b] += 100
+				res.Schedule.Widths[b] += 100
+			}
+		}},
+		{"W_TAM of 1", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.WTAM = 1
+		}},
+		{"schedule bus 0 narrower than the partition's", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.Schedule.Widths[0] = 4
+		}},
+		{"schedule bus 0 wider than the partition's", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.Schedule.Widths[0] = 55
+		}},
+		{"an idle bus with no wire", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.Partition = append(res.Partition, 0)
+			res.Schedule.Widths = append(res.Schedule.Widths, 0)
+			res.Schedule.BusTimes = append(res.Schedule.BusTimes, 0)
+		}},
+		{"schedule width without a bus time", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.Schedule.Widths = append(res.Schedule.Widths, 1)
+		}},
+		{"no schedule", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.Schedule = nil
+		}},
+		{"no SOC", core.StyleTDCPerCore, func(t *testing.T, res *core.Result) {
+			res.SOC = nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,6 +373,111 @@ func TestVerifyPlanCatchesCorruptPlans(t *testing.T) {
 			} else {
 				t.Log(err)
 			}
+		})
+	}
+	t.Run("no result", func(t *testing.T) {
+		if err := VerifyPlan(nil); err == nil {
+			t.Error("nil result verified")
+		}
+	})
+}
+
+// firstError is the error a replay of the plan's choices in plan order
+// stops at.
+func firstError(res *core.Result) error {
+	for _, ch := range res.Choices {
+		if err := VerifyConfig(res.SOC.CoreByName(ch.Core), ch.Config); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestVerifyPlanFirstErrorInPlanOrder: when two choices fail, the one
+// first in plan order is reported, however the workers interleave. The
+// earlier failing choice is the plan's largest compressed replay, so
+// its neighbour fails first in time whenever it runs on another worker.
+func TestVerifyPlanFirstErrorInPlanOrder(t *testing.T) {
+	res := benchPlan(t, "d2758", 32, core.StyleTDCPerCore)
+	big := -1
+	for i, ch := range res.Choices {
+		if ch.Config.UseTDC && (big < 0 || ch.Config.Volume > res.Choices[big].Config.Volume) {
+			big = i
+		}
+	}
+	if big < 0 || big+1 == len(res.Choices) {
+		t.Fatalf("plan has no compressed choice with a successor (largest at %d of %d)", big, len(res.Choices))
+	}
+	res.Choices[big].Config.Width = 1
+	res.Choices[big+1].Config.Width = 1
+	want := firstError(res)
+	if want == nil {
+		t.Fatal("corrupted choices replay without error")
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(procs, func() {
+			for range 20 {
+				if err := VerifyPlan(res); err == nil || err.Error() != want.Error() {
+					t.Fatalf("GOMAXPROCS %d: VerifyPlan = %v, want %v", procs, err, want)
+				}
+			}
+		})
+	}
+}
+
+// settled waits for the goroutine count to fall back to base: a worker
+// that has signalled its WaitGroup may still be returning.
+func settled(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s: %d goroutines, want %d", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestVerifyPlanPanicContained: a replay that panics, here on a care
+// position past the core's stimulus cells, comes back as a
+// *core.PanicError naming the core on one worker and on two, and no
+// replay goroutine outlives a passing, failing or panicking plan.
+func TestVerifyPlanPanicContained(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, procs := range []int{1, 2} {
+		withProcs(procs, func() {
+			res := plan(t, core.StyleTDCPerCore)
+			if err := VerifyPlan(res); err != nil {
+				t.Fatalf("GOMAXPROCS %d: uncorrupted plan failed: %v", procs, err)
+			}
+			settled(t, base, "a passing plan")
+
+			i := firstChoice(t, res, selEnc)
+			w := res.Choices[i].Config.Width
+			res.Choices[i].Config.Width = 1
+			if err := VerifyPlan(res); err == nil {
+				t.Fatalf("GOMAXPROCS %d: a plan with a one-wire codeword verified", procs)
+			}
+			settled(t, base, "a failing plan")
+			res.Choices[i].Config.Width = w
+
+			// A fresh core value: a copy of the planned one would carry
+			// its cached test set.
+			name := res.Choices[i].Core
+			bad := simCore(0)
+			bad.Name = name
+			cb := cube.NewCube(bad.StimulusBits())
+			cb.Care = []cube.CareBit{{Pos: bad.StimulusBits() + 5, Value: true}}
+			bad.Patterns, bad.ExplicitCubes = 1, &cube.Set{NumBits: cb.NumBits, Cubes: []*cube.Cube{cb}}
+			res.SOC.Cores[slices.IndexFunc(res.SOC.Cores, func(c *soc.Core) bool { return c.Name == name })] = bad
+
+			err := VerifyPlan(res)
+			var pe *core.PanicError
+			if !errors.As(err, &pe) || pe.Core != name {
+				t.Fatalf("GOMAXPROCS %d: VerifyPlan = %v, want a *core.PanicError naming %s", procs, err, name)
+			}
+			t.Log(err)
+			settled(t, base, "a panicking plan")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,22 @@ func TestAllBenchmarks(t *testing.T) {
 	for _, name := range []string{"d695", "d2758", "System1", "System2", "System3", "System4"} {
 		if m[name] == nil {
 			t.Errorf("AllBenchmarks missing %s", name)
+		}
+	}
+}
+
+// TestBenchmark: Benchmark builds exactly the design AllBenchmarks
+// lists under a name, and reports false for any other name.
+func TestBenchmark(t *testing.T) {
+	for name, want := range AllBenchmarks() {
+		got, ok := Benchmark(name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("Benchmark(%q) = %v, %v; want AllBenchmarks()[%q]", name, got, ok, name)
+		}
+	}
+	for _, name := range []string{"", "d696", "system1", "System5", "ckt-1"} {
+		if s, ok := Benchmark(name); ok || s != nil {
+			t.Errorf("Benchmark(%q) = %v, %v; want nil, false", name, s, ok)
 		}
 	}
 }

@@ -255,8 +255,11 @@ func SelectTechniques(c *Core, opts TableOptions, dictSizes []int) (*TechSelecti
 func WritePlan(w io.Writer, r *Result) error { return r.WritePlan(w) }
 
 // VerifyPlan confirms an optimization result by cycle-accurate
-// simulation: schedule consistency, exact compressed volumes, and
-// bit-exact stimulus delivery.
+// simulation: schedule consistency, a TAM partition within W_TAM,
+// exact compressed volumes, and bit-exact stimulus delivery. The cores
+// replay on up to GOMAXPROCS goroutines, the caller's among them; the
+// error is the one the first failing core in plan order gives, and a
+// panicking replay comes back as an error naming its core.
 func VerifyPlan(r *Result) error { return sim.VerifyPlan(r) }
 
 // ParseSOC reads a design description in the library's ITC'02-inspired
@@ -338,6 +341,10 @@ func System(name string) (*SOC, error) { return soc.System(name) }
 // IndustrialCore returns one of the synthetic industrial cores
 // ckt-1..ckt-12.
 func IndustrialCore(name string) (*Core, error) { return soc.IndustrialCore(name) }
+
+// Benchmark returns the named built-in SOC, building that design only;
+// ok is false for a name AllBenchmarks does not list.
+func Benchmark(name string) (s *SOC, ok bool) { return soc.Benchmark(name) }
 
 // AllBenchmarks returns every built-in SOC keyed by name.
 func AllBenchmarks() map[string]*SOC { return soc.AllBenchmarks() }
