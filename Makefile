@@ -49,7 +49,10 @@ bench-smoke:
 # alloc stats and any custom metrics, parsed by cmd/benchjson. The
 # rungs run the paper artifacts and the search once each, then the
 # greedy schedule, the point setup of a new m (BenchmarkPointSetup) and
-# one core's serial table build, the cache tiers, the warm System4
+# one core's serial table build, the cache tiers (a v2 entry's cold
+# load, BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on
+# the one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
+# their archived names), the warm System4
 # search (BenchmarkOptimizeSearchSystem4), the simulator
 # (BenchmarkVerifyPlan on d695 and d2758, at GOMAXPROCS 1 and 2: its
 # replays fan out over the CPUs, and benchjson keeps one name per
@@ -166,14 +169,17 @@ robustness:
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
 # container round-trips byte-exactly against the checked-in golden file
 # and rejects corruption (tablecodec golden/rejection/fuzz-seed tests),
-# gob v1 entries migrate transparently to v2 with bit-identical tables
-# on every d695/industrial core, both disk tiers honour their size
-# bounds, and the sharded cache keeps singleflight/LRU semantics under
-# the race detector.
+# every d695/industrial table decodes from its v2 entry identical to its
+# build, an entry of the first revision's format is never read (a flat
+# file is a plain miss, gob bytes at an entry's path a counted corrupt
+# rebuild), both tiers honour their size bounds — the memory tier as
+# one exact LRU over every resident table — and, under the race
+# detector, the one-lock cache builds each key once and hands every
+# caller the same table.
 cachefmt:
 	$(GO) test -run 'TestGoldenV2|TestHeaderRejection|TestVerifyCatchesTruncation|TestRoundTrip|TestDecodeArbitraryPrefixNeverPanics|FuzzTableCodecRoundTrip' -count=1 ./internal/tablecodec
 	$(GO) test -run 'TestDiskCacheV1Migration|TestFormatV2MatchesV1OnBenchmarks|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound' -count=1 ./internal/core
-	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheShardSpread|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
+	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
 
 # telemetry-overhead asserts the zero-overhead-when-disabled contract:
 # the instrumented-but-disabled kernel and makespan paths must run at 0

@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"soctap/internal/core"
 	"soctap/internal/experiments"
 	"soctap/internal/telemetry"
 	"soctap/internal/units"
@@ -78,9 +79,6 @@ func main() {
 	}
 	experiments.SetWorkers(*workers)
 	experiments.SetEvalWindow(*evalWindow)
-	if *tableCache != "" {
-		experiments.SetTableCacheDir(*tableCache)
-	}
 	memBytes, err := units.ParseBytes(*tableCacheMem)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro: -table-cache-mem:", err)
@@ -91,7 +89,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repro: -table-cache-size:", err)
 		os.Exit(2)
 	}
-	experiments.SetTableCacheLimits(memBytes, diskBytes)
+	cache, err := core.NewCache(*tableCache, memBytes, diskBytes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repro: -table-cache-size:", err)
+		os.Exit(2)
+	}
+	cache.SetWarn(func(msg string) { fmt.Fprintln(os.Stderr, "repro:", msg) })
+	experiments.SetTableCache(cache)
 
 	// SIGINT/SIGTERM cancel the experiment run cooperatively: in-flight
 	// Optimize/BuildTable calls unwind with ctx.Err(), the telemetry

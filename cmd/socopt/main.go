@@ -44,7 +44,7 @@ func main() {
 	ateFreq := flag.Float64("ate-mhz", 50, "ATE frequency in MHz for wall-clock reporting")
 	gantt := flag.Bool("gantt", false, "draw the schedule as an ASCII Gantt chart")
 	techsel := flag.Bool("techsel", false, "extend per-core choices with dictionary coding (technique selection)")
-	tableCache := flag.String("table-cache", "", "directory for the persistent lookup-table cache (reused across runs)")
+	tableCacheDir := flag.String("table-cache", "", "directory for the persistent lookup-table cache (reused across runs)")
 	tableCacheMem := flag.String("table-cache-mem", "", "in-memory table cache budget, e.g. 64M or 2GiB (empty = unbounded)")
 	tableCacheSize := flag.String("table-cache-size", "", "on-disk table cache budget under -table-cache, e.g. 512M (empty = unbounded)")
 	jsonOut := flag.String("json", "", "also write the plan as JSON to this file ('-' for stdout)")
@@ -115,13 +115,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	memBytes, err := units.ParseBytes(*tableCacheMem)
+	cache, err := tableCache(*tableCacheDir, *tableCacheMem, *tableCacheSize)
 	if err != nil {
-		fatal(fmt.Errorf("-table-cache-mem: %w", err))
-	}
-	diskBytes, err := units.ParseBytes(*tableCacheSize)
-	if err != nil {
-		fatal(fmt.Errorf("-table-cache-size: %w", err))
+		fmt.Fprintln(os.Stderr, "socopt:", err)
+		os.Exit(2)
 	}
 
 	res, err := core.OptimizeContext(ctx, s, *width, core.Options{
@@ -130,11 +127,8 @@ func main() {
 		Tables:     core.TableOptions{BandSamples: *bandSamples, EvalWindow: *evalWindow},
 		EnableDict: *techsel,
 		Workers:    *workers,
-
-		TableCacheDir:       *tableCache,
-		TableCacheMemBytes:  memBytes,
-		TableCacheDiskBytes: diskBytes,
-		Telemetry:           sink.Root(),
+		Cache:      cache,
+		Telemetry:  sink.Root(),
 	})
 	if err != nil {
 		fail(err)
@@ -226,6 +220,30 @@ func writeTelemetry(sink *telemetry.Sink, out string, text bool) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "socopt:", err)
 	os.Exit(1)
+}
+
+// tableCache builds the run's table cache from the -table-cache,
+// -table-cache-mem and -table-cache-size flags; with none of them set
+// the run has no cache (nil). Corrupt entries and failed write-backs
+// are reported on stderr.
+func tableCache(dir, mem, size string) (*core.Cache, error) {
+	memBytes, err := units.ParseBytes(mem)
+	if err != nil {
+		return nil, fmt.Errorf("-table-cache-mem: %w", err)
+	}
+	diskBytes, err := units.ParseBytes(size)
+	if err != nil {
+		return nil, fmt.Errorf("-table-cache-size: %w", err)
+	}
+	if dir == "" && memBytes == 0 && diskBytes == 0 {
+		return nil, nil
+	}
+	cache, err := core.NewCache(dir, memBytes, diskBytes)
+	if err != nil {
+		return nil, fmt.Errorf("-table-cache-size: %w", err)
+	}
+	cache.SetWarn(func(msg string) { fmt.Fprintln(os.Stderr, "socopt:", msg) })
+	return cache, nil
 }
 
 func loadDesign(name string) (*soc.SOC, error) {

@@ -30,7 +30,7 @@ import (
 	"syscall"
 	"time"
 
-	"soctap"
+	"soctap/internal/core"
 	"soctap/internal/serve"
 	"soctap/internal/units"
 )
@@ -131,27 +131,19 @@ func buildConfig(jobs, queue int, timeout, maxTimeout time.Duration, rate, burst
 		}
 		cfg.MaxBodyBytes = n
 	}
-	cache := new(soctap.Cache)
-	if cacheMem != "" {
-		n, err := units.ParseBytes(cacheMem)
-		if err != nil {
-			return cfg, fmt.Errorf("-table-cache-mem: %w", err)
-		}
-		cache.SetMemLimit(n)
+	memBytes, err := units.ParseBytes(cacheMem)
+	if err != nil {
+		return cfg, fmt.Errorf("-table-cache-mem: %w", err)
 	}
-	if cacheDisk != "" {
-		if cacheDir == "" {
-			return cfg, errors.New("-table-cache-size requires -table-cache")
-		}
-		n, err := units.ParseBytes(cacheDisk)
-		if err != nil {
-			return cfg, fmt.Errorf("-table-cache-size: %w", err)
-		}
-		cache.SetDiskLimit(n)
+	diskBytes, err := units.ParseBytes(cacheDisk)
+	if err != nil {
+		return cfg, fmt.Errorf("-table-cache-size: %w", err)
 	}
-	if cacheDir != "" {
-		cache.SetDir(cacheDir)
+	cache, err := core.NewCache(cacheDir, memBytes, diskBytes)
+	if err != nil {
+		return cfg, fmt.Errorf("-table-cache-size: %w", err)
 	}
+	cache.SetWarn(func(msg string) { log.Print("socserve: ", msg) })
 	cfg.Cache = cache
 	return cfg, nil
 }

@@ -5,30 +5,29 @@ package core
 // structurally identical cores — e.g. the same design file parsed twice
 // — share one entry.
 //
-// Concurrency: the map is hash-sharded (cacheShards fixed shards, FNV-1a
-// over the content key) so concurrent Gets touching different keys
-// almost never contend on one mutex — the single-lock bottleneck of the
-// earlier Cache, measurable in BenchmarkCacheGetParallel. Each shard
-// preserves the full singleflight contract of PR 5 independently:
-// concurrent callers of one key coalesce onto one build, the entry's
+// Concurrency: one mutex guards the map, the LRU list and the
+// configuration. The content key (a sha256 over the core) is computed
+// before the lock is taken, so the critical section is a map probe and
+// a list splice; a warm Get spends its time hashing, not waiting, and
+// hash-sharding the map measured no faster at 1, 2 or 8 CPUs.
+// Concurrent callers of one key coalesce onto one build, the entry's
 // done channel is always closed (even on panic), contained panics
 // surface as *PanicError, and uncacheable outcomes (panic,
 // cancellation) evict the entry so a later Get starts fresh — while a
 // deterministic build error stays cached, because retrying a pure
-// function cannot help. Shard count is invisible in results: tables are
-// bit-identical whatever shard their key lands on.
+// function cannot help.
 //
-// Bounding: each shard carries an intrusive LRU list of its resident
-// (completed) entries. With a total budget installed (SetMemLimit /
-// Options.TableCacheMemBytes / -table-cache-mem), each shard holds its
-// 1/cacheShards share and evicts least-recently-used entries past it —
-// an eviction only costs a rebuild (or a disk reload) on the next Get.
-// The zero budget keeps today's unbounded behavior. cache.bytes /
-// cache.evictions count the accounting; sizes are the tableMemBytes
-// estimate, not exact heap bytes.
+// Bounding: resident (completed) entries sit on one intrusive LRU
+// list. With a budget installed (SetMemLimit / NewCache /
+// -table-cache-mem) the least-recently-used entries are evicted as soon
+// as the resident total exceeds it — an eviction only costs a rebuild
+// (or a disk reload) on the next Get. The zero budget is unbounded.
+// cache.bytes / cache.evictions count the accounting; sizes are the
+// tableMemBytes estimate, not exact heap bytes.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -36,39 +35,26 @@ import (
 	"soctap/internal/telemetry"
 )
 
-// cacheShards is the fixed shard count: a power of two comfortably
-// above typical core-level parallelism, small enough that the zero
-// value stays cheap.
-const cacheShards = 32
-
 // Cache memoizes lookup tables across optimizer runs. The zero value is
-// ready to use. Get is singleflight per key; SetDir layers the
-// persistent disk tier (diskcache.go) under the memory tier; SetMemLimit
-// and SetDiskLimit bound the two tiers.
+// ready to use; NewCache builds one with its tiers configured. Get is
+// singleflight per key; SetDir layers the persistent disk tier
+// (diskcache.go) under the memory tier; SetMemLimit and SetDiskLimit
+// bound the two tiers.
 type Cache struct {
-	// confMu guards the configuration fields; the per-key fast path
-	// never takes it (shards carry their own locks).
-	confMu  sync.Mutex
-	disk    *diskStore
-	warn    func(msg string)
-	memCap  int64 // total in-memory budget in bytes; 0 = unbounded
-	diskCap int64 // disk-tier budget, held here until SetDir runs
+	// mu guards every field below.
+	mu         sync.Mutex
+	tables     map[string]*cacheEntry
+	head, tail *cacheEntry // resident entries, head = most recently used
+	bytes      int64       // resident bytes on the list
+	memCap     int64       // in-memory budget in bytes; 0 = unbounded
+	diskCap    int64       // disk-tier budget, held here until SetDir runs
+	disk       *diskStore
+	warn       func(msg string)
 
 	// buildHook, when non-nil, observes every table build the cache
 	// actually starts (test instrumentation; disk-cache hits do not
 	// count as builds). Set it before any Get.
 	buildHook func(*soc.Core, TableOptions)
-
-	shards [cacheShards]cacheShard
-}
-
-// cacheShard is one lock's worth of the table map plus the LRU list of
-// its resident entries (head = most recently used).
-type cacheShard struct {
-	mu         sync.Mutex
-	tables     map[string]*cacheEntry
-	head, tail *cacheEntry
-	bytes      int64
 }
 
 type cacheEntry struct {
@@ -77,21 +63,26 @@ type cacheEntry struct {
 	t    *Table
 	err  error
 
-	// LRU state, guarded by the owning shard's mutex. resident means
-	// the entry completed cacheably and is linked into the shard list.
+	// LRU state, guarded by Cache.mu. resident means the entry
+	// completed cacheably and is linked into the list.
 	prev, next *cacheEntry
 	size       int64
 	resident   bool
 }
 
-// shard picks the entry's home shard by FNV-1a over the content key.
-func (cc *Cache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+// NewCache returns a Cache with a disk store at dir (none when dir is
+// empty) and the given memory and disk budgets in bytes (0 =
+// unbounded). A disk budget without a directory is an error: there is
+// no store for it to bound.
+func NewCache(dir string, memBytes, diskBytes int64) (*Cache, error) {
+	if diskBytes > 0 && dir == "" {
+		return nil, errors.New("a disk budget needs a cache directory")
 	}
-	return &cc.shards[h%cacheShards]
+	cc := &Cache{memCap: memBytes, diskCap: diskBytes}
+	if dir != "" {
+		cc.disk = newDiskStore(dir, diskBytes)
+	}
+	return cc, nil
 }
 
 // SetDir attaches a persistent on-disk table store at dir (created on
@@ -99,30 +90,30 @@ func (cc *Cache) shard(key string) *cacheShard {
 // tables built after this call are written back, best-effort. Call it
 // before concurrent use.
 func (cc *Cache) SetDir(dir string) {
-	cc.confMu.Lock()
+	cc.mu.Lock()
 	cc.disk = newDiskStore(dir, cc.diskCap)
-	cc.confMu.Unlock()
+	cc.mu.Unlock()
 }
 
-// SetMemLimit bounds the in-memory tier to roughly n bytes of resident
-// tables (0 = unbounded). Call it before concurrent use; entries past
-// the budget are evicted least-recently-used as builds complete.
+// SetMemLimit bounds the in-memory tier to n bytes of resident tables
+// (0 = unbounded). Call it before concurrent use; entries past the
+// budget are evicted least-recently-used as builds complete.
 func (cc *Cache) SetMemLimit(n int64) {
-	cc.confMu.Lock()
+	cc.mu.Lock()
 	cc.memCap = n
-	cc.confMu.Unlock()
+	cc.mu.Unlock()
 }
 
 // SetDiskLimit bounds the disk tier to n bytes (0 = unbounded),
 // enforced by atime-ordered eviction on write-back. Order-independent
 // with SetDir.
 func (cc *Cache) SetDiskLimit(n int64) {
-	cc.confMu.Lock()
+	cc.mu.Lock()
 	cc.diskCap = n
 	if cc.disk != nil {
 		cc.disk.setCap(n)
 	}
-	cc.confMu.Unlock()
+	cc.mu.Unlock()
 }
 
 // SetWarn installs a callback for the disk store's otherwise-silent
@@ -131,16 +122,17 @@ func (cc *Cache) SetDiskLimit(n int64) {
 // the cache is used on; nil disables warnings. Call it before
 // concurrent use.
 func (cc *Cache) SetWarn(fn func(msg string)) {
-	cc.confMu.Lock()
+	cc.mu.Lock()
 	cc.warn = fn
-	cc.confMu.Unlock()
+	cc.mu.Unlock()
 }
 
-// warnf formats a warning through the SetWarn callback, if any.
+// warnf formats a warning through the SetWarn callback, if any. The
+// callback is read under the lock and called outside it.
 func (cc *Cache) warnf(format string, args ...any) {
-	cc.confMu.Lock()
+	cc.mu.Lock()
 	fn := cc.warn
-	cc.confMu.Unlock()
+	cc.mu.Unlock()
 	if fn != nil {
 		fn(fmt.Sprintf(format, args...))
 	}
@@ -182,26 +174,26 @@ func (cc *Cache) get(ctx context.Context, c *soc.Core, opts TableOptions, tel *t
 	}
 	opts = opts.withDefaults()
 	key := contentKey(c, opts.normalized())
-	sh := cc.shard(key)
-	sh.mu.Lock()
-	if sh.tables == nil {
-		sh.tables = make(map[string]*cacheEntry)
+	cc.mu.Lock()
+	if cc.tables == nil {
+		cc.tables = make(map[string]*cacheEntry)
 	}
-	if e, ok := sh.tables[key]; ok {
+	if e, ok := cc.tables[key]; ok {
 		if e.resident {
-			sh.unlink(e)
-			sh.pushFront(e)
+			cc.unlink(e)
+			cc.pushFront(e)
 		}
-		sh.mu.Unlock()
+		cc.mu.Unlock()
 		tel.Counter("cache.mem_hits").Inc()
 		return e.wait(ctx)
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
-	sh.tables[key] = e
-	sh.mu.Unlock()
+	cc.tables[key] = e
+	ds := cc.disk
+	cc.mu.Unlock()
 	tel.Counter("cache.mem_misses").Inc()
 
-	cc.build(ctx, sh, e, c, opts, tel)
+	cc.build(ctx, ds, e, c, opts, tel)
 	return e.t, e.err
 }
 
@@ -222,7 +214,8 @@ func (e *cacheEntry) wait(ctx context.Context) (*Table, error) {
 }
 
 // build populates a freshly installed singleflight entry: disk-layer
-// probe, then the in-memory build, then the best-effort write-back.
+// probe (ds, when non-nil), then the in-memory build, then the
+// best-effort write-back.
 //
 // The deferred epilogue is the fix for the cache-poisoning deadlock:
 // e.done is ALWAYS closed — even when the build panics — so waiters can
@@ -231,34 +224,23 @@ func (e *cacheEntry) wait(ctx context.Context) (*Table, error) {
 // caller, and any uncacheable outcome (panic or cancellation) evicts
 // the entry from the map so future Gets start a fresh build rather than
 // inheriting a failure that says nothing about the table itself. A
-// cacheable outcome makes the entry resident in its shard's LRU, which
-// may evict older entries past the memory budget.
-func (cc *Cache) build(ctx context.Context, sh *cacheShard, e *cacheEntry, c *soc.Core, opts TableOptions, tel *telemetry.Sink) {
-	cc.confMu.Lock()
-	ds := cc.disk
-	budget := int64(0)
-	if cc.memCap > 0 {
-		// A set budget must stay a budget even below cacheShards bytes:
-		// round the per-shard share up to 1 so it never reads as
-		// "unbounded".
-		budget = max(cc.memCap/cacheShards, 1)
-	}
-	cc.confMu.Unlock()
-
+// cacheable outcome makes the entry resident on the LRU list, which may
+// evict older entries past the memory budget.
+func (cc *Cache) build(ctx context.Context, ds *diskStore, e *cacheEntry, c *soc.Core, opts TableOptions, tel *telemetry.Sink) {
 	defer func() {
 		if r := recover(); r != nil {
 			tel.Counter("panic.recovered").Inc()
 			e.t, e.err = nil, newPanicError(c.Name, "table build", r)
 		}
-		sh.mu.Lock()
-		if uncacheable(e.err) {
-			if sh.tables[e.key] == e {
-				delete(sh.tables, e.key)
+		cc.mu.Lock()
+		if cc.tables[e.key] == e {
+			if uncacheable(e.err) {
+				delete(cc.tables, e.key)
+			} else {
+				cc.makeResident(e, tel)
 			}
-		} else if sh.tables[e.key] == e {
-			sh.makeResident(e, budget, tel)
 		}
-		sh.mu.Unlock()
+		cc.mu.Unlock()
 		close(e.done)
 	}()
 
@@ -282,58 +264,53 @@ func (cc *Cache) build(ctx context.Context, sh *cacheShard, e *cacheEntry, c *so
 	}
 }
 
-// makeResident links a completed entry into the shard's LRU, charges
-// its size, and evicts past the per-shard budget (0 = unbounded).
-// Caller holds sh.mu. The just-completed entry sits at the front, so it
-// is evicted only when it alone exceeds the budget.
-func (sh *cacheShard) makeResident(e *cacheEntry, budget int64, tel *telemetry.Sink) {
+// makeResident links a completed entry at the front of the LRU list,
+// charges its size, and evicts least-recently-used entries until the
+// resident total fits the budget (0 = unbounded). Caller holds cc.mu.
+// The just-completed entry is at the front, so it is evicted only when
+// it alone exceeds the budget.
+func (cc *Cache) makeResident(e *cacheEntry, tel *telemetry.Sink) {
 	e.size = tableMemBytes(e.t)
 	e.resident = true
-	sh.pushFront(e)
-	sh.bytes += e.size
+	cc.pushFront(e)
+	cc.bytes += e.size
 	tel.Counter("cache.bytes").Add(e.size)
-	if budget <= 0 {
-		return
-	}
-	for sh.bytes > budget && sh.tail != nil {
-		victim := sh.tail
-		sh.unlink(victim)
+	for cc.memCap > 0 && cc.bytes > cc.memCap {
+		victim := cc.tail
+		cc.unlink(victim)
 		victim.resident = false
-		delete(sh.tables, victim.key)
-		sh.bytes -= victim.size
+		delete(cc.tables, victim.key)
+		cc.bytes -= victim.size
 		tel.Counter("cache.evictions").Inc()
 		tel.Counter("cache.bytes").Add(-victim.size)
-		if victim == e {
-			return // nothing older left; budget smaller than one table
-		}
 	}
 }
 
-// pushFront links e at the MRU end. Caller holds sh.mu.
-func (sh *cacheShard) pushFront(e *cacheEntry) {
+// pushFront links e at the MRU end. Caller holds cc.mu.
+func (cc *Cache) pushFront(e *cacheEntry) {
 	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
+	e.next = cc.head
+	if cc.head != nil {
+		cc.head.prev = e
 	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
+	cc.head = e
+	if cc.tail == nil {
+		cc.tail = e
 	}
 }
 
-// unlink removes e from the LRU list. Caller holds sh.mu; e must be
+// unlink removes e from the LRU list. Caller holds cc.mu; e must be
 // linked.
-func (sh *cacheShard) unlink(e *cacheEntry) {
+func (cc *Cache) unlink(e *cacheEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		sh.head = e.next
+		cc.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		sh.tail = e.prev
+		cc.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
 }

@@ -1,12 +1,13 @@
 package core
 
-// Tests for cache tier 2.0: the v1→v2 disk-format migration, the
-// bounded disk store, the sharded in-memory LRU, and format-version
-// equivalence on the paper's benchmark cores.
+// Tests for the cache tiers: the one disk format and layout, the
+// bounded disk store, the exact LRU memory budget, and the format on
+// the paper's benchmark cores.
 
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -17,88 +18,88 @@ import (
 	"soctap/internal/telemetry"
 )
 
-// TestDiskCacheV1Migration: a gob v1 entry at the legacy flat path is
-// read once, served as a hit (no rebuild), and transparently rewritten
-// as a v2 container at the sharded path — after which the flat file is
-// gone and subsequent reads hit the v2 entry with no further migration.
+// gobEntry is a gob stream in the shape of the first revision's cache
+// entries (a struct with Version and Key fields), whose reader is gone.
+const gobEntry = "*\x7f\x03\x01\x01\tdiskEntry\x01\xff\x80\x00\x01\x02\x01\aVersion\x01\f\x00\x01\x03Key\x01\f\x00\x00\x00\x1b\xff\x80\x01\x13soctap-diskcache-v1\x01\x01k\x00"
+
+// TestDiskCacheV1Migration: the first revision's entries are not
+// migrated but rebuilt. A file at the flat <dir>/<key>.table path is
+// never read or indexed — the Get is a plain disk miss and one build,
+// the v2 entry lands at the sharded path, and the flat file is left
+// alone — and a gob stream at the sharded path is a corrupt entry,
+// counted and rebuilt.
 func TestDiskCacheV1Migration(t *testing.T) {
 	dir := t.TempDir()
 	c := compressibleCore(21)
 	opts := TableOptions{MaxWidth: 10}
 	key := contentKey(c, opts.normalized())
-
-	built, err := BuildTable(c, opts)
-	if err != nil {
+	flat := filepath.Join(dir, key+".table")
+	if err := os.WriteFile(flat, []byte(gobEntry), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if err := storeDiskTableV1(dir, key, built); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacyDiskPath(dir, key)); err != nil {
-		t.Fatalf("v1 fixture not at the flat path: %v", err)
 	}
 
-	var cold Cache
-	cold.SetDir(dir)
-	var builds atomic.Int64
-	cold.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
-	sink := telemetry.New()
-	loaded, err := cold.get(context.Background(), c, opts, sink)
+	getCounting := func(t *testing.T) (*Table, int64, map[string]int64) {
+		t.Helper()
+		var cc Cache
+		cc.SetDir(dir)
+		var builds atomic.Int64
+		cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
+		sink := telemetry.New()
+		tab, err := cc.get(context.Background(), compressibleCore(21), opts, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab, builds.Load(), sink.Snapshot().Counters
+	}
+
+	built, n, cn := getCounting(t)
+	if n != 1 || cn["diskcache.misses"] != 1 || cn["diskcache.hits"] != 0 || cn["diskcache.corrupt_rebuilds"] != 0 {
+		t.Errorf("flat file only: %d builds, counters %v; want 1 build and one disk miss", n, cn)
+	}
+	data, err := os.ReadFile(diskPath(dir, key))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("no entry at the sharded path: %v", err)
 	}
-	if n := builds.Load(); n != 0 {
-		t.Errorf("%d builds on a v1 entry, want 0 (migration must not rebuild)", n)
+	if _, err := tablecodec.Verify(data); err != nil {
+		t.Errorf("written entry fails verification: %v", err)
 	}
-	cn := sink.Snapshot().Counters
-	if cn["diskcache.hits"] != 1 || cn["diskcache.migrated"] != 1 {
-		t.Errorf("migration counters: %v, want one hit and one migration", cn)
+	if got, err := os.ReadFile(flat); err != nil || string(got) != gobEntry {
+		t.Errorf("flat file touched (err=%v)", err)
+	}
+	ds := newDiskStore(dir, 1<<30)
+	ds.mu.Lock()
+	ds.scanLocked()
+	indexed := ds.entries
+	ds.mu.Unlock()
+	if len(indexed) != 1 || indexed[key].path != diskPath(dir, key) {
+		t.Errorf("disk index %v, want only the sharded entry", indexed)
+	}
+
+	// A second Cache on the directory: a plain hit.
+	loaded, n, cn := getCounting(t)
+	if n != 0 || cn["diskcache.hits"] != 1 {
+		t.Errorf("second cache: %d builds, counters %v; want a plain hit", n, cn)
 	}
 	a, b := *built, *loaded
 	a.Core, b.Core = nil, nil
 	if !reflect.DeepEqual(a, b) {
-		t.Error("v1-loaded table differs from the built table")
+		t.Error("loaded table differs from the built table")
 	}
 
-	// The flat original is gone; the sharded replacement is a v2
-	// container.
-	if _, err := os.Stat(legacyDiskPath(dir, key)); !os.IsNotExist(err) {
-		t.Errorf("legacy flat entry still present after migration (err=%v)", err)
-	}
-	data, err := os.ReadFile(diskPath(dir, key))
-	if err != nil {
-		t.Fatalf("migrated entry missing from the sharded path: %v", err)
-	}
-	if !tablecodec.HasMagic(data) {
-		t.Error("migrated entry is not a v2 container")
-	}
-	if _, err := tablecodec.Verify(data); err != nil {
-		t.Errorf("migrated entry fails verification: %v", err)
-	}
-
-	// Second process generation: a plain v2 hit, no migration.
-	var warm Cache
-	warm.SetDir(dir)
-	again := telemetry.New()
-	reloaded, err := warm.get(context.Background(), compressibleCore(21), opts, again)
-	if err != nil {
+	// A gob stream at the sharded path is corrupt: counted, rebuilt.
+	if err := os.WriteFile(diskPath(dir, key), []byte(gobEntry), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	an := again.Snapshot().Counters
-	if an["diskcache.hits"] != 1 || an["diskcache.migrated"] != 0 {
-		t.Errorf("post-migration counters: %v, want a clean hit", an)
-	}
-	a, b = *built, *reloaded
-	a.Core, b.Core = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		t.Error("v2-loaded table differs from the built table")
+	_, n, cn = getCounting(t)
+	if n != 1 || cn["diskcache.corrupt_rebuilds"] != 1 {
+		t.Errorf("gob entry: %d builds, counters %v; want 1 build and one corrupt rebuild", n, cn)
 	}
 }
 
-// TestFormatV2MatchesV1OnBenchmarks is the acceptance gate for format
-// equivalence: on every d695 core and a synthetic industrial core, the
-// table loaded from a v2 container and the table loaded from a gob v1
-// entry are both DeepEqual to the freshly built one.
+// TestFormatV2MatchesV1OnBenchmarks is the decode check on real cores:
+// on every d695 core and a synthetic industrial core, the table decoded
+// from its v2 container, in memory and through the disk store, is
+// DeepEqual to the freshly built one.
 func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping full-benchmark format sweep")
@@ -114,27 +115,26 @@ func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 			}
 			key := contentKey(c, opts.normalized())
 
-			v2, err := decodeTableV2(encodeTableV2(key, built), key, c, opts.normalized())
+			mem, err := decodeTableV2(encodeTableV2(key, built), key, c, opts.normalized())
 			if err != nil {
 				t.Fatalf("v2 round trip: %v", err)
 			}
-
 			dir := t.TempDir()
-			if err := storeDiskTableV1(dir, key, built); err != nil {
+			if err := storeDiskTable(dir, key, built); err != nil {
 				t.Fatal(err)
 			}
-			v1, status, reason, rewrite := loadDiskTable(dir, key, c, opts.normalized())
-			if status != diskHit || !rewrite {
-				t.Fatalf("v1 load: status %v rewrite %v (%v)", status, rewrite, reason)
+			disk, status, reason := loadDiskTable(dir, key, c, opts.normalized())
+			if status != diskHit {
+				t.Fatalf("disk load: status %v (%v)", status, reason)
 			}
 
 			want := *built
 			want.Core = nil
-			for name, got := range map[string]*Table{"v2": v2, "v1": v1} {
+			for name, got := range map[string]*Table{"memory": mem, "disk": disk} {
 				g := *got
 				g.Core = nil
 				if !reflect.DeepEqual(want, g) {
-					t.Errorf("%s-loaded table differs from the built table", name)
+					t.Errorf("%s-decoded table differs from the built table", name)
 				}
 			}
 		})
@@ -269,65 +269,69 @@ func TestCacheMemBound(t *testing.T) {
 	}
 }
 
-// TestCacheMemBoundEvictsLRU: with room for roughly one table per
-// shard-resident key, the least recently used entry goes first — the
-// re-touched key survives while the untouched one is evicted (observable
-// as exactly one extra rebuild).
+// TestCacheMemBoundEvictsLRU: the memory budget is one exact LRU over
+// every resident table. Under a two-table budget, touching a before c
+// is built evicts b, not a; under an eight-table budget, two cores
+// alternating three times build twice — nothing is evicted while the
+// resident total fits.
 func TestCacheMemBoundEvictsLRU(t *testing.T) {
-	// Three cores whose keys land in one shard would be ideal, but shard
-	// placement is hash-determined; instead give the whole cache a
-	// budget of ~one table so every shard holds at most one, and drive
-	// one shard with two keys by brute-force search.
 	opts := TableOptions{MaxWidth: 8}
-	var cc Cache
 	probe, err := BuildTable(compressibleCore(200), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := tableMemBytes(probe)
+	size := tableMemBytes(probe) // the same for every core at one MaxWidth
 
-	// Find two seeds whose keys share a shard.
-	base := contentKey(compressibleCore(200), opts.normalized())
-	shardOf := func(key string) *cacheShard { return cc.shard(key) }
-	want := shardOf(base)
-	var partner int64
-	for seed := int64(201); ; seed++ {
-		if shardOf(contentKey(compressibleCore(seed), opts.normalized())) == want {
-			partner = seed
-			break
-		}
+	rows := []struct {
+		name   string
+		tables int64  // budget, in tables
+		gets   []int  // core index of each Get, in order
+		builds []bool // whether each Get builds
+	}{
+		{"two-table budget: a, b, touch a, c, then a and b", 2,
+			[]int{0, 1, 0, 2, 0, 1},
+			[]bool{true, true, false, true, false, true}},
+		{"eight-table budget: two cores alternating three times", 8,
+			[]int{0, 1, 0, 1, 0, 1},
+			[]bool{true, true, false, false, false, false}},
 	}
-
-	cc.SetMemLimit(size * cacheShards) // ~one resident table per shard
-	var builds atomic.Int64
-	cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
-
-	a, b := compressibleCore(200), compressibleCore(partner)
-	if _, err := cc.Get(a, opts); err != nil { // build a, resident
-		t.Fatal(err)
-	}
-	if _, err := cc.Get(b, opts); err != nil { // build b, evicts a (LRU)
-		t.Fatal(err)
-	}
-	if _, err := cc.Get(b, opts); err != nil { // touch b: still resident
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Fatalf("%d builds in setup, want 2 (b must still be resident)", n)
-	}
-	if _, err := cc.Get(a, opts); err != nil { // a was evicted: rebuild
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 3 {
-		t.Errorf("%d builds after re-Get of the evicted key, want 3", n)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var cc Cache
+			cc.SetMemLimit(row.tables * size)
+			var builds atomic.Int64
+			cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
+			sink := telemetry.New()
+			for i, k := range row.gets {
+				before := builds.Load()
+				if _, err := cc.get(context.Background(), compressibleCore(200+int64(k)), opts, sink); err != nil {
+					t.Fatal(err)
+				}
+				if built := builds.Load() > before; built != row.builds[i] {
+					t.Errorf("Get %d (core %d): built = %v, want %v", i, k, built, row.builds[i])
+				}
+			}
+			want := int64(0)
+			for _, b := range row.builds {
+				if b {
+					want++
+				}
+			}
+			if n := builds.Load(); n != want {
+				t.Errorf("%d builds, want %d", n, want)
+			}
+			if b := sink.Snapshot().Counters["cache.bytes"]; b > row.tables*size {
+				t.Errorf("cache.bytes = %d, over the %d-byte budget", b, row.tables*size)
+			}
+		})
 	}
 }
 
 // TestCacheShardedConcurrency hammers many goroutines across many keys
-// on one Cache: every key must build exactly once (singleflight per
-// shard), every caller of a key must see the identical table pointer,
-// and — under -race via `make cachefmt` — the sharded map and LRU must
-// be data-race-free.
+// on one Cache: every key must build exactly once (singleflight), every
+// caller of a key must see the identical table pointer, and — under
+// -race via `make cachefmt` — the map and LRU list must be
+// data-race-free.
 func TestCacheShardedConcurrency(t *testing.T) {
 	const keys = 8
 	const callersPerKey = 8
@@ -374,20 +378,6 @@ func TestCacheShardedConcurrency(t *testing.T) {
 				t.Errorf("key %d caller %d received a different table instance", i, j)
 			}
 		}
-	}
-}
-
-// TestCacheShardSpread sanity-checks the shard function: real content
-// keys must not all collapse onto a few shards.
-func TestCacheShardSpread(t *testing.T) {
-	var cc Cache
-	used := map[*cacheShard]bool{}
-	opts := TableOptions{}.normalized()
-	for seed := int64(0); seed < 200; seed++ {
-		used[cc.shard(contentKey(compressibleCore(seed), opts))] = true
-	}
-	if len(used) < cacheShards/2 {
-		t.Errorf("200 keys landed on only %d/%d shards", len(used), cacheShards)
 	}
 }
 

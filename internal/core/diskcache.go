@@ -10,17 +10,15 @@ package core
 // Layout: entries live at <dir>/<hh>/<key>.table, fanned out into 256
 // two-hex-char subdirectories (hh = the key's first two characters) so
 // multi-thousand-entry caches never degrade into one giant directory
-// scan. Caches written by earlier revisions used flat <dir>/<key>.table
-// paths; those are still found on read and migrated to the sharded
-// location the first time they are touched.
+// scan.
 //
-// Format: v2 entries are tablecodec containers (self-validating fixed
+// Format: entries are tablecodec containers (self-validating fixed
 // header + bitpacked columns, see internal/tablecodec and diskcodec.go).
 // Stale or damaged entries are rejected from the 32-byte header without
-// decoding the payload. Entries written by the v1 code are gob streams
-// (diskEntry below); they are still readable, and a v1 read transparently
-// rewrites the entry as v2 — one process generation after an upgrade the
-// cache is fully converted, with no flag day and no rebuild.
+// decoding the payload. A file at an entry's path that is not a
+// container — such as a gob stream from the first revision's format —
+// is corrupt like any other; files at other paths, such as that
+// revision's flat <dir>/<key>.table entries, are never read.
 //
 // Writes go through a temp file in the same directory — synced before an
 // atomic rename, with the directory synced after — so neither a
@@ -40,19 +38,17 @@ package core
 // bounds the directory while keeping the most recently useful entries.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"soctap/internal/soc"
-	"soctap/internal/tablecodec"
 	"soctap/internal/telemetry"
 )
 
@@ -65,23 +61,6 @@ const (
 	diskCorrupt                   // entry present but unreadable, stale or mismatched
 )
 
-// diskCacheVersion tags every v1 (gob) entry. Kept for reading caches
-// written by earlier revisions; new entries are tablecodec containers.
-const diskCacheVersion = "soctap-diskcache-v1"
-
-// diskEntry is the v1 serialized form of a Table. The Core pointer is
-// deliberately not stored: the requesting core is re-attached on load
-// (the content key guarantees it is structurally identical).
-type diskEntry struct {
-	Version  string
-	Key      string
-	Opts     TableOptions
-	NoTDC    []Config
-	TDCExact []Config
-	TDCBest  []Config
-	Best     []Config
-}
-
 // diskPath is the sharded location of an entry: a two-hex-char
 // subdirectory keyed by the first byte of the (hex) content key. Keys
 // too short to shard — only synthetic test keys; real keys are 64-char
@@ -93,75 +72,25 @@ func diskPath(dir, key string) string {
 	return filepath.Join(dir, key[:2], key+".table")
 }
 
-// legacyDiskPath is the flat pre-fan-out location, consulted (and
-// migrated away from) when the sharded path misses.
-func legacyDiskPath(dir, key string) string {
-	return filepath.Join(dir, key+".table")
-}
-
 // loadDiskTable reads the entry for key and re-attaches it to core c.
 // On anything but a hit the caller rebuilds; the status says whether
 // the entry was absent (diskMiss) or present but bad (diskCorrupt), and
 // reason carries the corruption detail for the warning callback.
-// rewrite reports a hit that should be re-stored: a gob v1 entry
-// (format upgrade) or one found at the legacy flat path (layout
-// migration) — or both.
-func loadDiskTable(dir, key string, c *soc.Core, opts TableOptions) (t *Table, status diskStatus, reason error, rewrite bool) {
-	path := diskPath(dir, key)
-	data, err := os.ReadFile(path)
-	legacy := false
+func loadDiskTable(dir, key string, c *soc.Core, opts TableOptions) (t *Table, status diskStatus, reason error) {
+	data, err := os.ReadFile(diskPath(dir, key))
 	if errors.Is(err, fs.ErrNotExist) {
-		if lp := legacyDiskPath(dir, key); lp != path {
-			data, err = os.ReadFile(lp)
-			legacy = true
-		}
+		return nil, diskMiss, nil
 	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, diskMiss, nil, false
-		}
 		// Present but unreadable (permissions, I/O): a trace-worthy
 		// failure, not a plain miss.
-		return nil, diskCorrupt, err, false
+		return nil, diskCorrupt, err
 	}
-	if tablecodec.HasMagic(data) {
-		t, err := decodeTableV2(data, key, c, opts)
-		if err != nil {
-			return nil, diskCorrupt, fmt.Errorf("decoding v2: %w", err), false
-		}
-		return t, diskHit, nil, legacy
-	}
-	t, err = decodeTableV1(data, key, c, opts)
+	t, err = decodeTableV2(data, key, c, opts)
 	if err != nil {
-		return nil, diskCorrupt, err, false
+		return nil, diskCorrupt, fmt.Errorf("decoding v2: %w", err)
 	}
-	return t, diskHit, nil, true // v1 format: rewrite as v2
-}
-
-// decodeTableV1 parses a gob-era entry and validates its identity.
-func decodeTableV1(data []byte, key string, c *soc.Core, opts TableOptions) (*Table, error) {
-	var e diskEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("decoding: %w", err)
-	}
-	if e.Version != diskCacheVersion {
-		return nil, fmt.Errorf("stale version %q (want %q)", e.Version, diskCacheVersion)
-	}
-	if e.Key != key || e.Opts != opts {
-		return nil, fmt.Errorf("entry key/options mismatch")
-	}
-	n := opts.MaxWidth + 1
-	if len(e.NoTDC) != n || len(e.TDCExact) != n || len(e.TDCBest) != n || len(e.Best) != n {
-		return nil, fmt.Errorf("table shape mismatch")
-	}
-	return &Table{
-		Core:     c,
-		Opts:     e.Opts,
-		NoTDC:    e.NoTDC,
-		TDCExact: e.TDCExact,
-		TDCBest:  e.TDCBest,
-		Best:     e.Best,
-	}, nil
+	return t, diskHit, nil
 }
 
 // diskFault, when non-nil, injects a failure before the named stage of
@@ -183,29 +112,6 @@ func faultAt(stage string) error {
 // best-effort: a failed write only costs a rebuild next run.
 func storeDiskTable(dir, key string, t *Table) error {
 	return storeDiskBytes(dir, key, encodeTableV2(key, t))
-}
-
-// storeDiskTableV1 writes a gob-era entry at the flat legacy path —
-// kept (test- and benchmark-only) so the v1→v2 migration path and the
-// format comparison benchmarks have real v1 inputs to read.
-func storeDiskTableV1(dir, key string, t *Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	e := diskEntry{
-		Version:  diskCacheVersion,
-		Key:      key,
-		Opts:     t.Opts,
-		NoTDC:    t.NoTDC,
-		TDCExact: t.TDCExact,
-		TDCBest:  t.TDCBest,
-		Best:     t.Best,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		return err
-	}
-	return os.WriteFile(legacyDiskPath(dir, key), buf.Bytes(), 0o644)
 }
 
 // storeDiskBytes publishes data under key crash-safely: temp file in
@@ -313,32 +219,16 @@ func (ds *diskStore) setCap(capBytes int64) {
 	ds.mu.Unlock()
 }
 
-// load probes the store for key, counting the outcome into tel and
-// migrating legacy entries forward. On a hit the entry's access time is
-// re-stamped; on a v1-format or flat-path hit the entry is rewritten at
-// the sharded path as v2 (best-effort, counted as diskcache.migrated)
-// and the flat original removed.
+// load probes the store for key, counting the outcome into tel. On a
+// hit the entry's access time is re-stamped.
 func (ds *diskStore) load(key string, c *soc.Core, opts TableOptions, tel *telemetry.Sink, warnf func(string, ...any)) (*Table, diskStatus) {
 	t0 := time.Now()
-	t, status, reason, rewrite := loadDiskTable(ds.dir, key, c, opts)
+	t, status, reason := loadDiskTable(ds.dir, key, c, opts)
 	tel.Histogram("diskcache.load_seconds").Observe(time.Since(t0))
 	switch status {
 	case diskHit:
 		tel.Counter("diskcache.hits").Inc()
-		if rewrite {
-			if err := ds.store(key, t, tel); err != nil {
-				tel.Counter("diskcache.write_errors").Inc()
-				warnf("table cache: migrating %s: %v", diskPath(ds.dir, key), err)
-			} else {
-				tel.Counter("diskcache.migrated").Inc()
-				if lp := legacyDiskPath(ds.dir, key); lp != diskPath(ds.dir, key) {
-					os.Remove(lp)
-					ds.forget(lp)
-				}
-			}
-		} else {
-			ds.touch(key, tel)
-		}
+		ds.touch(key, tel)
 	case diskMiss:
 		tel.Counter("diskcache.misses").Inc()
 	case diskCorrupt:
@@ -397,25 +287,10 @@ func (ds *diskStore) touch(key string, tel *telemetry.Sink) {
 	ds.mu.Unlock()
 }
 
-// forget drops an index row by path (after a legacy file removal).
-func (ds *diskStore) forget(path string) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if !ds.scanned {
-		return
-	}
-	for k, e := range ds.entries {
-		if e.path == path {
-			ds.total -= e.size
-			delete(ds.entries, k)
-			return
-		}
-	}
-}
-
 // scanLocked builds the index on first use: one walk over the cache
-// directory (flat entries and the 256 shard subdirectories), recording
-// each entry's size and mtime-as-atime.
+// directory, recording the size and mtime-as-atime of each file at an
+// entry's own path. Files anywhere else — temp files, flat leftovers of
+// the first revision's layout — are not entries and stay unaccounted.
 func (ds *diskStore) scanLocked() {
 	if ds.scanned {
 		return
@@ -427,21 +302,13 @@ func (ds *diskStore) scanLocked() {
 		if err != nil || d.IsDir() {
 			return nil // unreadable pieces just stay unaccounted
 		}
-		name := d.Name()
-		if filepath.Ext(name) != ".table" {
+		key, ok := strings.CutSuffix(d.Name(), ".table")
+		if !ok || path != diskPath(ds.dir, key) {
 			return nil
 		}
 		info, err := d.Info()
 		if err != nil {
 			return nil
-		}
-		key := name[:len(name)-len(".table")]
-		// Prefer the sharded copy when both exist (mid-migration).
-		if prev, ok := ds.entries[key]; ok && prev.path == diskPath(ds.dir, key) {
-			return nil
-		}
-		if prev, ok := ds.entries[key]; ok {
-			ds.total -= prev.size
 		}
 		ds.entries[key] = diskIdxEnt{path: path, size: info.Size(), atime: info.ModTime()}
 		ds.total += info.Size()

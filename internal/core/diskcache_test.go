@@ -16,19 +16,15 @@ import (
 	"soctap/internal/telemetry"
 )
 
-// cacheDirEntries lists the table files currently in dir — both the
-// sharded two-hex-char subdirectories and legacy flat entries.
+// cacheDirEntries lists the table entries currently in dir, all in its
+// two-hex-char subdirectories.
 func cacheDirEntries(t *testing.T, dir string) []string {
 	t.Helper()
-	flat, err := filepath.Glob(filepath.Join(dir, "*.table"))
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*.table"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := filepath.Glob(filepath.Join(dir, "??", "*.table"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(flat, sharded...)
+	return files
 }
 
 // TestDiskCacheRoundTrip: a table that passed through the disk cache is
@@ -202,8 +198,8 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 		t.Fatalf("warm counters: %v", hn)
 	}
 
-	// Corrupt the gob file: the rebuild must be counted exactly once
-	// and the callback must name the file.
+	// Corrupt the entry: the rebuild must be counted exactly once and
+	// the callback must name the file.
 	files := cacheDirEntries(t, dir)
 	if len(files) != 1 {
 		t.Fatalf("%d cache files, want 1", len(files))
@@ -243,16 +239,21 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 	}
 }
 
-// TestOptimizeTableCacheDir: end-to-end through Options.TableCacheDir —
-// the second run reloads every table from disk (≈0 table time) and
-// reproduces the first run's result exactly.
+// TestOptimizeTableCacheDir: end-to-end through a Cache from NewCache
+// — the second run, on a fresh Cache over the same directory, reloads
+// every table from disk (≈0 table time) and reproduces the first run's
+// result exactly.
 func TestOptimizeTableCacheDir(t *testing.T) {
 	dir := t.TempDir()
 	s := testSOC()
+	first, err := NewCache(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := Options{
-		Style:         StyleTDCPerCore,
-		Tables:        TableOptions{MaxWidth: 16},
-		TableCacheDir: dir,
+		Style:  StyleTDCPerCore,
+		Tables: TableOptions{MaxWidth: 16},
+		Cache:  first,
 	}
 	cold, err := Optimize(s, 16, opts)
 	if err != nil {
@@ -264,8 +265,11 @@ func TestOptimizeTableCacheDir(t *testing.T) {
 
 	// Second run with a fresh in-memory cache: every table must come
 	// from disk, with zero rebuilds.
+	fresh, err := NewCache(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var builds atomic.Int64
-	fresh := new(Cache)
 	fresh.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
 	opts.Cache = fresh
 	warm, err := Optimize(testSOC(), 16, opts)
@@ -281,6 +285,11 @@ func TestOptimizeTableCacheDir(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm.Partition, cold.Partition) {
 		t.Errorf("warm partition %v differs from cold %v", warm.Partition, cold.Partition)
+	}
+
+	// A disk budget with no directory has no store to bound.
+	if _, err := NewCache("", 0, 1<<20); err == nil {
+		t.Error("NewCache accepted a disk budget without a directory")
 	}
 }
 

@@ -59,7 +59,8 @@ type Options struct {
 	// MaxIterations bounds hill-climbing rounds per bus count. Zero
 	// defaults to 64.
 	MaxIterations int
-	// Cache, when non-nil, memoizes per-core lookup tables across runs.
+	// Cache, when non-nil, memoizes per-core lookup tables across runs;
+	// NewCache gives it a disk store and budgets.
 	Cache *Cache
 	// DisableRefinement turns off the wire-moving local search (ablation
 	// knob); only even partitions are considered.
@@ -85,23 +86,6 @@ type Options struct {
 	// Zero defaults to runtime.GOMAXPROCS(0); 1 recovers the fully
 	// sequential engine. Results are bit-identical for every setting.
 	Workers int
-	// TableCacheDir, when non-empty, layers a persistent on-disk table
-	// store under the (possibly implicit) in-memory Cache: lookup tables
-	// are content-addressed by core structure and options, loaded from
-	// disk when present, and written back after a build. Corrupt, stale
-	// or truncated entries are rebuilt (observable through the telemetry
-	// counters and Cache.SetWarn).
-	TableCacheDir string
-	// TableCacheMemBytes bounds the in-memory table cache to roughly
-	// this many resident bytes (0 = unbounded): past the budget the
-	// least-recently-used tables are evicted, costing at most a disk
-	// reload or rebuild on the next request. Applies to the run's Cache
-	// (implicit or supplied).
-	TableCacheMemBytes int64
-	// TableCacheDiskBytes bounds the on-disk store under TableCacheDir
-	// to this many bytes (0 = unbounded), enforced by oldest-access
-	// eviction on write-back.
-	TableCacheDiskBytes int64
 	// Telemetry, when non-nil, is the parent span this run records
 	// under: phase spans (tables with one child per core, search with
 	// k-sweep/refine/merge children, schedule) plus the subsystem
@@ -193,20 +177,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 
 	if tabOpts.Workers == 0 {
 		tabOpts.Workers = opts.Workers
-	}
-	if opts.TableCacheDir != "" || opts.TableCacheMemBytes > 0 || opts.TableCacheDiskBytes > 0 {
-		if opts.Cache == nil {
-			opts.Cache = new(Cache)
-		}
-		if opts.TableCacheMemBytes > 0 {
-			opts.Cache.SetMemLimit(opts.TableCacheMemBytes)
-		}
-		if opts.TableCacheDiskBytes > 0 {
-			opts.Cache.SetDiskLimit(opts.TableCacheDiskBytes)
-		}
-		if opts.TableCacheDir != "" {
-			opts.Cache.SetDir(opts.TableCacheDir)
-		}
 	}
 	if opts.TelemetryWriter != nil && opts.Telemetry == nil {
 		opts.Telemetry = telemetry.New().Root()

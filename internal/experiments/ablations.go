@@ -57,14 +57,14 @@ func Ablations() (*AblationResult, error) {
 
 	// 2. Within-band best-m exploration vs band maximum.
 	full, err := core.OptimizeContext(expContext(), sys1, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		Tables: engineTables(core.TableOptions{MaxWidth: 32, BandSamples: 48}),
 	})
 	if err != nil {
 		return nil, err
 	}
 	bandMax, err := core.OptimizeContext(expContext(), sys1, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		Tables: engineTables(core.TableOptions{MaxWidth: 32, BandSamples: 1}),
 	})
 	if err != nil {
@@ -78,14 +78,14 @@ func Ablations() (*AblationResult, error) {
 
 	// 3. TAM-partition refinement vs even splits (prime budget).
 	refined, err := core.OptimizeContext(expContext(), sys1, 37, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		Tables: engineTables(core.TableOptions{MaxWidth: 37}),
 	})
 	if err != nil {
 		return nil, err
 	}
 	even, err := core.OptimizeContext(expContext(), sys1, 37, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		Tables: engineTables(core.TableOptions{MaxWidth: 37}), DisableRefinement: true,
 	})
 	if err != nil {
@@ -103,14 +103,14 @@ func Ablations() (*AblationResult, error) {
 		return nil, err
 	}
 	lpt, err := core.OptimizeContext(expContext(), sys2, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
 	})
 	if err != nil {
 		return nil, err
 	}
 	naive, err := core.OptimizeContext(expContext(), sys2, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}), NaiveOrder: true,
 	})
 	if err != nil {
@@ -154,7 +154,7 @@ func Verify() (*VerifyResult, error) {
 			return nil, fmt.Errorf("unknown design %s", name)
 		}
 		res, err := core.OptimizeContext(expContext(), s, 32, core.Options{
-			Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+			Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
 		})
 		if err != nil {

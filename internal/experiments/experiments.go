@@ -19,10 +19,16 @@ import (
 
 // sharedCache is used by default so that consecutive experiments (and
 // benchmark iterations) reuse per-core lookup tables.
-var sharedCache core.Cache
+var sharedCache = new(core.Cache)
 
 // SharedCache exposes the process-wide table cache.
-func SharedCache() *core.Cache { return &sharedCache }
+func SharedCache() *core.Cache { return sharedCache }
+
+// SetTableCache makes c (non-nil) the table cache of subsequent
+// experiment runs, replacing the default in-memory one. cmd/repro
+// wires its -table-cache, -table-cache-mem and -table-cache-size flags
+// here through core.NewCache.
+func SetTableCache(c *core.Cache) { sharedCache = c }
 
 // engineWorkers bounds the evaluation-engine parallelism used by every
 // experiment; 0 means one worker per available CPU (the engine
@@ -54,27 +60,6 @@ func SetEvalWindow(window int) { engineEvalWindow = window }
 func engineTables(o core.TableOptions) core.TableOptions {
 	o.EvalWindow = engineEvalWindow
 	return o
-}
-
-// SetTableCacheDir layers a persistent on-disk store under the shared
-// table cache: tables built by any experiment are written there and
-// reloaded on later runs, so a warm directory reduces the regeneration
-// time of every table to its search time. cmd/repro wires its
-// -table-cache flag here.
-func SetTableCacheDir(dir string) { sharedCache.SetDir(dir) }
-
-// SetTableCacheLimits bounds the shared table cache: memBytes caps the
-// in-memory tier (LRU eviction of resident tables), diskBytes caps the
-// on-disk store under SetTableCacheDir (oldest-access eviction on
-// write-back). Zero leaves the respective tier unbounded. cmd/repro
-// wires its -table-cache-mem/-table-cache-size flags here.
-func SetTableCacheLimits(memBytes, diskBytes int64) {
-	if memBytes > 0 {
-		sharedCache.SetMemLimit(memBytes)
-	}
-	if diskBytes > 0 {
-		sharedCache.SetDiskLimit(diskBytes)
-	}
 }
 
 // telSink receives phase spans and counters from every subsequent

@@ -165,7 +165,7 @@ func Fig4() (*Fig4Result, error) {
 		res, err := core.OptimizeContext(expContext(), s, r.WTAM, core.Options{
 			Style:  style,
 			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-			Cache:  &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+			Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		})
 		if err != nil {
 			return nil, err

@@ -45,7 +45,7 @@ func Seeds() (*SeedsResult, error) {
 		noTDC, err := core.OptimizeContext(expContext(), base, 32, core.Options{
 			Style:     core.StyleNoTDC,
 			Tables:    engineTables(core.TableOptions{MaxWidth: 32}),
-			Cache:     &sharedCache,
+			Cache:     sharedCache,
 			Workers:   engineWorkers,
 			Telemetry: telSpan,
 		})
@@ -55,7 +55,7 @@ func Seeds() (*SeedsResult, error) {
 		tdc, err := core.OptimizeContext(expContext(), base, 32, core.Options{
 			Style:     core.StyleTDCPerCore,
 			Tables:    engineTables(core.TableOptions{MaxWidth: 32}),
-			Cache:     &sharedCache,
+			Cache:     sharedCache,
 			Workers:   engineWorkers,
 			Telemetry: telSpan,
 		})

@@ -38,7 +38,7 @@ func Tab1() (*Tab1Result, error) {
 			ours, err := core.OptimizeContext(expContext(), design, wate, core.Options{
 				Style:  core.StyleTDCPerCore,
 				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				Cache:  &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+				Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 			})
 			if err != nil {
 				return nil, err
@@ -115,7 +115,7 @@ func Tab2() (*Tab2Result, error) {
 		ours, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
 			Style:  core.StyleTDCPerCore,
 			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-			Cache:  &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+			Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 		})
 		if err != nil {
 			return nil, err
@@ -218,7 +218,7 @@ func Tab3() (*Tab3Result, error) {
 			noTDC, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
 				Style:  core.StyleNoTDC,
 				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				Cache:  &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+				Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 			})
 			if err != nil {
 				return nil, err
@@ -226,7 +226,7 @@ func Tab3() (*Tab3Result, error) {
 			tdc, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
 				Style:  core.StyleTDCPerCore,
 				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				Cache:  &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+				Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 			})
 			if err != nil {
 				return nil, err

@@ -37,14 +37,14 @@ func TechSel() (*TechSelResult, error) {
 	for _, design := range designs {
 		for _, wtam := range []int{16, 32} {
 			plain, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-				Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+				Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
 			})
 			if err != nil {
 				return nil, err
 			}
 			sel, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-				Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
+				Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
 				Tables:     engineTables(core.TableOptions{MaxWidth: tableWidth}),
 				EnableDict: true, DictSizes: []int{64, 256},
 			})

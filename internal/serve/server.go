@@ -7,7 +7,7 @@
 //
 // Multi-tenant shape:
 //
-//   - every worker shares one table cache (the 32-shard singleflight
+//   - every worker shares one table cache (the one-lock singleflight
 //     LRU over the bounded v2 disk store), so structurally identical
 //     cores across clients are built exactly once, ever;
 //   - a token-bucket rate limiter keyed by API key (or remote address)
@@ -69,9 +69,9 @@ type Config struct {
 	// (soctap Options.Workers; 0 = one per CPU). It also caps the
 	// per-request ?workers override.
 	JobWorkers int
-	// Cache is the shared table cache; New creates one when nil. Bound
-	// and attach its tiers (SetMemLimit/SetDiskLimit/SetDir) before
-	// serving.
+	// Cache is the shared table cache; New creates one when nil. Give
+	// it its disk store and budgets (core.NewCache, as cmd/socserve
+	// does) before serving.
 	Cache *soctap.Cache
 	// Sink is the server-global telemetry sink behind /metrics and
 	// /events; New creates one when nil.

@@ -40,8 +40,9 @@ var ErrFormat = errors.New("tablecodec: malformed entry")
 // was the gob encoding, which this package supersedes.
 const Version = 2
 
-// magic opens every entry. It never matches a gob stream (gob begins
-// with a length byte), so format sniffing is unambiguous.
+// magic opens every entry; ReadHeader rejects data without it, a gob
+// stream from the first format included (gob begins with a length
+// byte).
 const magic = "STC2"
 
 // headerSize is the fixed prefix: magic, version, flags, metaLen,
@@ -224,14 +225,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// HasMagic reports whether data begins with the container magic — the
-// format sniff that routes mixed-version caches: magic ⇒ judge the
-// entry by v2 rules (a damaged v2 entry is corrupt, never retried as
-// something else), no magic ⇒ a pre-container (gob) entry.
-func HasMagic(data []byte) bool {
-	return len(data) >= 4 && string(data[0:4]) == magic
 }
 
 // ReadHeader validates the fixed prefix alone — magic, version, header
