@@ -46,8 +46,11 @@ bench-smoke:
 
 # bench-json archives the headline benchmarks as a dated,
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
-# alloc stats and any custom metrics, parsed by cmd/benchjson. The
-# rungs run the paper artifacts and the search once each, then the
+# alloc stats and any custom metrics, parsed by cmd/benchjson, which
+# stores a benchmark run several times as the median of each field, its
+# sample count and the quartiles of ns/op. The rungs run the paper
+# artifacts and the search five times each (-count 5; every artifact
+# sample runs on a fresh engine, so builds its tables cold), then the
 # greedy schedule, the point setup of a new m (BenchmarkPointSetup) and
 # one core's serial table build, the cache tiers (a v2 entry's cold
 # load, BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on
@@ -58,7 +61,7 @@ bench-smoke:
 # replays fan out over the CPUs, and benchjson keeps one name per
 # GOMAXPROCS value) and the warm socserve request.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \

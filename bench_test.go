@@ -6,10 +6,14 @@
 //
 // Reproduction metrics are attached to the benchmark output via
 // ReportMetric (e.g. the Table 3 time-reduction factor), so a benchmark
-// run doubles as a shape check against the paper's numbers.
+// run doubles as a shape check against the paper's numbers. Each
+// iteration of an artifact benchmark runs on a fresh experiments.Engine,
+// so every sample builds its tables cold and -count N gives N comparable
+// samples.
 package soctap_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,13 +24,18 @@ import (
 	"soctap/internal/soc"
 )
 
+// coldEngine returns an Engine over a fresh in-memory table cache.
+func coldEngine() *experiments.Engine {
+	return &experiments.Engine{Cache: new(core.Cache)}
+}
+
 // BenchmarkFig2CktSweep regenerates Figure 2: the exhaustive m sweep of
 // the w=10 band on ckt-7, whose non-monotonic test time motivates the
 // paper.
 func BenchmarkFig2CktSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2()
+		r, err := coldEngine().Fig2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +48,7 @@ func BenchmarkFig2CktSweep(b *testing.B) {
 func BenchmarkFig3WidthSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3()
+		r, err := coldEngine().Fig3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +61,7 @@ func BenchmarkFig3WidthSweep(b *testing.B) {
 func BenchmarkFig4Styles(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4()
+		r, err := coldEngine().Fig4(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +74,7 @@ func BenchmarkFig4Styles(b *testing.B) {
 func BenchmarkTab1ATEConstraint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab1()
+		r, err := coldEngine().Tab1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +91,7 @@ func BenchmarkTab1ATEConstraint(b *testing.B) {
 func BenchmarkTab2TAMConstraint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab2()
+		r, err := coldEngine().Tab2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +110,7 @@ func BenchmarkTab2TAMConstraint(b *testing.B) {
 func BenchmarkTab3WithWithoutTDC(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab3()
+		r, err := coldEngine().Tab3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,12 +143,13 @@ func BenchmarkAblationGroupCopy(b *testing.B) {
 // quantifying the payoff of the non-monotonicity analysis.
 func BenchmarkAblationBestM(b *testing.B) {
 	s := soc.MustSystem("System1")
+	cache := new(core.Cache)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		full, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 32, BandSamples: 48},
-			Cache:  experiments.SharedCache(),
+			Cache:  cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -147,7 +157,7 @@ func BenchmarkAblationBestM(b *testing.B) {
 		bandMax, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 32, BandSamples: 1},
-			Cache:  experiments.SharedCache(),
+			Cache:  cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -160,12 +170,13 @@ func BenchmarkAblationBestM(b *testing.B) {
 // wire-moving local search.
 func BenchmarkAblationTAMRefine(b *testing.B) {
 	s := soc.MustSystem("System1")
+	cache := new(core.Cache)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		refined, err := soctap.Optimize(s, 37, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 37},
-			Cache:  experiments.SharedCache(),
+			Cache:  cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -173,7 +184,7 @@ func BenchmarkAblationTAMRefine(b *testing.B) {
 		even, err := soctap.Optimize(s, 37, soctap.Options{
 			Style:             soctap.StyleTDCPerCore,
 			Tables:            soctap.TableOptions{MaxWidth: 37},
-			Cache:             experiments.SharedCache(),
+			Cache:             cache,
 			DisableRefinement: true,
 		})
 		if err != nil {
@@ -187,12 +198,13 @@ func BenchmarkAblationTAMRefine(b *testing.B) {
 // against naive declaration-order placement.
 func BenchmarkAblationSchedule(b *testing.B) {
 	s := soc.MustSystem("System2")
+	cache := new(core.Cache)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lpt, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 64},
-			Cache:  experiments.SharedCache(),
+			Cache:  cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -200,7 +212,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		naive, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:      soctap.StyleTDCPerCore,
 			Tables:     soctap.TableOptions{MaxWidth: 64},
-			Cache:      experiments.SharedCache(),
+			Cache:      cache,
 			NaiveOrder: true,
 		})
 		if err != nil {
@@ -214,7 +226,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 // lookup tables — the CPU-time column of Table 3.
 func BenchmarkOptimizeD695(b *testing.B) {
 	s := soctap.D695()
-	cache := experiments.SharedCache()
+	cache := new(core.Cache)
 	// Warm the tables outside the timed region.
 	if _, err := soctap.Optimize(s, 32, soctap.Options{
 		Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64}, Cache: cache,
@@ -234,16 +246,17 @@ func BenchmarkOptimizeD695(b *testing.B) {
 
 // BenchmarkOptimizeSearch isolates the Section 3 architecture search —
 // the paper's CPU column — from table building: tables are prebuilt
-// into the shared cache outside the timed region, so each iteration is
-// cache hits plus the search, which schedules every candidate once on
-// the calling goroutine; MergeSearch exercises every search phase. The
-// makespan metric pins the result: search speedups must not move it.
+// into the benchmark's cache outside the timed region, so each
+// iteration is cache hits plus the search, which schedules every
+// candidate once on the calling goroutine; MergeSearch exercises every
+// search phase. The makespan metric pins the result: search speedups
+// must not move it.
 func BenchmarkOptimizeSearch(b *testing.B) {
 	s := soctap.D695()
 	opts := soctap.Options{
 		Style:       soctap.StyleTDCPerCore,
 		Tables:      soctap.TableOptions{MaxWidth: 64},
-		Cache:       experiments.SharedCache(),
+		Cache:       new(core.Cache),
 		Workers:     1,
 		MergeSearch: true,
 	}
@@ -264,9 +277,9 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 
 // BenchmarkOptimizeSearchSystem4 is the warm search on the largest paper
 // SOC, System4 (12 industrial cores), at the default options and
-// Workers: tables are prebuilt into the shared cache outside the timed
-// region, and the candidate count grows with W_TAM. The makespan metric
-// pins each result.
+// Workers: tables are prebuilt into the benchmark's cache outside the
+// timed region, and the candidate count grows with W_TAM. The makespan
+// metric pins each result.
 func BenchmarkOptimizeSearchSystem4(b *testing.B) {
 	s, err := soctap.System("System4")
 	if err != nil {
@@ -275,7 +288,7 @@ func BenchmarkOptimizeSearchSystem4(b *testing.B) {
 	opts := soctap.Options{
 		Style:  soctap.StyleTDCPerCore,
 		Tables: soctap.TableOptions{MaxWidth: 64},
-		Cache:  experiments.SharedCache(),
+		Cache:  new(core.Cache),
 	}
 	for _, wtam := range []int{32, 64} {
 		b.Run(fmt.Sprintf("wtam=%d", wtam), func(b *testing.B) {
@@ -300,12 +313,13 @@ func BenchmarkOptimizeSearchSystem4(b *testing.B) {
 // complete plan at W_TAM 32: d695's is bounded by its largest replay
 // (s38584), d2758's has five compressed cores.
 func BenchmarkVerifyPlan(b *testing.B) {
+	cache := new(core.Cache)
 	for _, name := range []string{"d695", "d2758"} {
 		b.Run(name, func(b *testing.B) {
 			s, _ := soctap.Benchmark(name)
 			res, err := soctap.Optimize(s, 32, soctap.Options{
 				Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64},
-				Cache: experiments.SharedCache(),
+				Cache: cache,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -393,7 +407,7 @@ func BenchmarkScalability24Cores(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := experiments.SharedCache()
+	cache := new(core.Cache)
 	// Warm tables outside the timed region.
 	if _, err := soctap.Optimize(s, 64, soctap.Options{
 		Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64}, Cache: cache,

@@ -6,7 +6,9 @@ package main
 // higher-is-better) regress when they move the wrong way by more than
 // -threshold; directionless metrics are reported but never fail the
 // comparison. The exit code is the contract `make bench-compare` keys
-// on: 0 clean, 1 when any metric regressed.
+// on: 0 clean, 1 when any metric regressed. A benchmark measured over
+// several samples is compared on its medians; an archive entry without
+// a sample count is one sample.
 
 import (
 	"encoding/json"
@@ -50,6 +52,7 @@ type metricRow struct {
 	unit     string
 	old, new float64
 	dir      metricDir
+	note     string
 }
 
 // delta is the relative change from old to new; +0.25 means new is 25%
@@ -98,6 +101,9 @@ func benchRows(old, new Benchmark) []metricRow {
 		rows = append(rows, metricRow{bench: name, unit: unit, old: o, new: n, dir: direction(unit)})
 	}
 	add("ns/op", old.NsPerOp, new.NsPerOp)
+	if len(rows) == 1 {
+		rows[0].note = fmt.Sprintf("  n=%d->%d", max(old.Samples, 1), max(new.Samples, 1))
+	}
 	add("B/op", float64(old.BytesPerOp), float64(new.BytesPerOp))
 	add("allocs/op", float64(old.AllocsPerOp), float64(new.AllocsPerOp))
 	add("peak-bytes", float64(old.PeakBytes), float64(new.PeakBytes))
@@ -139,8 +145,8 @@ func runCompare(old, new Report, threshold float64, w io.Writer) int {
 			case r.dir == dirInfo:
 				verdict = "  (info)"
 			}
-			fmt.Fprintf(w, "  %-52s %-16s %14.4g -> %-14.4g %s%s\n",
-				r.bench, r.unit, r.old, r.new, fmtDelta(r.delta()), verdict)
+			fmt.Fprintf(w, "  %-52s %-16s %14.4g -> %-14.4g %s%s%s\n",
+				r.bench, r.unit, r.old, r.new, fmtDelta(r.delta()), r.note, verdict)
 		}
 	}
 	for _, ob := range old.Benchmarks {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -147,5 +148,35 @@ func TestDirection(t *testing.T) {
 		if got := direction(unit); got != want {
 			t.Errorf("direction(%q) = %v, want %v", unit, got, want)
 		}
+	}
+}
+
+// TestCompareMedians: compare judges the median of each side's
+// samples, so one slow sample among five does not regress, a slower
+// median does, and an archive entry without a sample count compares as
+// one sample.
+func TestCompareMedians(t *testing.T) {
+	samples := func(ns ...int) Report {
+		var lines []string
+		for _, n := range ns {
+			lines = append(lines, fmt.Sprintf("BenchmarkTab3 1 %d ns/op", n))
+		}
+		return Report{Benchmarks: summarize(parseAll(t, "soctap", lines...))}
+	}
+	old := samples(1000, 1010, 990, 1005, 995)
+	var out strings.Builder
+	if n := runCompare(old, samples(1000, 3000, 990, 1005, 995), 0.10, &out); n != 0 {
+		t.Fatalf("one slow sample regressed %d metric(s):\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "n=5->5") {
+		t.Errorf("ns/op row does not name the sample counts:\n%s", out.String())
+	}
+	if n := runCompare(old, samples(1200, 1300, 1250, 990, 1210), 0.10, &strings.Builder{}); n != 1 {
+		t.Fatalf("median +20%% regressed %d metric(s), want 1", n)
+	}
+	archived := Report{Benchmarks: []Benchmark{{Name: "BenchmarkTab3", Pkg: "soctap", Iterations: 1, NsPerOp: 1000}}}
+	out.Reset()
+	if n := runCompare(archived, old, 0.10, &out); n != 0 || !strings.Contains(out.String(), "n=1->5") {
+		t.Errorf("single-sample archive: %d regression(s):\n%s", n, out.String())
 	}
 }

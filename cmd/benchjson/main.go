@@ -5,8 +5,11 @@
 //	go test -run '^$' -bench BenchmarkOptimizeSearch -benchmem . | \
 //	    go run ./cmd/benchjson -o BENCH_2026-08-05.json
 //
-// `make bench-json` wires the four headline benchmarks through this
-// tool into a dated BENCH_<date>.json at the repository root.
+// `make bench-json` wires the headline benchmarks through this tool
+// into a dated BENCH_<date>.json at the repository root. Repeated
+// results of one benchmark (go test -count N) are stored as one entry:
+// the median of every field, the sample count and the quartiles of
+// ns/op.
 //
 // Archived reports diff with -compare (see compare.go):
 //
@@ -23,8 +26,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -33,9 +38,12 @@ import (
 	"soctap/internal/telemetry"
 )
 
-// Benchmark is one parsed result line. Standard -benchmem columns map
-// to the named fields; any extra ReportMetric columns (e.g. the
-// "cycles" a paper-artifact bench reports) land in Metrics.
+// Benchmark is one parsed result line, or the summary of a benchmark's
+// repeated lines. Standard -benchmem columns map to the named fields;
+// any extra ReportMetric columns (e.g. the "cycles" a paper-artifact
+// bench reports) land in Metrics. In a summary every field is the
+// median over Samples lines, and NsPerOpQ1/NsPerOpQ3 are the quartiles
+// of ns/op.
 type Benchmark struct {
 	Name        string             `json:"name"`
 	Pkg         string             `json:"pkg,omitempty"`
@@ -45,6 +53,9 @@ type Benchmark struct {
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	PeakBytes   int64              `json:"peak_bytes,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Samples     int                `json:"samples,omitempty"`
+	NsPerOpQ1   float64            `json:"ns_per_op_q1,omitempty"`
+	NsPerOpQ3   float64            `json:"ns_per_op_q3,omitempty"`
 	// procs is the GOMAXPROCS the result was measured at: its name's
 	// -N suffix, or 1 when go test printed none.
 	procs int
@@ -135,6 +146,7 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
 	}
+	rep.Benchmarks = summarize(rep.Benchmarks)
 	qualifyProcs(rep.Benchmarks)
 	if *merge && *out != "" {
 		if err := mergeExisting(*out, &rep); err != nil {
@@ -209,6 +221,71 @@ func parseLine(line string) (Benchmark, bool) {
 		}
 	}
 	return b, true
+}
+
+// summarize folds the repeated results of each (pkg, name, GOMAXPROCS)
+// into one entry, in order of first appearance: the median of every
+// field and metric, the sample count, and for several samples the
+// quartiles of ns/op.
+func summarize(bs []Benchmark) []Benchmark {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	groups := make(map[key][]Benchmark)
+	var order []key
+	for _, b := range bs {
+		k := key{b.Pkg, b.Name, b.procs}
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		b := g[0]
+		b.Samples = len(g)
+		if len(g) > 1 {
+			values := func(field func(Benchmark) float64) []float64 {
+				vs := make([]float64, len(g))
+				for i, s := range g {
+					vs[i] = field(s)
+				}
+				return vs
+			}
+			median := func(field func(Benchmark) int64) int64 {
+				return int64(math.Round(quantile(values(func(s Benchmark) float64 { return float64(field(s)) }), 0.5)))
+			}
+			ns := values(func(s Benchmark) float64 { return s.NsPerOp })
+			b.NsPerOp, b.NsPerOpQ1, b.NsPerOpQ3 = quantile(ns, 0.5), quantile(ns, 0.25), quantile(ns, 0.75)
+			b.Iterations = median(func(s Benchmark) int64 { return s.Iterations })
+			b.BytesPerOp = median(func(s Benchmark) int64 { return s.BytesPerOp })
+			b.AllocsPerOp = median(func(s Benchmark) int64 { return s.AllocsPerOp })
+			b.PeakBytes = median(func(s Benchmark) int64 { return s.PeakBytes })
+			if b.Metrics != nil {
+				b.Metrics = make(map[string]float64, len(g[0].Metrics))
+				for unit := range g[0].Metrics {
+					b.Metrics[unit] = quantile(values(func(s Benchmark) float64 { return s.Metrics[unit] }), 0.5)
+				}
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// quantile returns the p-quantile of vs, interpolating linearly between
+// the two nearest ranks (so the median of an even count is the mean of
+// the middle two). It sorts vs in place.
+func quantile(vs []float64, p float64) float64 {
+	sort.Float64s(vs)
+	h := p * float64(len(vs)-1)
+	lo := int(h)
+	if lo+1 >= len(vs) {
+		return vs[lo]
+	}
+	return vs[lo] + (h-float64(lo))*(vs[lo+1]-vs[lo])
 }
 
 // qualifyProcs names each result of a benchmark that one run measured

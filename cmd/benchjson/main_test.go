@@ -147,3 +147,117 @@ func TestMergeExisting(t *testing.T) {
 		t.Error("missing merge target disturbed the report")
 	}
 }
+
+// parseAll parses bench output lines as the main loop does, stamping
+// pkg on each result.
+func parseAll(t *testing.T, pkg string, lines ...string) []Benchmark {
+	t.Helper()
+	var bs []Benchmark
+	for _, line := range lines {
+		b, ok := parseLine(line)
+		if !ok {
+			t.Fatalf("line %q not parsed", line)
+		}
+		b.Pkg = pkg
+		bs = append(bs, b)
+	}
+	return bs
+}
+
+// TestSummarizeMedian: five samples of one benchmark become one entry
+// holding the median of every field and metric, the sample count and
+// the quartiles of ns/op; an even count takes the mean of the middle
+// two; a single sample is stored as it was measured.
+func TestSummarizeMedian(t *testing.T) {
+	bs := summarize(parseAll(t, "soctap",
+		"BenchmarkTab3-2  1  900 ns/op  50 B/op  7 allocs/op  11 time-reduction-x",
+		"BenchmarkTab3-2  1  100 ns/op  10 B/op  3 allocs/op  11 time-reduction-x",
+		"BenchmarkTab3-2  1  300 ns/op  30 B/op  5 allocs/op  13 time-reduction-x",
+		"BenchmarkTab3-2  1  200 ns/op  20 B/op  4 allocs/op  12 time-reduction-x",
+		"BenchmarkTab3-2  1  400 ns/op  40 B/op  6 allocs/op  12 time-reduction-x",
+		"BenchmarkEven-2  1  100 ns/op  10 B/op",
+		"BenchmarkEven-2  3  400 ns/op  21 B/op",
+		"BenchmarkEven-2  1  200 ns/op  20 B/op",
+		"BenchmarkEven-2  1  300 ns/op  30 B/op",
+		"BenchmarkOnce-2  7  500 ns/op",
+	))
+	if len(bs) != 3 {
+		t.Fatalf("%d entries, want 3: %+v", len(bs), bs)
+	}
+	tab3, even, once := bs[0], bs[1], bs[2]
+	if tab3.Name != "BenchmarkTab3" || tab3.Samples != 5 || tab3.NsPerOp != 300 ||
+		tab3.NsPerOpQ1 != 200 || tab3.NsPerOpQ3 != 400 || tab3.BytesPerOp != 30 || tab3.AllocsPerOp != 5 ||
+		tab3.Metrics["time-reduction-x"] != 12 {
+		t.Errorf("five samples summarized as %+v", tab3)
+	}
+	if even.Samples != 4 || even.NsPerOp != 250 || even.NsPerOpQ1 != 175 || even.NsPerOpQ3 != 325 ||
+		even.BytesPerOp != 21 || even.Iterations != 1 {
+		t.Errorf("four samples summarized as %+v", even)
+	}
+	if once.Samples != 1 || once.NsPerOp != 500 || once.Iterations != 7 || once.NsPerOpQ1 != 0 || once.NsPerOpQ3 != 0 {
+		t.Errorf("one sample summarized as %+v", once)
+	}
+}
+
+// TestSummarizeProcsAndSamples: `-cpu 1,2 -count 2` output summarizes
+// to one entry per GOMAXPROCS value, each named by qualifyProcs and
+// holding its own two samples.
+func TestSummarizeProcsAndSamples(t *testing.T) {
+	bs := summarize(parseAll(t, "soctap",
+		"BenchmarkVerifyPlan/d695     \t 200\t 5000000 ns/op",
+		"BenchmarkVerifyPlan/d695     \t 200\t 7000000 ns/op",
+		"BenchmarkVerifyPlan/d695-2   \t 300\t 3000000 ns/op",
+		"BenchmarkVerifyPlan/d695-2   \t 300\t 4000000 ns/op",
+		"BenchmarkOptimizeSearch-2    \t 500\t 250000 ns/op",
+		"BenchmarkOptimizeSearch-2    \t 500\t 260000 ns/op",
+	))
+	qualifyProcs(bs)
+	type entry struct {
+		name    string
+		samples int
+		ns      float64
+	}
+	var got []entry
+	for _, b := range bs {
+		got = append(got, entry{b.Name, b.Samples, b.NsPerOp})
+	}
+	want := []entry{
+		{"BenchmarkVerifyPlan/d695-1", 2, 6000000},
+		{"BenchmarkVerifyPlan/d695-2", 2, 3500000},
+		{"BenchmarkOptimizeSearch", 2, 255000},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("entries %v, want %v", got, want)
+	}
+}
+
+// TestMergeKeepsSummaries: a merge replaces a benchmark's summarized
+// entry whole and keeps the prior summaries of benchmarks not re-run.
+func TestMergeKeepsSummaries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	old := Report{Benchmarks: summarize(parseAll(t, "soctap",
+		"BenchmarkA  1  100 ns/op", "BenchmarkA  1  300 ns/op", "BenchmarkA  1  200 ns/op",
+		"BenchmarkB  1  10 ns/op", "BenchmarkB  1  30 ns/op",
+	))}
+	data, err := json.Marshal(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := Report{Benchmarks: summarize(parseAll(t, "soctap", "BenchmarkB  1  50 ns/op"))}
+	if err := mergeExisting(path, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("merged %+v", rep.Benchmarks)
+	}
+	a, b := rep.Benchmarks[0], rep.Benchmarks[1]
+	if a.Name != "BenchmarkA" || a.Samples != 3 || a.NsPerOp != 200 || a.NsPerOpQ1 != 150 || a.NsPerOpQ3 != 250 {
+		t.Errorf("kept entry %+v, want A's three-sample summary", a)
+	}
+	if b.Name != "BenchmarkB" || b.Samples != 1 || b.NsPerOp != 50 || b.NsPerOpQ1 != 0 {
+		t.Errorf("re-run entry %+v, want B's new single sample", b)
+	}
+}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"regexp"
 	"strings"
@@ -14,9 +15,9 @@ import (
 
 // TestReproAllMatchesArtifacts is the artifact gate: `repro all` must
 // reproduce the checked-in artifacts.txt, apart from its timing fields,
-// both on an empty table-cache directory and again from a fresh cache
-// over the directory the first run filled — the second run loads every
-// cached table from disk.
+// both cold, on an Engine over an empty table-cache directory, and warm,
+// on a second Engine with a fresh cache over the directory the first run
+// filled — the second run loads every cached table from disk.
 func TestReproAllMatchesArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: `repro all` takes seconds")
@@ -29,10 +30,6 @@ func TestReproAllMatchesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := maskTiming(string(golden))
-	t.Cleanup(func() {
-		experiments.SetTableCache(new(core.Cache))
-		experiments.SetTelemetry(nil)
-	})
 
 	dir := t.TempDir()
 	for _, run := range []string{"cold", "warm"} {
@@ -40,11 +37,10 @@ func TestReproAllMatchesArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		experiments.SetTableCache(cache)
 		sink := telemetry.New()
-		experiments.SetTelemetry(sink)
+		e := &experiments.Engine{Cache: cache, Telemetry: sink}
 		var out bytes.Buffer
-		if err := runExperiments(&out, "all"); err != nil {
+		if err := runExperiments(context.Background(), e, &out, "all"); err != nil {
 			t.Fatalf("%s run: %v", run, err)
 		}
 		if line, got, exp := firstDiff(maskTiming(out.String()), want); line > 0 {

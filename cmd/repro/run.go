@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -13,8 +14,8 @@ type renderer interface {
 	Render(io.Writer) error
 }
 
-// run executes one named experiment and renders it with timing.
-func run(w io.Writer, name string) error {
+// runOne executes one named experiment on e and renders it with timing.
+func runOne(ctx context.Context, e *experiments.Engine, w io.Writer, name string) error {
 	start := time.Now()
 	var (
 		r   renderer
@@ -22,25 +23,25 @@ func run(w io.Writer, name string) error {
 	)
 	switch name {
 	case "fig2":
-		r, err = experiments.Fig2()
+		r, err = e.Fig2(ctx)
 	case "fig3":
-		r, err = experiments.Fig3()
+		r, err = e.Fig3(ctx)
 	case "fig4":
-		r, err = experiments.Fig4()
+		r, err = e.Fig4(ctx)
 	case "tab1":
-		r, err = experiments.Tab1()
+		r, err = e.Tab1(ctx)
 	case "tab2":
-		r, err = experiments.Tab2()
+		r, err = e.Tab2(ctx)
 	case "tab3":
-		r, err = experiments.Tab3()
+		r, err = e.Tab3(ctx)
 	case "ablations":
-		r, err = experiments.Ablations()
+		r, err = e.Ablations(ctx)
 	case "techsel":
-		r, err = experiments.TechSel()
+		r, err = e.TechSel(ctx)
 	case "seeds":
-		r, err = experiments.Seeds()
+		r, err = e.Seeds(ctx)
 	case "verify":
-		r, err = experiments.Verify()
+		r, err = e.Verify(ctx)
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}

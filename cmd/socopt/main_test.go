@@ -63,21 +63,3 @@ func TestLoadDesignFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
-
-func TestTableCacheErrors(t *testing.T) {
-	if _, err := tableCache("", "12 parsecs", ""); err == nil {
-		t.Error("bad -table-cache-mem accepted")
-	}
-	if _, err := tableCache(t.TempDir(), "", "nope"); err == nil {
-		t.Error("bad -table-cache-size accepted")
-	}
-	if _, err := tableCache("", "", "1G"); err == nil {
-		t.Error("-table-cache-size without -table-cache accepted")
-	}
-	if c, err := tableCache("", "", ""); c != nil || err != nil {
-		t.Errorf("no cache flags: cache %v, err %v; want no cache", c, err)
-	}
-	if c, err := tableCache(t.TempDir(), "64M", "1G"); c == nil || err != nil {
-		t.Errorf("valid cache flags: cache %v, err %v", c, err)
-	}
-}

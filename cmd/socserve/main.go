@@ -30,7 +30,7 @@ import (
 	"syscall"
 	"time"
 
-	"soctap/internal/core"
+	"soctap/internal/cli"
 	"soctap/internal/serve"
 	"soctap/internal/units"
 )
@@ -45,14 +45,14 @@ func main() {
 	burst := flag.Float64("burst", 0, "per-client burst capacity (0 = max(2*rate, 4))")
 	maxBody := flag.String("max-body", "", "largest accepted .soc upload, e.g. 8M (empty = default 8MiB)")
 	jobWorkers := flag.Int("job-workers", 0, "evaluation-engine workers per job (0 = one per CPU); also caps the ?workers override")
-	tableCache := flag.String("table-cache", "", "directory for the persistent lookup-table cache shared by all jobs")
-	tableCacheMem := flag.String("table-cache-mem", "", "in-memory table cache budget, e.g. 256M (empty = unbounded)")
-	tableCacheSize := flag.String("table-cache-size", "", "on-disk table cache budget under -table-cache, e.g. 2G (empty = unbounded)")
 	drain := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight jobs before cancelling them")
+	cacheFlags := cli.RegisterCache(flag.CommandLine)
 	flag.Parse()
 
-	cfg, err := buildConfig(*jobs, *queue, *timeout, *maxTimeout, *rate, *burst,
-		*maxBody, *jobWorkers, *tableCache, *tableCacheMem, *tableCacheSize)
+	cfg, err := buildConfig(*jobs, *queue, *timeout, *maxTimeout, *rate, *burst, *maxBody, *jobWorkers)
+	if err == nil {
+		cfg.Cache, err = cacheFlags.NewCache(func(msg string) { log.Print("socserve: ", msg) })
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "socserve:", err)
 		os.Exit(2)
@@ -110,11 +110,11 @@ func main() {
 	log.Printf("socserve: stopped")
 }
 
-// buildConfig assembles the serve.Config from the flag values,
-// including the shared bounded table cache. Split from main so the
-// translation is testable.
+// buildConfig assembles the serve.Config from the flag values other
+// than the table-cache flags. Split from main so the translation is
+// testable.
 func buildConfig(jobs, queue int, timeout, maxTimeout time.Duration, rate, burst float64,
-	maxBody string, jobWorkers int, cacheDir, cacheMem, cacheDisk string) (serve.Config, error) {
+	maxBody string, jobWorkers int) (serve.Config, error) {
 	cfg := serve.Config{
 		MaxJobs:        jobs,
 		MaxQueue:       queue,
@@ -131,19 +131,5 @@ func buildConfig(jobs, queue int, timeout, maxTimeout time.Duration, rate, burst
 		}
 		cfg.MaxBodyBytes = n
 	}
-	memBytes, err := units.ParseBytes(cacheMem)
-	if err != nil {
-		return cfg, fmt.Errorf("-table-cache-mem: %w", err)
-	}
-	diskBytes, err := units.ParseBytes(cacheDisk)
-	if err != nil {
-		return cfg, fmt.Errorf("-table-cache-size: %w", err)
-	}
-	cache, err := core.NewCache(cacheDir, memBytes, diskBytes)
-	if err != nil {
-		return cfg, fmt.Errorf("-table-cache-size: %w", err)
-	}
-	cache.SetWarn(func(msg string) { log.Print("socserve: ", msg) })
-	cfg.Cache = cache
 	return cfg, nil
 }

@@ -6,9 +6,7 @@ import (
 )
 
 func TestBuildConfig(t *testing.T) {
-	dir := t.TempDir()
-	cfg, err := buildConfig(4, 16, 30*time.Second, 5*time.Minute, 10, 20,
-		"4M", 2, dir, "64M", "256M")
+	cfg, err := buildConfig(4, 16, 30*time.Second, 5*time.Minute, 10, 20, "4M", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,19 +16,10 @@ func TestBuildConfig(t *testing.T) {
 	if cfg.MaxBodyBytes != 4<<20 {
 		t.Errorf("MaxBodyBytes = %d, want %d", cfg.MaxBodyBytes, 4<<20)
 	}
-	if cfg.Cache == nil {
-		t.Fatal("no cache assembled")
-	}
 }
 
 func TestBuildConfigErrors(t *testing.T) {
-	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "nope", 0, "", "", ""); err == nil {
+	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "nope", 0); err == nil {
 		t.Error("bad -max-body accepted")
-	}
-	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "", 0, "", "12 parsecs", ""); err == nil {
-		t.Error("bad -table-cache-mem accepted")
-	}
-	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "", 0, "", "", "1G"); err == nil {
-		t.Error("-table-cache-size without -table-cache accepted")
 	}
 }

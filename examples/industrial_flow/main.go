@@ -25,10 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vi, err := design.InitialVolume()
-	if err != nil {
-		log.Fatal(err)
-	}
+	vi := design.InitialVolume()
 	fmt.Printf("design %s: %d industrial cores, %d scan cells, %s Mbit raw stimulus\n\n",
 		design.Name, len(design.Cores), design.TotalScanCells(), report.Mbits(vi))
 

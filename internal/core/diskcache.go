@@ -107,13 +107,6 @@ func faultAt(stage string) error {
 	return diskFault(stage)
 }
 
-// storeDiskTable writes the v2 entry for key at its sharded path.
-// Errors are returned for tests but callers treat the store as
-// best-effort: a failed write only costs a rebuild next run.
-func storeDiskTable(dir, key string, t *Table) error {
-	return storeDiskBytes(dir, key, encodeTableV2(key, t))
-}
-
 // storeDiskBytes publishes data under key crash-safely: temp file in
 // the entry's directory, fsync of the file data, atomic rename, then
 // fsync of the directory. The file sync before the rename is what

@@ -16,6 +16,12 @@ import (
 	"soctap/internal/telemetry"
 )
 
+// storeDiskTable writes the v2 entry for key at its sharded path, as the
+// disk store's write-back does.
+func storeDiskTable(dir, key string, t *Table) error {
+	return storeDiskBytes(dir, key, encodeTableV2(key, t))
+}
+
 // cacheDirEntries lists the table entries currently in dir, all in its
 // two-hex-char subdirectories.
 func cacheDirEntries(t *testing.T, dir string) []string {

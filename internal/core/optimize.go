@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,10 +91,6 @@ type Options struct {
 	// counters registered on the span's sink. Nil disables all
 	// instrumentation at zero cost.
 	Telemetry *telemetry.Span
-	// TelemetryWriter, when non-nil, receives the telemetry snapshot as
-	// deterministic JSON after a successful run. If Telemetry is nil a
-	// private sink is created for the run.
-	TelemetryWriter io.Writer
 }
 
 // CoreChoice reports the configuration chosen for one core.
@@ -178,9 +173,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 	if tabOpts.Workers == 0 {
 		tabOpts.Workers = opts.Workers
 	}
-	if opts.TelemetryWriter != nil && opts.Telemetry == nil {
-		opts.Telemetry = telemetry.New().Root()
-	}
 	tel := opts.Telemetry
 	defer func() {
 		if canceled(err) {
@@ -236,11 +228,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 		CPUSeconds:   cpuSeconds,
 	}
 	fillDetails(res, selectors)
-	if opts.TelemetryWriter != nil {
-		if err := tel.Sink().Snapshot().WriteJSON(opts.TelemetryWriter); err != nil {
-			return nil, fmt.Errorf("core: writing telemetry: %w", err)
-		}
-	}
 	return res, nil
 }
 

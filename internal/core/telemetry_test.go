@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -137,29 +135,6 @@ func TestOptimizeTelemetrySpans(t *testing.T) {
 	}
 	if _, ok := byName["schedule"]; !ok {
 		t.Fatalf("missing schedule span: %+v", sn.Spans)
-	}
-}
-
-// TestOptimizeTelemetryWriter: Options.TelemetryWriter receives valid
-// snapshot JSON even when no explicit sink was attached.
-func TestOptimizeTelemetryWriter(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := Optimize(testSOC(), 12, Options{
-		Style:           StyleTDCPerCore,
-		Tables:          TableOptions{MaxWidth: 12},
-		TelemetryWriter: &buf,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var sn telemetry.Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &sn); err != nil {
-		t.Fatalf("TelemetryWriter output is not valid JSON: %v\n%s", err, buf.Bytes())
-	}
-	if sn.Counters["eval.tdc_evals"] == 0 {
-		t.Fatalf("snapshot has no kernel counters: %v", sn.Counters)
-	}
-	if len(sn.Spans) == 0 {
-		t.Fatal("snapshot has no spans")
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -27,8 +28,9 @@ type AblationResult struct {
 // Ablations runs the four design-choice ablations on the benchmark
 // suite (see DESIGN.md §5 and the benchmark harness, which reports the
 // same quantities as bench metrics).
-func Ablations() (*AblationResult, error) {
-	defer expSpan("ablations").End()
+func (e *Engine) Ablations(ctx context.Context) (*AblationResult, error) {
+	run := e.start("ablations")
+	defer run.end()
 	res := &AblationResult{}
 
 	// 1. Group-copy mode of the codec (per-core volume, ckt-9, m=255).
@@ -56,17 +58,15 @@ func Ablations() (*AblationResult, error) {
 	}
 
 	// 2. Within-band best-m exploration vs band maximum.
-	full, err := core.OptimizeContext(expContext(), sys1, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 32, BandSamples: 48}),
-	})
+	full, err := core.OptimizeContext(ctx, sys1, 32, run.options(core.Options{
+		Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: 32, BandSamples: 48},
+	}))
 	if err != nil {
 		return nil, err
 	}
-	bandMax, err := core.OptimizeContext(expContext(), sys1, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 32, BandSamples: 1}),
-	})
+	bandMax, err := core.OptimizeContext(ctx, sys1, 32, run.options(core.Options{
+		Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: 32, BandSamples: 1},
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -77,17 +77,15 @@ func Ablations() (*AblationResult, error) {
 	})
 
 	// 3. TAM-partition refinement vs even splits (prime budget).
-	refined, err := core.OptimizeContext(expContext(), sys1, 37, core.Options{
-		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 37}),
-	})
+	refined, err := core.OptimizeContext(ctx, sys1, 37, run.options(core.Options{
+		Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: 37},
+	}))
 	if err != nil {
 		return nil, err
 	}
-	even, err := core.OptimizeContext(expContext(), sys1, 37, core.Options{
-		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 37}), DisableRefinement: true,
-	})
+	even, err := core.OptimizeContext(ctx, sys1, 37, run.options(core.Options{
+		Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: 37}, DisableRefinement: true,
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -102,17 +100,15 @@ func Ablations() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lpt, err := core.OptimizeContext(expContext(), sys2, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-	})
+	lpt, err := core.OptimizeContext(ctx, sys2, 32, run.options(core.Options{
+		Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: tableWidth},
+	}))
 	if err != nil {
 		return nil, err
 	}
-	naive, err := core.OptimizeContext(expContext(), sys2, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}), NaiveOrder: true,
-	})
+	naive, err := core.OptimizeContext(ctx, sys2, 32, run.options(core.Options{
+		Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: tableWidth}, NaiveOrder: true,
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -145,18 +141,18 @@ type VerifyResult struct {
 // Verify optimizes d695 and System1 with the proposed style and replays
 // every core's chosen configuration through the bit-level simulator —
 // the repository's end-to-end trust check.
-func Verify() (*VerifyResult, error) {
-	defer expSpan("verify").End()
+func (e *Engine) Verify(ctx context.Context) (*VerifyResult, error) {
+	run := e.start("verify")
+	defer run.end()
 	out := &VerifyResult{}
 	for _, name := range []string{"d695", "System1"} {
 		s, ok := soc.Benchmark(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown design %s", name)
 		}
-		res, err := core.OptimizeContext(expContext(), s, 32, core.Options{
-			Style: core.StyleTDCPerCore, Cache: sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-		})
+		res, err := core.OptimizeContext(ctx, s, 32, run.options(core.Options{
+			Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: tableWidth},
+		}))
 		if err != nil {
 			return nil, err
 		}

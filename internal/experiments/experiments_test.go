@@ -7,12 +7,19 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"soctap/internal/core"
 )
 
+// testEngine runs the shape tests; they share its cache, as repro's
+// artifacts do.
+var testEngine = &Engine{Cache: new(core.Cache)}
+
 func TestFig2ShapeClaims(t *testing.T) {
-	r, err := Fig2()
+	r, err := testEngine.Fig2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +44,7 @@ func TestFig2ShapeClaims(t *testing.T) {
 }
 
 func TestFig3ShapeClaims(t *testing.T) {
-	r, err := Fig3()
+	r, err := testEngine.Fig3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func TestFig3ShapeClaims(t *testing.T) {
 }
 
 func TestFig4ShapeClaims(t *testing.T) {
-	r, err := Fig4()
+	r, err := testEngine.Fig4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestTab1ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table experiments are heavyweight")
 	}
-	r, err := Tab1()
+	r, err := testEngine.Tab1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestTab2ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table experiments are heavyweight")
 	}
-	r, err := Tab2()
+	r, err := testEngine.Tab2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +158,7 @@ func TestTab3ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table experiments are heavyweight")
 	}
-	r, err := Tab3()
+	r, err := testEngine.Tab3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -29,8 +30,8 @@ type Fig2Result struct {
 }
 
 // Fig2 sweeps every m in the w=10 band for ckt-7.
-func Fig2() (*Fig2Result, error) {
-	defer expSpan("fig2").End()
+func (e *Engine) Fig2(ctx context.Context) (*Fig2Result, error) {
+	defer e.start("fig2").end()
 	c, err := soc.IndustrialCore("ckt-7")
 	if err != nil {
 		return nil, err
@@ -39,7 +40,7 @@ func Fig2() (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgs, err := core.SweepTDCContext(expContext(), c, lo, hi, engineWorkers)
+	cfgs, err := core.SweepTDCContext(ctx, c, lo, hi, e.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -91,14 +92,15 @@ type Fig3Result struct {
 
 // Fig3 finds, for each TAM width w, the best m in w's band for ckt-7,
 // using the same banded exploration the optimizer's lookup tables use.
-func Fig3() (*Fig3Result, error) {
-	defer expSpan("fig3").End()
+func (e *Engine) Fig3(ctx context.Context) (*Fig3Result, error) {
+	run := e.start("fig3")
+	defer run.end()
 	c, err := soc.IndustrialCore("ckt-7")
 	if err != nil {
 		return nil, err
 	}
-	tab, err := sharedCache.GetInstrumentedContext(expContext(), c,
-		engineTables(core.TableOptions{MaxWidth: tableWidth, Workers: engineWorkers}), telSink)
+	tab, err := run.cache.GetInstrumentedContext(ctx, c,
+		core.TableOptions{MaxWidth: tableWidth, Workers: e.Workers, EvalWindow: e.EvalWindow}, e.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +159,15 @@ type Fig4Result struct {
 var styleOrder = [3]core.Style{core.StyleNoTDC, core.StyleTDCPerTAM, core.StyleTDCPerCore}
 
 // Fig4 optimizes the Figure 4 SOC under each architecture style.
-func Fig4() (*Fig4Result, error) {
-	defer expSpan("fig4").End()
+func (e *Engine) Fig4(ctx context.Context) (*Fig4Result, error) {
+	run := e.start("fig4")
+	defer run.end()
 	s := soc.Figure4SOC()
 	r := &Fig4Result{WTAM: 31}
 	for i, style := range styleOrder {
-		res, err := core.OptimizeContext(expContext(), s, r.WTAM, core.Options{
-			Style:  style,
-			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-			Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		})
+		res, err := core.OptimizeContext(ctx, s, r.WTAM, run.options(core.Options{
+			Style: style, Tables: core.TableOptions{MaxWidth: tableWidth},
+		}))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -28,8 +29,9 @@ type SeedsResult struct {
 
 // Seeds reruns the System1/W=32 with-vs-without-TDC comparison under
 // several cube seeds.
-func Seeds() (*SeedsResult, error) {
-	defer expSpan("seeds").End()
+func (e *Engine) Seeds(ctx context.Context) (*SeedsResult, error) {
+	run := e.start("seeds")
+	defer run.end()
 	r := &SeedsResult{}
 	var sum float64
 	for _, off := range []int64{0, 1, 2, 3, 4} {
@@ -42,23 +44,15 @@ func Seeds() (*SeedsResult, error) {
 		}
 		// The cache keys tables by core content, and the shifted Seed is
 		// part of the key — each variant gets its own entries.
-		noTDC, err := core.OptimizeContext(expContext(), base, 32, core.Options{
-			Style:     core.StyleNoTDC,
-			Tables:    engineTables(core.TableOptions{MaxWidth: 32}),
-			Cache:     sharedCache,
-			Workers:   engineWorkers,
-			Telemetry: telSpan,
-		})
+		noTDC, err := core.OptimizeContext(ctx, base, 32, run.options(core.Options{
+			Style: core.StyleNoTDC, Tables: core.TableOptions{MaxWidth: 32},
+		}))
 		if err != nil {
 			return nil, err
 		}
-		tdc, err := core.OptimizeContext(expContext(), base, 32, core.Options{
-			Style:     core.StyleTDCPerCore,
-			Tables:    engineTables(core.TableOptions{MaxWidth: 32}),
-			Cache:     sharedCache,
-			Workers:   engineWorkers,
-			Telemetry: telSpan,
-		})
+		tdc, err := core.OptimizeContext(ctx, base, 32, run.options(core.Options{
+			Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: 32},
+		}))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -30,16 +31,15 @@ type Tab1Result struct {
 // Tab1 runs the ATE-channel-constrained comparison. Every TAM wire is
 // driven by one ATE channel in the proposed scheme, so the proposed
 // column is the co-optimizer at W_TAM = W_ATE.
-func Tab1() (*Tab1Result, error) {
-	defer expSpan("tab1").End()
+func (e *Engine) Tab1(ctx context.Context) (*Tab1Result, error) {
+	run := e.start("tab1")
+	defer run.end()
 	r := &Tab1Result{}
 	for _, design := range []*soc.SOC{soc.D695(), soc.D2758()} {
 		for _, wate := range []int{8, 16, 24, 32} {
-			ours, err := core.OptimizeContext(expContext(), design, wate, core.Options{
-				Style:  core.StyleTDCPerCore,
-				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-			})
+			ours, err := core.OptimizeContext(ctx, design, wate, run.options(core.Options{
+				Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: tableWidth},
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -107,16 +107,15 @@ type Tab2Result struct {
 // constraint the [18] proxy must pay for its internal TAM out of the
 // budget: its ATE channel count is the TAM width divided by the
 // expansion ratio.
-func Tab2() (*Tab2Result, error) {
-	defer expSpan("tab2").End()
+func (e *Engine) Tab2(ctx context.Context) (*Tab2Result, error) {
+	run := e.start("tab2")
+	defer run.end()
 	design := soc.D695()
 	r := &Tab2Result{Design: design.Name}
 	for _, wtam := range []int{16, 24, 32, 40, 48, 56, 64} {
-		ours, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-			Style:  core.StyleTDCPerCore,
-			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-			Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		})
+		ours, err := core.OptimizeContext(ctx, design, wtam, run.options(core.Options{
+			Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: tableWidth},
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -195,8 +194,9 @@ type Tab3Result struct {
 var Tab3Widths = []int{16, 32, 48, 64}
 
 // Tab3 runs the with/without-TDC comparison.
-func Tab3() (*Tab3Result, error) {
-	defer expSpan("tab3").End()
+func (e *Engine) Tab3(ctx context.Context) (*Tab3Result, error) {
+	run := e.start("tab3")
+	defer run.end()
 	designs := []*soc.SOC{soc.D695()}
 	for _, n := range soc.SystemNames() {
 		s, err := soc.System(n)
@@ -210,24 +210,17 @@ func Tab3() (*Tab3Result, error) {
 	var sumT, sumTInd, sumV, sumVInd float64
 	var n, nInd int
 	for di, design := range designs {
-		vi, err := design.InitialVolume()
-		if err != nil {
-			return nil, err
-		}
+		vi := design.InitialVolume()
 		for _, wtam := range Tab3Widths {
-			noTDC, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-				Style:  core.StyleNoTDC,
-				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-			})
+			noTDC, err := core.OptimizeContext(ctx, design, wtam, run.options(core.Options{
+				Style: core.StyleNoTDC, Tables: core.TableOptions{MaxWidth: tableWidth},
+			}))
 			if err != nil {
 				return nil, err
 			}
-			tdc, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-				Style:  core.StyleTDCPerCore,
-				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				Cache:  sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-			})
+			tdc, err := core.OptimizeContext(ctx, design, wtam, run.options(core.Options{
+				Style: core.StyleTDCPerCore, Tables: core.TableOptions{MaxWidth: tableWidth},
+			}))
 			if err != nil {
 				return nil, err
 			}

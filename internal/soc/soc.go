@@ -314,17 +314,14 @@ func (s *SOC) TotalScanCells() int {
 }
 
 // InitialVolume returns the summed raw stimulus volume V_i over all
-// cores, in bits (Table 3, column 3).
-func (s *SOC) InitialVolume() (int64, error) {
+// cores, in bits (Table 3, column 3): each core's StimulusVolumeBits,
+// so no test set is generated.
+func (s *SOC) InitialVolume() int64 {
 	var v int64
 	for _, c := range s.Cores {
-		ts, err := c.TestSet()
-		if err != nil {
-			return 0, err
-		}
-		v += ts.RawVolume()
+		v += c.StimulusVolumeBits()
 	}
-	return v, nil
+	return v
 }
 
 // CoreByName returns the named core, or nil.

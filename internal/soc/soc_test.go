@@ -225,12 +225,29 @@ func TestInitialVolume(t *testing.T) {
 		{Name: "a", Inputs: 10, Patterns: 3, CareDensity: 0.5, Seed: 1},
 		{Name: "b", Inputs: 4, ScanChains: []int{6}, Patterns: 2, CareDensity: 0.5, Seed: 2},
 	}}
-	v, err := s.InitialVolume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 10*3+10*2 {
+	if v := s.InitialVolume(); v != 10*3+10*2 {
 		t.Errorf("InitialVolume = %d, want %d", v, 10*3+10*2)
+	}
+	for _, c := range s.Cores {
+		if c.cubes != nil {
+			t.Errorf("InitialVolume generated the test set of core %s", c.Name)
+		}
+	}
+
+	// V_i is the raw volume of the generated test sets on every
+	// built-in design.
+	for name, s := range AllBenchmarks() {
+		var want int64
+		for _, c := range s.Cores {
+			ts, err := c.TestSet()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += ts.RawVolume()
+		}
+		if v := s.InitialVolume(); v != want {
+			t.Errorf("%s: InitialVolume = %d, want the test sets' %d", name, v, want)
+		}
 	}
 }
 
