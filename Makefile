@@ -51,21 +51,25 @@ bench-smoke:
 # sample count and the quartiles of ns/op. The rungs run the paper
 # artifacts and the search five times each (-count 5; every artifact
 # sample runs on a fresh engine, so builds its tables cold), then the
-# greedy schedule, the point setup of a new m (BenchmarkPointSetup) and
+# greedy schedule (at the default benchtime: a single -benchtime 1x
+# iteration times a cold first call, several times the steady state),
+# the point setup of a new m (BenchmarkPointSetup) and
 # one core's serial table build, the cache tiers (a v2 entry's cold
 # load, BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on
 # the one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
 # their archived names), the warm System4
-# search (BenchmarkOptimizeSearchSystem4), the simulator
+# search (BenchmarkOptimizeSearchSystem4), warm technique selection
+# (BenchmarkTechSelWarm: the socopt -techsel flow on d695 and System1
+# at W_TAM 32, tables warmed first), the simulator
 # (BenchmarkVerifyPlan on d695 and d2758, at GOMAXPROCS 1 and 2: its
 # replays fan out over the CPUs, and benchjson keeps one name per
 # GOMAXPROCS value) and the warm socserve request.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -count 5 -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
@@ -111,17 +115,22 @@ bench-big-smoke:
 # volume, schedule items and each core's Config) is byte-identical to
 # the checked-in golden plans at workers 1/2/8, tables built at every
 # window and worker count are deeply equal to the window-0 build
-# (including the window-boundary fuzz seeds), and the fuzz seed corpora
+# (including the window-boundary fuzz seeds), the fuzz seed corpora
 # for the word and codec kernels still pass (the word kernels': CopyBits
 # against a per-bit reference and a ReadBits/WriteBits round trip; the
 # codec's: encode/decode round trip, cost model = encoder, and the
-# append encoder leaving its buffer's prefix untouched).
+# append encoder leaving its buffer's prefix untouched), and every
+# dictionary configuration technique selection prices on d695 and
+# System1 (each m at capacities 4..256: Config, dictionary words and
+# stream digests) and 24 of their dictionary plans, each passing
+# VerifyPlan, are byte-identical to the checked-in golden_dict.txt.
 kernel-equivalence:
 	$(GO) test -run 'TestKernelPathsAgree|TestSegmentTableMatchesStimulusMap|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
 	$(GO) test -run 'TestNewMatchesReference' -count=1 ./internal/wrapper
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
+	$(GO) test -run 'TestGoldenDict' -count=1 ./internal/sim
 
 # fused-equivalence asserts the fused single-pass sweep's exactness
 # contracts under the race detector: tables built by the fused sweep
@@ -143,7 +152,8 @@ fused-equivalence:
 # (a poisoned cache entry would hang here, not pass), panic containment
 # at the core package boundary (table builds and the architecture
 # search), prompt cancellation with no goroutine
-# leaks, bit-identical results through the context-threaded entry
+# leaks (technique selection's dictionary sweeps stop at the next
+# pattern), bit-identical results through the context-threaded entry
 # points, disk-store fault injection, the counting kernel's slot
 # scratch staying within StimulusBits bytes on a small upload whose
 # point at MaxWrapperChains once needed si × GroupCount(m), and
@@ -165,7 +175,7 @@ fused-equivalence:
 # core with no goroutine left behind, and verifies every style's plan
 # of d695 and d2758 at W_TAM 8..64 on one worker and on two.
 robustness:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt|TestKernelSlotScratchBounded' ./internal/core
+	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeCancelDuringTechSel|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt|TestKernelSlotScratchBounded' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
 	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail|TestVerifyPlanFirstErrorInPlanOrder|TestVerifyPlanPanicContained|TestVerifyPlanAllStyles' ./internal/sim
 
@@ -211,7 +221,8 @@ obs:
 # per-request deadline cancellation mid-build, per-tenant rate
 # limiting, singleflight table sharing across concurrent identical
 # designs, NDJSON progress streaming, graceful drain with no goroutine
-# leaks) plus the HTTP/cache hardening regressions this plane stands on
+# leaks, a technique-selection plan with dictionary cores that passes
+# VerifyPlan) plus the HTTP/cache hardening regressions this plane stands on
 # (non-Flusher event streaming, slowloris header reaping, write-timeout
 # exemption for streams, disk-cache touch-error accounting).
 serve:

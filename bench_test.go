@@ -335,6 +335,33 @@ func BenchmarkVerifyPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkTechSelWarm is the socopt -techsel flow: d695 and System1 at
+// W_TAM 32 with dictionary coding in every core's choice, on tables
+// warmed outside the timed region, so each iteration is technique
+// selection on every core plus the search. The makespan metric pins
+// each result.
+func BenchmarkTechSelWarm(b *testing.B) {
+	cache := new(core.Cache)
+	for _, name := range []string{"d695", "System1"} {
+		b.Run(name, func(b *testing.B) {
+			s, _ := soctap.Benchmark(name)
+			opts := soctap.Options{Style: soctap.StyleTDCPerCore, Cache: cache, EnableDict: true}
+			if _, err := soctap.Optimize(s, 32, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := soctap.Optimize(s, 32, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.TestTime), "makespan-cycles")
+			}
+		})
+	}
+}
+
 // BenchmarkTechniqueSelection measures the per-core technique-selection
 // extension (direct vs selective encoding vs dictionary) on an
 // industrial core, reporting how often the dictionary wins the width

@@ -7,8 +7,8 @@
 package atevec
 
 import (
+	"context"
 	"fmt"
-	"slices"
 
 	"soctap/internal/bitvec"
 	"soctap/internal/core"
@@ -79,11 +79,10 @@ func Build(res *core.Result) (*Image, error) {
 
 // coreStream re-encodes one core's stimuli under a configuration. The
 // cubes come from soc.Core.Cubes, so a streamed core is pulled one
-// pattern at a time: the selective-encoding and direct codecs hold only
-// O(pattern) scratch beyond the output stream itself, and giant cores
-// re-encode without their test set ever being resident. (The dictionary
-// codec inherently needs every slice to build its dictionary and keeps
-// them all.)
+// pattern at a time: each codec holds only O(pattern) scratch beyond
+// the output stream itself (the dictionary codec also its dictionary,
+// trained in a first pass over the cubes), and giant cores re-encode
+// without their test set ever being resident.
 func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 	d, err := wrapper.New(c, cfg.M)
 	if err != nil {
@@ -102,15 +101,8 @@ func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 		}
 		return stream, nil
 	case core.CodecDict:
-		_, bools, err := DictStream(d, src, cfg.DictWords)
-		if err != nil {
-			return nil, err
-		}
-		v := bitvec.New(len(bools))
-		for i, b := range bools {
-			v.Set(i, b)
-		}
-		return v, nil
+		_, stream, err := DictStream(d, src, cfg.DictWords)
+		return stream, err
 	case core.CodecDirect:
 		// Raw scan slices, X filled with 0, slice-major delivery. Each
 		// care bit's output position follows from its (chain, depth)
@@ -136,17 +128,16 @@ func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 }
 
 // Encoder produces a core's selective-encoding stream one pattern at a
-// time: each pattern's care bits are grouped into its scan slices, every
-// slice is encoded by selenc.AppendEncodeSlice, and the codewords are
-// packed as they cross the TAM. Build concatenates these per-pattern
-// streams into the image, and the simulator decodes the same bits, so
-// what is verified is what ships. All scratch is reused across
-// patterns.
+// time: each pattern's care bits are grouped into its scan slices
+// (wrapper.Slicer), every slice is encoded by selenc.AppendEncodeSlice,
+// and the codewords are packed as they cross the TAM. Build concatenates
+// these per-pattern streams into the image, and the simulator decodes
+// the same bits, so what is verified is what ships. All scratch is
+// reused across patterns.
 type Encoder struct {
 	m    int
-	refs []wrapper.CellRef
-	care []selenc.CareBit // the pattern's (chain, value) care bits, grouped by scan depth
-	end  []int            // end[d]: end of depth d's group in care
+	si   int
+	sl   *wrapper.Slicer
 	cws  []selenc.Codeword
 	bits bitvec.Vector
 }
@@ -154,73 +145,31 @@ type Encoder struct {
 // NewEncoder returns an encoder for the wrapper design's core at the
 // design's m wrapper chains.
 func NewEncoder(d *wrapper.Design) *Encoder {
-	return &Encoder{m: d.M, refs: d.StimulusMap(), end: make([]int, d.ScanIn)}
+	return &Encoder{m: d.M, si: d.ScanIn, sl: wrapper.NewSlicer(d)}
 }
 
 // Encode returns the packed codewords of one pattern, its ScanIn slices
 // in scan-in order. The vector is reused by the next call.
 func (e *Encoder) Encode(cb *cube.Cube) *bitvec.Vector {
-	e.scatter(cb)
+	e.sl.Scatter(cb)
 	e.cws = e.cws[:0]
-	for d := range e.end {
-		e.cws = selenc.AppendEncodeSlice(e.cws, e.m, e.slice(d))
+	for d := range e.si {
+		e.cws = selenc.AppendEncodeSlice(e.cws, e.m, e.sl.Slice(d))
 	}
 	selenc.PackStream(&e.bits, e.m, e.cws)
 	return &e.bits
 }
 
-// scatter groups the cube's care bits by the scan depth their cell loads
-// at (a counting sort) and sorts each group by chain.
-func (e *Encoder) scatter(cb *cube.Cube) {
-	clear(e.end)
-	for _, bit := range cb.Care {
-		e.end[e.refs[bit.Pos].Depth]++
-	}
-	n := 0
-	for d, count := range e.end {
-		e.end[d] = n // start of depth d until the placement pass below
-		n += count
-	}
-	e.care = slices.Grow(e.care[:0], n)[:n]
-	for _, bit := range cb.Care {
-		r := e.refs[bit.Pos]
-		e.care[e.end[r.Depth]] = selenc.CareBit{Pos: int(r.Chain), Value: bit.Value}
-		e.end[r.Depth]++
-	}
-	for d := range e.end {
-		selenc.SortCare(e.slice(d))
-	}
-}
-
-// slice returns the care list of the slice at scan depth d.
-func (e *Encoder) slice(d int) []selenc.CareBit {
-	if d == 0 {
-		return e.care[:e.end[0]]
-	}
-	return e.care[e.end[d-1]:e.end[d]]
-}
-
 // DictStream builds the dictionary codec's stream for one pass of src
-// under the wrapper design: every scan slice of the pass trains a
-// dictionary of at most words entries, then each slice is encoded in
-// pattern order. It returns the dictionary, which the ATE downloads
-// once, and the stream bits.
-func DictStream(d *wrapper.Design, src cube.Source, words int) (*dictenc.Dictionary, []bool, error) {
-	e := NewEncoder(d)
-	var all []dictenc.Slice
-	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
-		e.scatter(cb)
-		for depth := range e.end {
-			all = append(all, slices.Clone(e.slice(depth)))
-		}
-	}
-	dict, err := dictenc.Build(d.M, words, all)
+// under the wrapper design (dictenc.Encode): every scan slice of the
+// pass trains a dictionary of at most words entries, then src is
+// rewound and each slice is coded in pattern order. It returns the
+// dictionary, which the ATE downloads once, and the packed stream.
+func DictStream(d *wrapper.Design, src cube.Source, words int) (*dictenc.Dictionary, *bitvec.Vector, error) {
+	stream := new(bitvec.Vector)
+	dict, err := dictenc.Encode(context.TODO(), d, src, []int{words}, nil, stream)
 	if err != nil {
 		return nil, nil, err
-	}
-	var stream []bool
-	for _, s := range all {
-		stream = dict.Encode(stream, s)
 	}
 	return dict, stream, nil
 }

@@ -65,6 +65,20 @@ func (v *Vector) WriteBits(pos int, b uint64, n int) {
 	}
 }
 
+// AppendBits extends the vector by the low n bits of b, LSB first,
+// growing its backing words as needed. n must be in [0, 64].
+func (v *Vector) AppendBits(b uint64, n int) {
+	if n < 0 || n > 64 {
+		panic(fmt.Sprintf("bitvec: AppendBits width %d", n))
+	}
+	for len(v.words) < (v.n+n+wordBits-1)/wordBits {
+		v.words = append(v.words, 0) // capacity reused after a Reset may hold stale words
+	}
+	w := Writer{words: v.words, pos: v.n}
+	w.AppendBits(b, n)
+	v.n += n
+}
+
 // CopyBits copies n bits from src starting at bit srcOff into dst
 // starting at bit dstOff. Source and destination words are combined
 // with OR, so destination ranges are expected to be zero beforehand

@@ -122,6 +122,37 @@ func TestWriter(t *testing.T) {
 	}
 }
 
+// TestVectorAppendBits: appends grow the vector bit-exactly, including
+// into capacity a Reset left with stale words.
+func TestVectorAppendBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	v := New(0)
+	for trial := 0; trial < 50; trial++ {
+		v.SetAll(true) // stale ones in the capacity Reset keeps
+		v.Reset(0)
+		var ref []bool
+		for range rng.Intn(40) {
+			width := rng.Intn(65)
+			b := rng.Uint64()
+			v.AppendBits(b, width)
+			for k := 0; k < width; k++ {
+				ref = append(ref, b&(1<<uint(k)) != 0)
+			}
+		}
+		if v.Len() != len(ref) {
+			t.Fatalf("trial %d: length %d, appended %d bits", trial, v.Len(), len(ref))
+		}
+		for i, want := range ref {
+			if v.Get(i) != want {
+				t.Fatalf("trial %d: bit %d = %v, want %v", trial, i, v.Get(i), want)
+			}
+		}
+		if len(v.Words()) > 0 && v.Len()%64 != 0 && v.Words()[len(v.Words())-1]>>(v.Len()%64) != 0 {
+			t.Fatalf("trial %d: tail bits beyond Len set", trial)
+		}
+	}
+}
+
 // FuzzWordKernels cross-checks the word-parallel primitives against
 // naive per-bit loops on arbitrary inputs: CopyBits into a zeroed
 // destination (per the kernel-equivalence contract), plus a

@@ -140,12 +140,13 @@ func Optimize(s *soc.SOC, wtam int, opts Options) (*Result, error) {
 }
 
 // OptimizeContext is Optimize governed by ctx. Cancellation is
-// cooperative and fine-grained — observed at every (w, m) table point
-// and every candidate schedule — so a cancelled run returns ctx.Err()
-// promptly, with all worker goroutines drained (never leaked) and a
-// `cancel.runs` mark on the run's telemetry sink. A nil ctx behaves
-// like context.Background(), and an uncancelled run is bit-identical
-// to Optimize.
+// cooperative and fine-grained — observed at every (w, m) table point,
+// every pattern of a technique-selection sweep and every candidate
+// schedule — so a cancelled run returns ctx.Err() promptly, with all
+// worker goroutines drained (never leaked) and a `cancel.runs` mark on
+// the run's telemetry sink. A nil ctx behaves like
+// context.Background(), and an uncancelled run is bit-identical to
+// Optimize.
 func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -272,7 +273,7 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 			return nil, err
 		}
 		if opts.EnableDict && opts.Style == StyleTDCPerCore {
-			sel, err := selectTechniquesWithTable(c, t, opts.DictSizes)
+			sel, err := selectTechniquesWithTable(ctx, c, t, opts.DictSizes)
 			if err != nil {
 				return nil, err
 			}

@@ -290,6 +290,64 @@ func TestOptimizeCancelMidRun(t *testing.T) {
 	}
 }
 
+// cancelOnErr is a cancellable context that cancels itself on its
+// at-th Err call and counts the calls.
+type cancelOnErr struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	calls  atomic.Int64
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestOptimizeCancelDuringTechSel cancels technique selection on warm
+// tables while the dictionary sweeps run. The table lookups make a few
+// Err calls per core and the sweeps one per pattern and pass, so the
+// 200th call lands inside a sweep. Each sweep must stop at its next
+// pattern, the run must return context.Canceled, and no goroutine may
+// be left behind.
+func TestOptimizeCancelDuringTechSel(t *testing.T) {
+	s := soc.D695()
+	var cache Cache
+	for _, workers := range []int{1, 8} {
+		opts := Options{Style: StyleTDCPerCore, Cache: &cache, Workers: workers}
+		if _, err := Optimize(s, 32, opts); err != nil { // warm the tables
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &cancelOnErr{Context: base, cancel: cancel, at: 200}
+		opts.EnableDict = true
+		res, err := OptimizeContext(ctx, s, 32, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if res != nil {
+			t.Fatalf("workers=%d: cancelled Optimize returned a result", workers)
+		}
+		// After the cancelling call, each worker makes one more check in
+		// its sweep and one before claiming a core, plus the run's own.
+		if extra := ctx.calls.Load() - ctx.at; extra > int64(4*workers+4) {
+			t.Fatalf("workers=%d: %d Err calls after cancellation: the sweeps did not stop at their next pattern", workers, extra)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: goroutines leaked after cancellation: %d before, %d after",
+					workers, before, runtime.NumGoroutine())
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+}
+
 // TestOptimizeContextMatchesOptimize: the context-threaded entry point
 // with a nil or Background context is bit-identical to plain Optimize,
 // at both worker extremes. Cancellation support must cost nothing in

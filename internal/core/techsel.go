@@ -8,10 +8,10 @@ package core
 // minimizing test time at each TAM width.
 
 import (
+	"context"
 	"fmt"
 
 	"soctap/internal/dictenc"
-	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/wrapper"
 )
@@ -25,78 +25,57 @@ const (
 
 // EvalDict evaluates testing the core through a dictionary decompressor
 // with m outputs and dictWords dictionary entries. Compressed bits are
-// delivered over w = 1 + ceil(log2 dictWords) TAM wires, so a
-// dictionary hit arrives in one cycle; literal slices take
-// ceil((1+m)/w) cycles. The per-pattern cycle count is floored by the
-// scan depth. The one-time dictionary download (dictWords × m bits) is
-// charged to the ATE volume.
+// delivered over w = 1 + ceil(log2 D) TAM wires, D the entries the
+// dictionary holds (at most dictWords), so a dictionary hit arrives in
+// one cycle; literal slices take ceil((1+m)/w) cycles. The per-pattern
+// cycle count is floored by the scan depth. The one-time dictionary
+// download (D × m bits) is charged to the ATE volume.
 func EvalDict(c *soc.Core, m, dictWords int) (Config, error) {
+	cfgs, err := evalDicts(context.TODO(), c, m, []int{dictWords})
+	if err != nil {
+		return Config{}, err
+	}
+	return cfgs[0], nil
+}
+
+// evalDicts is EvalDict at every capacity of sizes, priced from one
+// dictenc.Encode: one training and one coding pass over the cubes.
+func evalDicts(ctx context.Context, c *soc.Core, m int, sizes []int) ([]Config, error) {
 	d, err := wrapper.New(c, m)
 	if err != nil {
-		return Config{}, err
+		return nil, err
 	}
-	ts, err := c.TestSet()
+	src, err := c.Cubes()
 	if err != nil {
-		return Config{}, err
+		return nil, err
 	}
-	refs := d.StimulusMap()
-	si := d.ScanIn
-	so := int64(d.ScanOut)
-
-	// Materialize all slices once (shared between dictionary training
-	// and measurement).
-	perPattern := make([][]dictenc.Slice, ts.Len())
-	var all []dictenc.Slice
-	for pi, cb := range ts.Cubes {
-		slices := make([]dictenc.Slice, si)
-		for _, bit := range cb.Care {
-			r := refs[bit.Pos]
-			slices[r.Depth] = append(slices[r.Depth], selenc.CareBit{Pos: int(r.Chain), Value: bit.Value})
-		}
-		for _, s := range slices {
-			selenc.SortCare(s)
-		}
-		perPattern[pi] = slices
-		all = append(all, slices...)
+	si, so := int64(d.ScanIn), int64(d.ScanOut)
+	cfgs := make([]Config, len(sizes))
+	for k := range cfgs {
+		cfgs[k] = Config{Feasible: true, UseTDC: true, Codec: CodecDict, M: m}
 	}
-	dict, err := dictenc.Build(m, dictWords, all)
+	first := true
+	_, err = dictenc.Encode(ctx, d, src, sizes, func(tallies []dictenc.Tally) {
+		for k, t := range tallies {
+			cycles := max((t.Bits+int64(t.Hit)-1)/int64(t.Hit), si)
+			if !first {
+				cycles = max(cycles, so)
+			}
+			cfg := &cfgs[k]
+			cfg.Width, cfg.DictWords = t.Hit, t.Words
+			cfg.Time += cycles
+			cfg.Volume += t.Bits
+		}
+		first = false
+	}, nil)
 	if err != nil {
-		return Config{}, err
+		return nil, err
 	}
-	w := 1 + dict.IndexBits()
-
-	var time, volume int64
-	for j, slices := range perPattern {
-		var bits int64
-		for _, s := range slices {
-			bits += int64(dict.EncodedBits(s))
-		}
-		volume += bits
-		cycles := (bits + int64(w) - 1) / int64(w)
-		if cycles < int64(si) {
-			cycles = int64(si)
-		}
-		if j == 0 {
-			time += cycles
-		} else if cycles > so {
-			time += cycles
-		} else {
-			time += so
-		}
+	for k := range cfgs {
+		cfgs[k].Time += int64(src.Len()) + so
+		cfgs[k].Volume += int64(cfgs[k].DictWords * m) // one-time dictionary download
 	}
-	time += int64(ts.Len()) + so
-	volume += int64(len(dict.Words) * m) // one-time dictionary download
-
-	return Config{
-		Feasible:  true,
-		UseTDC:    true,
-		Codec:     CodecDict,
-		Width:     w,
-		M:         m,
-		DictWords: len(dict.Words), // actual entries created (≤ dictWords)
-		Time:      time,
-		Volume:    volume,
-	}, nil
+	return cfgs, nil
 }
 
 // TechSelection is the outcome of per-core technique selection: the
@@ -126,15 +105,21 @@ func SelectTechniques(c *soc.Core, opts TableOptions, dictSizes []int) (*TechSel
 	if err != nil {
 		return nil, err
 	}
-	return selectTechniquesWithTable(c, tab, dictSizes)
+	return selectTechniquesWithTable(context.TODO(), c, tab, dictSizes)
 }
 
 // selectTechniquesWithTable joins an existing (possibly cached) lookup
-// table with the dictionary sweep.
-func selectTechniquesWithTable(c *soc.Core, tab *Table, dictSizes []int) (*TechSelection, error) {
+// table with the dictionary sweep: one evalDicts per wrapper width
+// prices every dictionary size. ctx is checked between patterns.
+func selectTechniquesWithTable(ctx context.Context, c *soc.Core, tab *Table, dictSizes []int) (*TechSelection, error) {
 	opts := tab.Opts
 	if len(dictSizes) == 0 {
 		dictSizes = DefaultDictSizes
+	}
+	for _, dw := range dictSizes {
+		if dw < 1 {
+			return nil, fmt.Errorf("core: dictionary size %d", dw)
+		}
 	}
 	maxM := c.MaxWrapperChains()
 
@@ -152,17 +137,16 @@ func selectTechniquesWithTable(c *soc.Core, tab *Table, dictSizes []int) (*TechS
 		PerWidth: make([]Config, opts.MaxWidth+1),
 		DictBest: make([]Config, opts.MaxWidth+1),
 	}
-	var dictCfgs []Config
-	for _, dw := range dictSizes {
-		if dw < 1 {
-			return nil, fmt.Errorf("core: dictionary size %d", dw)
+	// Candidates stay size-major, then m: better is strict, so this
+	// order breaks ties.
+	dictCfgs := make([]Config, len(dictSizes)*len(mCands))
+	for i, m := range mCands {
+		cfgs, err := evalDicts(ctx, c, m, dictSizes)
+		if err != nil {
+			return nil, err
 		}
-		for _, m := range mCands {
-			cfg, err := EvalDict(c, m, dw)
-			if err != nil {
-				return nil, err
-			}
-			dictCfgs = append(dictCfgs, cfg)
+		for k, cfg := range cfgs {
+			dictCfgs[k*len(mCands)+i] = cfg
 		}
 	}
 	for u := 1; u <= opts.MaxWidth; u++ {

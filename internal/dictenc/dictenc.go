@@ -8,13 +8,23 @@
 // dictionary coding, whichever minimizes test time.
 //
 // Scheme: the test set is sliced exactly as for selective encoding (one
-// m-bit slice per scan cycle per wrapper chain set). A dictionary of D
-// fully-specified m-bit words is built from the slices' care-bit
-// signatures by greedy compatibility merging. Each slice is then
+// m-bit slice per scan cycle, wrapper.Slicer). A dictionary of at most D
+// fully-specified m-bit words is trained on the slices by first-fit
+// compatibility merging, X positions filled with 0. Each slice is then
 // encoded as either
 //
 //	0 <index>      (1 + ceil(log2 D) bits)  if a dictionary word covers it
 //	1 <literal>    (1 + m bits)             otherwise
+//
+// with the index LSB first. Encode runs training and coding as two
+// streamed passes over a core's cubes, holding one pattern and each
+// entry's care and value masks. One training serves every capacity:
+// both first-fit runs see the same slices in the same order, and a
+// slice changes at most one entry, the first compatible one, so the
+// dictionary trained at capacity D is the first min(D, n) entries of
+// one trained at a larger capacity holding n, and a slice whose first
+// covering word there is j is a hit at capacity D exactly when
+// j < min(D, n).
 //
 // The decompressor is a D×m-bit SRAM plus a serializer; compressed bits
 // are delivered over w TAM wires at w bits per cycle, with the core's
@@ -22,15 +32,18 @@
 package dictenc
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"soctap/internal/bitvec"
-	"soctap/internal/selenc"
+	"soctap/internal/cube"
+	"soctap/internal/wrapper"
 )
 
 // Dictionary is a set of fully-specified m-bit words used to encode
-// scan slices.
+// scan slices, in the order training founded them.
 type Dictionary struct {
 	M     int
 	Words []*bitvec.Vector
@@ -38,199 +51,187 @@ type Dictionary struct {
 
 // IndexBits returns the index field width, ceil(log2(len(Words))), at
 // least 1.
-func (d *Dictionary) IndexBits() int {
-	if len(d.Words) <= 1 {
+func (d *Dictionary) IndexBits() int { return indexBits(len(d.Words)) }
+
+func indexBits(words int) int {
+	if words <= 1 {
 		return 1
 	}
-	return bits.Len(uint(len(d.Words) - 1))
+	return bits.Len(uint(words - 1))
 }
 
-// entry is a dictionary word under construction: the merged cube of all
-// slices assigned to it.
-type entry struct {
-	care  *bitvec.TritVector
-	count int
+// Decode reads the slice code at offset off of a packed stream into
+// dst, which it resizes to M bits, and returns the next code's offset.
+func (d *Dictionary) Decode(stream *bitvec.Vector, off int, dst *bitvec.Vector) (int, error) {
+	if off >= stream.Len() {
+		return 0, fmt.Errorf("dictenc: stream exhausted at offset %d", off)
+	}
+	dst.Reset(d.M)
+	if !stream.Get(off) { // dictionary hit
+		ib := d.IndexBits()
+		if off+1+ib > stream.Len() {
+			return 0, fmt.Errorf("dictenc: truncated index at offset %d", off)
+		}
+		idx := stream.ReadBits(off+1, ib)
+		if idx >= uint64(len(d.Words)) {
+			return 0, fmt.Errorf("dictenc: index %d out of range", idx)
+		}
+		copy(dst.Words(), d.Words[idx].Words())
+		return off + 1 + ib, nil
+	}
+	if off+1+d.M > stream.Len() {
+		return 0, fmt.Errorf("dictenc: truncated literal at offset %d", off)
+	}
+	bitvec.CopyBits(dst.Words(), 0, stream.Words(), off+1, d.M)
+	return off + 1 + d.M, nil
 }
 
-// Slice is one scan slice: the care bits over m positions, sorted by
-// position. It reuses selenc's CareBit representation so both codecs
-// share slice extraction.
-type Slice = []selenc.CareBit
+// trainer is a first-fit dictionary. A slice is held as its care and
+// value masks, interleaved word by word (care word i at 2i, value word
+// i at 2i+1), and entry e as the same 2·⌈m/64⌉ words at masks[e·len:].
+type trainer struct {
+	max   int
+	masks []uint64
+}
 
-// Build constructs a dictionary with at most maxWords words for the
-// given slices using greedy compatibility merging: each slice joins the
-// first existing entry it is compatible with (first-fit over entries
-// ordered by creation); when no entry fits and the dictionary is not
-// full, the slice founds a new entry. Entries are finalized by filling
-// X positions with 0.
-//
-// The greedy pass is deterministic in the slice order. maxWords must be
-// at least 1.
-func Build(m, maxWords int, slices []Slice) (*Dictionary, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("dictenc: slice width %d", m)
-	}
-	if maxWords < 1 {
-		return nil, fmt.Errorf("dictenc: dictionary size %d", maxWords)
-	}
-	var entries []*entry
-	for _, s := range slices {
-		tv := sliceTrits(m, s)
-		placed := false
-		for _, e := range entries {
-			if e.care.CompatibleWith(tv) {
-				merged := mergeInto(e.care, tv)
-				e.care = merged
-				e.count++
-				placed = true
-				break
+// add merges a slice into the first entry it is compatible with, one
+// none of whose care bits meets a slice care bit of the other value, or
+// founds a new entry while the dictionary has room.
+func (t *trainer) add(slice []uint64) {
+	w := len(slice)
+next:
+	for i := 0; i < len(t.masks); i += w {
+		e := t.masks[i : i+w]
+		for k := 0; k < w; k += 2 {
+			if slice[k]&e[k]&(slice[k+1]^e[k+1]) != 0 {
+				continue next
 			}
 		}
-		if !placed && len(entries) < maxWords {
-			entries = append(entries, &entry{care: tv, count: 1})
+		for k, x := range slice {
+			e[k] |= x
 		}
+		return
 	}
-	if len(entries) == 0 {
-		entries = append(entries, &entry{care: bitvec.NewTrit(m)})
+	if len(t.masks) < t.max*w {
+		t.masks = append(t.masks, slice...)
 	}
-	d := &Dictionary{M: m}
-	for _, e := range entries {
-		w := bitvec.New(m)
-		for i := 0; i < m; i++ {
-			if e.care.Get(i) == bitvec.One {
-				w.Set(i, true)
+}
+
+// match returns the first entry whose word, its value mask, agrees with
+// every care bit of the slice, or -1.
+func (t *trainer) match(slice []uint64) int {
+	w := len(slice)
+next:
+	for i := 0; i < len(t.masks); i += w {
+		e := t.masks[i : i+w]
+		for k := 0; k < w; k += 2 {
+			if slice[k]&(slice[k+1]^e[k+1]) != 0 {
+				continue next
 			}
 		}
-		d.Words = append(d.Words, w)
-	}
-	return d, nil
-}
-
-func sliceTrits(m int, s Slice) *bitvec.TritVector {
-	tv := bitvec.NewTrit(m)
-	for _, cb := range s {
-		if cb.Value {
-			tv.Set(cb.Pos, bitvec.One)
-		} else {
-			tv.Set(cb.Pos, bitvec.Zero)
-		}
-	}
-	return tv
-}
-
-func mergeInto(a, b *bitvec.TritVector) *bitvec.TritVector {
-	merged := a.Clone()
-	for i := 0; i < b.Len(); i++ {
-		if t := b.Get(i); t != bitvec.DontCare {
-			merged.Set(i, t)
-		}
-	}
-	return merged
-}
-
-// Covers reports whether dictionary word idx covers the slice (agrees
-// with every care bit).
-func (d *Dictionary) Covers(idx int, s Slice) bool {
-	w := d.Words[idx]
-	for _, cb := range s {
-		if w.Get(cb.Pos) != cb.Value {
-			return false
-		}
-	}
-	return true
-}
-
-// Match returns the first dictionary word covering the slice, or -1.
-func (d *Dictionary) Match(s Slice) int {
-	for i := range d.Words {
-		if d.Covers(i, s) {
-			return i
-		}
+		return i / w
 	}
 	return -1
 }
 
-// EncodedBits returns the exact compressed size in bits of one slice:
-// 1 + IndexBits() on a dictionary hit, 1 + M on a miss.
-func (d *Dictionary) EncodedBits(s Slice) int {
-	if d.Match(s) >= 0 {
-		return 1 + d.IndexBits()
-	}
-	return 1 + d.M
+// Tally is one capacity's share of Encode's coding pass.
+type Tally struct {
+	Words int   // dictionary words at the capacity, min(capacity, trained entries)
+	Hit   int   // code bits of a dictionary hit, 1 + ceil(log2 Words)
+	Bits  int64 // code bits of the pattern just coded
 }
 
-// Encode appends the slice's code to the bit stream and returns the
-// extended stream.
-func (d *Dictionary) Encode(stream []bool, s Slice) []bool {
-	if idx := d.Match(s); idx >= 0 {
-		stream = append(stream, false)
-		ib := d.IndexBits()
-		for b := 0; b < ib; b++ {
-			stream = append(stream, idx&(1<<uint(b)) != 0)
-		}
-		return stream
+// Encode runs the codec's two streamed passes over src, one pass of a
+// core's cubes under the wrapper design d, for every capacity of sizes.
+// Pass 1 trains the dictionary at the largest capacity, slice by slice.
+// Pass 2 rewinds src and finds each slice's first covering word, which
+// codes the slice at every capacity (see the package doc). After each
+// pattern of pass 2, count, when non-nil, gets the pattern's tally at
+// each capacity of sizes, in order. When stream is non-nil, the codes
+// at the largest capacity are appended to it, packed. ctx is checked
+// between patterns. Encode returns the trained dictionary.
+func Encode(ctx context.Context, d *wrapper.Design, src cube.Source, sizes []int,
+	count func([]Tally), stream *bitvec.Vector) (*Dictionary, error) {
+	if len(sizes) == 0 || slices.Min(sizes) < 1 {
+		return nil, fmt.Errorf("dictenc: dictionary sizes %v", sizes)
 	}
-	stream = append(stream, true)
-	tv := sliceTrits(d.M, s)
-	for i := 0; i < d.M; i++ {
-		stream = append(stream, tv.Get(i) == bitvec.One)
-	}
-	return stream
-}
-
-// Decode consumes one slice code from the stream starting at offset,
-// returning the decoded m-bit slice and the new offset.
-func (d *Dictionary) Decode(stream []bool, offset int) (*bitvec.Vector, int, error) {
-	if offset >= len(stream) {
-		return nil, 0, fmt.Errorf("dictenc: stream exhausted at offset %d", offset)
-	}
-	if !stream[offset] { // dictionary hit
-		ib := d.IndexBits()
-		if offset+1+ib > len(stream) {
-			return nil, 0, fmt.Errorf("dictenc: truncated index at offset %d", offset)
-		}
-		idx := 0
-		for b := 0; b < ib; b++ {
-			if stream[offset+1+b] {
-				idx |= 1 << uint(b)
+	m := d.M
+	sl := wrapper.NewSlicer(d)
+	slice := make([]uint64, 2*((m+63)/64))
+	// load sets slice to the masks of the slice at depth.
+	load := func(depth int) {
+		clear(slice)
+		for _, b := range sl.Slice(depth) {
+			slice[2*(b.Pos>>6)] |= 1 << (b.Pos & 63)
+			if b.Value {
+				slice[2*(b.Pos>>6)+1] |= 1 << (b.Pos & 63)
 			}
 		}
-		if idx >= len(d.Words) {
-			return nil, 0, fmt.Errorf("dictenc: index %d out of range", idx)
+	}
+	t := trainer{max: slices.Max(sizes)}
+	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return d.Words[idx].Clone(), offset + 1 + ib, nil
-	}
-	if offset+1+d.M > len(stream) {
-		return nil, 0, fmt.Errorf("dictenc: truncated literal at offset %d", offset)
-	}
-	v := bitvec.New(d.M)
-	for i := 0; i < d.M; i++ {
-		v.Set(i, stream[offset+1+i])
-	}
-	return v, offset + 1 + d.M, nil
-}
-
-// Stats summarizes an encoding run.
-type Stats struct {
-	Slices int
-	Hits   int
-	Bits   int64
-}
-
-// Measure encodes all slices (without materializing the stream) and
-// returns hit/size statistics.
-func (d *Dictionary) Measure(slices []Slice) Stats {
-	st := Stats{Slices: len(slices)}
-	ib := int64(d.IndexBits())
-	for _, s := range slices {
-		if d.Match(s) >= 0 {
-			st.Hits++
-			st.Bits += 1 + ib
-		} else {
-			st.Bits += 1 + int64(d.M)
+		sl.Scatter(cb)
+		for depth := range d.ScanIn {
+			load(depth)
+			t.add(slice)
 		}
 	}
-	return st
+	if len(t.masks) == 0 { // no slice: one all-zero word
+		t.masks = make([]uint64, len(slice))
+	}
+	dict := &Dictionary{M: m, Words: make([]*bitvec.Vector, len(t.masks)/len(slice))}
+	for e := range dict.Words {
+		dict.Words[e] = bitvec.New(m)
+		w := dict.Words[e].Words()
+		for i := range w {
+			w[i] = t.masks[e*len(slice)+2*i+1] // the value mask
+		}
+	}
+
+	tallies := make([]Tally, len(sizes))
+	for k, size := range sizes {
+		tallies[k].Words = min(size, len(dict.Words))
+		tallies[k].Hit = 1 + indexBits(tallies[k].Words)
+	}
+	ib := dict.IndexBits()
+	src.Reset()
+	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sl.Scatter(cb)
+		for k := range tallies {
+			tallies[k].Bits = 0
+		}
+		for depth := range d.ScanIn {
+			load(depth)
+			j := t.match(slice)
+			for k := range tallies {
+				if j >= 0 && j < tallies[k].Words {
+					tallies[k].Bits += int64(tallies[k].Hit)
+				} else {
+					tallies[k].Bits += int64(1 + m)
+				}
+			}
+			switch {
+			case stream == nil:
+			case j >= 0:
+				stream.AppendBits(uint64(j)<<1, 1+ib)
+			default:
+				stream.AppendBits(1, 1)
+				for i := range len(slice) / 2 {
+					stream.AppendBits(slice[2*i+1], min(64, m-64*i))
+				}
+			}
+		}
+		if count != nil {
+			count(tallies)
+		}
+	}
+	return dict, nil
 }
 
 // HardwareCost estimates the decompressor cost: the dictionary SRAM in
@@ -241,18 +242,10 @@ type HardwareCost struct {
 	FFs      int
 }
 
-// Cost returns the hardware estimate for the dictionary.
-func (d *Dictionary) Cost() HardwareCost {
-	return CostFor(d.M, len(d.Words))
-}
-
 // CostFor estimates the decompressor hardware for a dictionary of
 // `words` entries over m-bit slices without materializing it.
 func CostFor(m, words int) HardwareCost {
-	ib := 1
-	if words > 1 {
-		ib = bits.Len(uint(words - 1))
-	}
+	ib := indexBits(words)
 	return HardwareCost{
 		SRAMBits: words * m,
 		Gates:    40 + 4*ib,

@@ -14,10 +14,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"soctap"
+	"soctap/internal/core"
+	"soctap/internal/sched"
 )
 
 // tinyDesign is a 3-core SOC that optimizes in single-digit
@@ -146,6 +151,69 @@ func TestOptimizeValidation(t *testing.T) {
 			t.Errorf("%s: error body not JSON with error field: %s", tc.name, body)
 		}
 	}
+}
+
+// TestTechSelEndpoint: a technique-selection request on d695 answers
+// 200 with a plan whose choices include dictionary coding, and the
+// served plan, rebuilt into a result, passes VerifyPlan.
+func TestTechSelEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/optimize?design=d695&width=32&techsel=1", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	var out optimizeResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
+	}
+	s, _ := soctap.Benchmark("d695")
+	res := servedResult(t, s, out.Plan)
+	dict := 0
+	for _, ch := range res.Choices {
+		if ch.Config.Codec == core.CodecDict {
+			dict++
+		}
+	}
+	if dict == 0 {
+		t.Fatalf("techsel plan has no dictionary core: %s", body)
+	}
+	if err := soctap.VerifyPlan(res); err != nil {
+		t.Errorf("served techsel plan (%d dictionary cores) failed verification: %v", dict, err)
+	}
+}
+
+// servedResult rebuilds the tdc-per-core result a served plan of s
+// describes: its partition, its choices in plan order and the schedule
+// they make.
+func servedResult(t *testing.T, s *soctap.SOC, p soctap.Plan) *core.Result {
+	t.Helper()
+	res := &core.Result{
+		SOC: s, Style: core.StyleTDCPerCore, WTAM: p.WTAM, Partition: p.Partition,
+		TestTime: p.TestTime, Volume: p.Volume,
+		Schedule: &sched.Schedule{Widths: p.Partition, BusTimes: make([]int64, len(p.Partition)), Makespan: p.TestTime},
+	}
+	for _, c := range p.Cores {
+		idx := slices.IndexFunc(s.Cores, func(sc *soctap.Core) bool { return sc.Name == c.Core })
+		if idx < 0 || c.Bus < 0 || c.Bus >= len(p.Partition) {
+			t.Fatalf("served plan: core %q on bus %d of %v", c.Core, c.Bus, p.Partition)
+		}
+		codec := c.Codec
+		if codec == "direct" {
+			codec = core.CodecDirect
+		}
+		res.Choices = append(res.Choices, core.CoreChoice{Core: c.Core, Bus: c.Bus, Start: c.Start, Config: core.Config{
+			Feasible: true, UseTDC: codec != core.CodecDirect, Codec: codec,
+			Width: c.Width, M: c.M, DictWords: c.DictWords, Time: c.Cycles, Volume: c.Volume,
+		}})
+		res.Schedule.Items = append(res.Schedule.Items, sched.Item{Core: idx, Bus: c.Bus, Start: c.Start, Duration: c.Cycles})
+		res.Schedule.BusTimes[c.Bus] = max(res.Schedule.BusTimes[c.Bus], c.Start+c.Cycles)
+	}
+	return res
 }
 
 // TestDeadlineCancelsMidBuild submits a cold d695 (≥100ms of table

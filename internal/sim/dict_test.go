@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -88,6 +89,45 @@ func TestVerifyPlanDictRecordedCapacity(t *testing.T) {
 		}
 		if err := VerifyPlan(res); err != nil {
 			t.Errorf("sizes %v: %v", sizes, err)
+		}
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDictMemoryFlat: dictionary pricing and replay hold one pattern and
+// the dictionary, not the test set's slices. On a warm core, the bytes
+// one EvalDict allocates, and one RunDictCore (whose packed stream is
+// about a kilobyte per 50 patterns here), stay within a fixed bound
+// when the pattern count is multiplied by 4.
+func TestDictMemoryFlat(t *testing.T) {
+	const bound = 128 << 10
+	for _, patterns := range []int{50, 200} {
+		c := simCore(61)
+		c.Patterns = patterns
+		if _, err := c.TestSet(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		eval := allocated(func() { _, err = core.EvalDict(c, 20, 256) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := allocated(func() { _, err = RunDictCore(c, 20, 256) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d patterns: EvalDict %d bytes, RunDictCore %d bytes", patterns, eval, run)
+		if eval > bound || run > bound {
+			t.Errorf("%d patterns: EvalDict allocates %d bytes, RunDictCore %d; want both within %d",
+				patterns, eval, run, bound)
 		}
 	}
 }

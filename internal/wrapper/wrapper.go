@@ -7,8 +7,8 @@
 //
 //	τ = (1 + max(si, so))·p + min(si, so)
 //
-// and, through the stimulus map, the slice structure seen by the
-// selective-encoding decompressor.
+// and, through the stimulus map and the Slicer built on it, the slice
+// structure the selective-encoding and dictionary decompressors see.
 package wrapper
 
 import (
@@ -17,6 +17,8 @@ import (
 	"slices"
 	"sync"
 
+	"soctap/internal/cube"
+	"soctap/internal/selenc"
 	"soctap/internal/soc"
 )
 
@@ -259,4 +261,50 @@ func (d *Design) buildStimulusMap() []CellRef {
 		}
 	}
 	return refs
+}
+
+// Slicer groups one pattern at a time into its ScanIn scan slices: the
+// slice structure both compression codecs encode. Its scratch is reused
+// across patterns.
+type Slicer struct {
+	refs []CellRef
+	care []selenc.CareBit // the pattern's (chain, value) care bits, grouped by scan depth
+	end  []int            // end[d]: end of depth d's group in care
+}
+
+// NewSlicer returns a slicer over the design's stimulus map.
+func NewSlicer(d *Design) *Slicer {
+	return &Slicer{refs: d.StimulusMap(), end: make([]int, d.ScanIn)}
+}
+
+// Scatter groups the cube's care bits by the scan depth their cell loads
+// at (a counting sort) and sorts each group by chain.
+func (s *Slicer) Scatter(cb *cube.Cube) {
+	clear(s.end)
+	for _, bit := range cb.Care {
+		s.end[s.refs[bit.Pos].Depth]++
+	}
+	n := 0
+	for d, count := range s.end {
+		s.end[d] = n // start of depth d until the placement pass below
+		n += count
+	}
+	s.care = slices.Grow(s.care[:0], n)[:n]
+	for _, bit := range cb.Care {
+		r := s.refs[bit.Pos]
+		s.care[s.end[r.Depth]] = selenc.CareBit{Pos: int(r.Chain), Value: bit.Value}
+		s.end[r.Depth]++
+	}
+	for d := range s.end {
+		selenc.SortCare(s.Slice(d))
+	}
+}
+
+// Slice returns the care bits, as (chain, value) pairs sorted by chain,
+// of the last scattered pattern's slice at scan depth d.
+func (s *Slicer) Slice(d int) []selenc.CareBit {
+	if d == 0 {
+		return s.care[:s.end[0]]
+	}
+	return s.care[s.end[d-1]:s.end[d]]
 }

@@ -193,7 +193,8 @@ func Optimize(s *SOC, wtam int, opts Options) (*Result, error) {
 
 // OptimizeContext is Optimize governed by ctx: a cancelled run returns
 // ctx.Err() promptly (cancellation is observed at every table
-// evaluation point and every candidate schedule) with no goroutines
+// evaluation point, every pattern of a technique-selection sweep and
+// every candidate schedule) with no goroutines
 // leaked, and an uncancelled run is bit-identical to Optimize. A nil
 // ctx behaves like context.Background().
 func OptimizeContext(ctx context.Context, s *SOC, wtam int, opts Options) (*Result, error) {
