@@ -36,42 +36,46 @@ bench-short:
 
 # bench-smoke compiles and runs each fast benchmark exactly once — a
 # regression tripwire for the benchmark code itself (the point setup of
-# a new m, the warm searches on d695 and System4 and the simulator's
-# BenchmarkVerifyPlan included), cheap enough for the tier-1 gate (no
-# timing is measured at -benchtime=1x).
+# a new m, the one-shot wrapper.New, the warm searches on d695 and
+# System4 and the simulator's BenchmarkVerifyPlan included), cheap
+# enough for the tier-1 gate (no timing is measured at -benchtime=1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkPointSetup|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule|BenchmarkGreedy50Cores' -benchtime 1x ./internal/sched
+	$(GO) test -run '^$$' -bench 'BenchmarkWrapperNew$$' -benchtime 1x ./internal/wrapper
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch$$|BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchtime 1x .
 
 # bench-json archives the headline benchmarks as a dated,
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
 # alloc stats and any custom metrics, parsed by cmd/benchjson, which
 # stores a benchmark run several times as the median of each field, its
-# sample count and the quartiles of ns/op. The rungs run the paper
-# artifacts and the search five times each (-count 5; every artifact
-# sample runs on a fresh engine, so builds its tables cold), then the
-# greedy schedule (at the default benchtime: a single -benchtime 1x
-# iteration times a cold first call, several times the steady state),
-# the point setup of a new m (BenchmarkPointSetup) and
-# one core's serial table build, the cache tiers (a v2 entry's cold
-# load, BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on
-# the one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
-# their archived names), the warm System4
-# search (BenchmarkOptimizeSearchSystem4), warm technique selection
+# sample count and the quartiles of ns/op. Every rung but three runs
+# five times (-count 5), so a compare reads medians rather than single
+# samples: the paper artifacts and the search (every artifact sample
+# runs on a fresh engine, so builds its tables cold), the point setup
+# of a new m (BenchmarkPointSetup), one core's serial table build, the
+# one-shot wrapper.New of the verify path (BenchmarkWrapperNew: d695
+# and d2758 at m = 8..64), the warm System4 search
+# (BenchmarkOptimizeSearchSystem4), warm technique selection
 # (BenchmarkTechSelWarm: the socopt -techsel flow on d695 and System1
-# at W_TAM 32, tables warmed first), the simulator
-# (BenchmarkVerifyPlan on d695 and d2758, at GOMAXPROCS 1 and 2: its
-# replays fan out over the CPUs, and benchjson keeps one name per
-# GOMAXPROCS value) and the warm socserve request.
+# at W_TAM 32, tables warmed first), the simulator (BenchmarkVerifyPlan
+# on d695 and d2758, at GOMAXPROCS 1 and 2: its replays fan out over
+# the CPUs, and benchjson keeps one name per GOMAXPROCS value) and the
+# warm socserve request. The greedy schedule (at the default benchtime:
+# a single -benchtime 1x iteration times a cold first call, several
+# times the steady state) and the cache tiers (a v2 entry's cold load,
+# BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on the
+# one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
+# their archived names) run once.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchmem ./internal/sched ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -count 5 -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkWrapperNew$$' -count 5 -benchmem ./internal/wrapper ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$' -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$' -count 5 -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -count 5 -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -count 5 -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 	@echo wrote BENCH_$$(date +%Y-%m-%d).json
 
@@ -105,10 +109,15 @@ bench-big-smoke:
 # its StimulusMap row and (row, group) slot on random cores at every m,
 # unpruned tables match the pruned goldens on every d695/industrial
 # core, steady-state tdcCost runs at 0 allocs/op on a dense and a thin
-# core over a kept whole-set window (and a new m allocates only
-# wrapper.New's own), wrapper.New builds every design of the paper
-# cores and of random cores field for field like its reference form,
-# every d695/industrial table is byte-identical to its
+# core over a kept whole-set window (and a new m, its design rebuilt in
+# place, allocates nothing), an evaluator returning to an earlier m
+# prices it like the one-shot API, wrapper.New and one recycled design
+# rebuilt by a Packer in shuffled m order build every design of the
+# paper cores and of random cores field for field like the reference
+# form (the rebuilt design's StimulusMap like a fresh one's), the cube
+# generator yields the same cubes as its map-and-sort reference form on
+# the paper cores, synthesized industrial, iscas and giant cores, flat
+# and saturated specs, every d695/industrial table is byte-identical to its
 # checked-in golden encoding at windows 0/64 (and 1 on d695) × workers
 # 1/2/8, every plan of d695, d2758 and System1-4 (W_TAM 8..64 × three
 # styles × MergeSearch × NaiveOrder: partition in bus order, makespan,
@@ -125,9 +134,10 @@ bench-big-smoke:
 # stream digests) and 24 of their dictionary plans, each passing
 # VerifyPlan, are byte-identical to the checked-in golden_dict.txt.
 kernel-equivalence:
-	$(GO) test -run 'TestKernelPathsAgree|TestSegmentTableMatchesStimulusMap|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
+	$(GO) test -run 'TestKernelPathsAgree|TestSegmentTableMatchesStimulusMap|TestKernelSteadyStateZeroAlloc|TestEvaluatorMatchesOneShotAPI|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
-	$(GO) test -run 'TestNewMatchesReference' -count=1 ./internal/wrapper
+	$(GO) test -run 'TestNewMatchesReference|TestPackerMatchesReference' -count=1 ./internal/wrapper
+	$(GO) test -run 'TestGeneratorMatchesReference' -count=1 ./internal/cube
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
 	$(GO) test -run 'TestGoldenDict' -count=1 ./internal/sim

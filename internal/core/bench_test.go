@@ -48,8 +48,9 @@ func BenchmarkTDCCostKernel(b *testing.B) {
 // wrapper design and the kernel's segment table, on a warm evaluator,
 // alternating between two m values so every iteration prices a new
 // design — on benchCore and on the industrial ckt-12 (1,600 scan
-// chains, 856 input cells). The point table is written into recycled
-// storage, so the allocations are wrapper.New's own.
+// chains, 856 input cells). The design is rebuilt in place by the
+// evaluator's packer and the point table written into recycled
+// storage, so it allocates nothing.
 func BenchmarkPointSetup(b *testing.B) {
 	for _, c := range []*soc.Core{benchCore(), soc.MustIndustrialCore("ckt-12")} {
 		b.Run(c.Name, func(b *testing.B) {

@@ -127,12 +127,15 @@ type Evaluator struct {
 
 	kern kernelScratch // counting kernel state
 
-	lastM int // most recently built wrapper design (0 = none)
-	lastD *wrapper.Design
-	// pt is the pricing state of ptD, the most recently priced design
-	// (see point), so its point table is built once per design.
-	pt  tdcPoint
-	ptD *wrapper.Design
+	// packer builds every design the evaluator prices into design, one
+	// recycled Design holding the wrapper for lastM chains (0 = none).
+	// It is created on the first Design call.
+	packer *wrapper.Packer
+	design wrapper.Design
+	lastM  int
+	// pt is the pricing state of the most recently priced m (see
+	// point), so its point table is built once per m.
+	pt tdcPoint
 
 	// Kernel-invocation counters; nil (a no-op) unless a telemetry sink
 	// is attached. Counts are deterministic: one per evaluated config
@@ -348,17 +351,23 @@ func (e *Evaluator) noteWindow(n int) {
 
 // Design returns the wrapper design for m chains, reusing the previous
 // one when m is unchanged — this is what lets TDC, PatternBits and
-// NoTDC calls at the same m share one design and point table.
+// NoTDC calls at the same m share one design and point table. The
+// design is built through the core's packer into one recycled Design,
+// so it is valid until a call with another m, and a new m on a warm
+// evaluator allocates nothing.
 func (e *Evaluator) Design(m int) (*wrapper.Design, error) {
-	if e.lastD != nil && e.lastM == m {
-		return e.lastD, nil
+	if e.lastM == m && m != 0 {
+		return &e.design, nil
 	}
-	d, err := wrapper.New(e.core, m)
-	if err != nil {
+	if e.packer == nil {
+		e.packer = wrapper.NewPacker(e.core)
+	}
+	e.lastM = 0 // until the rebuild completes
+	if err := e.packer.Build(&e.design, m); err != nil {
 		return nil, err
 	}
-	e.lastM, e.lastD = m, d
-	return d, nil
+	e.lastM = m
+	return &e.design, nil
 }
 
 // NoTDC evaluates testing the core through m direct TAM wires (one
@@ -436,12 +445,14 @@ func (e *Evaluator) PatternBits(m int) ([]int64, error) {
 	return out, nil
 }
 
-// point returns the evaluator's pricing state for design d, building
-// the point table (into recycled storage) only when d differs from the
-// last design priced.
+// point returns the evaluator's pricing state for d, the evaluator's
+// design, building the point table (into recycled storage) only when
+// d's m differs from the last m priced. The table is keyed by m, not
+// by the recycled design's address: a design is a function of the core
+// and m, so a rebuilt design at the table's m has the same table.
 func (e *Evaluator) point(d *wrapper.Design) *tdcPoint {
-	if e.ptD != d {
-		e.pt, e.ptD = newTDCPoint(d, e.pt.segs), d
+	if e.pt.m != d.M {
+		e.pt = newTDCPoint(d, e.pt.segs)
 	}
 	return &e.pt
 }

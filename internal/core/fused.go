@@ -27,7 +27,6 @@ import (
 
 	"soctap/internal/selenc"
 	"soctap/internal/telemetry"
-	"soctap/internal/wrapper"
 )
 
 // fusedBatchPoints bounds how many evaluation points share one
@@ -116,8 +115,10 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Batch setup: build the designs and apply sweepBand's pre-pass
-		// bounds against the incumbents earlier batches established.
+		// Batch setup: build the designs through the producer's packer
+		// into its recycled design, apply sweepBand's pre-pass bounds
+		// against the incumbents earlier batches established, and copy
+		// what a point keeps into its own point table.
 		batch = batch[:0]
 		for _, r := range queue[start:end] {
 			b := &bands[r.band]
@@ -127,7 +128,7 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 					continue
 				}
 			}
-			d, err := wrapper.New(c, r.m)
+			d, err := producer.Design(r.m)
 			if err != nil {
 				return err
 			}

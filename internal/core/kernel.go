@@ -24,13 +24,14 @@
 //  3. re-zero the touched row and slot counters.
 //
 // Work is proportional to the cube's care bits, whatever the design's
-// depth or width, and a new design costs its wrapper plus O(inputs +
-// scan chains) table entries — no table has one entry per stimulus
-// cell. The point table is written into recycled storage and the
-// counters are Evaluator scratch grown to high-water marks and all-zero
-// between cubes, so steady-state pricing allocates nothing
-// (gate-enforced by `make check`). The kernel is exact: the
-// real-encoder cross-checks and the golden tables are its oracle.
+// depth or width, and a new design costs one wrapper.Packer build plus
+// O(inputs + scan chains) table entries — no table has one entry per
+// stimulus cell. The design is rebuilt in place, the point table is
+// written into recycled storage and the counters are Evaluator scratch
+// grown to high-water marks and all-zero between cubes, so neither
+// steady-state pricing nor a new m allocates anything (gate-enforced by
+// `make check`). The kernel is exact: the real-encoder cross-checks and
+// the golden tables are its oracle.
 package core
 
 import (
@@ -138,9 +139,10 @@ func segmentStarts(c *soc.Core) []uint64 {
 // segmentRefs re-encodes a loaded window's care refs in place, from
 // pos<<1|value to seg<<32|offset<<1|value against segmentStarts'
 // boundaries: input cell i is segment i at offset 0, and a scan cell is
-// segment InCells+chain at its offset in that chain. Consecutive refs
-// usually share a chain, so a binary search runs only when a ref leaves
-// the previous ref's chain.
+// segment InCells+chain at its offset in that chain. Refs ascend within
+// a cube, so a ref's chain is found by scanning forward from the
+// previous ref's; a binary search runs only when a ref moves backward,
+// at a new cube.
 func segmentRefs(refs []uint64, starts []uint64) {
 	nIn := starts[0]
 	sc := 0
@@ -150,8 +152,11 @@ func segmentRefs(refs []uint64, starts []uint64) {
 			refs[i] = pos<<32 | p&1
 			continue
 		}
-		if pos < starts[sc] || pos >= starts[sc+1] {
-			sc = sort.Search(len(starts)-1, func(c int) bool { return starts[c+1] > pos })
+		if pos < starts[sc] {
+			sc = sort.Search(sc, func(c int) bool { return starts[c+1] > pos })
+		}
+		for pos >= starts[sc+1] {
+			sc++
 		}
 		refs[i] = (nIn+uint64(sc))<<32 | (pos-starts[sc])<<1 | p&1
 	}

@@ -1,10 +1,8 @@
 package cube
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 )
 
@@ -116,9 +114,10 @@ func (g GenSpec) Validate() error {
 // Generate produces the deterministic synthetic test set described by
 // the spec, materialized as a *Set. It is a thin adapter over the
 // streaming Generator — collecting the same cube sequence a Generator
-// yields — kept for callers that genuinely need the whole set resident
-// (dictionary training, ad-hoc tooling). Scale-sensitive paths should
-// pull from NewGenerator instead.
+// yields — kept for the one caller that keeps the whole set resident,
+// soc.Core.TestSet, whose cached set serves every multi-pass consumer
+// of a core below the streaming threshold. Scale-sensitive paths
+// should pull from NewGenerator instead.
 func Generate(g GenSpec) (*Set, error) {
 	gen, err := NewGenerator(g)
 	if err != nil {
@@ -136,32 +135,50 @@ func Generate(g GenSpec) (*Set, error) {
 	return set, nil
 }
 
-// placeCare appends one care bit without the O(care) sorted-insert of
-// Cube.Set; generator call sites guarantee position uniqueness via
-// their seen maps, and sortCare restores the Care ordering invariant
-// once placement finishes. This keeps per-cube cost O(care log care)
-// instead of O(care²) — the difference between minutes and hours on a
-// million-cube giant set.
-func placeCare(c *Cube, pos int, v bool) {
-	c.Care = append(c.Care, CareBit{Pos: pos, Value: v})
+// place records one care bit of the cube being drawn: its position in
+// the seen bitset, and pos<<1|value in the key buffer. Call sites check
+// seen first, so positions are unique within a cube, and finish sorts
+// the keys once placement is done. This keeps per-cube cost
+// O(care log care) instead of the O(care²) of Cube.Set's sorted insert
+// — the difference between minutes and hours on a million-cube giant
+// set.
+func (gen *Generator) place(pos int, v bool) {
+	gen.seen[pos>>6] |= 1 << (pos & 63)
+	key := uint64(pos) << 1
+	if v {
+		key |= 1
+	}
+	gen.keys = append(gen.keys, key)
 }
 
-// sortCare restores the sorted-by-position invariant after placeCare
-// appends. Positions are unique, so any sort reproduces exactly the
-// layout incremental Cube.Set insertion would have built; the generic
-// slices.SortFunc avoids sort.Slice's reflection-based swapper.
-func sortCare(c *Cube) {
-	slices.SortFunc(c.Care, func(a, b CareBit) int { return cmp.Compare(a.Pos, b.Pos) })
+// taken reports whether pos already holds a care bit of the cube being
+// drawn.
+func (gen *Generator) taken(pos int) bool {
+	return gen.seen[pos>>6]&(1<<(pos&63)) != 0
 }
 
-// genScanCube places clusters in (chain, depth) coordinates: each
-// cluster is a rectangle of adjacent chains at nearby depths, the
-// scan-slice clustering regime. IO cells receive a proportional share of
-// uniformly scattered care bits.
-func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, clustering, oneBias float64) *Cube {
-	c := NewCube(g.NumBits)
-	c.Care = make([]CareBit, 0, nCare)
-	seen := make(map[int]bool, nCare)
+// finish returns the drawn care bits as a cube, sorted by position
+// (positions are unique, so sorting the packed keys orders the bits),
+// and clears the seen words they set, leaving the bitset all-zero for
+// the next cube.
+func (gen *Generator) finish() *Cube {
+	slices.Sort(gen.keys)
+	c := NewCube(gen.spec.NumBits)
+	c.Care = make([]CareBit, len(gen.keys))
+	for i, key := range gen.keys {
+		c.Care[i] = CareBit{Pos: int(key >> 1), Value: key&1 == 1}
+		gen.seen[key>>7] = 0
+	}
+	gen.keys = gen.keys[:0]
+	return c
+}
+
+// scanCube places clusters in (chain, depth) coordinates: each cluster
+// is a rectangle of adjacent chains at nearby depths, the scan-slice
+// clustering regime. IO cells receive a proportional share of uniformly
+// scattered care bits.
+func (gen *Generator) scanCube(nCare int) *Cube {
+	rng, g, oneBias := gen.rng, gen.spec, gen.oneBias
 	nChains := len(g.Geometry)
 
 	// IO share of the care bits, scattered uniformly.
@@ -172,17 +189,16 @@ func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, cluster
 	placed := 0
 	for tries := 0; placed < ioCare && tries < ioCare*40; tries++ {
 		pos := rng.Intn(g.IOCells)
-		if seen[pos] {
+		if gen.taken(pos) {
 			continue
 		}
-		seen[pos] = true
-		placeCare(c, pos, rng.Float64() < oneBias)
+		gen.place(pos, rng.Float64() < oneBias)
 		placed++
 	}
 
 	// Cluster shape: span across chains shrinks as clustering weakens
 	// (scattering degenerates to single cells).
-	meanSpan := 2 + clustering*14 // chains per cluster at full clustering: ~16
+	meanSpan := 2 + gen.clustering*14 // chains per cluster at full clustering: ~16
 	for attempts := 0; placed < nCare && attempts < nCare*40; attempts++ {
 		span := 1 + rng.Intn(int(meanSpan))
 		if span > nChains {
@@ -212,31 +228,27 @@ func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, cluster
 				if rng.Float64() > 0.8 {
 					continue
 				}
-				pos := chainStart[ch] + d
-				if seen[pos] {
+				pos := gen.chainStart[ch] + d
+				if gen.taken(pos) {
 					continue
 				}
-				seen[pos] = true
 				v := domVal
 				if rng.Float64() > 0.85 {
 					v = !v
 				}
-				placeCare(c, pos, v)
+				gen.place(pos, v)
 				placed++
 			}
 		}
 	}
-	fillRemaining(rng, c, seen, g.NumBits, nCare, &placed, oneBias)
-	sortCare(c)
-	return c
+	gen.fillRemaining(nCare, placed)
+	return gen.finish()
 }
 
-// genFlatCube draws one cube with nCare specified bits clustered over
-// flat cell indices.
-func genFlatCube(rng *rand.Rand, numBits, nCare int, clustering, oneBias float64) *Cube {
-	c := NewCube(numBits)
-	c.Care = make([]CareBit, 0, nCare)
-	seen := make(map[int]bool, nCare)
+// flatCube draws one cube with nCare specified bits clustered over flat
+// cell indices.
+func (gen *Generator) flatCube(nCare int) *Cube {
+	rng, numBits, clustering := gen.rng, gen.spec.NumBits, gen.clustering
 
 	// Number of cone centers: fewer cones = stronger clustering. At
 	// clustering=0 every care bit is its own "cone" (uniform scatter).
@@ -256,7 +268,7 @@ func genFlatCube(rng *rand.Rand, numBits, nCare int, clustering, oneBias float64
 			// Tight spreads at high clustering: ~0.2% of the core at
 			// clustering=1, ~20% at clustering=0.
 			spread: float64(numBits) * (0.002 + 0.2*(1-clustering)),
-			domVal: rng.Float64() < oneBias,
+			domVal: rng.Float64() < gen.oneBias,
 		}
 	}
 
@@ -264,32 +276,29 @@ func genFlatCube(rng *rand.Rand, numBits, nCare int, clustering, oneBias float64
 	for attempts := 0; placed < nCare && attempts < nCare*50; attempts++ {
 		co := cones[rng.Intn(nCones)]
 		pos := co.center + int(rng.NormFloat64()*co.spread)
-		if pos < 0 || pos >= numBits || seen[pos] {
+		if pos < 0 || pos >= numBits || gen.taken(pos) {
 			continue
 		}
-		seen[pos] = true
 		v := co.domVal
 		if rng.Float64() > 0.85 {
 			v = !v
 		}
-		placeCare(c, pos, v)
+		gen.place(pos, v)
 		placed++
 	}
-	fillRemaining(rng, c, seen, numBits, nCare, &placed, oneBias)
-	sortCare(c)
-	return c
+	gen.fillRemaining(nCare, placed)
+	return gen.finish()
 }
 
 // fillRemaining linearly scans for free cells when random placement
 // saturates (tiny cores or density ~1).
-func fillRemaining(rng *rand.Rand, c *Cube, seen map[int]bool, numBits, nCare int, placed *int, oneBias float64) {
-	for pos := 0; *placed < nCare && pos < numBits; pos++ {
-		if seen[pos] {
+func (gen *Generator) fillRemaining(nCare, placed int) {
+	for pos := 0; placed < nCare && pos < gen.spec.NumBits; pos++ {
+		if gen.taken(pos) {
 			continue
 		}
-		seen[pos] = true
-		placeCare(c, pos, rng.Float64() < oneBias)
-		*placed++
+		gen.place(pos, gen.rng.Float64() < gen.oneBias)
+		placed++
 	}
 }
 

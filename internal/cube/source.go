@@ -70,6 +70,14 @@ type Generator struct {
 
 	rng *rand.Rand
 	i   int
+
+	// seen is a bitset of NumBits bits marking the care positions of the
+	// cube being drawn, cleared word by word from its care bits after
+	// each cube; keys holds that cube's care bits as pos<<1|value. Both
+	// are reused across cubes: seen is NumBits/8 bytes, an eighth of the
+	// counting kernel's slot scratch bound of StimulusBits() bytes.
+	seen []uint64
+	keys []uint64
 }
 
 // NewGenerator validates the spec and positions the stream before the
@@ -87,6 +95,7 @@ func NewGenerator(g GenSpec) (*Generator, error) {
 		decay:      clamp01(g.DensityDecay),
 		clustering: clamp01(g.Clustering),
 		oneBias:    oneBias,
+		seen:       make([]uint64, (g.NumBits+63)/64),
 	}
 	if len(g.Geometry) > 0 {
 		gen.chainStart = make([]int, len(g.Geometry))
@@ -130,9 +139,9 @@ func (gen *Generator) Next() (*Cube, bool) {
 	nCare := min(max(int(math.Round(d*float64(g.NumBits))), 1), g.NumBits)
 	var c *Cube
 	if gen.chainStart != nil {
-		c = genScanCube(gen.rng, g, gen.chainStart, nCare, gen.clustering, gen.oneBias)
+		c = gen.scanCube(nCare)
 	} else {
-		c = genFlatCube(gen.rng, g.NumBits, nCare, gen.clustering, gen.oneBias)
+		c = gen.flatCube(nCare)
 	}
 	gen.i++
 	return c, true

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -238,6 +239,76 @@ func TestDeadlineCancelsMidBuild(t *testing.T) {
 	}
 	if n := s.Sink().Snapshot().Counters["serve.deadline_exceeded"]; n != 1 {
 		t.Errorf("serve.deadline_exceeded = %d, want 1", n)
+	}
+}
+
+// TestTechSelDeadlineInSweep times out a technique-selection request
+// inside its dictionary sweep, on tables a plain request warmed: with
+// the tables in memory, what ?techsel=1 adds to a plain request is the
+// sweep, so a deadline a quarter of that extra time past the plain
+// request's lands in it. The answer must be a 504 before three
+// quarters of the sweep would have run (the sweeps stop at their next
+// pattern), counted in serve.deadline_exceeded, with no table built
+// and no goroutine left behind.
+func TestTechSelDeadlineInSweep(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	post := func(query string) (int, time.Duration) {
+		t.Helper()
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/v1/optimize?design=System1&width=32"+query, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, time.Since(start)
+	}
+	// The minimum of a few warm runs of each: the first plain request
+	// builds the tables, and a run slowed by the host would push the
+	// deadline past the sweep.
+	warm := func(query string, runs int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range runs {
+			st, d := post(query)
+			if st != http.StatusOK {
+				t.Fatalf("warm request %q: status %d", query, st)
+			}
+			best = min(best, d)
+		}
+		return best
+	}
+	warm("", 1)
+	plain := warm("", 3)
+	sweep := warm("&techsel=1", 2) - plain
+	if sweep <= 0 {
+		t.Fatalf("technique selection took no longer than a plain request (%v)", plain)
+	}
+	built := s.Sink().Snapshot().Counters["tables.built"]
+	before := runtime.NumGoroutine()
+
+	timeout := plain + sweep/4
+	st, elapsed := post(fmt.Sprintf("&techsel=1&timeout=%dus", timeout.Microseconds()))
+	if st != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504 (deadline %v, plain %v, sweep %v)", st, timeout, plain, sweep)
+	}
+	t.Logf("deadline %v, answered after %v (plain request %v, sweep %v)", timeout, elapsed, plain, sweep)
+	if limit := plain + 3*sweep/4; elapsed > limit {
+		t.Errorf("timed-out request answered after %v, want within %v (deadline %v): the sweep did not stop", elapsed, limit, timeout)
+	}
+	snap := s.Sink().Snapshot()
+	if n := snap.Counters["serve.deadline_exceeded"]; n != 1 {
+		t.Errorf("serve.deadline_exceeded = %d, want 1", n)
+	}
+	if n := snap.Counters["tables.built"]; n != built {
+		t.Errorf("tables.built moved from %d to %d: the deadline did not land in the sweep", built, n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("goroutines: %d before the timed-out request, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
 	}
 }
 

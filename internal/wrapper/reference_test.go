@@ -211,3 +211,79 @@ func TestNewMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestPackerMatchesReference builds designs through one Packer into one
+// recycled Design, m in shuffled order with 1 and MaxWrapperChains
+// included, and holds each to referenceNew field for field, and its
+// StimulusMap after the rebuild to a fresh design's. Cores: the paper
+// cores, and random cores with m at or above and below the scan chain
+// count, equal and unequal chain lengths, final load spans at or above
+// m (where the counting sort gives way to a comparison sort) and
+// zero-length scan chains, which soc.Validate rejects but New accepts.
+func TestPackerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(c *soc.Core, ms []int) {
+		t.Helper()
+		p := NewPacker(c)
+		var d Design
+		for k, m := range ms {
+			if err := p.Build(&d, m); err != nil {
+				t.Fatalf("%s m=%d: %v", c.Name, m, err)
+			}
+			if err := sameDesign(&d, referenceNew(c, m)); err != nil {
+				t.Fatalf("%s m=%d (build %d of %v): %v", c.Name, m, k+1, ms, err)
+			}
+			fresh, err := New(c, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(d.StimulusMap(), fresh.StimulusMap()) {
+				t.Fatalf("%s m=%d: rebuilt design's stimulus map differs from a fresh design's", c.Name, m)
+			}
+		}
+		if err := p.Build(&d, c.MaxWrapperChains()+1); err == nil {
+			t.Fatalf("%s: m beyond MaxWrapperChains accepted", c.Name)
+		}
+	}
+	shuffled := func(maxM, samples int) []int {
+		ms := []int{1, maxM}
+		for range samples {
+			ms = append(ms, 1+rng.Intn(maxM))
+		}
+		rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+		return ms
+	}
+
+	cores := append([]*soc.Core(nil), soc.D695().Cores...)
+	for _, name := range soc.IndustrialCoreNames() {
+		cores = append(cores, soc.MustIndustrialCore(name))
+	}
+	for _, c := range cores {
+		check(c, shuffled(c.MaxWrapperChains(), 40))
+	}
+
+	// A span at or above m: loads 100 and 2 over two wrapper chains.
+	check(&soc.Core{Name: "span", Inputs: 3, Outputs: 2, ScanChains: []int{100, 1, 1}}, []int{2, 1, 2, 3})
+	for i := 0; i < 200; i++ {
+		chains := make([]int, rng.Intn(60))
+		equal := 1 + rng.Intn(60)
+		for j := range chains {
+			switch i % 4 {
+			case 0:
+				chains[j] = equal
+			case 1:
+				chains[j] = 1 + rng.Intn(1000)
+			case 2:
+				chains[j] = rng.Intn(4)
+			default:
+				chains[j] = 1 + rng.Intn(60)
+			}
+		}
+		c := &soc.Core{Name: fmt.Sprintf("rand-%d", i), Inputs: rng.Intn(50), Outputs: rng.Intn(50),
+			Bidirs: rng.Intn(3), ScanChains: chains}
+		if c.MaxWrapperChains() == 0 {
+			continue
+		}
+		check(c, shuffled(c.MaxWrapperChains(), 12))
+	}
+}

@@ -47,92 +47,247 @@ type Design struct {
 	ScanIn  int // si: longest scan-in (stimulus) chain
 	ScanOut int // so: longest scan-out (response) chain
 
+	// scan is the one backing array of every chain's ScanChains, kept
+	// so a Packer can rebuild the design in place.
+	scan []int
+
 	refsOnce sync.Once
 	refs     []CellRef
 }
 
-// New builds a wrapper design with m wrapper chains using best-fit-
-// decreasing packing of scan chains and water-filling of I/O cells. m
-// must be in [1, core.MaxWrapperChains()].
-func New(core *soc.Core, m int) (*Design, error) {
+// checkM rejects wrapper chain counts outside [1, MaxWrapperChains].
+func checkM(core *soc.Core, m int) error {
 	if m < 1 {
-		return nil, fmt.Errorf("wrapper: %s: m = %d, must be >= 1", core.Name, m)
+		return fmt.Errorf("wrapper: %s: m = %d, must be >= 1", core.Name, m)
 	}
 	if max := core.MaxWrapperChains(); m > max {
-		return nil, fmt.Errorf("wrapper: %s: m = %d exceeds max useful wrapper chains %d", core.Name, m, max)
+		return fmt.Errorf("wrapper: %s: m = %d exceeds max useful wrapper chains %d", core.Name, m, max)
 	}
+	return nil
+}
 
-	d := &Design{Core: core, M: m, Chains: make([]Chain, m)}
+// New builds a wrapper design with m wrapper chains using best-fit-
+// decreasing packing of scan chains and water-filling of I/O cells. m
+// must be in [1, core.MaxWrapperChains()]. It is the one-shot form of
+// Packer.Build: it sorts the scan chains itself and keeps no scratch.
+func New(core *soc.Core, m int) (*Design, error) {
+	if err := checkM(core, m); err != nil {
+		return nil, err
+	}
+	d := &Design{}
+	keys, loaded := byLength(core.ScanChains)
+	var s packScratch
+	s.pack(d, core, m, keys, loaded, keys)
+	return d, nil
+}
 
-	// Step 1: best-fit-decreasing on internal scan chains. Take the scan
-	// chains by length (descending, ties by index) and place each on the
-	// wrapper chain with minimum accumulated scan length (ties by chain
-	// index). Both orders are packed integer keys: length and load stay
-	// below 2^32 (soc.MaxStimulusBits), so one compare orders a pair.
-	keys := make([]uint64, len(core.ScanChains))
-	for i, l := range core.ScanChains {
+// Packer builds the wrapper designs of one core at any m. It sorts the
+// core's scan chains by length once, and builds each design into
+// storage the caller owns, reusing its own scratch, so once its
+// buffers have grown to the largest m built a Build allocates nothing.
+// A Packer is not safe for concurrent use.
+type Packer struct {
+	core   *soc.Core
+	byLen  []uint64 // scan chains longest first, ties by index (see byLength)
+	loaded int      // scan chains of length >= 1: a prefix of byLen
+	at     []uint64 // per placement: wrapper chain<<32 | scan chain
+	s      packScratch
+}
+
+// NewPacker returns a packer for the core's designs.
+func NewPacker(core *soc.Core) *Packer {
+	byLen, loaded := byLength(core.ScanChains)
+	return &Packer{core: core, byLen: byLen, loaded: loaded, at: make([]uint64, len(byLen))}
+}
+
+// Build writes the design for m wrapper chains into d, the same design
+// New builds, reusing d's Chains, its chains' one ScanChains backing
+// array and the packer's scratch. It resets d's StimulusMap memo, so
+// every slice obtained from d before the call is stale after it. A
+// design may not be shared between goroutines while it is rebuilt. On
+// an error (m outside [1, MaxWrapperChains]) d is left as it was.
+func (p *Packer) Build(d *Design, m int) error {
+	if err := checkM(p.core, m); err != nil {
+		return err
+	}
+	p.s.pack(d, p.core, m, p.byLen, p.loaded, p.at)
+	return nil
+}
+
+// byLength returns the scan chains as packed keys, longest first with
+// ties by index: (MaxUint32-length)<<32 | index, sorted ascending.
+// Lengths stay below 2^32 (soc.MaxStimulusBits), so one compare orders
+// a pair. loaded counts the chains of length >= 1, which soc.Validate
+// requires of every chain but an unvalidated core may lack; they form
+// a prefix of the order.
+func byLength(lens []int) (keys []uint64, loaded int) {
+	keys = make([]uint64, len(lens))
+	for i, l := range lens {
 		keys[i] = uint64(math.MaxUint32-uint32(l))<<32 | uint64(i)
+		if l > 0 {
+			loaded++
+		}
 	}
 	slices.Sort(keys)
-	// Min-load priority queue of load<<32 | chain keys. The order is a
-	// strict total order, so the popped minimum is unique at every step.
-	// Chain i starts at slot i with load 0, already a valid min-heap.
-	h := make(loadHeap, m)
-	for i := range h {
-		h[i] = uint64(i)
+	return keys, loaded
+}
+
+// packScratch is the best-fit-decreasing scratch of one build: the
+// min-load heap, later the ascending (load, chain) order, and the
+// per-chain counts, grown to the largest m built.
+type packScratch struct {
+	heap  loadHeap
+	count []int
+}
+
+// pack builds the design for m wrapper chains into d, the one
+// best-fit-decreasing implementation behind New and Packer.Build.
+// byLen and loaded are byLength's results for the core; at receives
+// the placements and may alias byLen (placement i reads byLen[i]
+// before it writes at[i]).
+//
+// Step 1 is best-fit-decreasing on the internal scan chains: each, in
+// byLen order, goes to the wrapper chain with the least accumulated
+// scan length, ties by chain index. While an empty wrapper chain
+// remains, a loaded chain (length >= 1) goes to the lowest-index empty
+// one, so placement i < min(m, loaded) lands on chain i without a heap.
+// Chains 0..i then carry non-increasing loads, so their ascending
+// (load, chain) order is their equal-load runs from last to first (see
+// ascending): with every scan chain placed directly that order is
+// final, and otherwise it is the heap the remaining placements pop
+// from. Those end with max − min load at most the longest scan chain,
+// so a counting sort over the load span (when it is below m) puts the
+// final loads in order in O(m + span). Zero-length scan chains, which
+// soc.Validate rejects but New accepts, sort last and take the heap.
+func (s *packScratch) pack(d *Design, core *soc.Core, m int, byLen []uint64, loaded int, at []uint64) {
+	lens := core.ScanChains
+	n := len(byLen)
+	chains := slices.Grow(d.Chains[:0], m)[:m]
+	clear(chains)
+	*d = Design{Core: core, M: m, Chains: chains, scan: slices.Grow(d.scan[:0], n)[:n]}
+	s.heap = slices.Grow(s.heap[:0], m)
+	s.count = slices.Grow(s.count[:0], m)
+	h, count := s.heap[:m], s.count[:m]
+
+	direct := min(m, loaded)
+	clear(count) // scan chains placed on each wrapper chain
+	for i, key := range byLen[:direct] {
+		chains[i].ScanLen = lens[uint32(key)]
+		count[i] = 1
 	}
-	count := make([]int, m) // scan chains placed on each wrapper chain
-	for i, key := range keys {
-		sc, ch := uint32(key), uint32(h[0])
-		keys[i] = uint64(ch)<<32 | uint64(sc) // placement i, by wrapper chain
-		count[ch]++
-		d.Chains[ch].ScanLen += core.ScanChains[sc]
-		h[0] += uint64(core.ScanChains[sc]) << 32
-		h.siftDown(0)
+	if direct < n {
+		ascending(h, chains, direct)
+		for i := direct; i < n; i++ {
+			sc, ch := uint32(byLen[i]), uint32(h[0])
+			at[i] = uint64(ch)<<32 | uint64(sc)
+			count[ch]++
+			chains[ch].ScanLen += lens[sc]
+			h[0] += uint64(lens[sc]) << 32
+			h.siftDown(0)
+		}
 	}
+
 	// One backing array holds every wrapper chain's scan chains, each
 	// run in placement order (a counting sort of the placements).
 	end := 0
-	for ch, n := range count {
+	for ch, c := range count {
 		count[ch] = end
-		end += n
+		end += c
 	}
-	order := make([]int, len(keys))
-	for _, key := range keys {
-		ch := key >> 32
-		order[count[ch]] = int(uint32(key))
+	for ch, key := range byLen[:direct] {
+		d.scan[count[ch]] = int(uint32(key))
 		count[ch]++
+	}
+	for _, a := range at[direct:n] {
+		d.scan[count[a>>32]] = int(uint32(a))
+		count[a>>32]++
 	}
 	start := 0
 	for ch, stop := range count {
 		if stop > start {
-			d.Chains[ch].ScanChains = order[start:stop:stop]
+			chains[ch].ScanChains = d.scan[start:stop:stop]
 		}
 		start = stop
 	}
 
 	// Steps 2 and 3: water-fill wrapper input cells over scan-in heights
 	// and wrapper output cells over scan-out heights. Both start from the
-	// chains' scan lengths, so one ascending (height, chain) order — the
-	// heap's final keys, sorted — serves both.
-	slices.Sort(h)
-	waterFill(h, core.InCells(), func(ch, add int) { d.Chains[ch].InCells = add })
-	waterFill(h, core.OutCells(), func(ch, add int) { d.Chains[ch].OutCells = add })
-
-	for i := range d.Chains {
-		if l := d.Chains[i].StimulusLen(); l > d.ScanIn {
-			d.ScanIn = l
-		}
-		if l := d.Chains[i].ResponseLen(); l > d.ScanOut {
-			d.ScanOut = l
-		}
+	// chains' scan lengths, so one ascending (height, chain) order serves
+	// both.
+	switch {
+	case direct == n:
+		ascending(h, chains, n)
+	case !countingSort(h, chains, count):
+		slices.Sort(h)
 	}
-	return d, nil
+	waterFill(h, core.InCells(), func(ch, add int) { chains[ch].InCells = add })
+	waterFill(h, core.OutCells(), func(ch, add int) { chains[ch].OutCells = add })
+
+	for i := range chains {
+		d.ScanIn = max(d.ScanIn, chains[i].StimulusLen())
+		d.ScanOut = max(d.ScanOut, chains[i].ResponseLen())
+	}
+}
+
+// ascending writes the ascending (load, chain) keys of chains into h
+// when chains[:k] carry non-increasing loads and the rest none: the
+// empty chains first, then the loaded chains' equal-load runs from last
+// to first, each run by chain index.
+func ascending(h loadHeap, chains []Chain, k int) {
+	i := 0
+	for ch := k; ch < len(chains); ch++ {
+		h[i] = uint64(ch)
+		i++
+	}
+	for end := k; end > 0; {
+		load := chains[end-1].ScanLen
+		start := end - 1
+		for start > 0 && chains[start-1].ScanLen == load {
+			start--
+		}
+		for ch := start; ch < end; ch++ {
+			h[i] = uint64(load)<<32 | uint64(ch)
+			i++
+		}
+		end = start
+	}
+}
+
+// countingSort writes the ascending (load, chain) keys of chains into h
+// by a counting sort over the load span, using buckets as its counts,
+// and reports false, writing nothing, when the span is not below
+// len(buckets).
+func countingSort(h loadHeap, chains []Chain, buckets []int) bool {
+	lo, hi := chains[0].ScanLen, chains[0].ScanLen
+	for i := range chains {
+		lo, hi = min(lo, chains[i].ScanLen), max(hi, chains[i].ScanLen)
+	}
+	if hi-lo >= len(buckets) {
+		return false
+	}
+	b := buckets[:hi-lo+1]
+	clear(b)
+	for i := range chains {
+		b[chains[i].ScanLen-lo]++
+	}
+	end := 0
+	for l, c := range b {
+		b[l] = end
+		end += c
+	}
+	for ch := range chains {
+		l := chains[ch].ScanLen
+		h[b[l-lo]] = uint64(l)<<32 | uint64(ch)
+		b[l-lo]++
+	}
+	return true
 }
 
 // loadHeap is the BFD min-load priority queue of packed load<<32 | chain
 // keys, without container/heap, whose interface{}-based Push/Pop would
-// box a key on every scan-chain placement.
+// box a key on every scan-chain placement. The order is a strict total
+// order, so the popped minimum is unique at every step, whatever the
+// heap's layout.
 type loadHeap []uint64
 
 // siftDown restores the heap property after h[i]'s key increased.

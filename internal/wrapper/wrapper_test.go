@@ -345,6 +345,24 @@ func BenchmarkDesignIndustrial(b *testing.B) {
 	}
 }
 
+// BenchmarkWrapperNew measures the one-shot New of the verify path,
+// which builds one design per replayed core: every core of d695 and
+// d2758 at m = 8, 16, …, 64 (clamped to its MaxWrapperChains), 144
+// designs per op.
+func BenchmarkWrapperNew(b *testing.B) {
+	cores := append(soc.D695().Cores, soc.D2758().Cores...)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cores {
+			for w := 8; w <= 64; w += 8 {
+				if _, err := New(c, min(w, c.MaxWrapperChains())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkStimulusMap(b *testing.B) {
 	c := soc.MustIndustrialCore("ckt-7")
 	d, err := New(c, 200)
