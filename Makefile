@@ -132,7 +132,12 @@ bench-big-smoke:
 # dictionary configuration technique selection prices on d695 and
 # System1 (each m at capacities 4..256: Config, dictionary words and
 # stream digests) and 24 of their dictionary plans, each passing
-# VerifyPlan, are byte-identical to the checked-in golden_dict.txt.
+# VerifyPlan, are byte-identical to the checked-in golden_dict.txt, and
+# the selective-encoding stream atevec.Build ships for every compressed
+# core of 20 plans (d695 and d2758 at W_TAM 8..64 under tdc-per-core,
+# System1 at W_TAM 16 and 32 under tdc-per-core and tdc-per-TAM; each
+# plan passing VerifyPlan: m, w, codeword and bit counts, stream digest)
+# is the one the checked-in golden_selenc.txt records.
 kernel-equivalence:
 	$(GO) test -run 'TestKernelPathsAgree|TestSegmentTableMatchesStimulusMap|TestKernelSteadyStateZeroAlloc|TestEvaluatorMatchesOneShotAPI|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
@@ -140,7 +145,7 @@ kernel-equivalence:
 	$(GO) test -run 'TestGeneratorMatchesReference' -count=1 ./internal/cube
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
-	$(GO) test -run 'TestGoldenDict' -count=1 ./internal/sim
+	$(GO) test -run 'TestGoldenDict|TestGoldenSelEnc' -count=1 ./internal/sim
 
 # fused-equivalence asserts the fused single-pass sweep's exactness
 # contracts under the race detector: tables built by the fused sweep

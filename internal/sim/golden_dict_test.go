@@ -17,7 +17,7 @@ import (
 	"soctap/internal/wrapper"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_dict.txt")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files in testdata")
 
 // goldenDictPath is the checked-in rendering of every pinned dictionary
 // configuration, stream and plan.
@@ -159,26 +159,32 @@ func renderGoldenDict(t *testing.T) []byte {
 // System1 must be byte-identical to testdata/golden_dict.txt. Regenerate
 // the file with -update only when a change is meant to alter them.
 func TestGoldenDict(t *testing.T) {
-	got := renderGoldenDict(t)
+	checkGolden(t, goldenDictPath, renderGoldenDict(t))
+}
+
+// checkGolden compares got with the golden file at path, which -update
+// rewrites first, and reports the first line that differs.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenDictPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenDictPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(goldenDictPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden dictionary file (regenerate with -update): %v", err)
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(g) && i < len(w); i++ {
 			if !bytes.Equal(g[i], w[i]) {
-				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", goldenDictPath, i+1, g[i], w[i])
+				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", path, i+1, g[i], w[i])
 			}
 		}
-		t.Fatalf("%s: got %d lines, want %d", goldenDictPath, len(g), len(w))
+		t.Fatalf("%s: got %d lines, want %d", path, len(g), len(w))
 	}
 }
