@@ -37,13 +37,14 @@ bench-short:
 # bench-smoke compiles and runs each fast benchmark exactly once — a
 # regression tripwire for the benchmark code itself (the point setup of
 # a new m, the one-shot wrapper.New, the warm searches on d695 and
-# System4 and the simulator's BenchmarkVerifyPlan included), cheap
-# enough for the tier-1 gate (no timing is measured at -benchtime=1x).
+# System4, the simulator's BenchmarkVerifyPlan and the ATE image's
+# BenchmarkBuildVectorImage included), cheap enough for the tier-1
+# gate (no timing is measured at -benchtime=1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkPointSetup|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule|BenchmarkGreedy50Cores' -benchtime 1x ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkWrapperNew$$' -benchtime 1x ./internal/wrapper
-	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch$$|BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch$$|BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$|BenchmarkBuildVectorImage$$' -benchtime 1x .
 
 # bench-json archives the headline benchmarks as a dated,
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
@@ -60,8 +61,10 @@ bench-smoke:
 # (BenchmarkTechSelWarm: the socopt -techsel flow on d695 and System1
 # at W_TAM 32, tables warmed first), the simulator (BenchmarkVerifyPlan
 # on d695 and d2758, at GOMAXPROCS 1 and 2: its replays fan out over
-# the CPUs, and benchjson keeps one name per GOMAXPROCS value) and the
-# warm socserve request. The greedy schedule (at the default benchtime:
+# the CPUs, and benchjson keeps one name per GOMAXPROCS value), the
+# shipping layer (BenchmarkBuildVectorImage: the ATE image of the d695
+# and d2758 plans at W_TAM 32, tables warmed first) and the warm
+# socserve request. The greedy schedule (at the default benchtime:
 # a single -benchtime 1x iteration times a cold first call, several
 # times the steady state) and the cache tiers (a v2 entry's cold load,
 # BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on the
@@ -73,7 +76,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -count 5 -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkWrapperNew$$' -count 5 -benchmem ./internal/wrapper ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$' -count 5 -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$|BenchmarkBuildVectorImage$$' -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -count 5 -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json

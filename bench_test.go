@@ -335,6 +335,33 @@ func BenchmarkVerifyPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildVectorImage is the shipping layer: the ATE vector image
+// of a d695 and a d2758 plan at W_TAM 32 (tdc-per-core), every
+// compressed core re-encoded into the stream it ships. The tables are
+// warmed by the plan, before the timer.
+func BenchmarkBuildVectorImage(b *testing.B) {
+	cache := new(core.Cache)
+	for _, name := range []string{"d695", "d2758"} {
+		b.Run(name, func(b *testing.B) {
+			s, _ := soctap.Benchmark(name)
+			res, err := soctap.Optimize(s, 32, soctap.Options{
+				Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64},
+				Cache: cache,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := soctap.BuildVectorImage(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTechSelWarm is the socopt -techsel flow: d695 and System1 at
 // W_TAM 32 with dictionary coding in every core's choice, on tables
 // warmed outside the timed region, so each iteration is technique

@@ -128,12 +128,12 @@ func coreStream(c *soc.Core, cfg core.Config) (*bitvec.Vector, error) {
 }
 
 // Encoder produces a core's selective-encoding stream one pattern at a
-// time: each pattern's care bits are grouped into its scan slices
-// (wrapper.Slicer), every slice is encoded by selenc.AppendEncodeSlice,
-// and the codewords are packed as they cross the TAM. Build concatenates
-// these per-pattern streams into the image, and the simulator decodes
-// the same bits, so what is verified is what ships. All scratch is
-// reused across patterns.
+// time: each pattern's care bits are scattered into its scan slices as
+// word masks (wrapper.Slicer), every slice's pairs are encoded by
+// selenc.AppendEncodeSlice, and the codewords are packed as they cross
+// the TAM. Build concatenates these per-pattern streams into the image,
+// and the simulator decodes the same bits, so what is verified is what
+// ships. All scratch is reused across patterns.
 type Encoder struct {
 	m    int
 	si   int

@@ -112,6 +112,10 @@ type Evaluator struct {
 	// front (a cached set), so its one load sizes the refs exactly
 	// instead of growing them cube by cube; 0 otherwise.
 	careBits int
+	// maxScan, stimBits and respBits are the core's longest scan chain
+	// and its stimulus and response bits per pattern, the constants of
+	// coreBound.
+	maxScan, stimBits, respBits int
 
 	// win is the loaded cube window the kernels price against: &ownWin
 	// for a self-loading evaluator, the producer's window for a mirror.
@@ -237,12 +241,19 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 	if window == EvalWindowAll || window > src.Len() {
 		window = max(src.Len(), 1)
 	}
+	maxScan := 0
+	for _, l := range c.ScanChains {
+		maxScan = max(maxScan, l)
+	}
 	e := &Evaluator{
 		core:     c,
 		src:      src,
 		patterns: src.Len(),
 		window:   window,
 		careBits: careBits,
+		maxScan:  maxScan,
+		stimBits: c.StimulusBits(),
+		respBits: c.ResponseBits(),
 	}
 	e.win = &e.ownWin
 	e.ownWin.Off = make([]int, 0, window+1)
@@ -266,6 +277,9 @@ func (e *Evaluator) mirror() *Evaluator {
 		core:     e.core,
 		patterns: e.patterns,
 		window:   e.window,
+		maxScan:  e.maxScan,
+		stimBits: e.stimBits,
+		respBits: e.respBits,
 		win:      e.win,
 	}
 }

@@ -507,21 +507,8 @@ func boundWorse(bt, bv int64, best Config) bool {
 // since every pattern emits at least one codeword per scan-in slice
 // (the slice headers).
 func coreBound(ev *Evaluator, m, w int) (timeLB, volLB int64) {
-	c := ev.core
-	maxScan := 0
-	for _, l := range c.ScanChains {
-		if l > maxScan {
-			maxScan = l
-		}
-	}
-	si := (c.StimulusBits() + m - 1) / m
-	if maxScan > si {
-		si = maxScan
-	}
-	so := (c.ResponseBits() + m - 1) / m
-	if maxScan > so {
-		so = maxScan
-	}
+	si := max((ev.stimBits+m-1)/m, ev.maxScan)
+	so := max((ev.respBits+m-1)/m, ev.maxScan)
 	return slicesBound(ev.patterns, int64(si), int64(so), int64(w))
 }
 

@@ -155,19 +155,8 @@ func Encode(ctx context.Context, d *wrapper.Design, src cube.Source, sizes []int
 	if len(sizes) == 0 || slices.Min(sizes) < 1 {
 		return nil, fmt.Errorf("dictenc: dictionary sizes %v", sizes)
 	}
-	m := d.M
+	m, w := d.M, 2*((d.M+63)/64)
 	sl := wrapper.NewSlicer(d)
-	slice := make([]uint64, 2*((m+63)/64))
-	// load sets slice to the masks of the slice at depth.
-	load := func(depth int) {
-		clear(slice)
-		for _, b := range sl.Slice(depth) {
-			slice[2*(b.Pos>>6)] |= 1 << (b.Pos & 63)
-			if b.Value {
-				slice[2*(b.Pos>>6)+1] |= 1 << (b.Pos & 63)
-			}
-		}
-	}
 	t := trainer{max: slices.Max(sizes)}
 	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
 		if err := ctx.Err(); err != nil {
@@ -175,19 +164,18 @@ func Encode(ctx context.Context, d *wrapper.Design, src cube.Source, sizes []int
 		}
 		sl.Scatter(cb)
 		for depth := range d.ScanIn {
-			load(depth)
-			t.add(slice)
+			t.add(sl.Slice(depth))
 		}
 	}
 	if len(t.masks) == 0 { // no slice: one all-zero word
-		t.masks = make([]uint64, len(slice))
+		t.masks = make([]uint64, w)
 	}
-	dict := &Dictionary{M: m, Words: make([]*bitvec.Vector, len(t.masks)/len(slice))}
+	dict := &Dictionary{M: m, Words: make([]*bitvec.Vector, len(t.masks)/w)}
 	for e := range dict.Words {
 		dict.Words[e] = bitvec.New(m)
-		w := dict.Words[e].Words()
-		for i := range w {
-			w[i] = t.masks[e*len(slice)+2*i+1] // the value mask
+		words := dict.Words[e].Words()
+		for i := range words {
+			words[i] = t.masks[e*w+2*i+1] // the value mask
 		}
 	}
 
@@ -207,7 +195,7 @@ func Encode(ctx context.Context, d *wrapper.Design, src cube.Source, sizes []int
 			tallies[k].Bits = 0
 		}
 		for depth := range d.ScanIn {
-			load(depth)
+			slice := sl.Slice(depth)
 			j := t.match(slice)
 			for k := range tallies {
 				if j >= 0 && j < tallies[k].Words {

@@ -60,15 +60,18 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			seen[pos] = true
 			care = append(care, CareBit{Pos: pos, Value: raw[i+1]&1 == 1})
 		}
-		SortCare(care) // EncodeSlice requires sorted care lists
+		sortCare(care) // EncodeSlice requires sorted care lists
 		cws := EncodeSlice(m, care)
-		if len(cws) != SliceCost(m, care) {
+		if !slices.Equal(cws, referenceEncodeSlice(m, care)) {
+			t.Fatal("word encoder diverged from the list reference")
+		}
+		if len(cws) != referenceSliceCost(m, care) {
 			t.Fatal("cost model diverged from encoder")
 		}
-		// The append form must extend a non-empty buffer with exactly
+		// The word encoder must extend a non-empty buffer with exactly
 		// EncodeSlice's codewords, leaving the existing prefix untouched.
 		prefix := []Codeword{{Prefix: PrefixHeader, Payload: 1}, {Prefix: PrefixSingle, Payload: uint32(m - 1)}}
-		got := AppendEncodeSlice(slices.Clone(prefix), m, care)
+		got := AppendEncodeSlice(slices.Clone(prefix), m, pairsOf(m, care))
 		if !slices.Equal(got[:len(prefix)], prefix) {
 			t.Fatalf("AppendEncodeSlice disturbed the dst prefix: %v", got[:len(prefix)])
 		}

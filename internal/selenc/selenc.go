@@ -27,6 +27,13 @@
 // The encoder and decoder are bit-exact inverses at the stimulus level:
 // decoding reproduces every care bit and fills every don't-care with the
 // slice's fill value.
+//
+// There is one encoder, AppendEncodeSlice, and it reads a slice as word
+// masks: per 64 positions a care word then a value word, the planes
+// wrapper.Slicer scatters each pattern into. It needs no sort and no
+// branch per care bit: the fill comes from popcounts, and the target
+// bits from one AND and one XOR per word. EncodeSlice adapts a sorted
+// care list to it.
 package selenc
 
 import (
@@ -110,114 +117,115 @@ func ChooseFill(care []CareBit) bool {
 	return ones*2 > len(care)
 }
 
-// SliceCost returns the number of codewords EncodeSlice will emit for a
-// slice of width m with the given care bits: one header plus, per group
-// with t target bits, min(t, 2) codewords. care must be sorted by Pos
-// with no duplicates and all positions in [0, m).
-func SliceCost(m int, care []CareBit) int {
-	fill := ChooseFill(care)
-	k := PayloadBits(m)
-	cost := 1
-	group := -1
-	inGroup := 0
-	for _, cb := range care {
-		if cb.Value == fill {
-			continue
-		}
-		g := cb.Pos / k
-		if g != group {
-			cost += flushGroupCost(inGroup)
-			group = g
-			inGroup = 0
-		}
-		inGroup++
-	}
-	cost += flushGroupCost(inGroup)
-	return cost
-}
-
-func flushGroupCost(t int) int {
-	if t >= 2 {
-		return 2
-	}
-	return t
-}
-
 // EncodeSlice encodes one slice of width m. care lists the specified
-// bits, sorted by position, with positions in [0, m).
+// bits, sorted by position, with positions in [0, m). It is the list
+// form of AppendEncodeSlice: it panics on a care list that is not
+// strictly sorted or holds a position out of range, then encodes the
+// slice's word pairs.
 func EncodeSlice(m int, care []CareBit) []Codeword {
-	return AppendEncodeSlice(nil, m, care)
+	pairs := make([]uint64, 2*((m+63)/64))
+	prev := -1
+	for _, cb := range care {
+		if cb.Pos < 0 || cb.Pos >= m {
+			panic(fmt.Sprintf("selenc: care position %d out of range [0,%d)", cb.Pos, m))
+		}
+		if cb.Pos <= prev {
+			panic("selenc: care list not strictly sorted")
+		}
+		prev = cb.Pos
+		b := uint64(1) << (cb.Pos & 63)
+		pairs[2*(cb.Pos>>6)] |= b
+		if cb.Value {
+			pairs[2*(cb.Pos>>6)+1] |= b
+		}
+	}
+	return AppendEncodeSlice(nil, m, pairs)
 }
 
-// AppendEncodeSlice is EncodeSlice in append form: the slice's codewords
-// are appended to dst and the extended slice returned, so a consumer
-// encoding many slices grows one codeword buffer and allocates nothing
-// once it is large enough. One pass over the sorted care list finds
-// each group's run of care bits by Pos/k: a run with one target bit is
-// a single-bit codeword, a run with two or more is a group-copy pair
-// whose literal holds the run's care bits over a fill background.
-func AppendEncodeSlice(dst []Codeword, m int, care []CareBit) []Codeword {
-	fill := ChooseFill(care)
+// AppendEncodeSlice encodes one slice of width m given as ⌈m/64⌉ word
+// pairs: per 64 positions, a care word then a value word, position p at
+// bit p%64 of pair p/64 (wrapper.Slicer's layout). Value bits off the
+// care word are ignored; a care bit at a position >= m panics. The
+// codewords are appended to dst and the extended slice returned, so a
+// consumer encoding many slices grows one codeword buffer and allocates
+// nothing once it is large enough.
+//
+// The fill is the majority of the care bits, counted by popcount. Pair
+// j's target bits are care & (value ^ fill), walked lowest first; each
+// one no earlier group covers starts its group, whose targets are
+// counted over the group's k-bit window (which can straddle two pairs):
+// one target is a single-bit codeword, more a group-copy pair whose
+// literal is the window of (value & care) | (fill &^ care).
+func AppendEncodeSlice(dst []Codeword, m int, pairs []uint64) []Codeword {
 	k := PayloadBits(m)
+	nw := (m + 63) / 64
+	if len(pairs) != 2*nw {
+		panic(fmt.Sprintf("selenc: %d words for a slice of width %d, want %d", len(pairs), m, 2*nw))
+	}
+	if out := pairs[2*nw-2] >> (m - 64*(nw-1)); out != 0 {
+		panic(fmt.Sprintf("selenc: care position %d out of range [0,%d)", m+bits.TrailingZeros64(out), m))
+	}
+	care, ones := 0, 0
+	for j := range nw {
+		care += bits.OnesCount64(pairs[2*j])
+		ones += bits.OnesCount64(pairs[2*j] & pairs[2*j+1])
+	}
 	header := Codeword{Prefix: PrefixHeader}
-	var fillBits uint32
-	if fill {
+	var fill uint64
+	if ones*2 > care {
 		header.Payload |= headerFillBit
-		fillBits = 1<<uint(k) - 1
+		fill = ^uint64(0)
 	}
 	dst = append(dst, header)
 
-	prev := -1
-	for i := 0; i < len(care); {
-		g := care[i].Pos / k
-		base := g * k
-		lit := fillBits
-		targets, target := 0, 0
-		for ; i < len(care) && care[i].Pos-base < k; i++ {
-			cb := care[i]
-			if cb.Pos < 0 || cb.Pos >= m {
-				panic(fmt.Sprintf("selenc: care position %d out of range [0,%d)", cb.Pos, m))
-			}
-			if cb.Pos <= prev {
-				panic("selenc: care list not strictly sorted")
-			}
-			prev = cb.Pos
-			if cb.Value {
-				lit |= 1 << uint(cb.Pos-base)
-			} else {
-				lit &^= 1 << uint(cb.Pos-base)
-			}
-			if cb.Value != fill {
-				targets++
-				target = cb.Pos
-			}
+	covered := 0 // every target below it is in an encoded group
+	for j := range nw {
+		base := 64 * j
+		t := targets(pairs, j, fill)
+		if covered > base {
+			t &= ^uint64(0) << (covered - base)
 		}
-		switch {
-		case targets == 1:
-			dst = append(dst, Codeword{Prefix: PrefixSingle, Payload: uint32(target)})
-		case targets > 1:
-			// Group copy: the literal's bits past the slice end stay
-			// clear so the last, narrower group decodes in range.
-			if rem := m - base; rem < k {
-				lit &= 1<<uint(rem) - 1
+		for t != 0 {
+			pos := base + bits.TrailingZeros64(t)
+			g := int(uint32(pos) / uint32(k))
+			lo, hi := g*k, min(g*k+k, m)
+			// No target lies in [lo, pos): it would have covered pos.
+			n := bits.OnesCount64(t & (1<<(hi-base) - 1))
+			if hi > base+64 {
+				n += bits.OnesCount64(targets(pairs, j+1, fill) & (1<<(hi-base-64) - 1))
 			}
-			dst = append(dst,
-				Codeword{Prefix: PrefixGroup, Payload: uint32(g)},
-				Codeword{Prefix: PrefixData, Payload: lit})
+			if n == 1 {
+				dst = append(dst, Codeword{Prefix: PrefixSingle, Payload: uint32(pos)})
+			} else {
+				// The window stops at the slice end, so the literal's
+				// bits past it stay clear and the last, narrower group
+				// decodes in range.
+				lit := literal(pairs, lo/64, fill) >> (lo % 64)
+				if lo%64+hi-lo > 64 {
+					lit |= literal(pairs, lo/64+1, fill) << (64 - lo%64)
+				}
+				dst = append(dst,
+					Codeword{Prefix: PrefixGroup, Payload: uint32(g)},
+					Codeword{Prefix: PrefixData, Payload: uint32(lit & (1<<(hi-lo) - 1))})
+			}
+			covered = hi
+			t &= ^uint64(0) << (hi - base) // zero once hi passes the pair
 		}
 	}
 	return dst
 }
 
-// SortCare sorts a slice's care list by position. Scattering a cube's
-// care bits into scan slices leaves each slice's list short and nearly
-// sorted, which suits an insertion sort; it allocates nothing.
-func SortCare(care []CareBit) {
-	for i := 1; i < len(care); i++ {
-		for j := i; j > 0 && care[j-1].Pos > care[j].Pos; j-- {
-			care[j-1], care[j] = care[j], care[j-1]
-		}
-	}
+// targets returns pair j's target bits: its care bits that differ from
+// the fill.
+func targets(pairs []uint64, j int, fill uint64) uint64 {
+	return pairs[2*j] & (pairs[2*j+1] ^ fill)
+}
+
+// literal returns the bits pair j decodes to: its care values over the
+// fill.
+func literal(pairs []uint64, j int, fill uint64) uint64 {
+	c := pairs[2*j]
+	return pairs[2*j+1]&c | fill&^c
 }
 
 // DecodeStream expands a codeword stream back into fully-specified

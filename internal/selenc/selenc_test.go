@@ -169,10 +169,10 @@ func TestEncodeGroupCopyMode(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeSlice: the append form must extend dst with exactly
-// the codewords EncodeSlice returns, leaving the existing prefix
-// untouched — the contract a consumer accumulating one codeword buffer
-// across many slices relies on.
+// TestAppendEncodeSlice: the word encoder must extend dst with exactly
+// the codewords EncodeSlice returns for the same slice, leaving the
+// existing prefix untouched — the contract a consumer accumulating one
+// codeword buffer across many slices relies on.
 func TestAppendEncodeSlice(t *testing.T) {
 	const m = 70
 	care := [][]CareBit{
@@ -186,7 +186,7 @@ func TestAppendEncodeSlice(t *testing.T) {
 	for _, c := range care {
 		want = append(want, EncodeSlice(m, c)...)
 		before := slices.Clone(got)
-		got = AppendEncodeSlice(got, m, c)
+		got = AppendEncodeSlice(got, m, pairsOf(m, c))
 		if !slices.Equal(got[:len(before)], before) {
 			t.Fatalf("append disturbed the existing prefix (%d codewords)", len(before))
 		}
@@ -201,8 +201,8 @@ func TestSliceCostMatchesEncode(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		m := rng.Intn(300) + 1
 		care := randomCare(rng, m, rng.Float64())
-		if got, want := SliceCost(m, care), len(EncodeSlice(m, care)); got != want {
-			t.Fatalf("m=%d care=%v: SliceCost %d != encoded %d", m, care, got, want)
+		if got, want := referenceSliceCost(m, care), len(EncodeSlice(m, care)); got != want {
+			t.Fatalf("m=%d care=%v: cost model %d != encoded %d", m, care, got, want)
 		}
 	}
 }
@@ -243,7 +243,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return len(cws) == SliceCost(m, care)
+		return len(cws) == referenceSliceCost(m, care)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -338,12 +338,19 @@ func TestDecodeStreamErrors(t *testing.T) {
 	}
 }
 
+// TestEncodeSliceValidation: the list form panics on a care position out
+// of range, a repeated one or an unsorted list; the word form on a care
+// bit at a position >= m and on a pair count that is not ⌈m/64⌉.
 func TestEncodeSliceValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { EncodeSlice(8, []CareBit{{-1, true}}) },
 		func() { EncodeSlice(8, []CareBit{{8, true}}) },
 		func() { EncodeSlice(8, []CareBit{{3, true}, {3, false}}) },
 		func() { EncodeSlice(8, []CareBit{{5, true}, {2, false}}) },
+		func() { AppendEncodeSlice(nil, 8, []uint64{1 << 8, 0}) },
+		func() { AppendEncodeSlice(nil, 70, []uint64{0, 0, 1 << 6, 0}) },
+		func() { AppendEncodeSlice(nil, 64, []uint64{0, 0, 1, 0}) },
+		func() { AppendEncodeSlice(nil, 65, []uint64{0, 0}) },
 	} {
 		func() {
 			defer func() {
@@ -367,7 +374,7 @@ func TestCompressionRegime(t *testing.T) {
 		slices := 400
 		for s := 0; s < slices; s++ {
 			care := randomCare(rng, m, density)
-			totalCw += SliceCost(m, care)
+			totalCw += referenceSliceCost(m, care)
 		}
 		compressed := float64(totalCw * CodewordWidth(m))
 		raw := float64(slices * m)
@@ -411,7 +418,7 @@ func TestQuickCostBounds(t *testing.T) {
 				targets++
 			}
 		}
-		cost := SliceCost(m, care)
+		cost := referenceSliceCost(m, care)
 		upper := 1 + targets         // all-singles
 		lower := 1                   // header only
 		if targets > 0 && cost < 2 { // at least one op codeword
@@ -439,20 +446,14 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeSlice200 encodes one 200-bit slice at 2% care density
+// into a reused codeword buffer.
 func BenchmarkEncodeSlice200(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	care := randomCare(rng, 200, 0.02)
+	pairs := pairsOf(200, randomCare(rng, 200, 0.02))
+	var dst []Codeword
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = EncodeSlice(200, care)
-	}
-}
-
-func BenchmarkSliceCost200(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	care := randomCare(rng, 200, 0.02)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = SliceCost(200, care)
+		dst = AppendEncodeSlice(dst[:0], 200, pairs)
 	}
 }

@@ -122,6 +122,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.failCtx(w, nil, jobID, ctx.Err(), 0)
 		return
 	}
+	if s.onSlot != nil {
+		s.onSlot()
+	}
 
 	s.sink.Gauge("serve.jobs_inflight_max").Observe(int64(len(s.sem)))
 	jobSink := telemetry.New()

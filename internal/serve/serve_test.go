@@ -398,43 +398,46 @@ func TestConcurrentIdenticalSingleBuild(t *testing.T) {
 
 // TestQueueFull verifies the second admission bound: with one slot and
 // a one-deep queue, a third concurrent job is refused with 503 instead
-// of waiting without bound.
+// of waiting without bound. The first job is held on its slot until
+// the others have arrived: the second is sent once the first holds the
+// slot, the third once the second is admitted.
 func TestQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxJobs: 1, MaxQueue: 1})
-
-	var wg sync.WaitGroup
-	statuses := make(chan int, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Cold d695 holds its slot for hundreds of ms, long enough
-			// for the stragglers to pile up behind it.
-			resp, err := http.Post(ts.URL+"/v1/optimize?design=d695&width=16", "text/plain", nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			statuses <- resp.StatusCode
-		}()
-		time.Sleep(40 * time.Millisecond)
+	holding, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	s.onSlot = func() {
+		first.Do(func() { close(holding) })
+		<-release
 	}
-	wg.Wait()
-	close(statuses)
+	post := func() int {
+		resp, err := http.Post(ts.URL+"/v1/optimize?design=d695&width=16", "text/plain", nil)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 
-	var rejected, ok int
-	for st := range statuses {
-		switch st {
-		case http.StatusServiceUnavailable:
-			rejected++
-		case http.StatusOK:
-			ok++
+	statuses := make(chan int, 2)
+	go func() { statuses <- post() }()
+	<-holding
+	go func() { statuses <- post() }()
+	for deadline := time.Now().Add(10 * time.Second); s.pending.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("second job not admitted: %d pending", s.pending.Load())
 		}
 	}
-	if rejected != 1 || ok != 2 {
-		t.Errorf("got %d rejected / %d ok, want 1 / 2", rejected, ok)
+	if st := post(); st != http.StatusServiceUnavailable {
+		t.Errorf("third job: status %d, want %d", st, http.StatusServiceUnavailable)
+	}
+	close(release)
+	for range 2 {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("admitted job: status %d, want %d", st, http.StatusOK)
+		}
 	}
 	if n := s.Sink().Snapshot().Counters["serve.queue_rejected"]; n != 1 {
 		t.Errorf("serve.queue_rejected = %d, want 1", n)

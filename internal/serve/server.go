@@ -126,6 +126,10 @@ type Server struct {
 	cancelJobs context.CancelFunc
 
 	handler http.Handler
+
+	// onSlot, when set, runs on each job once it holds its worker
+	// slot. Only this package's tests set it, to pin a job to its slot.
+	onSlot func()
 }
 
 // New builds a Server from cfg (zero fields defaulted).

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"soctap/internal/cube"
-	"soctap/internal/selenc"
 	"soctap/internal/soc"
 )
 
@@ -419,47 +418,48 @@ func (d *Design) buildStimulusMap() []CellRef {
 }
 
 // Slicer groups one pattern at a time into its ScanIn scan slices: the
-// slice structure both compression codecs encode. Its scratch is reused
-// across patterns.
+// slice structure both compression codecs encode. A slice is word masks:
+// depth d of the last scattered pattern is nw = ⌈M/64⌉ pairs, a care
+// word then a value word, with chain c at bit c%64 of pair c/64, the
+// layout selenc.AppendEncodeSlice and dictenc's trainer read. A value
+// bit is set only where its care bit is. The scratch, 16·ScanIn·nw
+// bytes, is reused across patterns.
 type Slicer struct {
-	refs []CellRef
-	care []selenc.CareBit // the pattern's (chain, value) care bits, grouped by scan depth
-	end  []int            // end[d]: end of depth d's group in care
+	refs  []CellRef
+	nw    int      // pairs per slice
+	pairs []uint64 // depth d at pairs[2·nw·d:], 2·nw words
 }
 
 // NewSlicer returns a slicer over the design's stimulus map.
 func NewSlicer(d *Design) *Slicer {
-	return &Slicer{refs: d.StimulusMap(), end: make([]int, d.ScanIn)}
+	nw := (d.M + 63) / 64
+	return &Slicer{refs: d.StimulusMap(), nw: nw, pairs: make([]uint64, 2*nw*d.ScanIn)}
 }
 
-// Scatter groups the cube's care bits by the scan depth their cell loads
-// at (a counting sort) and sorts each group by chain.
+// Scatter replaces the slices with the cube's: each care bit ORs its
+// chain's bit into the care word of its depth and, without a branch on
+// its value, b & -v into the value word.
 func (s *Slicer) Scatter(cb *cube.Cube) {
-	clear(s.end)
-	for _, bit := range cb.Care {
-		s.end[s.refs[bit.Pos].Depth]++
-	}
-	n := 0
-	for d, count := range s.end {
-		s.end[d] = n // start of depth d until the placement pass below
-		n += count
-	}
-	s.care = slices.Grow(s.care[:0], n)[:n]
+	clear(s.pairs)
 	for _, bit := range cb.Care {
 		r := s.refs[bit.Pos]
-		s.care[s.end[r.Depth]] = selenc.CareBit{Pos: int(r.Chain), Value: bit.Value}
-		s.end[r.Depth]++
-	}
-	for d := range s.end {
-		selenc.SortCare(s.Slice(d))
+		i, b := 2*(int(r.Depth)*s.nw+int(r.Chain>>6)), uint64(1)<<(r.Chain&63)
+		s.pairs[i] |= b
+		s.pairs[i+1] |= b & -one(bit.Value)
 	}
 }
 
-// Slice returns the care bits, as (chain, value) pairs sorted by chain,
-// of the last scattered pattern's slice at scan depth d.
-func (s *Slicer) Slice(d int) []selenc.CareBit {
-	if d == 0 {
-		return s.care[:s.end[0]]
+// one returns 1 for true and 0 for false; it compiles to a zero
+// extension, not a branch.
+func one(v bool) uint64 {
+	if v {
+		return 1
 	}
-	return s.care[s.end[d-1]:s.end[d]]
+	return 0
+}
+
+// Slice returns the 2·⌈M/64⌉ words of the last scattered pattern's slice
+// at scan depth d. They are overwritten by the next Scatter.
+func (s *Slicer) Slice(d int) []uint64 {
+	return s.pairs[2*s.nw*d : 2*s.nw*(d+1)]
 }
