@@ -22,6 +22,17 @@ type CareBit struct {
 	Value bool // required logic value
 }
 
+// Mask returns all ones for a 1 and zero for a 0, so b & c.Mask() keeps
+// b only under a 1. It compiles to a zero extension and a negation, not
+// a branch on the value.
+func (c CareBit) Mask() uint64 {
+	var v uint64
+	if c.Value {
+		v = 1
+	}
+	return -v
+}
+
 // Cube is a partially-specified test pattern over NumBits stimulus cells.
 // Bits not listed in Care are don't-care. Care is sorted by Pos with no
 // duplicates; use Normalize after manual construction.

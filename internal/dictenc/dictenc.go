@@ -17,8 +17,9 @@
 //	1 <literal>    (1 + m bits)             otherwise
 //
 // with the index LSB first. Encode runs training and coding as two
-// streamed passes over a core's cubes, holding one pattern and each
-// entry's care and value masks. One training serves every capacity:
+// streamed passes over a core's cubes, holding one pattern's slices as
+// the slicer's (care, value) word pairs and each entry's care and value
+// masks in the same layout. One training serves every capacity:
 // both first-fit runs see the same slices in the same order, and a
 // slice changes at most one entry, the first compatible one, so the
 // dictionary trained at capacity D is the first min(D, n) entries of
@@ -86,9 +87,10 @@ func (d *Dictionary) Decode(stream *bitvec.Vector, off int, dst *bitvec.Vector) 
 	return off + 1 + d.M, nil
 }
 
-// trainer is a first-fit dictionary. A slice is held as its care and
-// value masks, interleaved word by word (care word i at 2i, value word
-// i at 2i+1), and entry e as the same 2·⌈m/64⌉ words at masks[e·len:].
+// trainer is a first-fit dictionary. A slice is one depth of a
+// wrapper.Slicer, its care and value masks interleaved word by word
+// (care word i at 2i, value word i at 2i+1), and entry e is the same
+// 2·⌈m/64⌉ words at masks[e·len:].
 type trainer struct {
 	max   int
 	masks []uint64
@@ -143,9 +145,11 @@ type Tally struct {
 
 // Encode runs the codec's two streamed passes over src, one pass of a
 // core's cubes under the wrapper design d, for every capacity of sizes.
-// Pass 1 trains the dictionary at the largest capacity, slice by slice.
-// Pass 2 rewinds src and finds each slice's first covering word, which
-// codes the slice at every capacity (see the package doc). After each
+// Each pattern is scattered by a wrapper.Slicer, whose per-depth word
+// pairs the trainer reads directly, copying only what it keeps. Pass 1
+// trains the dictionary at the largest capacity, slice by slice. Pass 2
+// rewinds src and finds each slice's first covering word, which codes
+// the slice at every capacity (see the package doc). After each
 // pattern of pass 2, count, when non-nil, gets the pattern's tally at
 // each capacity of sizes, in order. When stream is non-nil, the codes
 // at the largest capacity are appended to it, packed. ctx is checked

@@ -187,7 +187,7 @@ func AppendEncodeSlice(dst []Codeword, m int, pairs []uint64) []Codeword {
 		}
 		for t != 0 {
 			pos := base + bits.TrailingZeros64(t)
-			g := int(uint32(pos) / uint32(k))
+			g := int(uint32(pos) / uint32(k)) // the cheaper 32-bit divide
 			lo, hi := g*k, min(g*k+k, m)
 			// No target lies in [lo, pos): it would have covered pos.
 			n := bits.OnesCount64(t & (1<<(hi-base) - 1))

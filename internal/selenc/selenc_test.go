@@ -374,7 +374,7 @@ func TestCompressionRegime(t *testing.T) {
 		slices := 400
 		for s := 0; s < slices; s++ {
 			care := randomCare(rng, m, density)
-			totalCw += referenceSliceCost(m, care)
+			totalCw += len(EncodeSlice(m, care))
 		}
 		compressed := float64(totalCw * CodewordWidth(m))
 		raw := float64(slices * m)
@@ -418,7 +418,7 @@ func TestQuickCostBounds(t *testing.T) {
 				targets++
 			}
 		}
-		cost := referenceSliceCost(m, care)
+		cost := len(EncodeSlice(m, care))
 		upper := 1 + targets         // all-singles
 		lower := 1                   // header only
 		if targets > 0 && cost < 2 { // at least one op codeword

@@ -176,7 +176,7 @@ func newExpected(d *wrapper.Design) expected {
 }
 
 // load sets the expected stimulus to cube cb's care bits: each ORs its
-// chain's bit into the care word of its depth and, without a branch on
+// chain's bit b into the care word of its depth and, without a branch on
 // its value, b & -v into the value word.
 func (x *expected) load(cb *cube.Cube) {
 	clear(x.care)
@@ -185,17 +185,8 @@ func (x *expected) load(cb *cube.Cube) {
 		r := x.refs[bit.Pos]
 		i, b := int(r.Depth)*x.nw+int(r.Chain)>>6, uint64(1)<<(r.Chain&63)
 		x.care[i] |= b
-		x.value[i] |= b & -one(bit.Value)
+		x.value[i] |= b & bit.Mask()
 	}
-}
-
-// one returns 1 for true and 0 for false; it compiles to a zero
-// extension, not a branch.
-func one(v bool) uint64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // check returns the number of care bits slice s gets wrong at depth.

@@ -437,7 +437,7 @@ func NewSlicer(d *Design) *Slicer {
 }
 
 // Scatter replaces the slices with the cube's: each care bit ORs its
-// chain's bit into the care word of its depth and, without a branch on
+// chain's bit b into the care word of its depth and, without a branch on
 // its value, b & -v into the value word.
 func (s *Slicer) Scatter(cb *cube.Cube) {
 	clear(s.pairs)
@@ -445,17 +445,8 @@ func (s *Slicer) Scatter(cb *cube.Cube) {
 		r := s.refs[bit.Pos]
 		i, b := 2*(int(r.Depth)*s.nw+int(r.Chain>>6)), uint64(1)<<(r.Chain&63)
 		s.pairs[i] |= b
-		s.pairs[i+1] |= b & -one(bit.Value)
+		s.pairs[i+1] |= b & bit.Mask()
 	}
-}
-
-// one returns 1 for true and 0 for false; it compiles to a zero
-// extension, not a branch.
-func one(v bool) uint64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // Slice returns the 2·⌈M/64⌉ words of the last scattered pattern's slice
