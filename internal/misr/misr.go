@@ -180,9 +180,10 @@ func (mp *MaskPlan) VolumeBits() int64 {
 	return bits
 }
 
-// maskSliceCost is selenc.SliceCost with fill pinned to 0 (mask
-// hardware unmasks by default), so a mask with more ones than zeros
-// still encodes the ones.
+// maskSliceCost is the selective-encoding cost of a slice — one header
+// plus, per group with t target bits, min(t, 2) codewords — with fill
+// pinned to 0 (mask hardware unmasks by default), so a mask with more
+// ones than zeros still encodes the ones.
 func maskSliceCost(width int, ones []selenc.CareBit) int {
 	if len(ones) == 0 {
 		return 1

@@ -422,7 +422,11 @@ func TestQueueFull(t *testing.T) {
 
 	statuses := make(chan int, 2)
 	go func() { statuses <- post() }()
-	<-holding
+	select {
+	case <-holding:
+	case st := <-statuses:
+		t.Fatalf("first job answered %d without holding a slot", st)
+	}
 	go func() { statuses <- post() }()
 	for deadline := time.Now().Add(10 * time.Second); s.pending.Load() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
