@@ -47,7 +47,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch$$|BenchmarkOptimizeSearchSystem4$$|BenchmarkVerifyPlan$$|BenchmarkBuildVectorImage$$' -benchtime 1x .
 
 # bench-json archives the headline benchmarks as a dated,
-# machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
+# machine-readable report (BENCH_<yyyy-mm-dd>.json, or the first free
+# name of BENCH_<yyyy-mm-dd>b.json, c, ... when an archive of that date
+# exists, so it never overwrites one): per-op time plus
 # alloc stats and any custom metrics, parsed by cmd/benchjson, which
 # stores a benchmark run several times as the median of each field, its
 # sample count and the quartiles of ns/op. Every rung but three runs
@@ -71,6 +73,9 @@ bench-smoke:
 # one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
 # their archived names) run once.
 bench-json:
+	d=$$(date +%Y-%m-%d); out=BENCH_$$d.json; \
+	for s in b c d e f g h i j k l m n o p q r s t u v w x y z; do [ -e $$out ] || break; out=BENCH_$$d$$s.json; done; \
+	if [ -e $$out ]; then echo "bench-json: every archive name of $$d is taken"; exit 1; fi; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -count 5 -benchmem ./internal/core ; \
@@ -79,19 +84,19 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$|BenchmarkBuildVectorImage$$' -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -count 5 -benchmem ./internal/serve ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
-	@echo wrote BENCH_$$(date +%Y-%m-%d).json
+	| $(GO) run ./cmd/benchjson -o $$out && echo wrote $$out
 
 # bench-big runs the giant-profile streaming workload: every core of a
 # 48-core, million-cube design priced through the window-64 streaming
 # evaluator (cubes/s, cores/s, peak heap high-water), plus the
 # streamed-vs-materialized >=10x memory acceptance test. Results merge
-# into the dated benchmark archive next to the bench-json headliners.
+# into the newest benchmark archive of the day (the one bench-json
+# wrote last), next to the bench-json headliners.
 bench-big:
 	SOCTAP_GIANT=1 $(GO) test -run TestStreamingPeakMemoryGiant -count=1 -v -timeout 1800s ./internal/core
+	d=$$(date +%Y-%m-%d); out=$$(ls BENCH_$$d*.json 2>/dev/null | LC_ALL=C sort | tail -1); out=$${out:-BENCH_$$d.json}; \
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGiantSweep$$|BenchmarkFusedGiantTable$$' -benchtime 1x -benchmem -timeout 1800s ./internal/core \
-	| $(GO) run ./cmd/benchjson -merge -o BENCH_$$(date +%Y-%m-%d).json
-	@echo merged into BENCH_$$(date +%Y-%m-%d).json
+	| $(GO) run ./cmd/benchjson -merge -o $$out && echo merged into $$out
 
 # bench-big-smoke is the tier-1 slice of bench-big: the same sweep on a
 # scaled-down member of the giant family, plus the window-proportional
@@ -168,8 +173,9 @@ fused-equivalence:
 # robustness asserts the failure-model contracts under the race
 # detector with a tight timeout: the singleflight deadlock regression
 # (a poisoned cache entry would hang here, not pass), panic containment
-# at the core package boundary (table builds and the architecture
-# search), prompt cancellation with no goroutine
+# at the core package boundary (table builds, fused sweep windows on the
+# producer and on mirrors, and the architecture search), prompt
+# cancellation with no goroutine
 # leaks (technique selection's dictionary sweeps stop at the next
 # pattern), bit-identical results through the context-threaded entry
 # points, disk-store fault injection, the counting kernel's slot
@@ -191,11 +197,18 @@ fused-equivalence:
 # replay fan-out reports the plan-order first error at GOMAXPROCS 1, 2
 # and 4, turns a panicking replay into a *core.PanicError naming the
 # core with no goroutine left behind, and verifies every style's plan
-# of d695 and d2758 at W_TAM 8..64 on one worker and on two.
+# of d695 and d2758 at W_TAM 8..64 on one worker and on two. Under all
+# of these sits the one worker pool, internal/par, whose own contract
+# is checked here too: one worker runs the tasks in order on the caller
+# and starts no goroutine, the lowest-index error wins at 1, 2 and 8
+# workers, no task is claimed after a failure or a cancellation, a
+# worker index is never in use on two goroutines at once, and no
+# goroutine outlives the call.
 robustness:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeCancelDuringTechSel|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt|TestKernelSlotScratchBounded' ./internal/core
+	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestFusedPassPanicContained|TestSearchPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeCancelDuringTechSel|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt|TestKernelSlotScratchBounded' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels|TestValidateRejectsMalformedExplicitCubes' ./internal/soc
 	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail|TestVerifyPlanFirstErrorInPlanOrder|TestVerifyPlanPanicContained|TestVerifyPlanAllStyles' ./internal/sim
+	$(GO) test -race -count=1 -timeout 60s ./internal/par
 
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
 # container round-trips byte-exactly against the checked-in golden file
@@ -251,9 +264,10 @@ serve:
 # bench-compare diffs the two most recent dated benchmark archives
 # (BENCH_*.json at the repository root), failing on any directional
 # metric that regressed by more than 10%. Run `make bench-json` first
-# on both commits being compared.
+# on both commits being compared. The names sort in the C locale, where
+# BENCH_<date>.json comes before BENCH_<date>b.json.
 bench-compare:
-	@set -- $$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
+	@set -- $$(ls BENCH_*.json 2>/dev/null | LC_ALL=C sort | tail -2); \
 	if [ $$# -lt 2 ]; then echo "bench-compare: need two BENCH_*.json archives (run make bench-json)"; exit 1; fi; \
 	echo "benchjson -compare $$1 $$2"; \
 	$(GO) run ./cmd/benchjson -compare $$1 $$2 -threshold 0.10

@@ -19,7 +19,7 @@
 // Unless -quiet is given, per-phase progress lines go to stderr as each
 // artifact, optimizer phase, and per-core table build completes.
 // -telemetry writes the full machine-readable run report (phase spans,
-// subsystem counters, worker timings) as deterministic JSON;
+// subsystem counters, latency histograms) as deterministic JSON;
 // -telemetry-text renders the same snapshot as tables on stderr.
 package main
 

@@ -3,15 +3,16 @@
 // batch against each loaded cube window before the next window loads,
 // instead of running one full pass over the test set per point. One
 // producer evaluator streams the cube source once per batch; each
-// window is flattened exactly once and shared read-only with a crew of
-// mirror evaluators that carry the per-point partial state forward. The
-// per-pass evaluator cursor of tdcCost is replaced by per-point
-// accumulators (codeword totals and the overlapped-shift time sum), and
-// the band sweep's incumbent pruning runs at window boundaries: a point
-// whose running lower bound (tdcPoint.lowerBound, the bound sweepBand
-// prunes against cube by cube) is already strictly lex-worse than the
-// best upper bound among its band's peers (or the band incumbent from
-// earlier batches) drops out. Both pruning rules are exact, so fused
+// window is flattened exactly once and priced on the worker pool by the
+// producer and mirror evaluators sharing it read-only, while the points
+// carry their partial state forward. The per-pass evaluator cursor of
+// tdcCost is replaced by per-point accumulators (codeword totals and
+// the overlapped-shift time sum), and the band sweep's incumbent
+// pruning runs at window boundaries: a point whose running lower bound
+// (tdcPoint.lowerBound, the bound sweepBand prunes against cube by
+// cube) is already strictly lex-worse than the best upper bound among
+// its band's peers (or the band incumbent from earlier batches) drops
+// out. Both pruning rules are exact, so fused
 // tables are identical to the per-band sweep's over one whole-set
 // window — the fused-equivalence and golden gates of `make check` —
 // while `eval.window_loads` falls from O(points × windows) to
@@ -21,10 +22,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"soctap/internal/par"
 	"soctap/internal/selenc"
 	"soctap/internal/telemetry"
 )
@@ -170,29 +170,37 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 // window against every still-active point of the batch and running the
 // deterministic mid-pass prune step at each window boundary. On
 // return, every non-pruned point carries its exact configuration.
+//
+// Each window is priced by one par.Do over the active points: the
+// producer, which loaded the window, is worker 0, and mirrors sharing
+// its window are the others. Every point is priced by exactly one worker
+// per window and Do returns before the next window loads, so a point's
+// accumulators do not depend on the worker count.
 func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, bands []bandJob, ubs []bandUB, pts []*fusedPoint, pc pruneCounters, fc fusedCounters, tel *telemetry.Sink) error {
 	fc.passes.Inc()
 	fc.corePasses.Inc()
-	workers := resolveWorkers(opts.Workers, len(pts))
-	var crew *fusedCrew
-	if workers > 1 {
-		crew = newFusedCrew(ctx, producer, workers, tel)
-		defer crew.close()
+	evs := make([]*Evaluator, par.Workers(opts.Workers, len(pts)))
+	evs[0] = producer
+	for w := 1; w < len(evs); w++ {
+		evs[w] = producer.mirror()
 	}
+	taskTime := tel.Histogram("eval.task_seconds")
 
 	active := append([]*fusedPoint(nil), pts...)
 	var loads int64
 	producer.beginPass()
 	for len(active) > 0 && producer.nextWindow() {
 		loads++
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if crew == nil {
-			for _, p := range active {
-				producer.priceWindowPoint(p)
+		err := par.Do(ctx, len(evs), len(active), func(w, i int) (err error) {
+			p := active[i]
+			defer contain(&err, tel, producer.core.Name, func() string { return fmt.Sprintf("fused tdc w=%d m=%d", p.w, p.m) })
+			if taskTime != nil {
+				defer func(t0 time.Time) { taskTime.Observe(time.Since(t0)) }(time.Now())
 			}
-		} else if err := crew.window(active); err != nil {
+			evs[w].priceWindowPoint(p)
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 		// The prune step is sequential and runs on exact, worker-order
@@ -275,96 +283,3 @@ func pruneFusedWindow(pos, patterns int, bands []bandJob, ubs []bandUB, active [
 	}
 	return out
 }
-
-// fusedCrew is the worker pool of one fused pass: mirrors of the
-// producer share its loaded window and claim points through an atomic
-// cursor, one synchronized round per window. Point accumulation stays
-// worker-order independent because each point is priced by exactly one
-// worker per window and windows are totally ordered by the barrier.
-type fusedCrew struct {
-	ctx   context.Context
-	core  string
-	ready chan []*fusedPoint
-	done  sync.WaitGroup
-	next  atomic.Int64
-
-	failed  atomic.Bool
-	errOnce sync.Once
-	err     error
-
-	workers int
-	busy    *telemetry.Timer
-	panics  *telemetry.Counter
-}
-
-func newFusedCrew(ctx context.Context, producer *Evaluator, workers int, tel *telemetry.Sink) *fusedCrew {
-	cr := &fusedCrew{
-		ctx:     ctx,
-		core:    producer.core.Name,
-		ready:   make(chan []*fusedPoint),
-		workers: workers,
-		busy:    tel.Timer("eval.worker_busy"),
-		panics:  tel.Counter("panic.recovered"),
-	}
-	for i := 0; i < workers; i++ {
-		ev := producer.mirror()
-		go func() {
-			for pts := range cr.ready {
-				cr.priceRound(ev, pts)
-			}
-		}()
-	}
-	return cr
-}
-
-// window prices one loaded window across the crew and blocks until
-// every active point has been costed (or the round aborted).
-func (cr *fusedCrew) window(pts []*fusedPoint) error {
-	cr.next.Store(0)
-	cr.done.Add(cr.workers)
-	for i := 0; i < cr.workers; i++ {
-		cr.ready <- pts
-	}
-	cr.done.Wait()
-	if cr.failed.Load() {
-		if cr.err != nil {
-			return cr.err
-		}
-		return cr.ctx.Err()
-	}
-	return cr.ctx.Err()
-}
-
-// priceRound is one worker's share of one window: claim points until
-// the cursor runs out, containing panics as *PanicError values naming
-// the point (never a process crash).
-func (cr *fusedCrew) priceRound(ev *Evaluator, pts []*fusedPoint) {
-	defer cr.done.Done()
-	var cur *fusedPoint
-	defer func() {
-		if r := recover(); r != nil {
-			cr.panics.Inc()
-			point := "fused pass"
-			if cur != nil {
-				point = fmt.Sprintf("fused tdc w=%d m=%d", cur.w, cur.m)
-			}
-			cr.errOnce.Do(func() { cr.err = newPanicError(cr.core, point, r) })
-			cr.failed.Store(true)
-		}
-	}()
-	if cr.busy != nil {
-		t0 := time.Now()
-		defer func() { cr.busy.Add(time.Since(t0)) }()
-	}
-	for !cr.failed.Load() && cr.ctx.Err() == nil {
-		i := int(cr.next.Add(1)) - 1
-		if i >= len(pts) {
-			return
-		}
-		cur = pts[i]
-		ev.priceWindowPoint(cur)
-	}
-}
-
-// close releases the crew's goroutines.
-func (cr *fusedCrew) close() { close(cr.ready) }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -216,6 +218,44 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	}
 	if p.totalCW <= 0 || p.timeAcc <= 0 {
 		t.Errorf("pricing accumulated nothing: totalCW=%d timeAcc=%d", p.totalCW, p.timeAcc)
+	}
+}
+
+// TestFusedPassPanicContained: a panic while a fused window is priced,
+// here on a point whose point table was lost, comes back from the pass
+// as a *PanicError naming the core and the point, counted once in
+// panic.recovered, on one worker (the producer, on the calling
+// goroutine) and on four (producer and mirrors).
+func TestFusedPassPanicContained(t *testing.T) {
+	c := compressibleCore(3)
+	for _, workers := range []int{1, 4} {
+		producer, err := NewEvaluatorWindow(c, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []*fusedPoint
+		for _, m := range []int{6, 7, 8, 9, 10, 11} {
+			d, err := wrapper.New(c, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts = append(pts, &fusedPoint{tdcPoint: newTDCPoint(d, nil)})
+		}
+		bad := pts[3]
+		bad.segs = nil
+		tel := telemetry.New()
+		err = runFusedPass(context.Background(), producer, TableOptions{Workers: workers, DisablePruning: true},
+			nil, nil, pts, pruneCounters{}, fusedCounters{}, tel)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: runFusedPass = %v, want a *PanicError", workers, err)
+		}
+		if want := fmt.Sprintf("fused tdc w=%d m=%d", bad.w, bad.m); pe.Core != c.Name || pe.Point != want {
+			t.Errorf("workers=%d: PanicError = (%q, %q), want (%q, %q)", workers, pe.Core, pe.Point, c.Name, want)
+		}
+		if n := tel.Snapshot().Counters["panic.recovered"]; n != 1 {
+			t.Errorf("workers=%d: panic.recovered = %d, want 1", workers, n)
+		}
 	}
 }
 

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"soctap/internal/par"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/telemetry"
@@ -87,29 +85,14 @@ func (o TableOptions) Validate() error {
 	return checkEvalWindow(o.EvalWindow)
 }
 
-// resolveWorkers maps a Workers option to an actual pool size: zero (or
-// negative) means one worker per available CPU, and the pool never
-// exceeds the task count.
-func resolveWorkers(workers, tasks int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// forEachEval runs fn(ev, i) for every i in [0, n) over a pool of
-// workers, giving each worker its own Evaluator for the core (the
-// per-worker scratch state of the hot kernel). Tasks must write results
-// to indexed slots so the outcome is independent of scheduling; with
-// workers <= 1 everything runs on the calling goroutine. The first
-// error (by task index) is returned. A non-nil tel attaches kernel
-// counters to every evaluator and accounts worker-slot busy time.
+// forEachEval runs fn(ev, i) for every i in [0, n) on the worker pool
+// (par.Do), giving each worker its own Evaluator for the core (the
+// per-worker scratch state of the hot kernel), built on the worker's
+// first task. Tasks must write results to indexed slots so the outcome
+// is independent of scheduling. The first error by task index is
+// returned, an evaluator that cannot be built failing its task. A
+// non-nil tel attaches kernel counters to every evaluator and observes
+// each task's wall time in eval.task_seconds.
 //
 // ctx cancels the pool cooperatively: workers stop claiming tasks once
 // ctx is done and the evaluators themselves check the context at every
@@ -117,104 +100,25 @@ func resolveWorkers(workers, tasks int) int {
 // fn is contained on the worker that raised it and surfaces as a
 // *PanicError naming point(i) — never as a process crash.
 func forEachEval(ctx context.Context, c *soc.Core, workers, window, n int, tel *telemetry.Sink, point func(i int) string, fn func(ev *Evaluator, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	busy := tel.Timer("eval.worker_busy")
-	run := func(ev *Evaluator, i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				tel.Counter("panic.recovered").Inc()
-				p := fmt.Sprintf("task %d", i)
-				if point != nil {
-					p = point(i)
-				}
-				err = newPanicError(c.Name, p, r)
-			}
-		}()
-		return fn(ev, i)
-	}
-	workers = resolveWorkers(workers, n)
-	if workers == 1 {
-		ev, err := NewEvaluatorWindow(c, window)
-		if err != nil {
-			return err
+	taskTime := tel.Histogram("eval.task_seconds")
+	workers = par.Workers(workers, n)
+	evs := make([]*Evaluator, workers)
+	return par.Do(ctx, workers, n, func(w, i int) (err error) {
+		defer contain(&err, tel, c.Name, func() string { return point(i) })
+		if taskTime != nil {
+			defer func(t0 time.Time) { taskTime.Observe(time.Since(t0)) }(time.Now())
 		}
-		ev.attachTelemetry(tel)
-		ev.bindContext(ctx)
-		if busy != nil {
-			t0 := time.Now()
-			defer func() { busy.Add(time.Since(t0)) }()
-		}
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := run(ev, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	errs := make([]error, n)
-	var initOnce sync.Once
-	var initErr error
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Backstop for panics outside run's own recovery (evaluator
-			// construction, point): a panic on a worker goroutine that
-			// escaped would kill the process, not just the call.
-			defer func() {
-				if r := recover(); r != nil {
-					tel.Counter("panic.recovered").Inc()
-					initOnce.Do(func() { initErr = newPanicError(c.Name, "worker setup", r) })
-					failed.Store(true)
-				}
-			}()
-			if busy != nil {
-				t0 := time.Now()
-				defer func() { busy.Add(time.Since(t0)) }()
-			}
+		if evs[w] == nil {
 			ev, err := NewEvaluatorWindow(c, window)
 			if err != nil {
-				initOnce.Do(func() { initErr = err })
-				failed.Store(true)
-				return
+				return err
 			}
 			ev.attachTelemetry(tel)
 			ev.bindContext(ctx)
-			for !failed.Load() {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := run(ev, i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			evs[w] = ev
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return initErr
+		return fn(evs[w], i)
+	})
 }
 
 // Table holds, for one core, the best test configuration at every TAM

@@ -3,12 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"soctap/internal/decomp"
 	"soctap/internal/dictenc"
+	"soctap/internal/par"
 	"soctap/internal/sched"
 	"soctap/internal/soc"
 	"soctap/internal/tam"
@@ -233,36 +232,29 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 }
 
 // buildSelectors prepares each core's configuration selector, building
-// the per-core lookup tables concurrently (bounded by opts.Workers).
-// Cache hits go through the singleflight Cache.Get, so concurrent
-// optimizer runs sharing a cache never duplicate a build. The first
-// error in core order is returned. Per-core telemetry spans are created
-// under parent on the calling goroutine, in core order, before the
-// fan-out — worker scheduling therefore never changes the span tree.
+// the per-core lookup tables on the worker pool (par.Do, bounded by
+// opts.Workers). Cache hits go through the singleflight Cache.Get, so
+// concurrent optimizer runs sharing a cache never duplicate a build.
+// The first error in core order is returned. Per-core telemetry spans
+// are created under parent on the calling goroutine, in core order,
+// before the fan-out — worker scheduling therefore never changes the
+// span tree.
 //
-// Workers stop claiming cores once ctx ends, and a panic during one
-// core's build is contained on that worker as a *PanicError naming the
-// core (the build of the other cores proceeds, matching how other
-// build errors behave).
+// Workers stop claiming cores once ctx ends or one core has failed, so
+// the cores after a failure may go unbuilt; a panic during one core's
+// build is contained on that worker as a *PanicError naming the core.
 func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts Options, parent *telemetry.Span) ([]selector, error) {
 	sink := parent.Sink()
 	coreSpans := make([]*telemetry.Span, len(s.Cores))
 	for i, c := range s.Cores {
 		coreSpans[i] = parent.Child("core:" + c.Name)
 	}
-	build := func(i int) (sel selector, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				sink.Counter("panic.recovered").Inc()
-				sel, err = nil, newPanicError(s.Cores[i].Name, "table/selector build", r)
-			}
-		}()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	selectors := make([]selector, len(s.Cores))
+	err := par.Do(ctx, opts.Workers, len(s.Cores), func(_, i int) (err error) {
+		c := s.Cores[i]
+		defer contain(&err, sink, c.Name, func() string { return "table/selector build" })
 		ct := coreSpans[i].Begin()
 		defer ct.End()
-		c := s.Cores[i]
 		var t *Table
 		if opts.Cache != nil {
 			t, err = opts.Cache.get(ctx, c, tabOpts, sink)
@@ -270,57 +262,20 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 			t, err = buildTable(ctx, c, tabOpts, sink)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if opts.EnableDict && opts.Style == StyleTDCPerCore {
 			sel, err := selectTechniquesWithTable(ctx, c, t, opts.DictSizes)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return sel.selector(), nil
+			selectors[i] = sel.selector()
+			return nil
 		}
-		return tableSelector(opts.Style, t), nil
-	}
-
-	selectors := make([]selector, len(s.Cores))
-	workers := resolveWorkers(opts.Workers, len(s.Cores))
-	if workers == 1 {
-		for i := range s.Cores {
-			sel, err := build(i)
-			if err != nil {
-				return nil, err
-			}
-			selectors[i] = sel
-		}
-		return selectors, nil
-	}
-
-	errs := make([]error, len(s.Cores))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(s.Cores) {
-					return
-				}
-				selectors[i], errs[i] = build(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+		selectors[i] = tableSelector(opts.Style, t)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return selectors, nil

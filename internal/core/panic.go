@@ -1,23 +1,26 @@
 package core
 
 // Panic containment at the core package boundary. The evaluation engine
-// fans table builds out over worker goroutines (forEachEval,
-// buildSelectors); a panic inside one of those workers — a kernel bug,
-// a malformed core that slipped past validation — would otherwise kill
+// fans table builds, the per-core table fan-out of an optimization and
+// each window of a fused sweep out over the worker pool (par.Do), which
+// recovers nothing; a panic inside one of those tasks — a kernel bug, a
+// malformed core that slipped past validation — would otherwise kill
 // the whole process, and a panic inside a singleflight table build
 // would additionally strand every waiter on the poisoned cache entry.
-// Instead, every worker converts panics into a *PanicError carrying the
-// offending core and (w, m) evaluation point, and the error propagates
-// through the normal error paths (including the singleflight entry,
-// which is evicted so later callers rebuild rather than inherit the
-// failure). The architecture search runs on the calling goroutine
-// under one deferred recover (searchCtx.search).
+// Instead, every task defers contain, which converts a panic into a
+// *PanicError carrying the offending core and (w, m) evaluation point,
+// and the error propagates through the normal error paths (including
+// the singleflight entry, which is evicted so later callers rebuild
+// rather than inherit the failure). The architecture search runs on the
+// calling goroutine under one deferred recover (searchCtx.search).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
+
+	"soctap/internal/telemetry"
 )
 
 // PanicError is a panic recovered at the core package boundary,
@@ -43,6 +46,16 @@ func (e *PanicError) Error() string {
 // newPanicError captures the recovered value v and the current stack.
 func newPanicError(core, point string, v any) *PanicError {
 	return &PanicError{Core: core, Point: point, Value: v, Stack: debug.Stack()}
+}
+
+// contain is deferred by every task core runs on the worker pool: a
+// panic on the task's goroutine becomes the task's error, a *PanicError
+// naming the core and point(), and is counted in panic.recovered.
+func contain(err *error, tel *telemetry.Sink, core string, point func() string) {
+	if r := recover(); r != nil {
+		tel.Counter("panic.recovered").Inc()
+		*err = newPanicError(core, point(), r)
+	}
 }
 
 // uncacheable reports whether a build outcome must not be memoized by

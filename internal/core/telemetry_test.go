@@ -33,8 +33,8 @@ func telemetrize(t *testing.T, s *soc.SOC, workers int) *telemetry.Snapshot {
 
 // TestTelemetryCounterDeterminism: the counter snapshot of a d695 run
 // is identical for Workers=1 and Workers=8 — counters count algorithmic
-// events, not scheduling accidents. Timings are excluded by
-// construction (they live in Snapshot.Timings). Runs under -race in
+// events, not scheduling accidents. Wall-clock values are excluded by
+// construction (they live in Snapshot.Histograms). Runs under -race in
 // the tier-1 gate.
 func TestTelemetryCounterDeterminism(t *testing.T) {
 	s := soc.D695()
@@ -60,7 +60,7 @@ func TestTelemetryCounterDeterminism(t *testing.T) {
 
 // TestHistogramCountInvariance: a histogram's observation *count* is as
 // deterministic as the counters — one observation per algorithmic event
-// (a table build, a schedule evaluation) — so Workers=1 and Workers=8
+// (a table build, a pool task, a schedule evaluation) — so Workers=1 and Workers=8
 // runs on d695 record identical counts in every histogram. The observed
 // values are wall clock; only counts are compared. Runs under -race in
 // the obs gate.
@@ -77,7 +77,7 @@ func TestHistogramCountInvariance(t *testing.T) {
 	if sc, pc := counts(seq), counts(par); !reflect.DeepEqual(sc, pc) {
 		t.Fatalf("histogram counts differ across worker counts:\nworkers=1: %v\nworkers=8: %v", sc, pc)
 	}
-	for _, name := range []string{"tables.build_seconds", "sched.schedule_seconds"} {
+	for _, name := range []string{"tables.build_seconds", "sched.schedule_seconds", "eval.task_seconds"} {
 		if seq.Histograms[name].Count == 0 {
 			t.Errorf("histogram %s has no observations; instrumentation not reaching that subsystem (have %v)",
 				name, counts(seq))

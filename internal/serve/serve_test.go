@@ -590,6 +590,9 @@ func TestMetricsExposure(t *testing.T) {
 		"soctap_serve_completed_total 1",
 		"soctap_tables_built_total",
 		"soctap_serve_request_seconds",
+		// Job histograms merge into the server's.
+		"soctap_eval_task_seconds_count",
+		"soctap_tables_build_seconds_count",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -19,12 +19,12 @@
 // Telemetry is two-level. Each job runs against its own private sink
 // (span tree and counters die with the job, so a long-lived daemon
 // never accumulates per-job series); when the job completes, its
-// counters, timers and gauges are folded into the server-global sink —
-// minus the per-core prune.*/fused.* series, whose name cardinality is
-// client-controlled — which /metrics and /events expose. The global
-// tables.built counter therefore reports exactly how many tables the
-// whole fleet of requests ever built: warm identical-design traffic
-// holds it flat.
+// counters, gauges and histograms (merged bucket by bucket) are folded
+// into the server-global sink — minus the per-core prune.*/fused.*
+// counter series, whose name cardinality is client-controlled — which
+// /metrics and /events expose. The global tables.built counter
+// therefore reports exactly how many tables the whole fleet of requests
+// ever built: warm identical-design traffic holds it flat.
 //
 // Shutdown is graceful: Drain stops admission (healthz flips to 503 so
 // load balancers rotate the instance out), waits for in-flight jobs,
@@ -206,11 +206,12 @@ func (s *Server) beginJob() (id int64, ok bool) {
 }
 
 // absorb folds a completed job's private sink into the server-global
-// one: counters and timers add, gauges keep the maximum. The per-core
-// prune.*/fused.* series are dropped — their name cardinality is
-// client-controlled (one series per core name), which would grow
-// /metrics without bound under multi-tenant traffic. Histograms stay
-// per-job; the server observes its own serve.request_seconds instead.
+// one: counters add, histograms merge bucket by bucket with their count
+// and sum, gauges keep the maximum. The per-core prune.*/fused.* counter
+// series are dropped — their name cardinality is client-controlled (one
+// series per core name), which would grow /metrics without bound under
+// multi-tenant traffic. Every histogram name is fixed, so merging them
+// keeps /metrics bounded.
 func (s *Server) absorb(job *telemetry.Sink) {
 	sn := job.Snapshot()
 	for name, v := range sn.Counters {
@@ -219,8 +220,8 @@ func (s *Server) absorb(job *telemetry.Sink) {
 		}
 		s.sink.Counter(name).Add(v)
 	}
-	for name, secs := range sn.Timings {
-		s.sink.Timer(name).Add(time.Duration(secs * float64(time.Second)))
+	for name := range sn.Histograms {
+		s.sink.Histogram(name).Merge(job.Histogram(name))
 	}
 	for name, v := range sn.Gauges {
 		s.sink.Gauge(name).Observe(v)

@@ -10,20 +10,19 @@ package sim
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"runtime/debug"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"soctap/internal/atevec"
 	"soctap/internal/bitvec"
 	"soctap/internal/core"
 	"soctap/internal/cube"
 	"soctap/internal/decomp"
+	"soctap/internal/par"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/wrapper"
@@ -247,13 +246,13 @@ func VerifyConfig(c *soc.Core, cfg core.Config) error {
 // structurally sound, the plan's bookkeeping agrees with its schedule
 // and its SOC (checkPlan), and every core's chosen configuration is
 // confirmed by VerifyConfig. Each core expands its stream through its
-// own decompressor, so the replays share no state: they run on
-// min(GOMAXPROCS, len(Choices)) workers, the calling goroutine among
-// them, which claim choices in plan order and stop claiming once one
-// has failed. The error returned is the failing choice's with the
-// lowest index, the one a replay in plan order would stop at; a panic
-// during a replay comes back as a *core.PanicError naming the core and
-// its configuration.
+// own decompressor, so the replays share no state: they run on the
+// worker pool (par.Do) with min(GOMAXPROCS, len(Choices)) workers, the
+// calling goroutine among them, which claim choices in plan order and
+// stop claiming once one has failed. The error returned is the failing
+// choice's with the lowest index, the one a replay in plan order would
+// stop at; a panic during a replay comes back as a *core.PanicError
+// naming the core and its configuration.
 func VerifyPlan(res *core.Result) error {
 	if res == nil || res.Schedule == nil || res.SOC == nil {
 		return errors.New("sim: plan has no result, schedule or SOC")
@@ -267,42 +266,14 @@ func VerifyPlan(res *core.Result) error {
 	return replay(res)
 }
 
-// replay runs VerifyConfig on every choice of a checked plan. Workers
-// claim choices through one counter, so when a choice fails every
-// choice before it has been claimed and runs to completion: the
-// lowest-index error among those replayed is the plan-order one. One
-// worker replays on the calling goroutine and starts none.
+// replay runs VerifyConfig on every choice of a checked plan on the
+// worker pool, one worker per CPU: par.Do claims choices in plan order
+// and returns the lowest-index error, the one a replay in plan order
+// would stop at.
 func replay(res *core.Result) error {
-	errs := make([]error, len(res.Choices))
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= len(res.Choices) {
-				return
-			}
-			if errs[i] = verifyChoice(res.SOC, res.Choices[i]); errs[i] != nil {
-				failed.Store(true)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(res.Choices)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return par.Do(context.Background(), 0, len(res.Choices), func(_, i int) error {
+		return verifyChoice(res.SOC, res.Choices[i])
+	})
 }
 
 // verifyChoice replays one choice, containing a panic on the goroutine

@@ -33,7 +33,7 @@ const metricPrefix = "soctap_"
 
 // WriteOpenMetrics renders the snapshot in OpenMetrics text format,
 // deterministically: build info and run wall-clock first, then
-// counters, gauges, timers and histogram summaries each sorted by name,
+// counters, gauges and histogram summaries each sorted by name,
 // then the span tree (creation order) as labeled series, closed by the
 // mandatory # EOF. Counter values are exact and worker-count
 // deterministic; everything wall-clock is not (same split as the JSON
@@ -58,11 +58,6 @@ func (sn *Snapshot) WriteOpenMetrics(w io.Writer) error {
 	for _, name := range sortedKeys(sn.Gauges) {
 		m := metricName(name)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", m, m, sn.Gauges[name])
-	}
-	for _, name := range sortedKeys(sn.Timings) {
-		// Timers accumulate monotonically, so they expose as counters.
-		m := metricName(name) + "_seconds"
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s_total %s\n", m, m, fmtFloat(sn.Timings[name]))
 	}
 	for _, name := range sortedKeys(sn.Histograms) {
 		h := sn.Histograms[name]

@@ -23,8 +23,7 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 			"tables.built":   4,
 			"cache.mem_hits": 9,
 		},
-		Gauges:  map[string]int64{"eval.peak_heap_bytes": 1024},
-		Timings: map[string]float64{"eval.worker_busy": 2.5},
+		Gauges: map[string]int64{"eval.peak_heap_bytes": 1024},
 		Histograms: map[string]HistogramSnap{
 			"diskcache.load_seconds": {
 				Count: 3, SumSeconds: 0.006,
@@ -49,8 +48,6 @@ soctap_cache_mem_hits_total 9
 soctap_tables_built_total 4
 # TYPE soctap_eval_peak_heap_bytes gauge
 soctap_eval_peak_heap_bytes 1024
-# TYPE soctap_eval_worker_busy_seconds counter
-soctap_eval_worker_busy_seconds_total 2.5
 # TYPE soctap_diskcache_load_seconds summary
 soctap_diskcache_load_seconds{quantile="0.5"} 0.001
 soctap_diskcache_load_seconds{quantile="0.9"} 0.002

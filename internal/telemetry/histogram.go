@@ -67,6 +67,26 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
+// Merge adds o's observations into h, bucket by bucket, with their
+// count and sum; no-op when either is nil. socserve folds each finished
+// job's histograms into its server-wide ones this way. The count added
+// is that of the buckets read, so h stays consistent with its buckets
+// even if o is still recording.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil {
+		return
+	}
+	var n int64
+	for b := range o.buckets {
+		if v := o.buckets[b].Load(); v != 0 {
+			h.buckets[b].Add(v)
+			n += v
+		}
+	}
+	h.count.Add(n)
+	h.sum.Add(o.sum.Load())
+}
+
 // Quantile estimates the q-quantile (0 <= q <= 1) of the recorded
 // distribution by linear interpolation inside the containing log2
 // bucket. Zero on nil or before any observation. The estimate is

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +75,33 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if sn.SumSeconds != (90*1000+10*1_000_000)/1e9 {
 		t.Fatalf("snap sum = %v", sn.SumSeconds)
+	}
+}
+
+// TestHistogramMerge: merging adds the other histogram's buckets, count
+// and sum, as if every observation had been recorded into the target;
+// nil on either side is a no-op.
+func TestHistogramMerge(t *testing.T) {
+	var a, b, want Histogram
+	for _, v := range []int64{0, 3, 900, 70_000} {
+		a.Record(v)
+		want.Record(v)
+	}
+	for _, v := range []int64{3, 5, 1 << 40} {
+		b.Record(v)
+		want.Record(v)
+	}
+	a.Merge(&b)
+	a.Merge(nil)
+	(*Histogram)(nil).Merge(&b)
+	if a.Count() != want.Count() || a.Sum() != want.Sum() {
+		t.Fatalf("merged count %d sum %d, want %d and %d", a.Count(), a.Sum(), want.Count(), want.Sum())
+	}
+	if got, w := a.snap(), want.snap(); !reflect.DeepEqual(got, w) {
+		t.Fatalf("merged snap %+v, want %+v", got, w)
+	}
+	if b.Count() != 3 {
+		t.Fatalf("merge changed its source: count %d", b.Count())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Snapshot is a point-in-time copy of a sink: run metadata, counters
-// (exact, deterministic for any worker count), timers/gauges/histogram
+// (exact, deterministic for any worker count), gauges and histogram
 // distributions (runtime observations, not), and the span tree. It
 // renders as deterministic JSON (map keys sorted by encoding/json,
 // spans in creation order), as human text (Render), and as OpenMetrics
@@ -21,7 +21,6 @@ type Snapshot struct {
 	TotalSeconds float64                  `json:"total_seconds"`
 	Meta         Meta                     `json:"meta"`
 	Counters     map[string]int64         `json:"counters"`
-	Timings      map[string]float64       `json:"timings_seconds,omitempty"`
 	Gauges       map[string]int64         `json:"gauges,omitempty"`
 	Histograms   map[string]HistogramSnap `json:"histograms,omitempty"`
 	// EventsDropped counts bus events dropped against slow subscribers
@@ -74,12 +73,6 @@ func (s *Sink) Snapshot() *Snapshot {
 	s.mu.Lock()
 	for name, c := range s.counters {
 		sn.Counters[name] = c.Value()
-	}
-	if len(s.timers) > 0 {
-		sn.Timings = make(map[string]float64, len(s.timers))
-		for name, t := range s.timers {
-			sn.Timings[name] = t.Value().Seconds()
-		}
 	}
 	if len(s.gauges) > 0 {
 		sn.Gauges = make(map[string]int64, len(s.gauges))
@@ -310,7 +303,7 @@ func (sn *Snapshot) WriteJSON(w io.Writer) error {
 
 // Render writes the snapshot as human text in the repository's report
 // style: the span tree with per-phase bars scaled to the longest phase,
-// then counters and timers as fixed-width tables.
+// then counters, gauges and histograms as fixed-width tables.
 func (sn *Snapshot) Render(w io.Writer) error {
 	const barWidth = 28
 	var maxSec float64
@@ -440,20 +433,6 @@ func (sn *Snapshot) Render(w io.Writer) error {
 		}
 	}
 
-	if len(sn.Timings) > 0 {
-		names := make([]string, 0, len(sn.Timings))
-		for n := range sn.Timings {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		tab := report.NewTable("\ntimings (wall clock, not deterministic)", "timer", "seconds")
-		for _, n := range names {
-			tab.Add(n, fmt.Sprintf("%.3f", sn.Timings[n]))
-		}
-		if err := tab.Render(w); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -2,25 +2,25 @@
 // the optimizer pipeline: hierarchical phase spans (parse → per-core
 // table builds → architecture search → schedule → verify), race-safe
 // counters registered by subsystem (cache hits, schedule placements,
-// kernel invocations), wall-clock timers (worker busy time), log2-bucketed
-// latency histograms with quantiles (histogram.go), a bounded
+// kernel invocations), log2-bucketed latency histograms with quantiles
+// (histogram.go; worker busy time is the sum of eval.task_seconds), a bounded
 // non-blocking event bus for live consumers (bus.go), and HTTP
 // exposition — /metrics, /healthz, streaming /events, /debug/pprof —
 // for watching a run mid-flight (expose.go).
 //
 // The layer is zero-overhead when disabled. Every method is safe on a
 // nil receiver and does nothing: a nil *Sink yields nil *Counter, nil
-// *Timer and nil *Span values, whose Add/Inc/Begin/End calls are plain
-// nil checks — no allocation, no atomics, no locks. Hot loops therefore
+// *Histogram and nil *Span values, whose Add/Inc/Observe/Begin/End calls
+// are plain nil checks — no allocation, no atomics, no locks. Hot loops therefore
 // carry instrumentation unconditionally and pay nothing until a sink is
 // attached (asserted by the telemetry-overhead gate in the Makefile).
 //
 // Counters are exact and deterministic for any worker-pool size: they
 // count algorithmic events (a cache probe, a schedule evaluation), not
 // scheduling accidents, so two runs of the same workload produce
-// identical counter snapshots regardless of parallelism. Timers and
-// span durations are wall-clock and excluded from that guarantee; the
-// Snapshot type keeps the two apart.
+// identical counter snapshots regardless of parallelism. Histogram
+// values, gauges and span durations are wall-clock and excluded from
+// that guarantee; the Snapshot type keeps the two apart.
 //
 // Failure-path counters are the one qualification to that determinism.
 // The cancel.* family (cancel.runs, cancel.table_builds), the
@@ -70,8 +70,8 @@ func (c *Counter) Value() int64 {
 }
 
 // Gauge tracks the maximum of an observed quantity (e.g. the heap
-// high-water mark sampled at evaluation-window boundaries). Like timers,
-// gauge values reflect runtime accidents (GC timing, sampling points)
+// high-water mark sampled at evaluation-window boundaries). Like
+// histogram values, gauge values reflect runtime accidents (GC timing, sampling points)
 // and are excluded from the worker-count determinism guarantee; the
 // Snapshot type reports them apart from counters. The nil Gauge is a
 // no-op. A registered gauge publishes a KindGauge event when (and only
@@ -106,28 +106,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Timer accumulates wall-clock durations (e.g. worker-slot busy time).
-// Timer values are not deterministic across runs and are reported apart
-// from counters. The nil Timer is a no-op.
-type Timer struct {
-	ns atomic.Int64
-}
-
-// Add accumulates d; no-op on nil.
-func (t *Timer) Add(d time.Duration) {
-	if t != nil {
-		t.ns.Add(int64(d))
-	}
-}
-
-// Value reads the accumulated duration; zero on nil.
-func (t *Timer) Value() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
 }
 
 // Span is one node of the phase tree. A span accumulates wall time and
@@ -209,14 +187,13 @@ func (t Timing) End() {
 	t.sp.sink.spanEnded(t.sp.path, d)
 }
 
-// Sink is the root of one telemetry domain: a counter/timer/gauge/
-// histogram registry, a span tree, and an event bus fanning live events
+// Sink is the root of one telemetry domain: a counter/gauge/histogram
+// registry, a span tree, and an event bus fanning live events
 // out to subscribers (see bus.go). The nil *Sink disables everything it
 // hands out.
 type Sink struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	timers     map[string]*Timer
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	root       Span
@@ -270,25 +247,6 @@ func (s *Sink) Counter(name string) *Counter {
 	c := &Counter{name: name, bus: &s.bus}
 	s.counters[name] = c
 	return c
-}
-
-// Timer returns the named timer, registering it on first use; nil on a
-// nil sink.
-func (s *Sink) Timer(name string) *Timer {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.timers[name]; ok {
-		return t
-	}
-	if s.timers == nil {
-		s.timers = make(map[string]*Timer)
-	}
-	t := new(Timer)
-	s.timers[name] = t
-	return t
 }
 
 // Gauge returns the named max-tracking gauge, registering it on first

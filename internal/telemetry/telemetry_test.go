@@ -12,10 +12,10 @@ import (
 )
 
 // TestNilSinkIsInert: every operation on the disabled layer — nil sink,
-// nil span, nil counter, nil timer, zero timing — must be a safe no-op.
+// nil span, nil counter, nil histogram, zero timing — must be a safe no-op.
 func TestNilSinkIsInert(t *testing.T) {
 	var s *Sink
-	if s.Root() != nil || s.Span("x") != nil || s.Counter("c") != nil || s.Timer("t") != nil || s.Gauge("g") != nil || s.Histogram("h") != nil {
+	if s.Root() != nil || s.Span("x") != nil || s.Counter("c") != nil || s.Gauge("g") != nil || s.Histogram("h") != nil {
 		t.Fatal("nil sink handed out non-nil instruments")
 	}
 	if s.Subscribe(MaskAll, 8) != nil {
@@ -37,11 +37,6 @@ func TestNilSinkIsInert(t *testing.T) {
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
-	}
-	var tm *Timer
-	tm.Add(time.Second)
-	if tm.Value() != 0 {
-		t.Fatal("nil timer has a value")
 	}
 	var g *Gauge
 	g.Observe(42)
@@ -65,14 +60,12 @@ func TestNilSinkIsInert(t *testing.T) {
 // not allocate — this is what lets hot loops carry them unconditionally.
 func TestNilFastPathAllocs(t *testing.T) {
 	var c *Counter
-	var tm *Timer
 	var sp *Span
 	var g *Gauge
 	var h *Histogram
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		tm.Add(time.Millisecond)
 		g.Observe(7)
 		h.Record(9)
 		sp.Begin().End()
@@ -88,7 +81,6 @@ func TestCountersAndSpans(t *testing.T) {
 	s.Counter("sub.hits").Add(2)
 	s.Counter("sub.hits").Inc() // same registry entry
 	s.Counter("sub.misses").Inc()
-	s.Timer("sub.busy").Add(250 * time.Millisecond)
 
 	root := s.Root()
 	phase := root.Child("phase")
@@ -103,9 +95,6 @@ func TestCountersAndSpans(t *testing.T) {
 	sn := s.Snapshot()
 	if sn.Counters["sub.hits"] != 3 || sn.Counters["sub.misses"] != 1 {
 		t.Fatalf("counters: %v", sn.Counters)
-	}
-	if sn.Timings["sub.busy"] < 0.24 {
-		t.Fatalf("timer lost time: %v", sn.Timings)
 	}
 	if len(sn.Spans) != 1 || sn.Spans[0].Name != "phase" || sn.Spans[0].Count != 1 {
 		t.Fatalf("span tree: %+v", sn.Spans)
@@ -266,12 +255,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRenderText: the human rendering mentions phases, counters and the
-// per-phase bars.
+// TestRenderText: the human rendering mentions phases, counters,
+// histograms and the per-phase bars.
 func TestRenderText(t *testing.T) {
 	s := New()
 	s.Counter("cache.mem_hits").Add(4)
-	s.Timer("eval.worker_busy").Add(time.Second)
+	s.Histogram("eval.task_seconds").Observe(time.Second)
 	tt := s.Span("tables").Begin()
 	time.Sleep(2 * time.Millisecond)
 	tt.End()
@@ -280,7 +269,7 @@ func TestRenderText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"phase spans", "tables", "cache.mem_hits", "4", "eval.worker_busy", "#"} {
+	for _, want := range []string{"phase spans", "tables", "cache.mem_hits", "4", "eval.task_seconds", "#"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered text missing %q:\n%s", want, out)
 		}

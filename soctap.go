@@ -24,7 +24,7 @@
 //   - internal/decomp   — behavioral decompressor and hardware cost
 //   - internal/dictenc  — dictionary codec (technique selection)
 //   - internal/tam      — TAM partitions and architectures
-//   - internal/sched    — test scheduling (greedy, optimal, preemptive,
+//   - internal/sched    — test scheduling (greedy, optimal,
 //     power-constrained)
 //   - internal/core     — per-core (w,m) exploration and the SOC-level
 //     co-optimizer (the paper's contribution)
@@ -135,9 +135,9 @@ type TelemetrySink = telemetry.Sink
 // TelemetrySpan is one node of a sink's phase tree.
 type TelemetrySpan = telemetry.Span
 
-// TelemetrySnapshot is a point-in-time copy of a sink — counters, wall
-// timings, and the span tree — renderable as deterministic JSON
-// (WriteJSON) or human text (Render).
+// TelemetrySnapshot is a point-in-time copy of a sink — counters,
+// gauges, latency histograms and the span tree — renderable as
+// deterministic JSON (WriteJSON) or human text (Render).
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TelemetryHistogram is a log2-bucketed latency distribution with
