@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-smoke bench-json bench-big bench-big-smoke bench-compare telemetry-overhead kernel-equivalence fused-equivalence robustness cachefmt obs serve
+.PHONY: check vet build test race bench bench-short bench-smoke bench-json bench-big bench-big-smoke bench-compare bench-pair telemetry-overhead kernel-equivalence fused-equivalence robustness cachefmt obs serve
 
 # check is the tier-1 gate: everything must pass before a change lands.
 # A PR that touches the kernels or the sweep should also refresh the
@@ -30,7 +30,8 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-short runs only the fast engine benchmarks — the tdcCost
-# kernel and the serial-vs-parallel table build.
+# kernel (benchCore, and ckt-7 on both sides of the kernel's reset
+# rule) and the serial-vs-parallel table build.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTable' -benchmem ./internal/core
 
@@ -55,7 +56,9 @@ bench-smoke:
 # sample count and the quartiles of ns/op. Every rung but three runs
 # five times (-count 5), so a compare reads medians rather than single
 # samples: the paper artifacts and the search (every artifact sample
-# runs on a fresh engine, so builds its tables cold), the point setup
+# runs on a fresh engine, so builds its tables cold), the counting
+# kernel's pass (BenchmarkTDCCostKernel: benchCore at m = 48 and ckt-7
+# at m = 16 and 255), the point setup
 # of a new m (BenchmarkPointSetup), one core's serial table build, the
 # one-shot wrapper.New of the verify path (BenchmarkWrapperNew: d695
 # and d2758 at m = 8..64), the warm System4 search
@@ -78,7 +81,7 @@ bench-json:
 	if [ -e $$out ]; then echo "bench-json: every archive name of $$d is taken"; exit 1; fi; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchmem ./internal/sched ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -count 5 -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel$$|BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -count 5 -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkWrapperNew$$' -count 5 -benchmem ./internal/wrapper ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$|BenchmarkBuildVectorImage$$' -count 5 -benchmem . ; \
@@ -271,3 +274,34 @@ bench-compare:
 	if [ $$# -lt 2 ]; then echo "bench-compare: need two BENCH_*.json archives (run make bench-json)"; exit 1; fi; \
 	echo "benchjson -compare $$1 $$2"; \
 	$(GO) run ./cmd/benchjson -compare $$1 $$2 -threshold 0.10
+
+# bench-pair runs the benchmarks matching BENCH in package PKG (default
+# the module root) from two builds alternately, PAIRS times (default
+# 6): the test binary of git revision REV (default HEAD), built from a
+# `git archive` of it in a temporary directory, and the working tree's
+# own. Each binary runs in its own tree's package directory. `benchjson
+# -pair` then prints, per benchmark, both medians of ns/op and how many
+# pairs the working tree won. The two samples of a pair are taken back
+# to back, so a VM whose speed drifts moves both alike, which two
+# archives made hours apart (bench-compare) cannot cancel. The
+# temporary directory is removed however the target ends. BENCH is
+# passed on unexpanded, so a `$` in it needs no doubling. Example:
+#
+#	make bench-pair BENCH='BenchmarkTDCCostKernel$' PKG=./internal/core PAIRS=10
+REV ?= HEAD
+PKG ?= .
+PAIRS ?= 6
+bench-pair:
+	@if [ -z '$(value BENCH)' ]; then echo "bench-pair: set BENCH to a -bench pattern"; exit 2; fi
+	@set -e; git rev-parse --verify -q '$(REV)^{commit}' >/dev/null || { echo "bench-pair: no commit $(REV)"; exit 2; }; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive '$(REV)' | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) test -c -o "$$tmp/old.test" $(PKG)); \
+	$(GO) test -c -o "$$tmp/new.test" $(PKG); \
+	for i in $$(seq $(PAIRS)); do \
+		(cd "$$tmp/src/$(PKG)" && "$$tmp/old.test" -test.run '^$$' -test.bench '$(value BENCH)' -test.benchmem -test.timeout 30m) >>"$$tmp/old.txt"; \
+		(cd $(PKG) && "$$tmp/new.test" -test.run '^$$' -test.bench '$(value BENCH)' -test.benchmem -test.timeout 30m) >>"$$tmp/new.txt"; \
+		echo "bench-pair: pair $$i of $(PAIRS) done"; \
+	done; \
+	echo "bench-pair: $(REV) -> working tree, $(PKG), $(PAIRS) pairs"; \
+	$(GO) run ./cmd/benchjson -pair "$$tmp/old.txt" "$$tmp/new.txt"

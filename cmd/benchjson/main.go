@@ -17,7 +17,12 @@
 //
 // which exits 1 when any directional metric regressed past the
 // threshold; `make bench-compare` runs it over the two most recent
-// archives.
+// archives. Two builds run alternately pair with -pair (see pair.go):
+//
+//	benchjson -pair old.txt new.txt
+//
+// prints each benchmark's median ns/op on both sides and how many
+// pairs the new build won; `make bench-pair` builds and runs them.
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -81,6 +87,8 @@ func main() {
 		"merge into an existing -o report: same (pkg, name) results are replaced, new ones appended")
 	compare := flag.Bool("compare", false,
 		"compare two archived reports (old.json new.json) instead of reading bench output; exit 1 on regression")
+	pair := flag.Bool("pair", false,
+		"pair two files of alternated bench output (old.txt new.txt): per benchmark both medians and the pairs new won")
 	threshold := flag.Float64("threshold", 0.10,
 		"relative regression threshold for -compare (0.10 = 10%)")
 	flag.Parse()
@@ -102,6 +110,14 @@ func main() {
 		compareMain(args[0], args[1], *threshold)
 		return
 	}
+	if *pair {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -pair old.txt new.txt")
+			os.Exit(2)
+		}
+		pairMain(flag.Arg(0), flag.Arg(1))
+		return
+	}
 
 	// benchjson usually sits at the end of a pipe from a long `go test
 	// -bench` run; SIGINT/SIGTERM abort the scan between lines instead
@@ -111,36 +127,11 @@ func main() {
 
 	rep := Report{Date: time.Now().UTC().Format("2006-01-02")}
 	rep.GoVersion, rep.VCSRevision = telemetry.BuildInfo()
-	var pkg string
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
+	if err := readBench(ctx, os.Stdin, &rep); err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "benchjson: interrupted:", ctx.Err())
 			os.Exit(130)
 		}
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rep.GoOS = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.GoArch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "pkg: "):
-			// One bench-json pipe spans several packages; the pkg line
-			// precedes that package's benchmark lines, so track it and
-			// stamp each result.
-			pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseLine(line)
-			if ok {
-				b.Pkg = pkg
-				rep.Benchmarks = append(rep.Benchmarks, b)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
 	if len(rep.Benchmarks) == 0 {
@@ -171,6 +162,42 @@ func main() {
 	if _, err := w.Write(data); err != nil {
 		fatal(err)
 	}
+}
+
+// readBench reads plain `go test -bench` output from r into rep: the
+// goos, goarch and cpu header lines, and every result line stamped with
+// the package of the pkg line before it. It stops between lines once
+// ctx is done.
+func readBench(ctx context.Context, r io.Reader, rep *Report) error {
+	var pkg string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			rep.GoOS = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			rep.GoArch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			rep.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "pkg: "):
+			// One bench-json pipe spans several packages; the pkg line
+			// precedes that package's benchmark lines, so track it and
+			// stamp each result.
+			pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			b, ok := parseLine(line)
+			if ok {
+				b.Pkg = pkg
+				rep.Benchmarks = append(rep.Benchmarks, b)
+			}
+		}
+	}
+	return sc.Err()
 }
 
 // parseLine parses one result line of the form

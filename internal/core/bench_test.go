@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"soctap/internal/soc"
@@ -24,23 +25,39 @@ func benchCore() *soc.Core {
 }
 
 // BenchmarkTDCCostKernel measures the hot cost kernel alone — one
-// counting pass over every cube's care refs — on a warm evaluator.
-// Allocations per op should be zero: all counters are reused.
+// counting pass over every cube's care refs — on a warm evaluator: on
+// benchCore at m = 48, where every cube's counters reset in bulk, and
+// on the industrial ckt-7 (666 care refs per cube) at a narrow m = 16,
+// where every cube walks its cells to reset them (bulkReset), and at
+// the widest m of the Fig 2 sweep, 255, where 186 of its 250 cubes
+// reset in bulk. Allocations per op should be zero: all counters are
+// reused.
 func BenchmarkTDCCostKernel(b *testing.B) {
-	c := benchCore()
-	ev, err := NewEvaluator(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := ev.Design(48)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt := ev.point(d) // builds the design's kernel tables
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.tdcCost(pt, true, Config{}, nil)
+	for _, r := range []struct {
+		core *soc.Core
+		m    int
+	}{
+		{benchCore(), 48},
+		{soc.MustIndustrialCore("ckt-7"), 16},
+		{soc.MustIndustrialCore("ckt-7"), 255},
+	} {
+		b.Run(fmt.Sprintf("%s/m=%d", r.core.Name, r.m), func(b *testing.B) {
+			ev, err := NewEvaluator(r.core)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := ev.Design(r.m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pt := ev.point(d) // builds the design's kernel tables
+			ev.tdcCost(pt, true, Config{}, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.tdcCost(pt, true, Config{}, nil)
+			}
+		})
 	}
 }
 

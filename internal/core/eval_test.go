@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -260,7 +261,11 @@ func longChainCore() *soc.Core {
 // over 1, widths that are not a multiple of the payload width k, and
 // the core's maximum. Every row is priced through the kept whole-set
 // window and through windows of 1 and 64 cubes, so the care refs are
-// re-encoded to segment refs on every load.
+// re-encoded to segment refs on every load. After every pass each
+// counter must be zero over the scratch's full length, and the rows
+// must send cubes down both arms of the reset rule (bulkReset), with
+// group copy and without: the dense core clears in bulk, the thin core
+// walks its cells.
 func TestKernelPathsAgree(t *testing.T) {
 	type row struct {
 		core *soc.Core
@@ -275,6 +280,7 @@ func TestKernelPathsAgree(t *testing.T) {
 		rows = append(rows, row{c, []int{1, 3, 17, 40, c.MaxWrapperChains()}})
 	}
 	rows = append(rows, row{tieCore(), []int{10}})
+	bulk, walk := map[bool]int{}, map[bool]int{} // cubes per reset arm, by groupCopy
 	for _, r := range rows {
 		c := r.core
 		var evs []*Evaluator
@@ -304,8 +310,21 @@ func TestKernelPathsAgree(t *testing.T) {
 						t.Errorf("%s m=%d groupCopy=%v window=%d: kernel (τ=%d, V=%d) != reference (τ=%d, V=%d)",
 							c.Name, m, gc, ev.window, cfg.Time, cfg.Volume, wantTime, wantVol)
 					}
+					checkCountersZero(t, ev, fmt.Sprintf("%s m=%d groupCopy=%v window=%d", c.Name, m, gc, ev.window))
+				}
+				b, w := resetArms(evs[0], gc)
+				bulk[gc] += b
+				walk[gc] += w
+				if c.Name == "dense" && w != 0 || c.Name == "thin" && b != 0 {
+					t.Errorf("%s m=%d groupCopy=%v: %d cubes reset in bulk, %d by walking their cells", c.Name, m, gc, b, w)
 				}
 			}
+		}
+	}
+	for _, gc := range []bool{true, false} {
+		if bulk[gc] == 0 || walk[gc] == 0 {
+			t.Errorf("groupCopy=%v: %d cubes reset in bulk and %d by walking their cells, want both arms taken",
+				gc, bulk[gc], walk[gc])
 		}
 	}
 	// The tie row must actually tie.
@@ -323,14 +342,48 @@ func TestKernelPathsAgree(t *testing.T) {
 	})
 }
 
+// checkCountersZero fails the test unless every counter of ev's kernel
+// scratch is zero, beyond the last point's span too.
+func checkCountersZero(t *testing.T, ev *Evaluator, what string) {
+	t.Helper()
+	for i, b := range ev.kern.bal {
+		if b != 0 {
+			t.Fatalf("%s: row balance %d of %d left at %d", what, i, len(ev.kern.bal), b)
+		}
+	}
+	for i, n := range ev.kern.slot {
+		if n != 0 {
+			t.Fatalf("%s: slot %d of %d left at %d", what, i, len(ev.kern.slot), n)
+		}
+	}
+}
+
+// resetArms counts the cubes of ev's kept whole-set window that the
+// reset rule sends to the bulk clear and to the cell walk at ev's last
+// priced point.
+func resetArms(ev *Evaluator, groupCopy bool) (bulk, walk int) {
+	slots := 0
+	if groupCopy {
+		slots = ev.pt.slots
+	}
+	for j := 0; j < ev.win.count; j++ {
+		if bulkReset(slots, int(ev.pt.si), len(ev.win.CubeRefs(j))) {
+			bulk++
+		} else {
+			walk++
+		}
+	}
+	return bulk, walk
+}
+
 // TestSegmentTableMatchesStimulusMap holds the point table to the
 // wrapper's stimulus map on random cores at every m in
 // 1..MaxWrapperChains: re-encoding a stimulus cell's position to a
-// segment ref and adding its offset to the segment's base row must give
-// the cell's StimulusMap depth, the value bit must survive, and two
-// cells must share a counter slot exactly when they share (Depth,
-// Chain/k). Every slot lies below the point's slot count, which never
-// exceeds StimulusBits.
+// segment ref and resolving its cell through the kernel's packed add
+// (resolveCell) must give the cell's StimulusMap depth as its row, the
+// value bit must survive, and two cells must share a counter slot
+// exactly when they share (Depth, Chain/k). Every slot lies below the
+// point's slot count, which never exceeds StimulusBits.
 func TestSegmentTableMatchesStimulusMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 120; i++ {
@@ -361,19 +414,19 @@ func TestSegmentTableMatchesStimulusMap(t *testing.T) {
 				t.Fatalf("core %d m=%d: %d slots exceed %d stimulus bits", i, m, pt.slots, c.StimulusBits())
 			}
 			k := int32(selenc.PayloadBits(m))
-			slotOf := make(map[[2]int32]int32)
-			cellOf := make(map[int32][2]int32)
+			slotOf := make(map[[2]int32]uint32)
+			cellOf := make(map[uint32][2]int32)
 			for pos, p := range refs {
-				s, off := pt.segs[p>>32], int32(uint32(p)>>1)
+				cell := resolveCell(pt.segs, p)
 				want := d.StimulusMap()[pos]
 				if int(p&1) != pos%3&1 {
 					t.Fatalf("core %d: cell %d lost its value bit", i, pos)
 				}
-				if s.row+off != want.Depth {
-					t.Fatalf("core %d m=%d: cell %d at row %d, StimulusMap depth %d", i, m, pos, s.row+off, want.Depth)
+				if cell.row() != uint32(want.Depth) {
+					t.Fatalf("core %d m=%d: cell %d at row %d, StimulusMap depth %d", i, m, pos, cell.row(), want.Depth)
 				}
-				slot := s.slot + off
-				if slot < 0 || int(slot) >= pt.slots {
+				slot := cell.slot()
+				if int(slot) >= pt.slots {
 					t.Fatalf("core %d m=%d: cell %d slot %d outside [0,%d)", i, m, pos, slot, pt.slots)
 				}
 				key := [2]int32{want.Depth, want.Chain / k}

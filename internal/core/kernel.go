@@ -9,19 +9,24 @@
 // wrapper places it as a unit, so its cells occupy consecutive rows of
 // one wrapper chain. When a window loads, each care ref is re-encoded
 // once from pos<<1|value to seg<<32|offset<<1|value (segmentRefs), and
-// a design's point table holds one (row, slot) base per segment, so a
-// cell lands at row base+offset and slot base+offset. Slots are
-// group-major — base[chain/k] + row, base the prefix sum of each codec
-// group's deepest chain — so the slot counters never outnumber the
-// stimulus cells. The kernel then walks a cube's refs three times —
+// a design's point table holds one packed row | slot<<32 base per
+// segment, so a cell lands at row base+offset and slot base+offset,
+// both resolved by one add. Slots are group-major — base[chain/k] +
+// row, base the prefix sum of each codec group's deepest chain — so
+// the slot counters never outnumber the stimulus cells. The kernel
+// then walks a cube's refs twice —
 //
-//  1. resolve each ref's row and slot once, and tally the row's
-//     balance, ones minus zeros;
+//  1. resolve each ref's cell once, and tally the row's balance, ones
+//     minus zeros;
 //  2. take the row's fill (balance > 0: ones win, ties go to 0, exactly
 //     as selenc.ChooseFill) and count every target bit into its slot,
 //     adding an operation on a slot's first and second target with
 //     group copy, or on every target without — branch-free in both arms;
-//  3. re-zero the touched row and slot counters.
+//
+// and then re-zeroes the counters: in bulk over the point's whole row
+// and slot span when that span is under bulkResetBytes bytes per ref,
+// else by walking the resolved cells, so the reset never writes more
+// than bulkResetBytes bytes per care ref.
 //
 // Work is proportional to the cube's care bits, whatever the design's
 // depth or width, and a new design costs one wrapper.Packer build plus
@@ -50,7 +55,7 @@ import (
 type kernelScratch struct {
 	bal  []int32     // per slice row: ones minus zeros among its care bits
 	slot []uint8     // per (group, row) slot: target bits counted, saturating at 2
-	at   []kernelSeg // per care ref of the cube: its row and slot
+	at   []kernelSeg // per care ref of the cube: its cell, row | slot<<32
 }
 
 // fit grows the counters to cover pt's design.
@@ -79,11 +84,67 @@ type tdcPoint struct {
 	timeAcc int64 // cw_1 + Σ_{j>1} max(cw_j, so) so far
 }
 
-// kernelSeg is where a segment's first cell lands in every cube: its
-// slice row (wrapper depth) and its counter slot, base[chain/k] + row,
-// where base is the prefix sum of each codec group's deepest chain. The
-// cell at offset o of the segment lands at row+o and slot+o.
-type kernelSeg struct{ row, slot int32 }
+// kernelSeg is a cell packed as row | slot<<32: its slice row (wrapper
+// depth) and its counter slot, base[chain/k] + row, where base is the
+// prefix sum of each codec group's deepest chain. A point table holds
+// one per segment, where the segment's first cell lands in every cube;
+// the cell at offset o of the segment lands at row+o and slot+o, which
+// resolveCell reaches with one add.
+type kernelSeg uint64
+
+func packCell(row, slot int32) kernelSeg {
+	return kernelSeg(uint32(row)) | kernelSeg(uint32(slot))<<32
+}
+
+func (c kernelSeg) row() uint32  { return uint32(c) }
+func (c kernelSeg) slot() uint32 { return uint32(c >> 32) }
+
+// resolveCell returns the cell of segment ref p (seg<<32|offset<<1|
+// value) under point table segs: one add of offset·(1<<32|1) moves the
+// row and the slot together. Rows and slots stay below StimulusBits()
+// <= soc.MaxStimulusBits = 2^28, so the add never carries from the row
+// half into the slot half.
+func resolveCell(segs []kernelSeg, p uint64) kernelSeg {
+	return segs[p>>32] + kernelSeg(uint32(p)>>1)*(1<<32|1)
+}
+
+// resolveCells is the kernel's first pass: it resolves the cell of
+// every ref into at and tallies each cell's row balance, ones minus
+// zeros. It stays out of line: inlined into patternOps, its loop ran
+// out of registers and spilled two values per ref, and the Workers-1
+// builds of 34 cores that bulkResetBytes describes took 1.63 s against
+// 1.50 s (medians of per-round minima over 8 alternated rounds).
+//
+//go:noinline
+func resolveCells(at []kernelSeg, refs []uint64, segs []kernelSeg, bal []int32) {
+	at = at[:len(refs)]
+	for i, p := range refs {
+		c := resolveCell(segs, p)
+		at[i] = c
+		bal[c.row()] += int32(p&1)<<1 - 1
+	}
+}
+
+// bulkResetBytes is the reset rule's budget per care ref: after pricing
+// a cube, the kernel clears the point's whole counter span — slot bytes
+// plus 4 bytes per row balance — when that span is under
+// bulkResetBytes times the cube's refs, and otherwise re-zeroes the
+// counters cell by cell. Either way the reset writes at most
+// bulkResetBytes bytes per ref. In Workers-1 builds of 34 cores (the 22
+// distinct paper cores and 12 shaped like socbench's serve-mixed
+// uploads) 392k cube pricings take the bulk reset and 54k the walk; at
+// 8 the split is 300k/145k and at 32 427k/18k. Over 8 alternated rounds
+// those builds took 1.29 s (median of per-round minima) at 16, and
+// 1.38 s both at 8 and at 32, 16 winning 6 of 8 rounds against each.
+// Always clearing in bulk read 1.34 s, winning 4 of 8, and would give up
+// the bound per ref.
+const bulkResetBytes = 16
+
+// bulkReset reports whether a cube of refs care refs resets its
+// counters in bulk: slotBytes slot counters and rows row balances.
+func bulkReset(slotBytes, rows, refs int) bool {
+	return slotBytes+4*rows < bulkResetBytes*refs
+}
 
 // newTDCPoint writes design d's point table straight from its chains,
 // reusing segs' storage when it is large enough.
@@ -104,12 +165,12 @@ func newTDCPoint(d *wrapper.Design, segs []kernelSeg) tdcPoint {
 			base, depth = base+depth, 0
 		}
 		for x := int32(0); x < int32(ch.InCells); x++ {
-			segs[in] = kernelSeg{row: x, slot: base + x}
+			segs[in] = packCell(x, base+x)
 			in++
 		}
 		row := int32(ch.InCells)
 		for _, sc := range ch.ScanChains {
-			segs[nIn+sc] = kernelSeg{row: row, slot: base + row}
+			segs[nIn+sc] = packCell(row, base+row)
 			row += int32(c.ScanChains[sc])
 		}
 		depth = max(depth, row)
@@ -226,49 +287,53 @@ func (e *Evaluator) priceWindow(pt *tdcPoint, groupCopy bool, bound Config, perC
 // patternOps returns the selective-encoding operation count (codewords
 // beyond the per-slice headers) of cube j of the loaded window under
 // pt's design — the counting kernel described above. The first pass
-// resolves each ref's (row, slot) once into scratch, which the other
-// two walk. Both counting arms are branch-free: a row's fill is the
-// sign bit of -balance (ones win only when the balance is positive), a
-// ref is a target when its value differs from the fill, and a target
-// adds an operation exactly when its slot holds fewer than two — with
-// counts of at most 2, c>>1^1.
+// (resolveCells) resolves each ref's cell once into scratch, which the
+// second walks.
+// Both counting arms are branch-free: a row's fill is the sign bit of
+// -balance (ones win only when the balance is positive), a ref is a
+// target when its value differs from the fill, and a target adds an
+// operation exactly when its slot holds fewer than two — with counts of
+// at most 2, c>>1^1. The counters are resliced to the point's span, so
+// every write lands in what the reset clears.
 func (e *Evaluator) patternOps(pt *tdcPoint, j int, groupCopy bool) int64 {
 	refs := e.win.CubeRefs(j)
 	if cap(e.kern.at) < len(refs) {
 		e.kern.at = make([]kernelSeg, len(refs))
 	}
 	at := e.kern.at[:len(refs)]
-	segs := pt.segs
-	bal := e.kern.bal
-	for i, p := range refs {
-		s, off := segs[p>>32], int32(uint32(p)>>1)
-		s.row += off
-		s.slot += off
-		at[i] = s
-		bal[s.row] += int32(p&1)<<1 - 1
-	}
+	bal := e.kern.bal[:pt.si]
+	resolveCells(at, refs, pt.segs, bal)
 	var ops int64
 	if groupCopy {
-		slot := e.kern.slot
+		slot := e.kern.slot[:pt.slots]
 		for i, p := range refs {
-			s := at[i]
-			target := uint8(uint32(-bal[s.row])>>31) ^ uint8(p&1)
-			c := &slot[s.slot]
-			inc := target & (*c>>1 ^ 1)
-			*c += inc
+			c := at[i]
+			target := uint8(uint32(-bal[c.row()])>>31) ^ uint8(p&1)
+			n := &slot[c.slot()]
+			inc := target & (*n>>1 ^ 1)
+			*n += inc
 			ops += int64(inc)
 		}
-		for _, s := range at {
-			slot[s.slot] = 0
-			bal[s.row] = 0
+		if bulkReset(len(slot), len(bal), len(refs)) {
+			clear(slot)
+			clear(bal)
+			return ops
+		}
+		for _, c := range at {
+			slot[c.slot()] = 0
+			bal[c.row()] = 0
 		}
 		return ops
 	}
 	for i, p := range refs {
-		ops += int64(uint32(-bal[at[i].row])>>31 ^ uint32(p&1))
+		ops += int64(uint32(-bal[at[i].row()])>>31 ^ uint32(p&1))
 	}
-	for _, s := range at {
-		bal[s.row] = 0
+	if bulkReset(0, len(bal), len(refs)) {
+		clear(bal)
+		return ops
+	}
+	for _, c := range at {
+		bal[c.row()] = 0
 	}
 	return ops
 }
