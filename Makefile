@@ -53,10 +53,10 @@ bench-smoke:
 # exists, so it never overwrites one): per-op time plus
 # alloc stats and any custom metrics, parsed by cmd/benchjson, which
 # stores a benchmark run several times as the median of each field, its
-# sample count and the quartiles of ns/op. Every rung but three runs
-# five times (-count 5), so a compare reads medians rather than single
-# samples: the paper artifacts and the search (every artifact sample
-# runs on a fresh engine, so builds its tables cold), the counting
+# sample count and the quartiles of ns/op. Every rung runs five times
+# (-count 5), so a compare reads medians rather than single samples:
+# the paper artifacts and the search (every artifact sample runs on a
+# fresh engine, so builds its tables cold), the counting
 # kernel's pass (BenchmarkTDCCostKernel: benchCore at m = 48 and ckt-7
 # at m = 16 and 255), the point setup
 # of a new m (BenchmarkPointSetup), one core's serial table build, the
@@ -68,22 +68,22 @@ bench-smoke:
 # on d695 and d2758, at GOMAXPROCS 1 and 2: its replays fan out over
 # the CPUs, and benchjson keeps one name per GOMAXPROCS value), the
 # shipping layer (BenchmarkBuildVectorImage: the ATE image of the d695
-# and d2758 plans at W_TAM 32, tables warmed first) and the warm
-# socserve request. The greedy schedule (at the default benchtime:
-# a single -benchtime 1x iteration times a cold first call, several
-# times the steady state) and the cache tiers (a v2 entry's cold load,
+# and d2758 plans at W_TAM 32, tables warmed first), the warm socserve
+# request, the greedy schedule (at the default benchtime: a single
+# -benchtime 1x iteration times a cold first call, several times the
+# steady state) and the cache tiers (a v2 entry's cold load,
 # BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on the
 # one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
-# their archived names) run once.
+# their archived names).
 bench-json:
 	d=$$(date +%Y-%m-%d); out=BENCH_$$d.json; \
 	for s in b c d e f g h i j k l m n o p q r s t u v w x y z; do [ -e $$out ] || break; out=BENCH_$$d$$s.json; done; \
 	if [ -e $$out ]; then echo "bench-json: every archive name of $$d is taken"; exit 1; fi; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -count 5 -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchmem ./internal/sched ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -count 5 -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel$$|BenchmarkPointSetup|BenchmarkBuildTableSerial$$' -count 5 -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkWrapperNew$$' -count 5 -benchmem ./internal/wrapper ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -count 5 -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearchSystem4$$|BenchmarkTechSelWarm$$|BenchmarkBuildVectorImage$$' -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkVerifyPlan$$' -cpu 1,2 -count 5 -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -count 5 -benchmem ./internal/serve ; } \
@@ -134,8 +134,15 @@ bench-big-smoke:
 # styles × MergeSearch × NaiveOrder: partition in bus order, makespan,
 # volume, schedule items and each core's Config) is byte-identical to
 # the checked-in golden plans at workers 1/2/8, tables built at every
-# window and worker count are deeply equal to the window-0 build
-# (including the window-boundary fuzz seeds), the fuzz seed corpora
+# window (forced through the package's test seam) and worker count are
+# deeply equal to the residency rule's build (including the
+# window-boundary fuzz seeds), SweepTDC gives Evaluator.TDC's Config at
+# every m at every forced window on 1 and 8 workers, the residency rule
+# flips exactly at 2^31 raw stimulus bits and an evaluator at that point
+# streams ceil(patterns/64) windows without generating a cube, a
+# Workers-8 table build allocates less beyond a Workers-1 build than one
+# flattened copy of its test set (one producer loads the cubes, mirrors
+# share them), the fuzz seed corpora
 # for the word and codec kernels still pass (the word kernels': CopyBits
 # against a per-bit reference and a ReadBits/WriteBits round trip; the
 # codec's: encode/decode round trip, cost model = encoder, and the
@@ -151,7 +158,8 @@ bench-big-smoke:
 # is the one the checked-in golden_selenc.txt records.
 kernel-equivalence:
 	$(GO) test -run 'TestKernelPathsAgree|TestSegmentTableMatchesStimulusMap|TestKernelSteadyStateZeroAlloc|TestEvaluatorMatchesOneShotAPI|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestGoldenTables|TestGoldenPlans' -count=1 ./internal/core
-	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
+	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence|TestSweepTDCForcedWindows|TestEvaluatorStreamsAtThreshold|TestBuildTableLoadsCubesOnce' -count=1 ./internal/core
+	$(GO) test -run 'TestStreamsCubesThreshold' -count=1 ./internal/soc
 	$(GO) test -run 'TestNewMatchesReference|TestPackerMatchesReference' -count=1 ./internal/wrapper
 	$(GO) test -run 'TestGeneratorMatchesReference' -count=1 ./internal/cube
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
@@ -160,8 +168,10 @@ kernel-equivalence:
 
 # fused-equivalence asserts the fused single-pass sweep's exactness
 # contracts under the race detector: tables built by the fused sweep
-# (windows 1/64) are bit-identical to the per-band sweep over one
-# whole-set window (windows 0/∞) on every d695/industrial core plus the
+# (windows 1/64, forced through the package's test seam) are
+# bit-identical to the per-band sweep over one whole-set window (the
+# residency rule's window, or the whole set streamed as one) on every
+# d695/industrial core plus the
 # decay/compressible synthetics × workers 1/8 (including multi-batch
 # schedules), the schedule follows the window count, the mid-pass LB/UB
 # pruning drops candidates without changing the table, every fused and
@@ -256,7 +266,9 @@ obs:
 # limiting, singleflight table sharing across concurrent identical
 # designs, NDJSON progress streaming, graceful drain with no goroutine
 # leaks, a technique-selection plan with dictionary cores that passes
-# VerifyPlan) plus the HTTP/cache hardening regressions this plane stands on
+# VerifyPlan, a request's ?workers capped at the server's per-job bound,
+# one per CPU by default) plus the HTTP/cache hardening regressions this
+# plane stands on
 # (non-Flusher event streaming, slowloris header reaping, write-timeout
 # exemption for streams, disk-cache touch-error accounting).
 serve:
@@ -280,8 +292,8 @@ bench-compare:
 # 6): the test binary of git revision REV (default HEAD), built from a
 # `git archive` of it in a temporary directory, and the working tree's
 # own. Each binary runs in its own tree's package directory. `benchjson
-# -pair` then prints, per benchmark, both medians of ns/op and how many
-# pairs the working tree won. The two samples of a pair are taken back
+# -pair` then prints, per benchmark, both medians of ns/op, how many
+# pairs the working tree won, and both medians of B/op. The two samples of a pair are taken back
 # to back, so a VM whose speed drifts moves both alike, which two
 # archives made hours apart (bench-compare) cannot cancel. The
 # temporary directory is removed however the target ends. BENCH is

@@ -255,9 +255,8 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 	s := soctap.D695()
 	opts := soctap.Options{
 		Style:       soctap.StyleTDCPerCore,
-		Tables:      soctap.TableOptions{MaxWidth: 64},
+		Tables:      soctap.TableOptions{MaxWidth: 64, Workers: 1},
 		Cache:       new(core.Cache),
-		Workers:     1,
 		MergeSearch: true,
 	}
 	// Warm the tables outside the timed region.

@@ -84,7 +84,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	e := &experiments.Engine{Cache: run.Cache, Workers: shared.Workers, EvalWindow: shared.EvalWindow, Telemetry: run.Sink}
+	e := &experiments.Engine{Cache: run.Cache, Workers: shared.Workers, Telemetry: run.Sink}
 	run.End(runExperiments(ctx, e, w, name))
 }
 

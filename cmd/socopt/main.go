@@ -64,9 +64,8 @@ func main() {
 	res, err := core.OptimizeContext(ctx, s, *width, core.Options{
 		Style:      style,
 		MaxTAMs:    *maxTAMs,
-		Tables:     core.TableOptions{BandSamples: *bandSamples, EvalWindow: shared.EvalWindow},
+		Tables:     core.TableOptions{BandSamples: *bandSamples, Workers: shared.Workers},
 		EnableDict: *techsel,
-		Workers:    shared.Workers,
 		Cache:      run.Cache,
 		Telemetry:  run.Sink.Root(),
 	})

@@ -24,8 +24,7 @@ import (
 // Flags holds the values of the shared engine, cache and telemetry
 // flags; the flag set's Parse fills them in.
 type Flags struct {
-	Workers    int
-	EvalWindow int
+	Workers int
 
 	cache                         CacheFlags
 	telemetryOut                  string
@@ -43,7 +42,6 @@ type CacheFlags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := new(Flags)
 	fs.IntVar(&f.Workers, "workers", 0, "evaluation-engine worker goroutines (0 = one per CPU, 1 = sequential; results are identical)")
-	fs.IntVar(&f.EvalWindow, "eval-window", 0, "evaluator streaming window in cubes (0 = automatic by core size, -1 = stream the whole set as one window; results are identical)")
 	f.cache.register(fs)
 	fs.StringVar(&f.telemetryOut, "telemetry", "", "write the telemetry snapshot (phase spans + counters) as JSON to this file ('-' for stdout)")
 	fs.BoolVar(&f.telemetryText, "telemetry-text", false, "render the telemetry snapshot as text on stderr after the run")

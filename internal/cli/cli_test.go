@@ -90,7 +90,7 @@ func TestRegisterFlags(t *testing.T) {
 			t.Errorf("-%s defaults to %q", f.Name, f.DefValue)
 		}
 	})
-	want := []string{"cpuprofile", "eval-window", "memprofile", "metrics-addr", "table-cache",
+	want := []string{"cpuprofile", "memprofile", "metrics-addr", "table-cache",
 		"table-cache-mem", "table-cache-size", "telemetry", "telemetry-text", "trace", "workers"}
 	sort.Strings(names)
 	if strings.Join(names, " ") != strings.Join(want, " ") {

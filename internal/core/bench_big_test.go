@@ -70,7 +70,7 @@ func retainedBytes(build func() any) int64 {
 func evalFootprint(tb testing.TB, c *soc.Core, window, m int) int64 {
 	tb.Helper()
 	return retainedBytes(func() any {
-		ev, err := NewEvaluatorWindow(freshCore(c), window)
+		ev, err := newEvaluator(freshCore(c), window)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestStreamingPeakMemorySmoke(t *testing.T) {
 		DensityDecay: 0.9, Seed: 42,
 	}
 	resident := evalFootprint(t, c, 0, 8)
-	streamed := evalFootprint(t, c, DefaultEvalWindow, 8)
+	streamed := evalFootprint(t, c, streamWindow, 8)
 	if resident <= 0 || streamed <= 0 {
 		t.Fatalf("implausible footprints: resident %d, streamed %d", resident, streamed)
 	}
@@ -105,7 +105,7 @@ func TestStreamingPeakMemorySmoke(t *testing.T) {
 	}
 
 	tel := telemetry.New()
-	ev, err := NewEvaluatorWindow(freshCore(c), DefaultEvalWindow)
+	ev, err := newEvaluator(freshCore(c), streamWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStreamingPeakMemoryGiant(t *testing.T) {
 		}
 	}
 	resident := evalFootprint(t, probe, 0, 8)
-	streamed := evalFootprint(t, probe, DefaultEvalWindow, 8)
+	streamed := evalFootprint(t, probe, streamWindow, 8)
 	t.Logf("%s: resident %.1f MiB, streamed %.1f MiB (%.1fx)", probe.Name,
 		float64(resident)/(1<<20), float64(streamed)/(1<<20),
 		float64(resident)/float64(streamed))
@@ -199,15 +199,15 @@ func BenchmarkFusedGiantTable(b *testing.B) {
 			probe = c
 		}
 	}
-	opts := TableOptions{MaxWidth: 12, BandSamples: 4, EvalWindow: DefaultEvalWindow}
+	opts := TableOptions{MaxWidth: 12, BandSamples: 4, force: sweepForce{window: streamWindow}}
 
 	whole := opts
-	whole.EvalWindow = EvalWindowAll
+	whole.force.window = wholeSetWindow
 	plain, err := BuildTable(probe, whole)
 	if err != nil {
 		b.Fatal(err)
 	}
-	windows := int64(probe.Patterns+DefaultEvalWindow-1) / DefaultEvalWindow
+	windows := int64(probe.Patterns+streamWindow-1) / streamWindow
 
 	var tbl *Table
 	var fusedLoads, passes, points int64
@@ -256,7 +256,7 @@ func BenchmarkStreamGiantSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range s.Cores {
-			ev, err := NewEvaluatorWindow(c, DefaultEvalWindow)
+			ev, err := newEvaluator(c, streamWindow)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -16,7 +16,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -55,30 +54,15 @@ func (c Config) better(o Config) bool {
 	return c.Volume < o.Volume
 }
 
-// Window constants of the evaluator. Every evaluator prices its core's
-// cubes from a cube.Source, one window at a time. A pass over several
-// windows reloads recycled buffers window by window — O(window) peak
-// memory instead of O(test set) — while a single whole-set window is
-// loaded on the first pass and kept, so later passes reload nothing.
-// The window moves memory and the table build's sweep schedule, never
-// results (DeepEqual- and golden-gated in the tests).
-const (
-	// DefaultEvalWindow is the window size (in cubes) used when a core is
-	// streamed without an explicit choice.
-	DefaultEvalWindow = 64
-	// EvalWindowAll streams the whole set as one window — the ∞ point of
-	// the window axis.
-	EvalWindowAll = -1
-)
-
-// checkEvalWindow rejects window settings NewEvaluatorWindow cannot
-// honour: anything negative other than EvalWindowAll.
-func checkEvalWindow(window int) error {
-	if window < 0 && window != EvalWindowAll {
-		return fmt.Errorf("core: EvalWindow %d (want > 0, 0 for auto, or EvalWindowAll)", window)
-	}
-	return nil
-}
+// streamWindow is the window, in cubes, of an evaluator whose core
+// streams (soc.Core.StreamsCubes). Every evaluator prices its core's
+// cubes from a cube.Source, one window at a time. A streamed core's
+// passes reload recycled buffers window by window — O(window) peak
+// memory instead of O(test set) — while a resident core's cached set is
+// one whole-set window, loaded once and kept, so later passes reload
+// nothing. The window moves memory and the table build's sweep
+// schedule, never results (DeepEqual- and golden-gated in the tests).
+const streamWindow = 64
 
 // evalWindow is the per-window state shared by every consumer of one
 // loaded cube window: the flattened care refs (cube.Window), re-encoded
@@ -95,13 +79,13 @@ type evalWindow struct {
 // Evaluator evaluates test configurations of one core. It is the hot
 // kernel of the (w, m) exploration: the core's test cubes are read from
 // a cube.Source and flattened into a contiguous care-bit array one
-// window at a time (one kept whole-set window for benchmark-size
-// cores), the most recent wrapper design (and its point table) is
-// kept so consecutive evaluations at the same m share it, and the
-// counting kernel's scratch (kernel.go) is reused across the whole
-// sweep. An Evaluator is not safe for concurrent use; parallel sweeps
-// give each worker its own (see lookup.go) or a mirror sharing a
-// producer's loaded window (see fused.go).
+// window at a time (one kept whole-set window for a resident core), the
+// most recent wrapper design (and its point table) is kept so
+// consecutive evaluations at the same m share it, and the counting
+// kernel's scratch (kernel.go) is reused across the whole sweep. An
+// Evaluator is not safe for concurrent use; a parallel sweep prices on
+// one producer, which loads the cubes, and on mirrors sharing its
+// loaded window (see mirror and forEachEval).
 type Evaluator struct {
 	core *soc.Core
 	src  cube.Source // the replayable cube stream (nil on a mirror)
@@ -143,16 +127,15 @@ type Evaluator struct {
 
 	// Kernel-invocation counters; nil (a no-op) unless a telemetry sink
 	// is attached. Counts are deterministic: one per evaluated config
-	// (and, for the window counters, one per window load).
+	// (and, for the window counters, one per window a pass prices).
 	tdcEvals    *telemetry.Counter
 	noTDCEvals  *telemetry.Counter
 	windowLoads *telemetry.Counter
 	windowCubes *telemetry.Counter
 	// windowHist distributes the wall-clock cost of the window loads of
 	// multi-window passes (source replay). A kept whole-set window loads
-	// once per evaluator — a count that follows the worker pool, not the
-	// sweep — so it records nothing; the clock is only read when a sink
-	// is attached.
+	// once per producer, whatever the sweep, so it records nothing; the
+	// clock is only read when a sink is attached.
 	windowHist *telemetry.Histogram
 	// peakHeap is the heap high-water gauge, sampled at window
 	// boundaries every heapSampleStride loads (ReadMemStats is
@@ -202,25 +185,21 @@ func (e *Evaluator) checkpoint() error {
 	return e.ctx.Err()
 }
 
-// NewEvaluator prepares an evaluator for the core in automatic window
-// mode (see NewEvaluatorWindow).
-func NewEvaluator(c *soc.Core) (*Evaluator, error) {
-	return NewEvaluatorWindow(c, 0)
-}
-
-// NewEvaluatorWindow prepares an evaluator with an explicit window
-// choice. window > 0 streams the core's TestSource in windows of that
-// many cubes; EvalWindowAll streams it as one whole-set window; 0 picks
-// by soc.Core.StreamsCubes: a resident core's test set is generated
+// NewEvaluator prepares an evaluator for the core under the residency
+// rule, soc.Core.StreamsCubes: a resident core's test set is generated
 // once (cached on the core) and priced as one whole-set window, so the
 // benchmark-class workloads never replay a source; a streamed core's
-// source streams with DefaultEvalWindow. Other negative values are
-// rejected. Every choice prices identically — the window moves peak
-// memory, never results.
-func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
-	if err := checkEvalWindow(window); err != nil {
-		return nil, err
-	}
+// source streams in windows of streamWindow cubes.
+func NewEvaluator(c *soc.Core) (*Evaluator, error) {
+	return newEvaluator(c, 0)
+}
+
+// newEvaluator is NewEvaluator with the package tests' window seam
+// (sweepForce): window > 0 streams the core's TestSource in windows of
+// that many cubes, one whole-set window once it reaches the set's size,
+// whatever the residency rule says. Every window prices identically —
+// the window moves peak memory, never results.
+func newEvaluator(c *soc.Core, window int) (*Evaluator, error) {
 	var src cube.Source
 	careBits := 0
 	if window == 0 && !c.StreamsCubes() {
@@ -228,19 +207,17 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		src, window, careBits = cube.NewSetSource(ts), EvalWindowAll, ts.TotalCareBits()
+		src, window, careBits = cube.NewSetSource(ts), len(ts.Cubes), ts.TotalCareBits()
 	} else {
 		var err error
 		if src, err = c.TestSource(); err != nil {
 			return nil, err
 		}
 		if window == 0 {
-			window = DefaultEvalWindow
+			window = streamWindow
 		}
 	}
-	if window == EvalWindowAll || window > src.Len() {
-		window = max(src.Len(), 1)
-	}
+	window = max(min(window, src.Len()), 1)
 	maxScan := 0
 	for _, l := range c.ScanChains {
 		maxScan = max(maxScan, l)
@@ -267,20 +244,28 @@ func (e *Evaluator) windows() int {
 }
 
 // mirror returns a co-evaluator sharing this evaluator's loaded window:
-// same core geometry and kernel layout, its own kernel scratch, no
-// source of its own. The fused sweep's workers price a producer's
-// windows through mirrors, so the cube stream is traversed exactly once
+// same core geometry, kernel layout, telemetry and context, its own
+// kernel scratch and wrapper designs, no source of its own. Every
+// worker of a build's fan-outs but the first prices on a mirror of the
+// build's one producer (forEachEval), so the cube stream is loaded once
 // per pass no matter how many points (or workers) consume it. A mirror
-// must only be used between the producer's window loads.
+// must only price between the producer's window loads.
 func (e *Evaluator) mirror() *Evaluator {
 	return &Evaluator{
-		core:     e.core,
-		patterns: e.patterns,
-		window:   e.window,
-		maxScan:  e.maxScan,
-		stimBits: e.stimBits,
-		respBits: e.respBits,
-		win:      e.win,
+		core:        e.core,
+		patterns:    e.patterns,
+		window:      e.window,
+		maxScan:     e.maxScan,
+		stimBits:    e.stimBits,
+		respBits:    e.respBits,
+		win:         e.win,
+		tdcEvals:    e.tdcEvals,
+		noTDCEvals:  e.noTDCEvals,
+		windowLoads: e.windowLoads,
+		windowCubes: e.windowCubes,
+		windowHist:  e.windowHist,
+		peakHeap:    e.peakHeap,
+		ctx:         e.ctx,
 	}
 }
 
@@ -289,6 +274,16 @@ func (e *Evaluator) mirror() *Evaluator {
 // same window without touching the source again.
 func (e *Evaluator) kept() bool {
 	return e.win.count == e.patterns
+}
+
+// keep loads a single-window evaluator's whole set ahead of its first
+// pass, so that mirrors pricing concurrently find it loaded. It counts
+// no window: a pass counts the windows it prices.
+func (e *Evaluator) keep() {
+	if e.windows() == 1 && !e.kept() {
+		e.beginPass()
+		e.load()
+	}
 }
 
 // beginPass rewinds the evaluator to the first cube of an evaluation
@@ -313,11 +308,22 @@ func (e *Evaluator) nextWindow() bool {
 	if e.passPos >= e.patterns {
 		return false
 	}
-	if e.kept() {
+	if !e.kept() && !e.load() {
+		// A source shorter than its Len violates the Source contract;
+		// treat it as end-of-pass rather than spinning.
 		e.passPos = e.patterns
-		e.noteWindow(e.patterns)
-		return true
+		return false
 	}
+	e.passPos += e.win.count
+	e.noteWindow(e.win.count)
+	return true
+}
+
+// load replays the window starting at passPos from the source into the
+// recycled care array and re-encodes its refs, reporting whether the
+// source yielded any cube. Only the loads of multi-window passes are
+// timed (see windowHist).
+func (e *Evaluator) load() bool {
 	timed := e.windowHist != nil && e.window < e.patterns
 	var t0 time.Time
 	if timed {
@@ -326,22 +332,15 @@ func (e *Evaluator) nextWindow() bool {
 	if cap(e.win.Refs) < e.careBits {
 		e.win.Refs = make([]uint64, 0, e.careBits)
 	}
-	n := min(e.window, e.patterns-e.passPos)
-	loaded := e.win.Load(e.src, n)
 	e.win.start = e.passPos
-	e.win.count = loaded
-	e.passPos += loaded
-	if loaded == 0 {
-		// A source shorter than its Len violates the Source contract;
-		// treat it as end-of-pass rather than spinning.
-		e.passPos = e.patterns
+	e.win.count = e.win.Load(e.src, min(e.window, e.patterns-e.passPos))
+	if e.win.count == 0 {
 		return false
 	}
 	segmentRefs(e.win.Refs, e.starts)
 	if timed {
 		e.windowHist.Observe(time.Since(t0))
 	}
-	e.noteWindow(loaded)
 	return true
 }
 

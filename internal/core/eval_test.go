@@ -285,7 +285,7 @@ func TestKernelPathsAgree(t *testing.T) {
 		c := r.core
 		var evs []*Evaluator
 		for _, window := range []int{0, 1, 64} {
-			ev, err := NewEvaluatorWindow(c, window)
+			ev, err := newEvaluator(c, window)
 			if err != nil {
 				t.Fatal(err)
 			}

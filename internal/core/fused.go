@@ -22,9 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"soctap/internal/par"
 	"soctap/internal/selenc"
 	"soctap/internal/telemetry"
 )
@@ -83,10 +81,9 @@ type fusedCounters struct {
 // and every pruning rule only discards points whose true cost is
 // provably strictly worse than another feasible configuration of the
 // same band.
-func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions, bands []bandJob, pc pruneCounters, tel *telemetry.Sink) error {
+func sweepBandsFused(ctx context.Context, evs []*Evaluator, unpruned bool, bands []bandJob, pc pruneCounters, tel *telemetry.Sink) error {
+	producer := evs[0]
 	c := producer.core
-	producer.attachTelemetry(tel)
-	producer.bindContext(ctx)
 	fc := fusedCounters{
 		passes:     tel.Counter("eval.passes"),
 		points:     tel.Counter("eval.fused_points"),
@@ -122,7 +119,7 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 		batch = batch[:0]
 		for _, r := range queue[start:end] {
 			b := &bands[r.band]
-			if b.best.Feasible && !opts.DisablePruning {
+			if b.best.Feasible && !unpruned {
 				if bt, bv := coreBound(producer, r.m, b.w); boundWorse(bt, bv, b.best) {
 					pc.drop()
 					continue
@@ -132,7 +129,7 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 			if err != nil {
 				return err
 			}
-			if b.best.Feasible && !opts.DisablePruning {
+			if b.best.Feasible && !unpruned {
 				if bt, bv := designBound(producer, d, b.w); boundWorse(bt, bv, b.best) {
 					pc.drop()
 					continue
@@ -147,7 +144,7 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 		if len(batch) == 0 {
 			continue
 		}
-		if err := runFusedPass(ctx, producer, opts, bands, ubs, batch, pc, fc, tel); err != nil {
+		if err := runFusedPass(ctx, evs, unpruned, bands, ubs, batch, pc, fc, tel); err != nil {
 			return err
 		}
 		// Fold the completed points into the band incumbents in queue
@@ -171,33 +168,23 @@ func sweepBandsFused(ctx context.Context, producer *Evaluator, opts TableOptions
 // deterministic mid-pass prune step at each window boundary. On
 // return, every non-pruned point carries its exact configuration.
 //
-// Each window is priced by one par.Do over the active points: the
+// Each window is priced by one forEachEval over the active points: the
 // producer, which loaded the window, is worker 0, and mirrors sharing
 // its window are the others. Every point is priced by exactly one worker
-// per window and Do returns before the next window loads, so a point's
-// accumulators do not depend on the worker count.
-func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, bands []bandJob, ubs []bandUB, pts []*fusedPoint, pc pruneCounters, fc fusedCounters, tel *telemetry.Sink) error {
+// per window and the pool returns before the next window loads, so a
+// point's accumulators do not depend on the worker count.
+func runFusedPass(ctx context.Context, evs []*Evaluator, unpruned bool, bands []bandJob, ubs []bandUB, pts []*fusedPoint, pc pruneCounters, fc fusedCounters, tel *telemetry.Sink) error {
 	fc.passes.Inc()
 	fc.corePasses.Inc()
-	evs := make([]*Evaluator, par.Workers(opts.Workers, len(pts)))
-	evs[0] = producer
-	for w := 1; w < len(evs); w++ {
-		evs[w] = producer.mirror()
-	}
-	taskTime := tel.Histogram("eval.task_seconds")
-
+	producer := evs[0]
 	active := append([]*fusedPoint(nil), pts...)
+	point := func(i int) string { return fmt.Sprintf("fused tdc w=%d m=%d", active[i].w, active[i].m) }
 	var loads int64
 	producer.beginPass()
 	for len(active) > 0 && producer.nextWindow() {
 		loads++
-		err := par.Do(ctx, len(evs), len(active), func(w, i int) (err error) {
-			p := active[i]
-			defer contain(&err, tel, producer.core.Name, func() string { return fmt.Sprintf("fused tdc w=%d m=%d", p.w, p.m) })
-			if taskTime != nil {
-				defer func(t0 time.Time) { taskTime.Observe(time.Since(t0)) }(time.Now())
-			}
-			evs[w].priceWindowPoint(p)
+		err := forEachEval(ctx, evs, len(active), tel, point, func(ev *Evaluator, i int) error {
+			ev.priceWindowPoint(active[i])
 			return nil
 		})
 		if err != nil {
@@ -207,7 +194,7 @@ func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, b
 		// independent accumulators, so the drop decisions — and with
 		// them the prune counters and the window-load count — are
 		// identical for every worker count.
-		if !opts.DisablePruning {
+		if !unpruned {
 			active = pruneFusedWindow(producer.passPos, producer.patterns, bands, ubs, active, pc)
 		}
 	}

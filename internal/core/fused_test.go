@@ -15,10 +15,10 @@ import (
 
 // TestFusedTableEquivalence holds the fused sweep to its oracle, the
 // per-band sweep over one whole-set window: for every d695 core plus the
-// decay and compressible synthetics, builds at EvalWindow 1 and 64, at
+// decay and compressible synthetics, builds at forced windows 1 and 64, at
 // the default and at a tiny fused batch size (band incumbents carried
 // across passes), at Workers 1 and 8, must be deeply equal to the
-// EvalWindowAll build. The schedule must follow the window count: a set
+// wholeSetWindow build. The schedule must follow the window count: a set
 // spanning several windows runs fused passes, a single window runs none.
 func TestFusedTableEquivalence(t *testing.T) {
 	type tc struct {
@@ -36,13 +36,13 @@ func TestFusedTableEquivalence(t *testing.T) {
 	for _, cse := range cases {
 		fusedBatchPoints = batches[0]
 		whole := cse.opts
-		whole.EvalWindow = EvalWindowAll
+		whole.force.window = wholeSetWindow
 		oracle, err := BuildTable(cse.core, whole)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, window := range []int{1, DefaultEvalWindow} {
-			ev, err := NewEvaluatorWindow(cse.core, window)
+		for _, window := range []int{1, streamWindow} {
+			ev, err := newEvaluator(cse.core, window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestFusedTableEquivalence(t *testing.T) {
 				fusedBatchPoints = batch
 				for _, workers := range []int{1, 8} {
 					opts := cse.opts
-					opts.EvalWindow = window
+					opts.force.window = window
 					opts.Workers = workers
 					tel := telemetry.New()
 					got, err := buildTable(context.Background(), cse.core, opts, tel)
@@ -80,9 +80,9 @@ func TestFusedTableEquivalence(t *testing.T) {
 // sweep over one whole-set window.
 func TestFusedMidPassPruning(t *testing.T) {
 	c := compressibleCore(29)
-	opts := TableOptions{MaxWidth: 10, BandSamples: -1, EvalWindow: 4}
+	opts := TableOptions{MaxWidth: 10, BandSamples: -1, force: sweepForce{window: 4}}
 	whole := opts
-	whole.EvalWindow = EvalWindowAll
+	whole.force.window = wholeSetWindow
 	plain, err := BuildTable(c, whole)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestFusedCountersWorkerInvariance(t *testing.T) {
 		Patterns:   1024, CareDensity: 0.05, Clustering: 0.6,
 		DensityDecay: 0.9, Seed: 42,
 	}
-	opts := TableOptions{MaxWidth: 10, BandSamples: 3, EvalWindow: DefaultEvalWindow}
+	opts := TableOptions{MaxWidth: 10, BandSamples: 3, force: sweepForce{window: streamWindow}}
 	keys := []string{
 		"eval.passes", "eval.fused_points", "eval.window_loads",
 		"eval.window_cubes", "eval.pruned", "eval.tdc_evals",
@@ -186,7 +186,7 @@ func TestFusedCountersWorkerInvariance(t *testing.T) {
 // producer and on a mirror alike — must not allocate.
 func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	c := compressibleCore(3)
-	ev, err := NewEvaluatorWindow(c, 16)
+	ev, err := newEvaluator(c, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,12 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 func TestFusedPassPanicContained(t *testing.T) {
 	c := compressibleCore(3)
 	for _, workers := range []int{1, 4} {
-		producer, err := NewEvaluatorWindow(c, 16)
+		producer, err := newEvaluator(c, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
+		evs := make([]*Evaluator, workers)
+		evs[0] = producer
 		var pts []*fusedPoint
 		for _, m := range []int{6, 7, 8, 9, 10, 11} {
 			d, err := wrapper.New(c, m)
@@ -244,8 +246,7 @@ func TestFusedPassPanicContained(t *testing.T) {
 		bad := pts[3]
 		bad.segs = nil
 		tel := telemetry.New()
-		err = runFusedPass(context.Background(), producer, TableOptions{Workers: workers, DisablePruning: true},
-			nil, nil, pts, pruneCounters{}, fusedCounters{}, tel)
+		err = runFusedPass(context.Background(), evs, true, nil, nil, pts, pruneCounters{}, fusedCounters{}, tel)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: runFusedPass = %v, want a *PanicError", workers, err)

@@ -36,7 +36,7 @@ func renderGoldenPlans(t *testing.T, designs []*soc.SOC, cache *Cache, workers i
 				for _, merge := range []bool{false, true} {
 					for _, naive := range []bool{false, true} {
 						res, err := Optimize(s, wtam, Options{
-							Style: style, Cache: cache, Workers: workers,
+							Style: style, Cache: cache, Tables: TableOptions{Workers: workers},
 							MergeSearch: merge, NaiveOrder: naive,
 						})
 						if err != nil {

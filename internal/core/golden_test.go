@@ -15,8 +15,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden lookup tables under testdata/")
 
 // goldenCase is one checked-in reference table: a benchmark core, the
-// options its table is built with, and the EvalWindow settings the
-// build must reproduce it at.
+// options its table is built with, and the windows the build must
+// reproduce it at (0 is the residency rule's, others forced through
+// sweepForce).
 type goldenCase struct {
 	core    *soc.Core
 	opts    TableOptions
@@ -25,16 +26,16 @@ type goldenCase struct {
 
 // goldenCases covers every d695 core at the default options and every
 // industrial core at reduced band sampling. Window 0 prices the whole
-// set as one window (the per-band sweep); DefaultEvalWindow splits the
+// set as one window (the per-band sweep); streamWindow splits the
 // larger cores into several windows (the fused sweep), and window 1
 // forces the fused sweep on every d695 core.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, c := range soc.D695().Cores {
-		cases = append(cases, goldenCase{c, TableOptions{}, []int{0, DefaultEvalWindow, 1}})
+		cases = append(cases, goldenCase{c, TableOptions{}, []int{0, streamWindow, 1}})
 	}
 	for _, name := range soc.IndustrialCoreNames() {
-		cases = append(cases, goldenCase{soc.MustIndustrialCore(name), TableOptions{BandSamples: 12}, []int{0, DefaultEvalWindow}})
+		cases = append(cases, goldenCase{soc.MustIndustrialCore(name), TableOptions{BandSamples: 12}, []int{0, streamWindow}})
 	}
 	return cases
 }
@@ -75,7 +76,7 @@ func TestGoldenTables(t *testing.T) {
 		for _, window := range gc.windows {
 			for _, workers := range []int{1, 2, 8} {
 				opts := gc.opts
-				opts.EvalWindow = window
+				opts.force.window = window
 				opts.Workers = workers
 				tel := telemetry.New()
 				tbl, err := buildTable(context.Background(), gc.core, opts, tel)

@@ -23,34 +23,28 @@ type TableOptions struct {
 	// both band edges. Zero defaults to 48; negative means exhaustive.
 	BandSamples int
 	// Workers bounds the goroutines used to evaluate the table's (w, m)
-	// points. Zero defaults to runtime.GOMAXPROCS(0); 1 runs entirely on
-	// the calling goroutine. The table contents are bit-identical for
-	// every setting (workers write indexed slots and the reduction is
-	// sequential), so Workers is excluded from cache keys and from the
-	// options recorded on the table.
+	// points, and in an optimization (Options.Tables) the goroutines
+	// building its per-core tables too. Zero defaults to
+	// runtime.GOMAXPROCS(0); 1 runs entirely on the calling goroutine.
+	// The table contents are bit-identical for every setting (workers
+	// write indexed slots and the reduction is sequential), so Workers
+	// is excluded from cache keys and from the options recorded on the
+	// table.
 	Workers int
-	// DisablePruning turns off the incumbent lower-bound pruning of the
-	// banded (w, m) sweep: the pre-pass bounds that skip a candidate
-	// before pricing it (coreBound, designBound) and the mid-pass bound
-	// that abandons one part-way through its cubes (tdcPoint.lowerBound,
-	// in both sweep schedules). Pruning is exact — only provably
-	// dominated candidates are dropped and the table is bit-identical
-	// either way (the pruning golden-equivalence test) — so the knob
-	// exists for verification and benchmark comparison and, like
-	// Workers, is erased from cache keys and recorded options.
-	DisablePruning bool
-	// EvalWindow selects the evaluator's cube window (see
-	// NewEvaluatorWindow): 0 picks automatically by core size (the cached
-	// test set as one whole-set window, or DefaultEvalWindow past the
-	// streaming threshold), > 0 streams the test set in windows of that
-	// many cubes, EvalWindowAll streams the whole set as one window. The
-	// window count picks the sweep schedule: one window runs the
-	// per-band sweep over the kept window, several run the fused sweep.
-	// Every setting produces the same table bit for bit (the golden and
-	// streaming-equivalence gates), so EvalWindow only moves peak memory
-	// and — like Workers — is erased from cache keys and from the options
-	// recorded on the table.
-	EvalWindow int
+	// force is this package's test seam (sweepForce); like Workers it is
+	// erased from cache keys and from the options recorded on the table.
+	force sweepForce
+}
+
+// sweepForce overrides a table build or a sweep for this package's
+// tests, which hold every forced build to the zero value's, the
+// production build: window > 0 streams the test set in windows of that
+// many cubes whatever soc.Core.StreamsCubes says (and so picks the
+// sweep schedule), and unpruned turns off every incumbent bound of the
+// banded sweep (coreBound, designBound and tdcPoint.lowerBound).
+type sweepForce struct {
+	window   int
+	unpruned bool
 }
 
 func (o TableOptions) withDefaults() TableOptions {
@@ -69,53 +63,34 @@ func (o TableOptions) withDefaults() TableOptions {
 func (o TableOptions) normalized() TableOptions {
 	o = o.withDefaults()
 	o.Workers = 0
-	o.DisablePruning = false
-	o.EvalWindow = 0
+	o.force = sweepForce{}
 	return o
 }
 
-// Validate reports whether the options can build a table: MaxWidth
-// (after defaults) must be positive and EvalWindow a value
-// NewEvaluatorWindow accepts. buildTable runs the same check; request
-// boundaries call it to refuse bad options before any work starts.
-func (o TableOptions) Validate() error {
-	if w := o.withDefaults().MaxWidth; w < 1 {
-		return fmt.Errorf("core: MaxWidth %d", w)
-	}
-	return checkEvalWindow(o.EvalWindow)
-}
-
 // forEachEval runs fn(ev, i) for every i in [0, n) on the worker pool
-// (par.Do), giving each worker its own Evaluator for the core (the
-// per-worker scratch state of the hot kernel), built on the worker's
-// first task. Tasks must write results to indexed slots so the outcome
-// is independent of scheduling. The first error by task index is
-// returned, an evaluator that cannot be built failing its task. A
-// non-nil tel attaches kernel counters to every evaluator and observes
-// each task's wall time in eval.task_seconds.
+// (par.Do) over one build's evaluators: worker w prices on evs[w],
+// which is the build's producer for worker 0 and, for every other
+// worker, a mirror of it made on the worker's first task and kept for
+// the build's later fan-outs. evs is as long as the largest fan-out's
+// worker count. Tasks must write results to indexed slots so the
+// outcome is independent of scheduling; the first error by task index
+// is returned. A non-nil tel observes each task's wall time in
+// eval.task_seconds.
 //
 // ctx cancels the pool cooperatively: workers stop claiming tasks once
 // ctx is done and the evaluators themselves check the context at every
 // (w, m) kernel entry, so cancellation lands mid-band too. A panic in
 // fn is contained on the worker that raised it and surfaces as a
 // *PanicError naming point(i) — never as a process crash.
-func forEachEval(ctx context.Context, c *soc.Core, workers, window, n int, tel *telemetry.Sink, point func(i int) string, fn func(ev *Evaluator, i int) error) error {
+func forEachEval(ctx context.Context, evs []*Evaluator, n int, tel *telemetry.Sink, point func(i int) string, fn func(ev *Evaluator, i int) error) error {
 	taskTime := tel.Histogram("eval.task_seconds")
-	workers = par.Workers(workers, n)
-	evs := make([]*Evaluator, workers)
-	return par.Do(ctx, workers, n, func(w, i int) (err error) {
-		defer contain(&err, tel, c.Name, func() string { return point(i) })
+	return par.Do(ctx, len(evs), n, func(w, i int) (err error) {
+		defer contain(&err, tel, evs[0].core.Name, func() string { return point(i) })
 		if taskTime != nil {
 			defer func(t0 time.Time) { taskTime.Observe(time.Since(t0)) }(time.Now())
 		}
 		if evs[w] == nil {
-			ev, err := NewEvaluatorWindow(c, window)
-			if err != nil {
-				return err
-			}
-			ev.attachTelemetry(tel)
-			ev.bindContext(ctx)
-			evs[w] = ev
+			evs[w] = evs[0].mirror()
 		}
 		return fn(evs[w], i)
 	})
@@ -165,24 +140,14 @@ func BuildTableContext(ctx context.Context, c *soc.Core, opts TableOptions) (*Ta
 }
 
 // buildTable is BuildTable with an optional telemetry sink: kernel
-// counters attach to every worker's evaluator, worker busy time is
+// counters attach to the build's evaluators, worker busy time is
 // accounted, and the build itself is counted.
 func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *telemetry.Sink) (*Table, error) {
 	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
-		return nil, err
+	if opts.MaxWidth < 1 {
+		return nil, fmt.Errorf("core: MaxWidth %d", opts.MaxWidth)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// This evaluator validates the core's test cubes up front, its window
-	// count picks the TDC sweep schedule, and the fused sweep uses it as
-	// its producer. Below the streaming threshold its construction also
-	// generates the set, warming the cache every worker's Evaluator
-	// shares; a streamed source generates nothing, keeping O(window)
-	// residency.
-	producer, err := NewEvaluatorWindow(c, opts.EvalWindow)
-	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -202,6 +167,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	// incumbents keep both the winner and the prune counters
 	// deterministic for any worker count.
 	var bands []bandJob
+	points := 0
 	for w := 3; w <= opts.MaxWidth; w++ {
 		lo, hi, err := selenc.MBand(w)
 		if err != nil {
@@ -214,6 +180,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 			hi = maxM
 		}
 		bands = append(bands, bandJob{w: w, ms: sampleBand(lo, hi, opts.BandSamples)})
+		points += len(bands[len(bands)-1].ms)
 	}
 
 	// The no-TDC side only depends on the clamped chain count, so the
@@ -225,6 +192,14 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	}
 	direct := make([]Config, directM+1)
 
+	// The build's one producer validates the core's test cubes up front
+	// and, below the streaming threshold, generates the set, warming the
+	// cache on the core; a streamed source generates nothing, keeping
+	// O(window) residency.
+	evs, err := newEvaluators(ctx, c, opts, directM+points, tel)
+	if err != nil {
+		return nil, err
+	}
 	tel.Counter("tables.built").Inc()
 	buildStart := time.Now()
 	pc := pruneCounters{
@@ -232,46 +207,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 		corePruned: tel.Counter("prune." + c.Name + ".pruned"),
 		coreEvals:  tel.Counter("prune." + c.Name + ".evals"),
 	}
-	point := func(i int) string {
-		if i < directM {
-			return fmt.Sprintf("no-tdc m=%d", i+1)
-		}
-		return fmt.Sprintf("tdc band w=%d", bands[i-directM].w)
-	}
-	// The TDC sweep's schedule follows the evaluator's window count. One
-	// window — the whole set, loaded once per evaluator and kept — runs
-	// each band as one worker-pool task (sweepBand), a full pass over
-	// the kept window per point. Several windows fuse: every loaded
-	// window is priced against all active (w, m) points before the next
-	// loads, so the source is traversed once per batch instead of once
-	// per point. The no-TDC side is closed-form (no cube pass) and stays
-	// on the plain worker pool either way.
-	fused := producer.windows() > 1
-	n := directM + len(bands)
-	if fused {
-		n = directM
-	}
-	err = forEachEval(ctx, c, opts.Workers, opts.EvalWindow, n, tel, point, func(ev *Evaluator, i int) error {
-		if i < directM {
-			cfg, err := ev.NoTDC(i + 1)
-			if err != nil {
-				return err
-			}
-			direct[i+1] = cfg
-			return nil
-		}
-		b := &bands[i-directM]
-		best, err := sweepBand(ev, b.w, b.ms, opts.DisablePruning, pc)
-		if err != nil {
-			return err
-		}
-		b.best = best
-		return nil
-	})
-	if err == nil && fused && len(bands) > 0 {
-		err = sweepBandsFused(ctx, producer, opts, bands, pc, tel)
-	}
-	if err != nil {
+	if err := sweep(ctx, evs, opts.force.unpruned, direct, bands, pc, tel); err != nil {
 		if canceled(err) {
 			tel.Counter("cancel.table_builds").Inc()
 		}
@@ -314,6 +250,68 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	return t, nil
 }
 
+// newEvaluators prepares the evaluators of one table build or sweep
+// whose largest fan-out has n tasks: its producer, which loads the test
+// set, checks ctx at every kernel entry and counts into tel, and a slot
+// for every other worker of that fan-out, where forEachEval puts a
+// mirror of the producer.
+func newEvaluators(ctx context.Context, c *soc.Core, opts TableOptions, n int, tel *telemetry.Sink) ([]*Evaluator, error) {
+	producer, err := newEvaluator(c, opts.force.window)
+	if err != nil {
+		return nil, err
+	}
+	producer.attachTelemetry(tel)
+	producer.bindContext(ctx)
+	evs := make([]*Evaluator, par.Workers(opts.Workers, n))
+	evs[0] = producer
+	return evs, nil
+}
+
+// sweep runs a table build's or a sweep's evaluations on its
+// evaluators: the direct-access configuration of every m in
+// [1, len(direct)) into direct[m], and every band's best TDC
+// configuration into the band. The TDC schedule follows the producer's
+// window count. One window — the whole set, loaded once by the producer
+// before the pool starts and shared by its mirrors — runs each band as
+// one worker-pool task (sweepBand), a full pass over the kept window
+// per point, in the same fan-out as the direct-access designs. Several
+// windows fuse (sweepBandsFused): every loaded window is priced against
+// all active points before the next loads, so the source is traversed
+// once per batch of points instead of once per point. The direct-access
+// side is closed-form (no cube pass) and stays on the plain fan-out
+// either way.
+func sweep(ctx context.Context, evs []*Evaluator, unpruned bool, direct []Config, bands []bandJob, pc pruneCounters, tel *telemetry.Sink) error {
+	nd := max(len(direct)-1, 0)
+	fused := evs[0].windows() > 1 && len(bands) > 0
+	n := nd
+	if !fused && len(bands) > 0 {
+		evs[0].keep()
+		n += len(bands)
+	}
+	point := func(i int) string {
+		if i < nd {
+			return fmt.Sprintf("no-tdc m=%d", i+1)
+		}
+		b := &bands[i-nd]
+		return fmt.Sprintf("tdc band w=%d m=%d..%d", b.w, b.ms[0], b.ms[len(b.ms)-1])
+	}
+	err := forEachEval(ctx, evs, n, tel, point, func(ev *Evaluator, i int) error {
+		if i < nd {
+			cfg, err := ev.NoTDC(i + 1)
+			direct[i+1] = cfg
+			return err
+		}
+		b := &bands[i-nd]
+		var err error
+		b.best, err = sweepBand(ev, b.w, b.ms, unpruned, pc)
+		return err
+	})
+	if err != nil || !fused {
+		return err
+	}
+	return sweepBandsFused(ctx, evs, unpruned, bands, pc, tel)
+}
+
 // bandJob is one codeword-width band of the TDC sweep: the sampled m
 // values and, once swept, the band's winning configuration.
 type bandJob struct {
@@ -352,12 +350,12 @@ func (pc pruneCounters) drop() {
 // never be the band winner; lex-equal candidates are never pruned
 // (their bound is not strictly worse) and ties resolve to the smallest
 // m exactly as an ascending first-win reduction would.
-func sweepBand(ev *Evaluator, w int, ms []int, disablePruning bool, pc pruneCounters) (Config, error) {
+func sweepBand(ev *Evaluator, w int, ms []int, unpruned bool, pc pruneCounters) (Config, error) {
 	var best Config
 	for i := len(ms) - 1; i >= 0; i-- {
 		m := ms[i]
 		var bound Config
-		if best.Feasible && !disablePruning {
+		if best.Feasible && !unpruned {
 			if bt, bv := coreBound(ev, m, w); boundWorse(bt, bv, best) {
 				pc.drop()
 				continue
@@ -485,6 +483,16 @@ func SweepTDCContext(ctx context.Context, c *soc.Core, lo, hi, workers int) ([]C
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return sweepTDC(ctx, c, lo, hi, TableOptions{Workers: workers})
+}
+
+// sweepTDC is SweepTDCContext under table options, through which the
+// package's tests force a window. It runs the table build's TDC
+// schedule with every m as a band of its own: no band has an
+// incumbent, so nothing is pruned and each band's best is the Config
+// Evaluator.TDC gives at its m, and a streamed core's sweep takes the
+// fused pass like its table build.
+func sweepTDC(ctx context.Context, c *soc.Core, lo, hi int, opts TableOptions) ([]Config, error) {
 	if lo < 1 {
 		lo = 1
 	}
@@ -494,18 +502,22 @@ func SweepTDCContext(ctx context.Context, c *soc.Core, lo, hi, workers int) ([]C
 	if hi < lo {
 		return nil, fmt.Errorf("core: empty sweep range [%d,%d] for %s", lo, hi, c.Name)
 	}
-	out := make([]Config, hi-lo+1)
-	point := func(i int) string { return fmt.Sprintf("tdc m=%d", lo+i) }
-	err := forEachEval(ctx, c, workers, 0, len(out), nil, point, func(ev *Evaluator, i int) error {
-		cfg, err := ev.TDC(lo+i, true)
-		if err != nil {
-			return err
-		}
-		out[i] = cfg
-		return nil
-	})
+	bands := make([]bandJob, hi-lo+1)
+	ms := make([]int, len(bands))
+	for i := range bands {
+		ms[i] = lo + i
+		bands[i] = bandJob{w: selenc.CodewordWidth(ms[i]), ms: ms[i : i+1]}
+	}
+	evs, err := newEvaluators(ctx, c, opts, len(bands), nil)
 	if err != nil {
 		return nil, err
+	}
+	if err := sweep(ctx, evs, opts.force.unpruned, nil, bands, pruneCounters{}, nil); err != nil {
+		return nil, err
+	}
+	out := make([]Config, len(bands))
+	for i, b := range bands {
+		out[i] = b.best
 	}
 	return out, nil
 }

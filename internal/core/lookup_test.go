@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -278,6 +279,79 @@ func TestCacheContentAddressed(t *testing.T) {
 	}
 }
 
+// TestBuildTableLoadsCubesOnce: a table build flattens its core's cubes
+// once, on its producer, however many workers price them. Beyond a
+// Workers-1 build, a Workers-8 build of a resident core allocates only
+// its mirrors' kernel scratch and wrapper designs — less than one
+// flattened copy of the test set, 8 bytes per care bit — where one
+// evaluator per worker would load a copy on each worker pricing a band.
+// The Workers-8 side takes the most of three builds, the Workers-1 side
+// the least.
+func TestBuildTableLoadsCubesOnce(t *testing.T) {
+	c := soc.MustIndustrialCore("ckt-8")
+	ts, err := c.TestSet() // generated and cached outside the measurement
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := 8 * uint64(ts.TotalCareBits())
+	allocs := func(workers int) (lo, hi uint64) {
+		lo = ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := BuildTable(c, TableOptions{MaxWidth: 16, BandSamples: 4, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			n := after.TotalAlloc - before.TotalAlloc
+			lo, hi = min(lo, n), max(hi, n)
+		}
+		return lo, hi
+	}
+	one, _ := allocs(1)
+	_, eight := allocs(8)
+	if eight >= one+flat {
+		t.Errorf("Workers-8 build allocated %d B, Workers-1 %d B: %d B more, not below one flattened set (%d B)",
+			eight, one, eight-one, flat)
+	}
+}
+
+// TestSweepTDCForcedWindows holds SweepTDC, which prices every m as a
+// band of its own on the table build's schedule, to Evaluator.TDC: at
+// the residency rule's window and at windows forced through the seam —
+// one cube, seven, a streamed core's 64 (all fused passes) and the whole
+// set streamed as one window (the per-band sweep) — on one worker and
+// on eight, every Config equals a fresh evaluator's at its m.
+func TestSweepTDCForcedWindows(t *testing.T) {
+	for _, c := range []*soc.Core{compressibleCore(27), decayCore(29)} {
+		lo, hi := 2, min(40, c.MaxWrapperChains())
+		ev, err := NewEvaluator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Config, 0, hi-lo+1)
+		for m := lo; m <= hi; m++ {
+			cfg, err := ev.TDC(m, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, cfg)
+		}
+		for _, window := range []int{0, 1, 7, streamWindow, wholeSetWindow} {
+			for _, workers := range []int{1, 8} {
+				opts := TableOptions{Workers: workers, force: sweepForce{window: window}}
+				got, err := sweepTDC(context.Background(), c, lo, hi, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s window=%d workers=%d: sweep differs from Evaluator.TDC", c.Name, window, workers)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildTableWorkersDeterminism asserts the parallel build is
 // byte-identical to the sequential one on d695 cores.
 func TestBuildTableWorkersDeterminism(t *testing.T) {
@@ -348,7 +422,7 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			opts := gc.opts
 			opts.Workers = workers
-			opts.DisablePruning = true
+			opts.force.unpruned = true
 			plain, err := BuildTable(gc.core, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -384,7 +458,7 @@ func sampledBandPoints(t *testing.T, c *soc.Core, opts TableOptions) int64 {
 // TestPruneAccounting pins the bookkeeping of exact pruning in both
 // sweep schedules — pre-pass skips and mid-pass abandonments alike: on
 // every d695 core and one industrial core, at window 0 (the per-band
-// sweep) and DefaultEvalWindow (the fused sweep wherever the set spans
+// sweep) and streamWindow (the fused sweep wherever the set spans
 // several windows), every sampled band point is either a completed
 // evaluation or a pruned candidate, globally (eval.tdc_evals +
 // eval.pruned) and per core (prune.<core>.evals + prune.<core>.pruned),
@@ -396,11 +470,11 @@ func TestPruneAccounting(t *testing.T) {
 	for _, gc := range cases {
 		c := gc.core
 		sampled := sampledBandPoints(t, c, gc.opts)
-		for _, window := range []int{0, DefaultEvalWindow} {
+		for _, window := range []int{0, streamWindow} {
 			var want map[string]int64
 			for _, workers := range []int{1, 2, 8} {
 				opts := gc.opts
-				opts.EvalWindow = window
+				opts.force.window = window
 				opts.Workers = workers
 				tel := telemetry.New()
 				if _, err := buildTable(context.Background(), c, opts, tel); err != nil {

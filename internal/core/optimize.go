@@ -54,9 +54,6 @@ type Options struct {
 	// MaxTAMs caps the number of TAM buses explored. Zero defaults to
 	// min(number of cores, W_TAM).
 	MaxTAMs int
-	// MaxIterations bounds hill-climbing rounds per bus count. Zero
-	// defaults to 64.
-	MaxIterations int
 	// Cache, when non-nil, memoizes per-core lookup tables across runs;
 	// NewCache gives it a disk store and budgets.
 	Cache *Cache
@@ -77,13 +74,6 @@ type Options struct {
 	// the pair that shortens the schedule most. The best of the even-
 	// split and merge-seeded searches wins.
 	MergeSearch bool
-	// Workers bounds the table builds' parallelism: per-core lookup
-	// tables are built concurrently, and each table's (w, m) exploration
-	// fans out over the same bound (unless Tables.Workers overrides it).
-	// The architecture search always runs on the calling goroutine.
-	// Zero defaults to runtime.GOMAXPROCS(0); 1 recovers the fully
-	// sequential engine. Results are bit-identical for every setting.
-	Workers int
 	// Telemetry, when non-nil, is the parent span this run records
 	// under: phase spans (tables with one child per core, search with
 	// k-sweep/refine/merge children, schedule) plus the subsystem
@@ -156,9 +146,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 	if wtam < 1 {
 		return nil, fmt.Errorf("core: W_TAM = %d", wtam)
 	}
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 64
-	}
 	tabOpts := opts.Tables
 	if tabOpts.MaxWidth == 0 {
 		tabOpts.MaxWidth = wtam
@@ -168,10 +155,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 	}
 	if tabOpts.MaxWidth < wtam {
 		return nil, fmt.Errorf("core: table MaxWidth %d below W_TAM %d", tabOpts.MaxWidth, wtam)
-	}
-
-	if tabOpts.Workers == 0 {
-		tabOpts.Workers = opts.Workers
 	}
 	tel := opts.Telemetry
 	defer func() {
@@ -233,7 +216,7 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 
 // buildSelectors prepares each core's configuration selector, building
 // the per-core lookup tables on the worker pool (par.Do, bounded by
-// opts.Workers). Cache hits go through the singleflight Cache.Get, so
+// tabOpts.Workers). Cache hits go through the singleflight Cache.Get, so
 // concurrent optimizer runs sharing a cache never duplicate a build.
 // The first error in core order is returned. Per-core telemetry spans
 // are created under parent on the calling goroutine, in core order,
@@ -250,7 +233,7 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 		coreSpans[i] = parent.Child("core:" + c.Name)
 	}
 	selectors := make([]selector, len(s.Cores))
-	err := par.Do(ctx, opts.Workers, len(s.Cores), func(_, i int) (err error) {
+	err := par.Do(ctx, tabOpts.Workers, len(s.Cores), func(_, i int) (err error) {
 		c := s.Cores[i]
 		defer contain(&err, sink, c.Name, func() string { return "table/selector build" })
 		ct := coreSpans[i].Begin()
@@ -394,7 +377,7 @@ func (sc *searchCtx) search(kmax int, opts Options, span *telemetry.Span) (best 
 	consider := func(part tam.Partition, mk int64) {
 		if !opts.DisableRefinement {
 			rt := spRefine.Begin()
-			part, mk = sc.refine(part, mk, opts.MaxIterations)
+			part, mk = sc.refine(part, mk)
 			rt.End()
 		}
 		if bestMk < 0 || mk < bestMk {
@@ -450,16 +433,20 @@ func firstOfWidth(p tam.Partition, i, skip int) bool {
 	return true
 }
 
+// maxRefineRounds bounds refine's hill-climbing rounds per bus count.
+const maxRefineRounds = 64
+
 // refine hill-climbs over single-wire moves between buses, taking the
-// first strictly best move each round. Moves are tried in place on a
+// first strictly best move each round, for at most maxRefineRounds
+// rounds. Moves are tried in place on a
 // private copy of part and undone after their schedule. A move from a
 // bus of width w+1 to one of width w only swaps two widths and is
 // skipped. No candidate is remembered across rounds: every partition an
 // earlier round scheduled has a makespan no smaller than the current
 // one, and a round accepts only a strictly smaller makespan.
-func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Partition, int64) {
+func (sc *searchCtx) refine(part tam.Partition, mk int64) (tam.Partition, int64) {
 	part = part.Clone()
-	for iter := 0; iter < maxIter; iter++ {
+	for range maxRefineRounds {
 		from, to, next := -1, -1, mk
 		for i, wi := range part {
 			if wi <= 1 || !firstOfWidth(part, i, -1) {

@@ -314,7 +314,7 @@ func TestOptimizeSearchWorkersDeterminism(t *testing.T) {
 	run := func(workers int) *Result {
 		t.Helper()
 		opts := base
-		opts.Workers = workers
+		opts.Tables.Workers = workers
 		res, err := Optimize(s, 32, opts)
 		if err != nil {
 			t.Fatal(err)

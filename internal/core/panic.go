@@ -30,7 +30,7 @@ import (
 // configuration as its Point.
 type PanicError struct {
 	Core  string // core being evaluated ("" when unknown)
-	Point string // evaluation point, e.g. "tdc band w=12" or "no-tdc m=3"
+	Point string // evaluation point, e.g. "tdc band w=10 m=128..255" or "no-tdc m=3"
 	Value any    // the recovered panic value
 	Stack []byte // stack of the panicking goroutine, for diagnostics
 }

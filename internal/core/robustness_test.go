@@ -156,7 +156,11 @@ func TestCacheDeterministicErrorCached(t *testing.T) {
 func TestForEachEvalPanicContained(t *testing.T) {
 	c := compressibleCore(24)
 	for _, workers := range []int{1, 4} {
-		err := forEachEval(context.Background(), c, workers, 0, 8, nil,
+		evs, err := newEvaluators(context.Background(), c, TableOptions{Workers: workers}, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = forEachEval(context.Background(), evs, 8, nil,
 			func(i int) string { return fmt.Sprintf("point %d", i) },
 			func(ev *Evaluator, i int) error {
 				if i == 3 {
@@ -200,7 +204,7 @@ func TestSearchPanicContained(t *testing.T) {
 		}
 		return sc.dur(core, width)
 	}
-	part, err := sc.search(len(s.Cores), Options{MaxIterations: 64}, sink.Root())
+	part, err := sc.search(len(s.Cores), Options{}, sink.Root())
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("search returned (%v, %v), want a *PanicError", part, err)
@@ -256,10 +260,9 @@ func TestOptimizeCancelMidRun(t *testing.T) {
 
 	start := time.Now()
 	res, err := OptimizeContext(ctx, s, 32, Options{
-		Style:   StyleTDCPerCore,
-		Tables:  TableOptions{MaxWidth: 32},
-		Cache:   &cache,
-		Workers: 8,
+		Style:  StyleTDCPerCore,
+		Tables: TableOptions{MaxWidth: 32, Workers: 8},
+		Cache:  &cache,
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
@@ -316,7 +319,7 @@ func TestOptimizeCancelDuringTechSel(t *testing.T) {
 	s := soc.D695()
 	var cache Cache
 	for _, workers := range []int{1, 8} {
-		opts := Options{Style: StyleTDCPerCore, Cache: &cache, Workers: workers}
+		opts := Options{Style: StyleTDCPerCore, Cache: &cache, Tables: TableOptions{Workers: workers}}
 		if _, err := Optimize(s, 32, opts); err != nil { // warm the tables
 			t.Fatal(err)
 		}
@@ -366,7 +369,7 @@ func TestOptimizeContextMatchesOptimize(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		opts := base
-		opts.Workers = workers
+		opts.Tables.Workers = workers
 		var runs []outcome
 		plain, err := Optimize(s, 16, opts)
 		if err != nil {

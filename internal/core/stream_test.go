@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"soctap/internal/cube"
@@ -12,7 +14,7 @@ import (
 // trimmedCore copies a core's public description with a reduced pattern
 // count, so the streaming-equivalence matrix over the industrial cores
 // stays tractable under -race while still spanning several windows at
-// DefaultEvalWindow. (A fresh struct, not a shallow copy: Core embeds a
+// streamWindow. (A fresh struct, not a shallow copy: Core embeds a
 // sync.Once.)
 func trimmedCore(c *soc.Core, patterns int) *soc.Core {
 	out := &soc.Core{
@@ -40,13 +42,18 @@ func decayCore(seed int64) *soc.Core {
 	}
 }
 
+// wholeSetWindow is a forced window past any test set here: the whole
+// set streamed from the core's TestSource as one window, the per-band
+// sweep's schedule over a streamed source.
+const wholeSetWindow = 1 << 30
+
 // streamWindows is the window axis of the equivalence matrix: single
-// cube, the default, and the whole set as one window.
-var streamWindows = []int{1, DefaultEvalWindow, EvalWindowAll}
+// cube, a streamed core's window, and the whole set as one window.
+var streamWindows = []int{1, streamWindow, wholeSetWindow}
 
 // TestStreamingTableEquivalence is the bit-identity guarantee between
 // the two sweep schedules: for every d695 and industrial core plus the
-// decay and compressible synthetics, tables built with EvalWindow 1 and
+// decay and compressible synthetics, tables built at forced windows 1 and
 // 64 (the fused sweep, wherever the set spans several windows) and ∞
 // (the per-band sweep over a streamed whole-set window) must be deeply
 // equal to the window-0 build (the per-band sweep over the cached set)
@@ -75,7 +82,7 @@ func TestStreamingTableEquivalence(t *testing.T) {
 	for _, window := range streamWindows {
 		runs = append(runs, run{window, fusedBatchPoints})
 	}
-	runs = append(runs, run{DefaultEvalWindow, 3})
+	runs = append(runs, run{streamWindow, 3})
 	defer func(old int) { fusedBatchPoints = old }(fusedBatchPoints)
 	for _, cse := range cases {
 		base, err := BuildTable(cse.core, cse.opts)
@@ -86,7 +93,7 @@ func TestStreamingTableEquivalence(t *testing.T) {
 			fusedBatchPoints = r.batch
 			for _, workers := range []int{1, 8} {
 				opts := cse.opts
-				opts.EvalWindow = r.window
+				opts.force.window = r.window
 				opts.Workers = workers
 				got, err := BuildTable(cse.core, opts)
 				if err != nil {
@@ -103,20 +110,20 @@ func TestStreamingTableEquivalence(t *testing.T) {
 
 // TestStreamingEvaluatorEquivalence compares the evaluator primitives
 // (TDC with and without group copy, PatternBits) at every window
-// against the auto-mode evaluator's one whole-set window, including
+// against the resident evaluator's one whole-set window, including
 // windows that split the set unevenly (patterns not a multiple of the
 // window).
 func TestStreamingEvaluatorEquivalence(t *testing.T) {
 	for _, c := range []*soc.Core{smallCore(3), compressibleCore(5), decayCore(11)} {
-		resident, err := NewEvaluatorWindow(c, 0)
+		resident, err := newEvaluator(c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n := resident.windows(); n != 1 {
-			t.Fatalf("%s: auto mode split a small core into %d windows", c.Name, n)
+			t.Fatalf("%s: the residency rule split a small core into %d windows", c.Name, n)
 		}
-		for _, window := range []int{1, 7, DefaultEvalWindow, EvalWindowAll} {
-			ev, err := NewEvaluatorWindow(c, window)
+		for _, window := range []int{1, 7, streamWindow, wholeSetWindow} {
+			ev, err := newEvaluator(c, window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,29 +165,15 @@ func TestStreamingEvaluatorEquivalence(t *testing.T) {
 	}
 }
 
-// TestEvalWindowValidation covers the window-selection edges: rejected
-// negative windows (by the evaluator and by TableOptions.Validate),
-// EvalWindowAll, auto mode, and window clamping.
+// TestEvalWindowValidation covers the window-selection edges: the
+// residency rule's window (no forced window), wholeSetWindow, and
+// window clamping.
 func TestEvalWindowValidation(t *testing.T) {
 	c := smallCore(1)
-	if _, err := NewEvaluatorWindow(c, -2); err == nil {
-		t.Error("EvalWindow -2 accepted")
-	}
-	if err := (TableOptions{EvalWindow: -2}).Validate(); err == nil {
-		t.Error("TableOptions.Validate accepted EvalWindow -2")
-	}
-	if _, err := BuildTable(c, TableOptions{MaxWidth: 8, EvalWindow: -2}); err == nil {
-		t.Error("BuildTable accepted EvalWindow -2")
-	}
-	for _, window := range []int{0, EvalWindowAll, DefaultEvalWindow, 7} {
-		if err := (TableOptions{EvalWindow: window}).Validate(); err != nil {
-			t.Errorf("TableOptions.Validate rejected EvalWindow %d: %v", window, err)
-		}
-	}
-	// Auto mode, EvalWindowAll and windows larger than the set all
-	// clamp to one whole-set window.
-	for _, window := range []int{0, EvalWindowAll, 10_000} {
-		ev, err := NewEvaluatorWindow(c, window)
+	// The residency rule on a small core, wholeSetWindow and windows
+	// larger than the set all clamp to one whole-set window.
+	for _, window := range []int{0, wholeSetWindow, 10_000} {
+		ev, err := newEvaluator(c, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +181,46 @@ func TestEvalWindowValidation(t *testing.T) {
 			t.Errorf("window %d: %d cubes × %d windows, want one window of %d", window, ev.window, ev.windows(), c.Patterns)
 		}
 	}
-	ev, err := NewEvaluatorWindow(c, 7)
+	ev, err := newEvaluator(c, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := ev.windows(); n != 3 { // ceil(20/7)
 		t.Errorf("window 7: %d windows per pass, want 3", n)
+	}
+}
+
+// TestEvaluatorStreamsAtThreshold: without a forced window, the
+// evaluator of a core at the residency threshold (2^16 stimulus bits ×
+// 2^15 patterns = 2^31 bits, soc.Core.StreamsCubes) streams its
+// generator in ceil(patterns/64) windows, and getting there generates
+// no cube: building it allocates less than half of one window's cubes
+// (the generator's 8 KiB bitset and the evaluator's bookkeeping), where
+// the set's cubes take about 40 MB.
+func TestEvaluatorStreamsAtThreshold(t *testing.T) {
+	c := &soc.Core{
+		Name: "edge", Inputs: 16, ScanChains: balancedChainsForTest(1<<16-16, 63),
+		Patterns: 1 << 15, CareDensity: 0.001, Seed: 1,
+	}
+	if !c.StreamsCubes() {
+		t.Fatalf("%d raw stimulus bits: the core does not stream", c.StimulusVolumeBits())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ev, err := NewEvaluator(c)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ev.src.(*cube.Generator); !ok {
+		t.Errorf("source %T, want the core's generator", ev.src)
+	}
+	if got, want := ev.windows(), (c.Patterns+streamWindow-1)/streamWindow; got != want || ev.window != streamWindow {
+		t.Errorf("%d windows of %d cubes, want %d of %d", got, ev.window, want, streamWindow)
+	}
+	// One window of cubes holds streamWindow × ~66 care bits of 16 B.
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 32<<10 {
+		t.Errorf("building the evaluator allocated %d B; a streamed core's must generate no cube", n)
 	}
 }
 
@@ -203,7 +230,7 @@ func TestEvalWindowValidation(t *testing.T) {
 func TestStreamingWindowTelemetry(t *testing.T) {
 	c := smallCore(9) // 20 patterns
 	tel := telemetry.New()
-	ev, err := NewEvaluatorWindow(c, 7)
+	ev, err := newEvaluator(c, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +249,7 @@ func TestStreamingWindowTelemetry(t *testing.T) {
 	// A whole-set window loads once and is kept: every pass counts the
 	// window it prices, but only the first replays the source.
 	tel = telemetry.New()
-	ev, err = NewEvaluatorWindow(c, 0)
+	ev, err = newEvaluator(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +267,21 @@ func TestStreamingWindowTelemetry(t *testing.T) {
 	if src.next != 20 {
 		t.Errorf("kept window: source yielded %d cubes over two passes, want 20", src.next)
 	}
+
+	// A table build's producer loads a kept window before its workers
+	// start, which counts nothing: unpruned, every sampled point is one
+	// completed pass over that window, so the build counts one window
+	// per evaluation.
+	tel = telemetry.New()
+	opts := TableOptions{MaxWidth: 8, Workers: 2, force: sweepForce{unpruned: true}}
+	if _, err := buildTable(context.Background(), c, opts, tel); err != nil {
+		t.Fatal(err)
+	}
+	sn = tel.Snapshot()
+	points := sampledBandPoints(t, c, opts)
+	if loads, evals := sn.Counters["eval.window_loads"], sn.Counters["eval.tdc_evals"]; loads != points || evals != points {
+		t.Errorf("kept-window build: window_loads %d, tdc_evals %d, want both %d", loads, evals, points)
+	}
 }
 
 // countingSource counts the cubes a source yields.
@@ -254,7 +296,7 @@ func (s *countingSource) Next() (*cube.Cube, bool) {
 }
 
 // FuzzStreamingWindowEquivalence fuzzes the window axis against the
-// auto-mode whole-set window on a small synthetic core: any (seed, patterns,
+// resident whole-set window on a small synthetic core: any (seed, patterns,
 // density, window, m) combination must price identically however the
 // set is split into windows. Seeds pin the interesting boundaries —
 // window 1, window == patterns, patterns one off a window multiple.
@@ -284,11 +326,11 @@ func FuzzStreamingWindowEquivalence(f *testing.F) {
 			Patterns:   patterns, CareDensity: density,
 			Clustering: 0.5, DensityDecay: 1, Seed: seed,
 		}
-		resident, err := NewEvaluatorWindow(c, 0)
+		resident, err := newEvaluator(c, 0)
 		if err != nil {
 			t.Skip()
 		}
-		streamed, err := NewEvaluatorWindow(c, window)
+		streamed, err := newEvaluator(c, window)
 		if err != nil {
 			t.Fatal(err)
 		}

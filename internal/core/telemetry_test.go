@@ -19,9 +19,8 @@ func telemetrize(t *testing.T, s *soc.SOC, workers int) *telemetry.Snapshot {
 	sink := telemetry.New()
 	_, err := Optimize(s, 16, Options{
 		Style:       StyleTDCPerCore,
-		Tables:      TableOptions{MaxWidth: 16},
+		Tables:      TableOptions{MaxWidth: 16, Workers: workers},
 		Cache:       new(Cache),
-		Workers:     workers,
 		MergeSearch: true,
 		Telemetry:   sink.Root(),
 	})

@@ -19,8 +19,7 @@ import (
 // run's context first; cancelling it aborts in-flight Optimize,
 // BuildTable and Sweep calls with ctx.Err(). Engines share no state, so
 // two Engines with their own caches and sinks run experiments
-// concurrently. Results are bit-identical for every Workers and
-// EvalWindow setting.
+// concurrently. Results are bit-identical for every Workers setting.
 type Engine struct {
 	// Cache memoizes per-core lookup tables across the experiments run
 	// on this Engine. A nil Cache gives each experiment call a private
@@ -29,10 +28,6 @@ type Engine struct {
 	// Workers bounds the evaluation-engine parallelism (0 = one worker
 	// per CPU, 1 = fully sequential).
 	Workers int
-	// EvalWindow selects the evaluator's cube window of every table
-	// build (see core.TableOptions.EvalWindow; 0 = automatic by core
-	// size).
-	EvalWindow int
 	// Telemetry receives each experiment's span, as a child of the sink
 	// root, with its phase spans and counters; nil disables
 	// instrumentation at zero cost.
@@ -62,11 +57,10 @@ func (e *Engine) start(name string) *run {
 
 func (r *run) end() { r.timing.End() }
 
-// options sets the engine's cache, workers and evaluation window and the
-// experiment's span on o, so each call site names only what differs.
+// options sets the engine's cache and workers and the experiment's span
+// on o, so each call site names only what differs.
 func (r *run) options(o core.Options) core.Options {
-	o.Cache, o.Workers, o.Telemetry = r.cache, r.e.Workers, r.span
-	o.Tables.EvalWindow = r.e.EvalWindow
+	o.Cache, o.Tables.Workers, o.Telemetry = r.cache, r.e.Workers, r.span
 	return o
 }
 

@@ -100,7 +100,7 @@ func (e *Engine) Fig3(ctx context.Context) (*Fig3Result, error) {
 		return nil, err
 	}
 	tab, err := run.cache.GetInstrumentedContext(ctx, c,
-		core.TableOptions{MaxWidth: tableWidth, Workers: e.Workers, EvalWindow: e.EvalWindow}, e.Telemetry)
+		core.TableOptions{MaxWidth: tableWidth, Workers: e.Workers}, e.Telemetry)
 	if err != nil {
 		return nil, err
 	}

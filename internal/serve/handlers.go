@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -326,23 +327,22 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 	if req.opts.Tables.BandSamples, err = intParam(q.Get("band-samples"), 0); err != nil {
 		return nil, fmt.Errorf("band-samples: %w", err)
 	}
-	if req.opts.Tables.EvalWindow, err = intParam(q.Get("eval-window"), 0); err != nil {
-		return nil, fmt.Errorf("eval-window: %w", err)
-	}
-	if err := req.opts.Tables.Validate(); err != nil {
-		return nil, fmt.Errorf("eval-window: %w", err)
-	}
 	req.opts.EnableDict = q.Get("techsel") == "1" || q.Get("techsel") == "true"
 	req.stream = q.Get("stream") == "1" || q.Get("stream") == "true"
 
-	// Per-job worker bound: the client may only narrow the server's.
+	// Per-job worker bound: the client may only narrow the server's,
+	// which is one worker per CPU when JobWorkers is not positive.
 	workers, err := intParam(q.Get("workers"), 0)
 	if err != nil {
 		return nil, fmt.Errorf("workers: %w", err)
 	}
-	req.opts.Workers = s.cfg.JobWorkers
-	if workers > 0 && (s.cfg.JobWorkers <= 0 || workers < s.cfg.JobWorkers) {
-		req.opts.Workers = workers
+	req.opts.Tables.Workers = s.cfg.JobWorkers
+	if workers > 0 {
+		bound := s.cfg.JobWorkers
+		if bound <= 0 {
+			bound = runtime.GOMAXPROCS(0)
+		}
+		req.opts.Tables.Workers = min(workers, bound)
 	}
 
 	if t := q.Get("timeout"); t != "" {

@@ -134,7 +134,6 @@ func TestOptimizeValidation(t *testing.T) {
 		{"unknown style", "width=16&style=quantum", tinyDesign[:200], http.StatusBadRequest},
 		{"bad timeout", "width=16&timeout=-3s", tinyDesign[:200], http.StatusBadRequest},
 		{"bad kinds", "width=16&kinds=froth", tinyDesign[:200], http.StatusBadRequest},
-		{"bad eval-window", "design=d695&width=16&eval-window=-5", "", http.StatusBadRequest},
 		{"oversized body", "width=16", tinyDesign, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -150,6 +149,39 @@ func TestOptimizeValidation(t *testing.T) {
 		var e errorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body not JSON with error field: %s", tc.name, body)
+		}
+	}
+}
+
+// TestJobWorkersCap: a request's ?workers may only narrow the server's
+// per-job bound, JobWorkers, which is one worker per CPU when it is 0;
+// without ?workers a job runs at JobWorkers as configured.
+func TestJobWorkersCap(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		jobWorkers int
+		query      string
+		want       int
+	}{
+		{0, "", 0},
+		{0, "&workers=1", 1},
+		{0, fmt.Sprintf("&workers=%d", procs), procs},
+		{0, fmt.Sprintf("&workers=%d", procs+63), procs},
+		{0, "&workers=1000", procs},
+		{3, "", 3},
+		{3, "&workers=2", 2},
+		{3, "&workers=64", 3},
+		{3, "&workers=0", 3},
+	}
+	for _, tc := range cases {
+		s := New(Config{JobWorkers: tc.jobWorkers})
+		r := httptest.NewRequest(http.MethodPost, "/v1/optimize?design=System4&width=32"+tc.query, nil)
+		req, err := s.parseJob(r)
+		if err != nil {
+			t.Fatalf("JobWorkers %d, %q: %v", tc.jobWorkers, tc.query, err)
+		}
+		if got := req.opts.Tables.Workers; got != tc.want {
+			t.Errorf("JobWorkers %d, %q: job runs on %d workers, want %d", tc.jobWorkers, tc.query, got, tc.want)
 		}
 	}
 }

@@ -66,8 +66,9 @@ type Config struct {
 	RatePerSec float64
 	Burst      float64
 	// JobWorkers bounds each job's evaluation-engine parallelism
-	// (soctap Options.Workers; 0 = one per CPU). It also caps the
-	// per-request ?workers override.
+	// (soctap TableOptions.Workers; 0 = one per CPU). It also caps the
+	// per-request ?workers override, at runtime.GOMAXPROCS(0) when it
+	// is 0.
 	JobWorkers int
 	// Cache is the shared table cache; New creates one when nil. Give
 	// it its disk store and budgets (core.NewCache, as cmd/socserve

@@ -250,10 +250,11 @@ func (c *Core) StimulusVolumeBits() int64 {
 }
 
 // StreamsCubes is the residency rule of every multi-pass consumer of
-// the core's cubes (the evaluator's automatic window, the simulator, the
-// ATE image writer): a core whose raw stimulus image reaches 2^31 bits
-// streams from TestSource at O(pattern) residency; a smaller one reads
-// its cached TestSet, so no consumer re-runs the generator.
+// the core's cubes (the evaluator's window, the simulator, the ATE image
+// writer, the dictionary sweep): a core whose raw stimulus image
+// reaches 2^31 bits streams from TestSource at O(pattern) residency; a
+// smaller one reads its cached TestSet, so no consumer re-runs the
+// generator.
 func (c *Core) StreamsCubes() bool { return c.StimulusVolumeBits() >= 1<<31 }
 
 // Cubes returns one pass over the core's cubes under StreamsCubes.

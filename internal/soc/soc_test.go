@@ -7,6 +7,36 @@ import (
 	"testing"
 )
 
+// TestStreamsCubesThreshold: the residency rule flips exactly at 2^31
+// raw stimulus bits. A core of 2^16 stimulus bits (16 inputs and 65,520
+// scan cells) is resident at 2^15 - 1 patterns, 2^31 - 2^16 bits, and
+// streams at 2^15 patterns, 2^31 bits.
+func TestStreamsCubesThreshold(t *testing.T) {
+	chains := make([]int, 63)
+	for i := range chains {
+		chains[i] = 1040
+	}
+	for _, tc := range []struct {
+		patterns int
+		bits     int64
+		streams  bool
+	}{
+		{1<<15 - 1, 1<<31 - 1<<16, false},
+		{1 << 15, 1 << 31, true},
+	} {
+		c := &Core{Name: "edge", Inputs: 16, ScanChains: chains, Patterns: tc.patterns, CareDensity: 0.001}
+		if got := c.StimulusBits(); got != 1<<16 {
+			t.Fatalf("%d stimulus bits, want 2^16", got)
+		}
+		if got := c.StimulusVolumeBits(); got != tc.bits {
+			t.Errorf("%d patterns: %d raw stimulus bits, want %d", tc.patterns, got, tc.bits)
+		}
+		if got := c.StreamsCubes(); got != tc.streams {
+			t.Errorf("%d patterns (%d bits): StreamsCubes = %v, want %v", tc.patterns, tc.bits, got, tc.streams)
+		}
+	}
+}
+
 func TestCoreDerivedCounts(t *testing.T) {
 	c := &Core{
 		Name: "x", Inputs: 10, Outputs: 20, Bidirs: 5,

@@ -75,7 +75,8 @@ type Config = core.Config
 // Table is a per-core lookup table of best configurations by TAM width.
 type Table = core.Table
 
-// TableOptions controls per-core lookup-table construction.
+// TableOptions controls per-core lookup-table construction; in Options
+// its Workers also bounds how many per-core tables build at once.
 type TableOptions = core.TableOptions
 
 // Options controls SOC-level optimization.
@@ -216,7 +217,8 @@ func BuildTableContext(ctx context.Context, c *Core, opts TableOptions) (*Table,
 
 // SweepTDC evaluates every wrapper-chain count m in [lo, hi] with the
 // decompressor enabled — the analysis behind Figures 2 and 3. The sweep
-// fans out over one worker per CPU; results are identical to a
+// runs on the table build's schedule, every m priced against one loaded
+// test set on one worker per CPU; results are identical to a
 // sequential sweep.
 func SweepTDC(c *Core, lo, hi int) ([]Config, error) {
 	return core.SweepTDC(c, lo, hi)
