@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"soctap/internal/telemetry"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden lookup tables under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden tables and plans under testdata/")
 
 // goldenCase is one checked-in reference table: a benchmark core, the
 // options its table is built with, and the windows the build must
@@ -40,39 +41,76 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// goldenFile returns the encoding key and the path of a core's golden
-// table. The key is pinned to the core name, not the content hash, so
-// the files track table contents alone.
-func goldenFile(c *soc.Core) (key, path string) {
-	return "golden/" + c.Name, filepath.Join("testdata", "golden_table_"+c.Name+".bin")
+// goldenTablesPath is the checked-in rendering of every golden table.
+var goldenTablesPath = filepath.Join("testdata", "golden_tables.txt")
+
+// renderTable renders one table as text: a header line naming the core
+// and the table's options, then one line per Config of each row, at
+// every width the row holds.
+func renderTable(t *Table) []byte {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "table %s maxwidth=%d bandsamples=%d\n", t.Core.Name, t.Opts.MaxWidth, t.Opts.BandSamples)
+	for _, row := range []struct {
+		name string
+		cfgs []Config
+	}{{"NoTDC", t.NoTDC}, {"TDCExact", t.TDCExact}, {"TDCBest", t.TDCBest}, {"Best", t.Best}} {
+		for u, cfg := range row.cfgs {
+			fmt.Fprintf(&buf, "%s %d %v\n", row.name, u, cfg)
+		}
+	}
+	return buf.Bytes()
+}
+
+// goldenTables reads the checked-in rendering, one section per core.
+func goldenTables(t *testing.T) map[string][]byte {
+	t.Helper()
+	data, err := os.ReadFile(goldenTablesPath)
+	if err != nil {
+		t.Fatalf("reading golden tables (regenerate with -update): %v", err)
+	}
+	sections := make(map[string][]byte)
+	var name string
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("table ")); ok {
+			name = string(bytes.Fields(rest)[0])
+		}
+		sections[name] = append(sections[name], line...)
+	}
+	return sections
+}
+
+// checkGoldenTable reports whether tbl renders to its core's section of
+// the golden tables.
+func checkGoldenTable(t *testing.T, want map[string][]byte, tbl *Table, what string) {
+	t.Helper()
+	if got := renderTable(tbl); !bytes.Equal(got, want[tbl.Core.Name]) {
+		t.Errorf("%s %s: table differs from %s at %s", tbl.Core.Name, what, goldenTablesPath, firstDiff(got, want[tbl.Core.Name]))
+	}
 }
 
 // TestGoldenTables is the independent oracle of the table build: the
-// v2 encoding of every benchmark core's table must be byte-identical
-// to the checked-in file under testdata/ at Workers 1, 2 and 8 and at
-// every window of its case, and the matrix must run both sweep
-// schedules. Regenerate the files with -update only when a change is
+// rendering of every benchmark core's table must be byte-identical to
+// its section of testdata/golden_tables.txt at Workers 1, 2 and 8 and
+// at every window of its case, and the matrix must run both sweep
+// schedules. Regenerate the file with -update only when a change is
 // meant to alter table contents.
 func TestGoldenTables(t *testing.T) {
-	var bandSweeps, fusedSweeps int
-	for _, gc := range goldenCases() {
-		key, path := goldenFile(gc.core)
-		if *updateGolden {
+	if *updateGolden {
+		var all []byte
+		for _, gc := range goldenCases() {
 			tbl, err := BuildTable(gc.core, gc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, encodeTableV2(key, tbl), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			all = append(all, renderTable(tbl)...)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("reading golden table (regenerate with -update): %v", err)
+		if err := os.WriteFile(goldenTablesPath, all, 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want := goldenTables(t)
+	var bandSweeps, fusedSweeps int
+	for _, gc := range goldenCases() {
 		for _, window := range gc.windows {
 			for _, workers := range []int{1, 2, 8} {
 				opts := gc.opts
@@ -88,9 +126,7 @@ func TestGoldenTables(t *testing.T) {
 				} else {
 					bandSweeps++
 				}
-				if !bytes.Equal(encodeTableV2(key, tbl), want) {
-					t.Errorf("%s window=%d workers=%d: table differs from %s", gc.core.Name, window, workers, path)
-				}
+				checkGoldenTable(t, want, tbl, fmt.Sprintf("window=%d workers=%d", window, workers))
 			}
 		}
 	}

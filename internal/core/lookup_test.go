@@ -1,9 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"os"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -408,17 +407,13 @@ func TestBuildTableErrors(t *testing.T) {
 // TestBuildTablePruningGoldenEquivalence is the zero-loss guarantee of
 // the lower-bound pruning: for every d695 and industrial core, the
 // table built without pruning, sequentially or on 8 workers, must
-// encode to the bytes of the checked-in golden table, which
+// render to its section of the checked-in golden tables, which
 // TestGoldenTables holds equal to the pruned build. Industrial cores
 // use a reduced band sampling so the full matrix stays tractable under
 // -race; d695 cores run with the default options.
 func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
+	want := goldenTables(t)
 	for _, gc := range goldenCases() {
-		key, path := goldenFile(gc.core)
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 8} {
 			opts := gc.opts
 			opts.Workers = workers
@@ -427,9 +422,7 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(encodeTableV2(key, plain), want) {
-				t.Errorf("%s workers=%d: unpruned table differs from the pruned golden %s", gc.core.Name, workers, path)
-			}
+			checkGoldenTable(t, want, plain, fmt.Sprintf("unpruned workers=%d", workers))
 		}
 	}
 }
