@@ -71,7 +71,8 @@ bench-smoke:
 # and d2758 plans at W_TAM 32, tables warmed first), the warm socserve
 # request, the greedy schedule (at the default benchtime: a single
 # -benchtime 1x iteration times a cold first call, several times the
-# steady state) and the cache tiers (a v2 entry's cold load,
+# steady state) and the cache tiers (the cold load of a checksummed
+# table entry at MaxWidth 64 with its entry-bytes,
 # BenchmarkDiskLoadV1VsV2/v2-bitpack, and warm parallel Gets on the
 # one-lock Cache, BenchmarkCacheGetParallel/single-lock; both keep
 # their archived names).
@@ -118,8 +119,8 @@ bench-big-smoke:
 # combinational, small, input-free, one-long-chain and tied-slice cores
 # at windows 0, 1 and 64, the point table lands every stimulus cell on
 # its StimulusMap row and (row, group) slot on random cores at every m,
-# unpruned tables match the pruned goldens on every d695/industrial
-# core, steady-state tdcCost runs at 0 allocs/op on a dense and a thin
+# unpruned tables render to the same text golden on every
+# d695/industrial core, steady-state tdcCost runs at 0 allocs/op on a dense and a thin
 # core over a kept whole-set window (and a new m, its design rebuilt in
 # place, allocates nothing), an evaluator returning to an earlier m
 # prices it like the one-shot API, wrapper.New and one recycled design
@@ -128,9 +129,10 @@ bench-big-smoke:
 # form (the rebuilt design's StimulusMap like a fresh one's), the cube
 # generator yields the same cubes as its map-and-sort reference form on
 # the paper cores, synthesized industrial, iscas and giant cores, flat
-# and saturated specs, every d695/industrial table is byte-identical to its
-# checked-in golden encoding at windows 0/64 (and 1 on d695) × workers
-# 1/2/8, every plan of d695, d2758 and System1-4 (W_TAM 8..64 × three
+# and saturated specs, every d695/industrial table renders byte-identically
+# to its section of the checked-in text golden golden_tables.txt (options,
+# then every Config of every row at every width) at windows 0/64 (and 1
+# on d695) × workers 1/2/8, every plan of d695, d2758 and System1-4 (W_TAM 8..64 × three
 # styles × MergeSearch × NaiveOrder: partition in bus order, makespan,
 # volume, schedule items and each core's Config) is byte-identical to
 # the checked-in golden plans at workers 1/2/8, tables built at every
@@ -223,19 +225,25 @@ robustness:
 	$(GO) test -race -count=1 -timeout 120s -run 'TestVerifyPlanCatchesCorruptPlans|TestVerifyPlanDictRecordedCapacity|TestVerifyClampedDirectConfigs|TestShippedStreamMutationsFail|TestVerifyPlanFirstErrorInPlanOrder|TestVerifyPlanPanicContained|TestVerifyPlanAllStyles' ./internal/sim
 	$(GO) test -race -count=1 -timeout 60s ./internal/par
 
-# cachefmt asserts the cache-format and cache-tier contracts: the v2
-# container round-trips byte-exactly against the checked-in golden file
-# and rejects corruption (tablecodec golden/rejection/fuzz-seed tests),
-# every d695/industrial table decodes from its v2 entry identical to its
-# build, an entry of the first revision's format is never read (a flat
-# file is a plain miss, gob bytes at an entry's path a counted corrupt
-# rebuild), both tiers honour their size bounds — the memory tier as
-# one exact LRU over every resident table — and, under the race
-# detector, the one-lock cache builds each key once and hands every
-# caller the same table.
+# cachefmt asserts the cache-format and cache-tier contracts: the
+# checked-in entry pins the byte layout (TestTableEntryLayout), the
+# decoder rejects every flaw it guards against — a bad magic, version,
+# checksum or length, trailing bytes, an unknown flag or codec, another
+# key, every truncation and bit flip — and FuzzTableEntry's seed corpus
+# holds it to never panicking and to re-encoding what it accepts
+# byte-exactly, every d695/industrial table at MaxWidth 64 decodes
+# DeepEqual to its build (TestFormatV2MatchesV1OnBenchmarks), a
+# truncated, garbage, stale-version, bit-flipped, earlier-format
+# (bitpacked container, gob) entry is one counted corrupt rebuild and is
+# rewritten, a flat file of the first revision is never read,
+# diskcache.bytes counts an overwritten entry's bytes as removed, both
+# tiers honour their size bounds — the memory tier as one exact LRU
+# over every resident table — and, under the race detector, the
+# one-lock cache builds each key once and hands every caller the same
+# table.
 cachefmt:
-	$(GO) test -run 'TestGoldenV2|TestHeaderRejection|TestVerifyCatchesTruncation|TestRoundTrip|TestDecodeArbitraryPrefixNeverPanics|FuzzTableCodecRoundTrip' -count=1 ./internal/tablecodec
-	$(GO) test -run 'TestDiskCacheV1Migration|TestFormatV2MatchesV1OnBenchmarks|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound' -count=1 ./internal/core
+	$(GO) test -run 'TestTableEntryLayout|TestTableEntryRejects|FuzzTableEntry|TestFormatV2MatchesV1OnBenchmarks' -count=1 ./internal/core
+	$(GO) test -run 'TestDiskCacheV1Migration|TestDiskCacheCorruption|TestDiskCacheBytesNetOfOverwrites|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound' -count=1 ./internal/core
 	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
 
 # telemetry-overhead asserts the zero-overhead-when-disabled contract:
@@ -251,11 +259,14 @@ telemetry-overhead:
 # record path and the subscriber-free publish path run at 0 allocs/op
 # (test-enforced), the /metrics exposition matches its golden
 # byte-for-byte, the event bus never blocks publishers (including
-# against a stalled /events client) and survives the race detector, the
-# histogram observation counts are worker-count invariant on d695, and
-# the benchjson compare heuristics hold.
+# against a stalled /events client) and survives the race detector, a
+# command's progress printer — one bus subscription — has printed every
+# span that ended by the time the run's End returns, the histogram
+# observation counts are worker-count invariant on d695, and the
+# benchjson compare heuristics hold.
 obs:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestBus|TestSubscriptionCloseRace|TestEvent|TestSpanHook|TestSinkClose|TestHistogram|TestBucketBounds|TestWriteOpenMetricsGolden|TestMetricsAndHealthzEndpoints|TestShutdownCancelsStreams|TestParseKinds' ./internal/telemetry
+	$(GO) test -race -count=1 -timeout 300s -run 'TestBus|TestSubscriptionCloseRace|TestEvent|TestHistogram|TestBucketBounds|TestWriteOpenMetricsGolden|TestMetricsAndHealthzEndpoints|TestShutdownCancelsStreams|TestParseKinds' ./internal/telemetry
+	$(GO) test -race -count=1 -timeout 60s -run 'TestProgressDrainedBeforeEnd' ./internal/cli
 	$(GO) test -count=1 -run 'TestHistogramEnabledZeroAlloc|TestNilFastPathAllocs|TestBusNoSubscribersIsFree' ./internal/telemetry
 	$(GO) test -race -count=1 -timeout 600s -run 'TestHistogramCountInvariance' ./internal/core
 	$(GO) test -count=1 ./cmd/benchjson

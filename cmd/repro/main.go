@@ -34,7 +34,6 @@ import (
 
 	"soctap/internal/cli"
 	"soctap/internal/experiments"
-	"soctap/internal/telemetry"
 )
 
 func main() {
@@ -70,10 +69,11 @@ func main() {
 	// marker) before exiting 130. The sink is on for the progress lines
 	// too, so only a quiet run with no report or endpoint runs without
 	// instrumentation.
-	ctx, run := shared.Start("repro", !*quiet, *quiet)
+	var progress func(path string, elapsed time.Duration)
 	if !*quiet {
-		progress(run.Sink)
+		progress = progressPrinter()
 	}
+	ctx, run := shared.Start("repro", progress, *quiet)
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -88,18 +88,19 @@ func main() {
 	run.End(runExperiments(ctx, e, w, name))
 }
 
-// progress prints a stderr line per artifact, per optimizer phase and
+// progressPrinter returns the progress printer of a run starting now:
+// it prints a stderr line per artifact, per optimizer phase and
 // per-core table build as each span ends; deeper search internals
 // (refine/k-sweep cycles) stay out of the progress stream.
-func progress(sink *telemetry.Sink) {
+func progressPrinter() func(path string, elapsed time.Duration) {
 	start := time.Now()
-	sink.SetSpanHook(func(path string, d time.Duration) {
+	return func(path string, d time.Duration) {
 		last := path[strings.LastIndexByte(path, '/')+1:]
 		if strings.Count(path, "/") <= 1 || strings.HasPrefix(last, "core:") {
 			fmt.Fprintf(os.Stderr, "repro: [%7.1fs] %-44s %8.3fs\n",
 				time.Since(start).Seconds(), path, d.Seconds())
 		}
-	})
+	}
 }
 
 // runExperiments runs one named experiment, or all of them in sequence.

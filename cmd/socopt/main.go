@@ -48,7 +48,7 @@ func main() {
 	// SIGINT/SIGTERM cancel the run cooperatively: the search unwinds
 	// with ctx.Err(), and End still flushes the telemetry snapshot (with
 	// a run.cancelled marker) before exiting 130.
-	ctx, run := shared.Start("socopt", false, false)
+	ctx, run := shared.Start("socopt", nil, false)
 
 	pt := run.Sink.Span("parse").Begin()
 	s, err := loadDesign(*design)

@@ -63,8 +63,10 @@ type coreModel struct {
 	maxM      int
 }
 
+// buildModel reads the core's cubes in one pass of soc.Core.Cubes, so a
+// core at or above the residency threshold streams.
 func buildModel(c *soc.Core) (*coreModel, error) {
-	ts, err := c.TestSet()
+	src, err := c.Cubes()
 	if err != nil {
 		return nil, err
 	}
@@ -75,14 +77,14 @@ func buildModel(c *soc.Core) (*coreModel, error) {
 	}
 	m := &coreModel{
 		core:     c,
-		patterns: ts.Len(),
-		careBits: make([]int, ts.Len()),
+		patterns: src.Len(),
+		careBits: make([]int, 0, src.Len()),
 		bestSI:   d.ScanIn,
 		bestSO:   d.ScanOut,
 		maxM:     maxM,
 	}
-	for i, cb := range ts.Cubes {
-		m.careBits[i] = cb.CareCount()
+	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
+		m.careBits = append(m.careBits, cb.CareCount())
 		m.totalCare += int64(cb.CareCount())
 	}
 	return m, nil

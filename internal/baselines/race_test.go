@@ -1,0 +1,5 @@
+//go:build race
+
+package baselines
+
+const raceEnabled = true

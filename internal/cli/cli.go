@@ -99,17 +99,26 @@ type Run struct {
 	quiet        bool
 	flags        *Flags
 	stopProfiles func() error
+	stopProgress func()
 	server       *telemetry.Server
 }
 
+// progressBuffer sizes the progress printer's subscription. Span ends
+// are phase and core granular, hundreds per run, so no line is lost on
+// any realistic run; a stalled printer drops and counts events like any
+// other subscriber instead of blocking workers.
+const progressBuffer = 4096
+
 // Start begins a run of the command prog: it builds the table cache,
-// starts the profiles, the telemetry sink — also when progress asks for
-// one — and the metrics server, announced on stderr unless quiet, and
-// publishes the run's start marker. The returned context is cancelled
-// by the first SIGINT or SIGTERM; a second one kills the process. Start
-// exits 2 on a bad cache flag and 1 when a profile or the server cannot
-// start.
-func (f *Flags) Start(prog string, progress, quiet bool) (context.Context, *Run) {
+// starts the profiles, the telemetry sink — also when there is a
+// progress printer — and the metrics server, announced on stderr unless
+// quiet, and publishes the run's start marker. A non-nil progress is
+// called with the path and duration of every span that ends, in publish
+// order, on a goroutine of its own that subscribes to the sink's bus.
+// The returned context is cancelled by the first SIGINT or SIGTERM; a
+// second one kills the process. Start exits 2 on a bad cache flag and 1
+// when a profile or the server cannot start.
+func (f *Flags) Start(prog string, progress func(path string, elapsed time.Duration), quiet bool) (context.Context, *Run) {
 	r := &Run{prog: prog, quiet: quiet, flags: f}
 	cache, err := f.cache.NewCache(func(msg string) { fmt.Fprintf(os.Stderr, "%s: %s\n", prog, msg) })
 	if err != nil {
@@ -126,8 +135,19 @@ func (f *Flags) Start(prog string, progress, quiet bool) (context.Context, *Run)
 	if r.stopProfiles, err = telemetry.StartProfiles(f.cpuProfile, f.memProfile, f.trace); err != nil {
 		r.fatal(err)
 	}
-	if progress || f.telemetryOut != "" || f.telemetryText || f.metricsAddr != "" {
+	if progress != nil || f.telemetryOut != "" || f.telemetryText || f.metricsAddr != "" {
 		r.Sink = telemetry.New()
+	}
+	r.stopProgress = func() {}
+	if progress != nil {
+		sub, printed := r.Sink.Subscribe(telemetry.MaskSpan, progressBuffer), make(chan struct{})
+		go func() {
+			defer close(printed)
+			for ev := range sub.C() {
+				progress(ev.Name, time.Duration(ev.DurNs))
+			}
+		}()
+		r.stopProgress = func() { sub.Close(); <-printed }
 	}
 	if f.metricsAddr != "" {
 		if r.server, err = telemetry.StartServer(f.metricsAddr, r.Sink); err != nil {
@@ -142,9 +162,10 @@ func (f *Flags) Start(prog string, progress, quiet bool) (context.Context, *Run)
 }
 
 // End ends the run begun by Start. It stops the profiles, marks the run
-// done — or cancelled, counting run.cancelled — flushes the sink,
-// writes the -telemetry and -telemetry-text reports, and stops the
-// metrics server after a last scrape. End returns when err is nil and
+// done — or cancelled, counting run.cancelled — waits for the progress
+// printer to print every span that ended, writes the -telemetry and
+// -telemetry-text reports, and stops the metrics server after a last
+// scrape. End returns when err is nil and
 // the profiles stopped cleanly. A cancelled run exits 130 with its
 // report written; any other error exits 1 without one.
 func (r *Run) End(err error) {
@@ -158,9 +179,9 @@ func (r *Run) End(err error) {
 	} else if err == nil {
 		r.Sink.PublishRun(r.prog, "done")
 	}
-	// Drain the async span hook first, so every progress line lands on
-	// stderr ahead of the reports.
-	r.Sink.Flush()
+	// Close the progress subscription and let the printer drain it, so
+	// every progress line lands on stderr ahead of the reports.
+	r.stopProgress()
 	if err == nil || cancelled {
 		r.writeReports()
 	}

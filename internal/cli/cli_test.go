@@ -3,10 +3,14 @@ package cli
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"soctap/internal/core"
 	"soctap/internal/soc"
@@ -103,4 +107,36 @@ func TestRegisterFlags(t *testing.T) {
 			t.Errorf("-%s: cache-only help text differs from the shared one", f.Name)
 		}
 	})
+}
+
+// TestProgressDrainedBeforeEnd: the progress printer Start subscribes
+// has printed every span that ended before End, in publish order, by
+// the time End returns — however slowly it prints.
+func TestProgressDrainedBeforeEnd(t *testing.T) {
+	f := Register(flag.NewFlagSet("test", flag.ContinueOnError))
+	var mu sync.Mutex
+	var printed []string
+	_, run := f.Start("test", func(path string, _ time.Duration) {
+		time.Sleep(50 * time.Microsecond)
+		mu.Lock()
+		printed = append(printed, path)
+		mu.Unlock()
+	}, true)
+	var ended []string
+	for i := range 200 {
+		path := fmt.Sprintf("phase%d", i%7)
+		sp := run.Sink.Span(path)
+		if i%3 == 0 {
+			sp = sp.Child(fmt.Sprintf("core:%d", i))
+			path = fmt.Sprintf("%s/core:%d", path, i)
+		}
+		sp.Begin().End()
+		ended = append(ended, path)
+	}
+	run.End(nil)
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(printed, ended) {
+		t.Fatalf("printed %d spans before End returned, want the %d ended, in order:\n got %v\nwant %v", len(printed), len(ended), printed, ended)
+	}
 }

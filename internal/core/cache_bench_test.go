@@ -1,7 +1,7 @@
 package core
 
 // Benchmarks for the cache tiers, archived by `make bench-json`: the
-// cold-load time and entry size of a v2 container, and the memory-hit
+// cold-load time and size of a disk entry, and the memory-hit
 // throughput of the Cache under parallel load.
 
 import (
@@ -11,11 +11,12 @@ import (
 	"soctap/internal/soc"
 )
 
-// BenchmarkDiskLoadV1VsV2 measures one full cold load — file read,
-// validation, decode, core re-attachment — and reports the on-disk
-// entry size as entry-bytes. Only the v2-bitpack arm is left: the gob
-// format it was measured against is gone, and the arm keeps its name so
-// archived runs still line up.
+// BenchmarkDiskLoadV1VsV2 measures one full cold load of a table entry
+// at MaxWidth 64 — file read, checksum, decode of the two stored rows,
+// the derived rows' reduction, core re-attachment — and reports the
+// entry's size as entry-bytes. The benchmark and its v2-bitpack arm
+// keep the names they had when they compared the gob stream with the
+// bitpacked container, both gone, so archived runs still line up.
 func BenchmarkDiskLoadV1VsV2(b *testing.B) {
 	c := compressibleCore(77)
 	opts := TableOptions{MaxWidth: 64}.normalized()

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"soctap/internal/soc"
-	"soctap/internal/tablecodec"
 	"soctap/internal/telemetry"
 )
 
@@ -22,10 +21,15 @@ import (
 // entries (a struct with Version and Key fields), whose reader is gone.
 const gobEntry = "*\x7f\x03\x01\x01\tdiskEntry\x01\xff\x80\x00\x01\x02\x01\aVersion\x01\f\x00\x01\x03Key\x01\f\x00\x00\x00\x1b\xff\x80\x01\x13soctap-diskcache-v1\x01\x01k\x00"
 
+// v2Entry is a table entry in the second revision's bitpacked container
+// (magic "STC2"), whose reader is gone: compressibleCore(12)'s table at
+// MaxWidth 3.
+const v2Entry = "STC2\x02\x00\x00\x00S\x00\x00\x00\x02\x00\x00\x00\a\x00\x00\x00\xc0\x00\x00\x00M\x7f\x99\x11n\xf7\x18\xf1\x0fsoctap-table-v2@848e7166c52a5a3d3db8394da0c985f47d08ae162c45937b73ced4a405dca69d\x03`\x00\x06selenc\x10\x02\x00T\xc0\xc0T\x10\x01\x00\x80\b\x10\x03\x00\x10\r\xc0\x00\f\xd1\x10\x03\x00\x10\r@\x00\x04\xd1\x10\x00\x00\x10\x00\b\x01\xba\xcd\x02\x02\xf6\xa6\x01\x03\x8ep\a\xba\xcd\x02\v\xba\xcd\x02\r\xba\xcd\x02\x0e\xf6\xa6\x01\x0f\x8ep\x10\x00\b\x01\xa8\xc0\x02\x02\xa8\xc0\x02\x03\xa2\xc2\x02\a\xf8\xc0\a\v\xf8\xc0\a\r\xa8\xc0\x02\x0e\xa8\xc0\x02\x0f\xa2\xc2\x02"
+
 // TestDiskCacheV1Migration: the first revision's entries are not
 // migrated but rebuilt. A file at the flat <dir>/<key>.table path is
 // never read or indexed — the Get is a plain disk miss and one build,
-// the v2 entry lands at the sharded path, and the flat file is left
+// the entry lands at the sharded path, and the flat file is left
 // alone — and a gob stream at the sharded path is a corrupt entry,
 // counted and rebuilt.
 func TestDiskCacheV1Migration(t *testing.T) {
@@ -60,8 +64,8 @@ func TestDiskCacheV1Migration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no entry at the sharded path: %v", err)
 	}
-	if _, err := tablecodec.Verify(data); err != nil {
-		t.Errorf("written entry fails verification: %v", err)
+	if _, err := decodeEntry(data, key, nil, opts.normalized()); err != nil {
+		t.Errorf("written entry does not decode: %v", err)
 	}
 	if got, err := os.ReadFile(flat); err != nil || string(got) != gobEntry {
 		t.Errorf("flat file touched (err=%v)", err)
@@ -96,44 +100,40 @@ func TestDiskCacheV1Migration(t *testing.T) {
 	}
 }
 
-// TestFormatV2MatchesV1OnBenchmarks is the decode check on real cores:
-// on every d695 core and a synthetic industrial core, the table decoded
-// from its v2 container, in memory and through the disk store, is
-// DeepEqual to the freshly built one.
+// TestFormatV2MatchesV1OnBenchmarks is the decode check on real cores,
+// under the name it had when it held the second format to the first:
+// every d695 and industrial table at MaxWidth 64, with its golden
+// case's options, decodes from its entry, in memory and through the
+// disk store, DeepEqual to its build.
 func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping full-benchmark format sweep")
 	}
-	cores := append([]*soc.Core{}, soc.D695().Cores...)
-	cores = append(cores, soc.MustIndustrialCore("ckt-2"))
-	opts := TableOptions{MaxWidth: 12, BandSamples: 8}
-	for _, c := range cores {
+	for _, gc := range goldenCases() {
+		c, opts := gc.core, gc.opts.normalized()
 		t.Run(c.Name, func(t *testing.T) {
+			if opts.MaxWidth != 64 {
+				t.Fatalf("MaxWidth %d, want 64", opts.MaxWidth)
+			}
 			built, err := BuildTable(c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := contentKey(c, opts.normalized())
-
-			mem, err := decodeTableV2(encodeTableV2(key, built), key, c, opts.normalized())
+			key := contentKey(c, opts)
+			mem, err := decodeEntry(encodeEntry(key, built), key, c, opts)
 			if err != nil {
-				t.Fatalf("v2 round trip: %v", err)
+				t.Fatalf("round trip: %v", err)
 			}
 			dir := t.TempDir()
 			if err := storeDiskTable(dir, key, built); err != nil {
 				t.Fatal(err)
 			}
-			disk, status, reason := loadDiskTable(dir, key, c, opts.normalized())
+			disk, status, reason := loadDiskTable(dir, key, c, opts)
 			if status != diskHit {
 				t.Fatalf("disk load: status %v (%v)", status, reason)
 			}
-
-			want := *built
-			want.Core = nil
 			for name, got := range map[string]*Table{"memory": mem, "disk": disk} {
-				g := *got
-				g.Core = nil
-				if !reflect.DeepEqual(want, g) {
+				if !reflect.DeepEqual(built, got) {
 					t.Errorf("%s-decoded table differs from the built table", name)
 				}
 			}
@@ -154,7 +154,7 @@ func TestDiskCacheSizeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entrySize := int64(len(encodeTableV2(contentKey(probe, opts.normalized()), built)))
+	entrySize := int64(len(encodeEntry(contentKey(probe, opts.normalized()), built)))
 
 	var cache Cache
 	cache.SetDir(dir)
@@ -382,9 +382,9 @@ func TestCacheShardedConcurrency(t *testing.T) {
 }
 
 // TestDiskCacheBitFlipNeverPanics complements the fault-injection
-// suite: flipping any single byte of a valid v2 entry must either still
-// load the identical table (flips in slack bits) or land in
-// diskcache.corrupt_rebuilds — never panic, never alter the result.
+// suite: the checksum covers every byte of an entry, so flipping any
+// single bit of a valid entry lands in diskcache.corrupt_rebuilds —
+// never a panic, never an altered table.
 func TestDiskCacheBitFlipNeverPanics(t *testing.T) {
 	c := compressibleCore(51)
 	opts := TableOptions{MaxWidth: 6}
@@ -417,18 +417,12 @@ func TestDiskCacheBitFlipNeverPanics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("offset %d bit %#x: %v", off, bit, err)
 			}
-			if tab.Best[6] != good.Best[6] {
+			if !reflect.DeepEqual(tab, good) {
 				t.Fatalf("offset %d bit %#x: table silently changed", off, bit)
 			}
-			cn := sink.Snapshot().Counters
-			if cn["diskcache.corrupt_rebuilds"]+cn["diskcache.hits"] != 1 {
-				t.Fatalf("offset %d bit %#x: probe neither hit nor corrupt: %v", off, bit, cn)
+			if cn := sink.Snapshot().Counters; cn["diskcache.corrupt_rebuilds"] != 1 {
+				t.Fatalf("offset %d bit %#x: probe not a corrupt rebuild: %v", off, bit, cn)
 			}
 		}
-	}
-	// Restore a clean entry for no other reason than leaving the tempdir
-	// consistent if later asserts are added.
-	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,13 +12,12 @@ package core
 // multi-thousand-entry caches never degrade into one giant directory
 // scan.
 //
-// Format: entries are tablecodec containers (self-validating fixed
-// header + bitpacked columns, see internal/tablecodec and diskcodec.go).
-// Stale or damaged entries are rejected from the 32-byte header without
-// decoding the payload. A file at an entry's path that is not a
-// container — such as a gob stream from the first revision's format —
-// is corrupt like any other; files at other paths, such as that
-// revision's flat <dir>/<key>.table entries, are never read.
+// Format: one checksummed entry per table (tableentry.go): the content
+// key and the two stored rows, guarded by a CRC-32. A file at an
+// entry's path in any other form — a gob stream of the first revision,
+// a bitpacked container of the second — is corrupt like any other;
+// files at other paths, such as the first revision's flat
+// <dir>/<key>.table entries, are never read.
 //
 // Writes go through a temp file in the same directory — synced before an
 // atomic rename, with the directory synced after — so neither a
@@ -39,7 +38,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -86,9 +84,9 @@ func loadDiskTable(dir, key string, c *soc.Core, opts TableOptions) (t *Table, s
 		// failure, not a plain miss.
 		return nil, diskCorrupt, err
 	}
-	t, err = decodeTableV2(data, key, c, opts)
+	t, err = decodeEntry(data, key, c, opts)
 	if err != nil {
-		return nil, diskCorrupt, fmt.Errorf("decoding v2: %w", err)
+		return nil, diskCorrupt, err
 	}
 	return t, diskHit, nil
 }
@@ -231,15 +229,20 @@ func (ds *diskStore) load(key string, c *soc.Core, opts TableOptions, tel *telem
 	return t, status
 }
 
-// store writes the v2 entry for key, accounts it in the index, and
+// store writes the entry for key, accounts it in the index, and
 // evicts oldest-first down to the budget. diskcache.bytes tracks the
-// net bytes this process added to the store (stores minus evictions).
+// net bytes this process added to the store: entries written, less the
+// entries they replaced and the evictions.
 func (ds *diskStore) store(key string, t *Table, tel *telemetry.Sink) error {
-	data := encodeTableV2(key, t)
+	data := encodeEntry(key, t)
+	var replaced int64
+	if info, err := os.Stat(diskPath(ds.dir, key)); err == nil {
+		replaced = info.Size()
+	}
 	if err := storeDiskBytes(ds.dir, key, data); err != nil {
 		return err
 	}
-	tel.Counter("diskcache.bytes").Add(int64(len(data)))
+	tel.Counter("diskcache.bytes").Add(int64(len(data)) - replaced)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.capBytes <= 0 {

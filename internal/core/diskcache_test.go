@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -12,14 +13,13 @@ import (
 	"testing"
 
 	"soctap/internal/soc"
-	"soctap/internal/tablecodec"
 	"soctap/internal/telemetry"
 )
 
-// storeDiskTable writes the v2 entry for key at its sharded path, as the
+// storeDiskTable writes the entry for key at its sharded path, as the
 // disk store's write-back does.
 func storeDiskTable(dir, key string, t *Table) error {
-	return storeDiskBytes(dir, key, encodeTableV2(key, t))
+	return storeDiskBytes(dir, key, encodeEntry(key, t))
 }
 
 // cacheDirEntries lists the table entries currently in dir, all in its
@@ -70,56 +70,41 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskCacheCorruption: truncated or garbage entries and stale
-// version tags must read as misses — the table is silently rebuilt and
-// the entry rewritten.
+// TestDiskCacheCorruption: a truncated, garbage, stale-version or
+// bit-flipped entry, and an entry of an earlier revision's format (the
+// bitpacked container, a gob stream), each reads as exactly one counted
+// corrupt rebuild, and the entry is rewritten in the current format.
 func TestDiskCacheCorruption(t *testing.T) {
 	c := compressibleCore(12)
 	opts := TableOptions{MaxWidth: 10}
 
+	rewrite := func(f func(data []byte) []byte) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, f(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	corruptions := []struct {
 		name    string
 		corrupt func(t *testing.T, path string)
 	}{
-		{"truncated", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"garbage", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"stale-version", func(t *testing.T, path string) {
-			// Rewrite the container header under a version this code no
-			// longer accepts, re-sealing the header CRC so ONLY the
-			// version is wrong — the rejection must come from the
-			// version check, not checksum luck.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.LittleEndian.PutUint16(data[4:6], tablecodec.Version+1)
-			binary.LittleEndian.PutUint32(data[28:32], crc32.ChecksumIEEE(data[:28]))
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"payload-bit-flip", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)-2] ^= 0x10
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"truncated", rewrite(func(data []byte) []byte { return data[:len(data)/3] })},
+		{"garbage", rewrite(func([]byte) []byte { return []byte("not a table entry") })},
+		{"stale-version", rewrite(func(data []byte) []byte {
+			// Re-seal the checksum so ONLY the version is wrong: the
+			// rejection must come from the version check.
+			data[len(entryMagic)] = entryVersion + 1
+			body := data[:len(data)-4]
+			return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		})},
+		{"payload-bit-flip", rewrite(func(data []byte) []byte { data[len(data)-6] ^= 0x10; return data })},
+		{"v2-container", rewrite(func([]byte) []byte { return []byte(v2Entry) })},
+		{"gob", rewrite(func([]byte) []byte { return []byte(gobEntry) })},
 	}
 
 	for _, tc := range corruptions {
@@ -137,26 +122,35 @@ func TestDiskCacheCorruption(t *testing.T) {
 			}
 			tc.corrupt(t, files[0])
 
-			// The corrupted entry must trigger a silent rebuild...
+			// The corrupted entry must be one counted rebuild...
 			var again Cache
 			again.SetDir(dir)
 			var builds atomic.Int64
 			again.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
-			rebuilt, err := again.Get(c, opts)
+			sink := telemetry.New()
+			rebuilt, err := again.get(context.Background(), c, opts, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n := builds.Load(); n != 1 {
 				t.Errorf("%d builds after corruption, want 1", n)
 			}
-			a, b := *built, *rebuilt
-			a.Core, b.Core = nil, nil
-			if !reflect.DeepEqual(a, b) {
+			if cn := sink.Snapshot().Counters; cn["diskcache.corrupt_rebuilds"] != 1 || cn["diskcache.hits"]+cn["diskcache.misses"] != 0 {
+				t.Errorf("counters %v, want exactly one corrupt rebuild", cn)
+			}
+			if !reflect.DeepEqual(built, rebuilt) {
 				t.Error("rebuilt table differs from original")
 			}
 
-			// ...and the rewritten entry must be good: a third cache
-			// loads it without building.
+			// ...and the rewritten entry must be good: it decodes, and a
+			// third cache loads it without building.
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decodeEntry(data, contentKey(c, opts.normalized()), c, opts.normalized()); err != nil {
+				t.Errorf("rewritten entry does not decode: %v", err)
+			}
 			var third Cache
 			third.SetDir(dir)
 			var builds3 atomic.Int64
@@ -166,6 +160,47 @@ func TestDiskCacheCorruption(t *testing.T) {
 			}
 			if n := builds3.Load(); n != 0 {
 				t.Errorf("%d builds from the rewritten entry, want 0", n)
+			}
+		})
+	}
+}
+
+// TestDiskCacheBytesNetOfOverwrites: diskcache.bytes counts the net
+// bytes a process added to the store, so rewriting an entry over a
+// larger corrupt one counts the replaced bytes as removed, with and
+// without a disk budget.
+func TestDiskCacheBytesNetOfOverwrites(t *testing.T) {
+	c := compressibleCore(15)
+	opts := TableOptions{MaxWidth: 10}
+	const corruptSize = 5000
+	for _, budget := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			dir := t.TempDir()
+			path := diskPath(dir, contentKey(c, opts.normalized()))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, make([]byte, corruptSize), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cc, err := NewCache(dir, 0, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := telemetry.New()
+			if _, err := cc.get(context.Background(), c, opts, sink); err != nil {
+				t.Fatal(err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cn := sink.Snapshot().Counters
+			if cn["diskcache.corrupt_rebuilds"] != 1 {
+				t.Fatalf("counters %v, want one corrupt rebuild", cn)
+			}
+			if want := info.Size() - corruptSize; cn["diskcache.bytes"] != want {
+				t.Errorf("diskcache.bytes = %d, want %d: a %d-byte entry replaced %d bytes", cn["diskcache.bytes"], want, info.Size(), corruptSize)
 			}
 		})
 	}
@@ -320,7 +355,7 @@ func TestDiskStoreTouchErrorCounted(t *testing.T) {
 	keyA, tabA := build(61)
 	keyB, tabB := build(62)
 	keyC, tabC := build(63)
-	entrySize := int64(len(encodeTableV2(keyA, tabA)))
+	entrySize := int64(len(encodeEntry(keyA, tabA)))
 
 	// Cap sized for two entries, so storing a third evicts the
 	// oldest-access one.

@@ -150,14 +150,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Core:     c,
-		Opts:     opts.normalized(),
-		NoTDC:    make([]Config, opts.MaxWidth+1),
-		TDCExact: make([]Config, opts.MaxWidth+1),
-		TDCBest:  make([]Config, opts.MaxWidth+1),
-		Best:     make([]Config, opts.MaxWidth+1),
-	}
+	t := newTable(c, opts.normalized())
 	maxM := c.MaxWrapperChains()
 
 	// Collect the TDC evaluation points: each codeword-width band is one
@@ -228,7 +221,28 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	for _, b := range bands {
 		t.TDCExact[b.w] = b.best
 	}
-	for u := 1; u <= opts.MaxWidth; u++ {
+	deriveRows(t)
+	// One observation per completed build: the count mirrors
+	// tables.built on clean runs (failed/cancelled builds are absent),
+	// the distribution is wall clock.
+	tel.Histogram("tables.build_seconds").Observe(time.Since(buildStart))
+	return t, nil
+}
+
+// newTable returns c's table under normalized options opts, every row
+// zero at widths 0..MaxWidth; the four rows share one allocation.
+func newTable(c *soc.Core, opts TableOptions) *Table {
+	n := opts.MaxWidth + 1
+	rows := make([]Config, 4*n)
+	return &Table{Core: c, Opts: opts, NoTDC: rows[:n:n], TDCExact: rows[n : 2*n : 2*n],
+		TDCBest: rows[2*n : 3*n : 3*n], Best: rows[3*n:]}
+}
+
+// deriveRows computes TDCBest and Best from NoTDC and TDCExact: the
+// reduction that ends a table build, and a cache entry's decoding,
+// which stores only the two source rows.
+func deriveRows(t *Table) {
+	for u := 1; u < len(t.Best); u++ {
 		best := Config{}
 		if u >= 3 {
 			best = t.TDCBest[u-1]
@@ -243,11 +257,6 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 			t.Best[u] = best
 		}
 	}
-	// One observation per completed build: the count mirrors
-	// tables.built on clean runs (failed/cancelled builds are absent),
-	// the distribution is wall clock.
-	tel.Histogram("tables.build_seconds").Observe(time.Since(buildStart))
-	return t, nil
 }
 
 // newEvaluators prepares the evaluators of one table build or sweep

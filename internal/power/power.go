@@ -67,14 +67,16 @@ func ScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts, err := c.TestSet()
+	// One pass of soc.Core.Cubes: a core at or above the residency
+	// threshold streams.
+	src, err := c.Cubes()
 	if err != nil {
 		return nil, err
 	}
 	refs := d.StimulusMap()
 	si := d.ScanIn
 
-	est := &Estimate{Core: c.Name, M: m, Fill: fill, Patterns: ts.Len()}
+	est := &Estimate{Core: c.Name, M: m, Fill: fill, Patterns: src.Len()}
 
 	// Per-pattern dense reconstruction: value[ch][depth]. Reused across
 	// patterns; care[] marks specified cells per pattern.
@@ -90,7 +92,7 @@ func ScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, error) {
 	sliceCare := make([]int, si)
 
 	var total int64
-	for _, cb := range ts.Cubes {
+	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
 		for ch := range grid {
 			for dep := range grid[ch] {
 				grid[ch][dep] = cell{}
@@ -143,8 +145,8 @@ func ScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, error) {
 			est.PeakWTC = wtc
 		}
 	}
-	if ts.Len() > 0 {
-		est.MeanWTC = float64(total) / float64(ts.Len())
+	if est.Patterns > 0 {
+		est.MeanWTC = float64(total) / float64(est.Patterns)
 	}
 	return est, nil
 }

@@ -249,12 +249,16 @@ func (c *Core) StimulusVolumeBits() int64 {
 	return int64(c.StimulusBits()) * int64(c.Patterns)
 }
 
-// StreamsCubes is the residency rule of every multi-pass consumer of
-// the core's cubes (the evaluator's window, the simulator, the ATE image
-// writer, the dictionary sweep): a core whose raw stimulus image
-// reaches 2^31 bits streams from TestSource at O(pattern) residency; a
-// smaller one reads its cached TestSet, so no consumer re-runs the
-// generator.
+// StreamsCubes is the residency rule of every consumer of the core's
+// cubes: a core whose raw stimulus image reaches 2^31 bits streams from
+// TestSource at O(pattern) residency; a smaller one reads its cached
+// TestSet, so no consumer re-runs the generator. The consumers are the
+// table build's evaluator (core.NewEvaluator, which keeps a smaller
+// core's set as one window), the dictionary sweep of technique
+// selection, the simulator's replays (sim.RunTDCCore, sim.RunDictCore),
+// the ATE image (atevec), the baselines' core model, the truncation
+// planner (truncate.Plan) and the scan-in power estimate
+// (power.ScanInPower); all but the evaluator read through Cubes.
 func (c *Core) StreamsCubes() bool { return c.StimulusVolumeBits() >= 1<<31 }
 
 // Cubes returns one pass over the core's cubes under StreamsCubes.

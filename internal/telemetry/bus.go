@@ -10,10 +10,10 @@ package telemetry
 // ring is full drops the event and counts the drop (per subscription and
 // bus-wide, surfaced as Snapshot.EventsDropped and the
 // telemetry.events_dropped series on /metrics). A stalled /events
-// client or a slow progress writer therefore costs the pipeline nothing
-// beyond one failed channel send; it can never serialize worker
-// span-Ends the way the old synchronous spanHook did. With no
-// subscribers the publish path is a single atomic load.
+// client or a slow progress printer therefore costs the pipeline
+// nothing beyond one failed channel send; it can never serialize worker
+// span-Ends. With no subscribers the publish path is a single atomic
+// load.
 //
 // Delivery within one subscription is FIFO, so a sequential producer
 // (e.g. a single-worker run ending spans one by one) is observed in

@@ -188,65 +188,3 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		t.Fatal("unknown kind decoded without error")
 	}
 }
-
-// TestSpanHookAsyncDelivery: the hook keeps working through the bus —
-// slow hooks only delay their own goroutine, and Flush is a reliable
-// barrier.
-func TestSpanHookAsyncDelivery(t *testing.T) {
-	s := New()
-	var mu sync.Mutex
-	var got []string
-	s.SetSpanHook(func(path string, d time.Duration) {
-		time.Sleep(time.Millisecond) // a slow consumer
-		mu.Lock()
-		got = append(got, path)
-		mu.Unlock()
-	})
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		s.Span("phase").Begin().End()
-	}
-	// Ends published without waiting on the 1ms-per-event hook.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("span Ends blocked on the hook: %v", elapsed)
-	}
-	s.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 5 {
-		t.Fatalf("hook delivered %d events after Flush, want 5", len(got))
-	}
-	for _, p := range got {
-		if p != "phase" {
-			t.Fatalf("hook path %q, want \"phase\"", p)
-		}
-	}
-}
-
-// TestSinkClose: Close drains the hook and is idempotent; SetSpanHook
-// afterwards restarts delivery.
-func TestSinkClose(t *testing.T) {
-	s := New()
-	var mu sync.Mutex
-	n := 0
-	count := func(string, time.Duration) { mu.Lock(); n++; mu.Unlock() }
-	s.SetSpanHook(count)
-	s.Span("a").Begin().End()
-	s.Close()
-	s.Close()
-	mu.Lock()
-	if n != 1 {
-		mu.Unlock()
-		t.Fatalf("hook fired %d times before Close, want 1", n)
-	}
-	mu.Unlock()
-
-	s.SetSpanHook(count)
-	s.Span("b").Begin().End()
-	s.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if n != 2 {
-		t.Fatalf("hook fired %d times after re-install, want 2", n)
-	}
-}

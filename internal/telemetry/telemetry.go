@@ -176,7 +176,7 @@ func (sp *Span) Begin() Timing {
 }
 
 // End closes the interval, accumulating its duration into the span and
-// firing the sink's span hook; no-op on the zero Timing.
+// publishing a span event on the sink's bus; no-op on the zero Timing.
 func (t Timing) End() {
 	if t.sp == nil {
 		return
@@ -199,14 +199,6 @@ type Sink struct {
 	root       Span
 
 	bus bus
-
-	// The span hook is a bus subscriber on a dedicated goroutine (see
-	// SetSpanHook); hookMu guards its installation state and fn.
-	hookMu    sync.Mutex
-	hookFn    func(path string, elapsed time.Duration)
-	hookSub   *Subscription
-	hookFlush chan chan struct{}
-	hookDone  chan struct{}
 
 	start time.Time
 }
@@ -268,137 +260,8 @@ func (s *Sink) Gauge(name string) *Gauge {
 	return g
 }
 
-// hookBuffer sizes the span-hook subscription's ring. Span ends are
-// phase/core granular (hundreds per run, not millions), so this is deep
-// enough that no progress line is lost on any realistic run; should a
-// consumer stall completely, overflow drops and counts like any other
-// subscription instead of blocking workers.
-const hookBuffer = 4096
-
-// SetSpanHook installs fn to run on every span End with the span's
-// "/"-joined path and that interval's duration — the progress-line hook
-// of cmd/repro. The hook is a bus subscriber consumed on a dedicated
-// goroutine: span Ends on worker goroutines publish without blocking
-// (the old implementation invoked fn synchronously under a lock, so one
-// slow consumer stalled every concurrent worker's End). Delivery is
-// FIFO, so a sequential run is observed in publish order; call Flush
-// (or Close) before reading anything ordered after the hooked output.
-// Passing nil uninstalls the fn (the subscriber goroutine stays, idle).
-// No-op on a nil sink.
-func (s *Sink) SetSpanHook(fn func(path string, elapsed time.Duration)) {
-	if s == nil {
-		return
-	}
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	s.hookFn = fn
-	if fn == nil || s.hookSub != nil {
-		return
-	}
-	s.hookSub = s.bus.subscribe(MaskSpan, hookBuffer)
-	s.hookFlush = make(chan chan struct{})
-	s.hookDone = make(chan struct{})
-	go s.runHook(s.hookSub, s.hookFlush, s.hookDone)
-}
-
-// runHook is the span-hook consumer goroutine: it drains the hook
-// subscription, invoking the installed fn per event, and answers Flush
-// barriers.
-func (s *Sink) runHook(sub *Subscription, flush chan chan struct{}, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			s.callHook(ev)
-		case ack := <-flush:
-			if !s.drainHook(sub) {
-				close(ack)
-				return
-			}
-			close(ack)
-		}
-	}
-}
-
-// drainHook consumes everything currently buffered on the hook
-// subscription; false once the subscription is closed.
-func (s *Sink) drainHook(sub *Subscription) bool {
-	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok {
-				return false
-			}
-			s.callHook(ev)
-		default:
-			return true
-		}
-	}
-}
-
-// callHook invokes the currently-installed hook fn for one span event.
-// fn is read under hookMu but invoked outside it, so a slow fn never
-// holds the lock — only its own goroutine.
-func (s *Sink) callHook(ev Event) {
-	s.hookMu.Lock()
-	fn := s.hookFn
-	s.hookMu.Unlock()
-	if fn != nil {
-		fn(ev.Name, time.Duration(ev.DurNs))
-	}
-}
-
-// Flush blocks until every span event published before the call has
-// been delivered to the hook (if one is installed) — the barrier
-// cmd/repro uses so all progress lines land on stderr before the final
-// report. Events published concurrently with Flush may or may not be
-// included. No-op on a nil sink or without a hook.
-func (s *Sink) Flush() {
-	if s == nil {
-		return
-	}
-	s.hookMu.Lock()
-	flush, done := s.hookFlush, s.hookDone
-	s.hookMu.Unlock()
-	if flush == nil {
-		return
-	}
-	ack := make(chan struct{})
-	select {
-	case flush <- ack:
-		<-ack
-	case <-done:
-	}
-}
-
-// Close flushes and stops the span-hook subscriber. The sink's
-// instruments remain usable (a later SetSpanHook restarts the
-// subscriber); Close exists so a process can guarantee its hooked
-// output is complete before exiting. Safe to call more than once and
-// on nil.
-func (s *Sink) Close() {
-	if s == nil {
-		return
-	}
-	s.hookMu.Lock()
-	sub, done := s.hookSub, s.hookDone
-	s.hookSub, s.hookFlush, s.hookDone = nil, nil, nil
-	s.hookMu.Unlock()
-	if sub == nil {
-		return
-	}
-	// Closing the subscription lets the runner drain what is buffered,
-	// observe the channel close, and exit.
-	sub.Close()
-	<-done
-}
-
 // spanEnded publishes a span-end event on the bus; no-op on nil sinks
-// and free (one atomic load) without subscribers. The span hook, when
-// installed, is one of the subscribers.
+// and free (one atomic load) without subscribers.
 func (s *Sink) spanEnded(path string, d time.Duration) {
 	if s == nil {
 		return

@@ -22,9 +22,6 @@ func TestNilSinkIsInert(t *testing.T) {
 		t.Fatal("nil sink handed out a subscription")
 	}
 	s.PublishRun("r", "start")
-	s.Flush()
-	s.Close()
-	s.SetSpanHook(func(string, time.Duration) { t.Fatal("hook on nil sink") })
 
 	var sp *Span
 	if sp.Child("y") != nil || sp.Sink() != nil {
@@ -138,50 +135,6 @@ func TestGaugeTracksMax(t *testing.T) {
 	}
 	if _, ok := sn.Counters["eval.peak_heap_bytes"]; ok {
 		t.Fatal("gauge leaked into the counter map")
-	}
-}
-
-// TestSpanHook: every End fires the hook with the full path, serialized
-// across goroutines.
-func TestSpanHook(t *testing.T) {
-	s := New()
-	var mu sync.Mutex
-	var paths []string
-	s.SetSpanHook(func(path string, d time.Duration) {
-		mu.Lock()
-		paths = append(paths, path)
-		mu.Unlock()
-	})
-	parent := s.Span("tables")
-	// Children created in order on the coordinator, ended on workers.
-	kids := []*Span{parent.Child("core:a"), parent.Child("core:b")}
-	var wg sync.WaitGroup
-	for _, k := range kids {
-		wg.Add(1)
-		go func(sp *Span) {
-			defer wg.Done()
-			sp.Begin().End()
-		}(k)
-	}
-	wg.Wait()
-	parent.Begin().End()
-	// The hook runs on the bus subscriber goroutine; Flush is the
-	// delivery barrier for everything published above.
-	s.Flush()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(paths) != 3 {
-		t.Fatalf("hook fired %d times, want 3: %v", len(paths), paths)
-	}
-	found := map[string]bool{}
-	for _, p := range paths {
-		found[p] = true
-	}
-	for _, want := range []string{"tables/core:a", "tables/core:b", "tables"} {
-		if !found[want] {
-			t.Fatalf("missing hook path %q in %v", want, paths)
-		}
 	}
 }
 

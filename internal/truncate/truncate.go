@@ -75,18 +75,20 @@ func Plan(s *soc.SOC, budgetBits int64, cost PatternCost) (*Result, error) {
 	}
 	states := make([]*coreState, len(s.Cores))
 	for i, c := range s.Cores {
-		ts, err := c.TestSet()
+		// One pass of soc.Core.Cubes: a core at or above the residency
+		// threshold streams.
+		src, err := c.Cubes()
 		if err != nil {
 			return nil, err
 		}
 		st := &coreState{core: c}
-		for j, cb := range ts.Cubes {
+		for cb, ok := src.Next(); ok; cb, ok = src.Next() {
 			w := float64(cb.CareCount())
 			if w <= 0 {
 				w = 0.5 // every pattern detects something
 			}
+			st.costs = append(st.costs, cost(c, len(st.weights)))
 			st.weights = append(st.weights, w)
-			st.costs = append(st.costs, cost(c, j))
 			st.total += w
 		}
 		// Enforce non-increasing marginal gains (the coverage curve is
