@@ -168,41 +168,44 @@ func TestBaselineValidation(t *testing.T) {
 }
 
 // TestCubeReadersStream: the baseline model, the truncation planner and
-// the scan-in power estimate read a core at the residency threshold
-// (soc.Core.StreamsCubes: 2^16 stimulus bits × 2^15 patterns) in one
-// pass of soc.Core.Cubes, so the core keeps no test set: with the core
-// still alive, none of them leaves more than a few MB on the heap,
-// where the set's cubes take about 40 MB. The power estimate visits
-// every cell of every pattern, 2^31 visits here (about 11 s on one
-// CPU), so it runs neither in -short mode nor under the race detector.
+// the scan-in power estimate each read a fresh core at the residency
+// threshold (soc.Core.StreamsCubes: 2^16 stimulus bits × 2^15
+// patterns) in one pass of soc.Core.Cubes, so the core keeps no test
+// set: with the core still alive, none of them leaves more than a few
+// MB on the heap, where the set's cubes take about 40 MB. The power
+// estimate visits every cell of every pattern, 2^31 visits here (about
+// 11 s on one CPU), so it runs neither in -short mode nor under the
+// race detector.
 func TestCubeReadersStream(t *testing.T) {
 	chains := make([]int, 63)
 	for i := range chains {
 		chains[i] = (1<<16 - 16) / len(chains)
 	}
-	c := &soc.Core{Name: "edge", Inputs: 16, ScanChains: chains, Patterns: 1 << 15, CareDensity: 0.001, Seed: 1}
-	if !c.StreamsCubes() {
-		t.Fatalf("%d raw stimulus bits: the core does not stream", c.StimulusVolumeBits())
-	}
-	s := &soc.SOC{Name: "edge", Cores: []*soc.Core{c}}
 	readers := []struct {
 		name string
 		slow bool
-		read func() error
+		read func(c *soc.Core) error
 	}{
-		{"baselines", false, func() error { _, err := buildModel(c); return err }},
-		{"truncate.Plan", false, func() error { _, err := truncate.Plan(s, 1<<20, nil); return err }},
-		{"power.ScanInPower", true, func() error { _, err := power.ScanInPower(c, 64, power.FillZero); return err }},
+		{"baselines", false, func(c *soc.Core) error { _, err := buildModel(c); return err }},
+		{"truncate.Plan", false, func(c *soc.Core) error {
+			_, err := truncate.Plan(&soc.SOC{Name: "edge", Cores: []*soc.Core{c}}, 1<<20, nil)
+			return err
+		}},
+		{"power.ScanInPower", true, func(c *soc.Core) error { _, err := power.ScanInPower(c, 64, power.FillZero); return err }},
 	}
 	for _, r := range readers {
 		if r.slow && (testing.Short() || raceEnabled) {
 			t.Logf("%s: skipped in -short mode and under the race detector", r.name)
 			continue
 		}
+		c := &soc.Core{Name: "edge", Inputs: 16, ScanChains: chains, Patterns: 1 << 15, CareDensity: 0.001, Seed: 1}
+		if !c.StreamsCubes() {
+			t.Fatalf("%d raw stimulus bits: the core does not stream", c.StimulusVolumeBits())
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if err := r.read(); err != nil {
+		if err := r.read(c); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		runtime.GC()
@@ -210,6 +213,6 @@ func TestCubeReadersStream(t *testing.T) {
 		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4<<20 {
 			t.Errorf("%s left %d B more on the heap; a streamed core must keep no test set", r.name, grew)
 		}
+		runtime.KeepAlive(c)
 	}
-	runtime.KeepAlive(c)
 }

@@ -165,9 +165,9 @@ func (f *Flags) Start(prog string, progress func(path string, elapsed time.Durat
 // done — or cancelled, counting run.cancelled — waits for the progress
 // printer to print every span that ended, writes the -telemetry and
 // -telemetry-text reports, and stops the metrics server after a last
-// scrape. End returns when err is nil and
-// the profiles stopped cleanly. A cancelled run exits 130 with its
-// report written; any other error exits 1 without one.
+// scrape. End returns when err is nil and the profiles stopped cleanly.
+// A cancelled run exits 130 with its report written; any other error
+// exits 1 without one.
 func (r *Run) End(err error) {
 	if perr := r.stopProfiles(); err == nil {
 		err = perr

@@ -1,7 +1,7 @@
 package core
 
-// The disk cache's table entry: one table under its content key, in
-// fixed little-endian order.
+// The disk cache's table entry: one table under its content key, in a
+// fixed byte layout that reads the same on every architecture.
 //
 //	magic    "STBL"
 //	version  one byte, entryVersion
