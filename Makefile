@@ -238,21 +238,27 @@ robustness:
 # rewritten, a flat file of the first revision is never read,
 # diskcache.bytes counts an overwritten entry's bytes as removed, both
 # tiers honour their size bounds — the memory tier as one exact LRU
-# over every resident table — and, under the race detector, the
-# one-lock cache builds each key once and hands every caller the same
-# table.
+# over every resident table — a resident table keeps only its rows (a
+# core passed to Get and dropped is collected, TestCacheKeepsNoCore,
+# and twelve upload-shaped cores built and dropped leave at most their
+# twelve tables' charge plus a fixed slack on the heap,
+# TestCacheRetainsOnlyRows), and, under the race detector, the one-lock
+# cache builds each key once and hands every caller the same table.
 cachefmt:
 	$(GO) test -run 'TestTableEntryLayout|TestTableEntryRejects|FuzzTableEntry|TestFormatV2MatchesV1OnBenchmarks' -count=1 ./internal/core
 	$(GO) test -run 'TestDiskCacheV1Migration|TestDiskCacheCorruption|TestDiskCacheBytesNetOfOverwrites|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound' -count=1 ./internal/core
+	$(GO) test -run 'TestCacheKeepsNoCore|TestCacheRetainsOnlyRows' -count=1 ./internal/core
 	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
 
 # telemetry-overhead asserts the zero-overhead-when-disabled contract:
 # the instrumented-but-disabled kernel and makespan paths must run at 0
-# allocs/op (test-enforced), the disabled-path benchmark must still
-# compile and run, and the telemetry package itself must be vet-clean.
+# allocs/op (test-enforced), the enabled peak-heap gauge samples the
+# heap through runtime/metrics at 0 allocs/op too, the disabled-path
+# benchmark must still compile and run, and the telemetry package
+# itself must be vet-clean.
 telemetry-overhead:
 	$(GO) vet ./internal/telemetry
-	$(GO) test -run 'TestKernelDisabledTelemetryZeroAlloc|TestMakespanDisabledTelemetryZeroAlloc|TestNilFastPathAllocs' -count=1 ./internal/core ./internal/telemetry
+	$(GO) test -run 'TestKernelDisabledTelemetryZeroAlloc|TestMakespanDisabledTelemetryZeroAlloc|TestPeakHeapSampleZeroAlloc|TestNilFastPathAllocs' -count=1 ./internal/core ./internal/telemetry
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernelDisabled|BenchmarkTDCCostKernelTelemetry' -benchtime 1x -benchmem ./internal/core
 
 # obs asserts the observability-plane contracts: the disabled histogram
@@ -278,10 +284,12 @@ obs:
 # designs, NDJSON progress streaming, graceful drain with no goroutine
 # leaks, a technique-selection plan with dictionary cores that passes
 # VerifyPlan, a request's ?workers capped at the server's per-job bound,
-# one per CPU by default) plus the HTTP/cache hardening regressions this
-# plane stands on
-# (non-Flusher event streaming, slowloris header reaping, write-timeout
-# exemption for streams, disk-cache touch-error accounting).
+# one per CPU by default, and 24 never-seen uploads growing the heap by
+# no more than the cache's memory budget plus a constant,
+# TestUploadHeapWithinCacheBudget, about 11 s of the race run) plus the
+# HTTP/cache hardening regressions this plane stands on (non-Flusher
+# event streaming, slowloris header reaping, write-timeout exemption for
+# streams, disk-cache touch-error accounting).
 serve:
 	$(GO) test -race -count=1 -timeout 300s ./internal/serve ./cmd/socserve
 	$(GO) test -race -count=1 -timeout 120s -run 'TestEventsNonFlusherWriter|TestStalledHeaderReadReaped|TestEventsStreamSurvivesWriteTimeout' ./internal/telemetry

@@ -172,10 +172,7 @@ func TestBaselineValidation(t *testing.T) {
 // threshold (soc.Core.StreamsCubes: 2^16 stimulus bits × 2^15
 // patterns) in one pass of soc.Core.Cubes, so the core keeps no test
 // set: with the core still alive, none of them leaves more than a few
-// MB on the heap, where the set's cubes take about 40 MB. The power
-// estimate visits every cell of every pattern, 2^31 visits here (about
-// 11 s on one CPU), so it runs neither in -short mode nor under the
-// race detector.
+// MB on the heap, where the set's cubes take about 40 MB.
 func TestCubeReadersStream(t *testing.T) {
 	chains := make([]int, 63)
 	for i := range chains {
@@ -183,21 +180,16 @@ func TestCubeReadersStream(t *testing.T) {
 	}
 	readers := []struct {
 		name string
-		slow bool
 		read func(c *soc.Core) error
 	}{
-		{"baselines", false, func(c *soc.Core) error { _, err := buildModel(c); return err }},
-		{"truncate.Plan", false, func(c *soc.Core) error {
+		{"baselines", func(c *soc.Core) error { _, err := buildModel(c); return err }},
+		{"truncate.Plan", func(c *soc.Core) error {
 			_, err := truncate.Plan(&soc.SOC{Name: "edge", Cores: []*soc.Core{c}}, 1<<20, nil)
 			return err
 		}},
-		{"power.ScanInPower", true, func(c *soc.Core) error { _, err := power.ScanInPower(c, 64, power.FillZero); return err }},
+		{"power.ScanInPower", func(c *soc.Core) error { _, err := power.ScanInPower(c, 64, power.FillZero); return err }},
 	}
 	for _, r := range readers {
-		if r.slow && (testing.Short() || raceEnabled) {
-			t.Logf("%s: skipped in -short mode and under the race detector", r.name)
-			continue
-		}
 		c := &soc.Core{Name: "edge", Inputs: 16, ScanChains: chains, Patterns: 1 << 15, CareDensity: 0.001, Seed: 1}
 		if !c.StreamsCubes() {
 			t.Fatalf("%d raw stimulus bits: the core does not stream", c.StimulusVolumeBits())

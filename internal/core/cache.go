@@ -23,7 +23,11 @@ package core
 // as the resident total exceeds it — an eviction only costs a rebuild
 // (or a disk reload) on the next Get. The zero budget is unbounded.
 // cache.bytes / cache.evictions count the accounting; sizes are the
-// tableMemBytes estimate, not exact heap bytes.
+// tableMemBytes estimate, not exact heap bytes. A resident entry keeps
+// its key and its table, and a table keeps only its options and rows —
+// nothing of the core a caller passed to Get — so the budget bounds
+// what the cache holds on the heap: the cores, and the test sets their
+// builds generated, die with their callers.
 
 import (
 	"context"
@@ -245,7 +249,7 @@ func (cc *Cache) build(ctx context.Context, ds *diskStore, e *cacheEntry, c *soc
 	}()
 
 	if ds != nil {
-		t, status := ds.load(e.key, c, opts.normalized(), tel, cc.warnf)
+		t, status := ds.load(e.key, opts.normalized(), tel, cc.warnf)
 		if status == diskHit {
 			e.t = t
 			return

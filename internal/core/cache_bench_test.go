@@ -13,7 +13,7 @@ import (
 
 // BenchmarkDiskLoadV1VsV2 measures one full cold load of a table entry
 // at MaxWidth 64 — file read, checksum, decode of the two stored rows,
-// the derived rows' reduction, core re-attachment — and reports the
+// the derived rows' reduction — and reports the
 // entry's size as entry-bytes. The benchmark and its v2-bitpack arm
 // keep the names they had when they compared the gob stream with the
 // bitpacked container, both gone, so archived runs still line up.
@@ -37,7 +37,7 @@ func BenchmarkDiskLoadV1VsV2(b *testing.B) {
 	b.Run("v2-bitpack", func(b *testing.B) {
 		b.ReportMetric(float64(info.Size()), "entry-bytes")
 		for i := 0; i < b.N; i++ {
-			t, status, reason := loadDiskTable(dir, key, c, opts)
+			t, status, reason := loadDiskTable(dir, key, opts)
 			if status != diskHit || t == nil {
 				b.Fatalf("load status %v: %v", status, reason)
 			}

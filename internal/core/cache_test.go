@@ -1,17 +1,19 @@
 package core
 
 // Tests for the cache tiers: the one disk format and layout, the
-// bounded disk store, the exact LRU memory budget, and the format on
-// the paper's benchmark cores.
+// bounded disk store, the exact LRU memory budget, what a resident table
+// keeps alive, and the format on the paper's benchmark cores.
 
 import (
 	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"soctap/internal/soc"
 	"soctap/internal/telemetry"
@@ -64,7 +66,7 @@ func TestDiskCacheV1Migration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no entry at the sharded path: %v", err)
 	}
-	if _, err := decodeEntry(data, key, nil, opts.normalized()); err != nil {
+	if _, err := decodeEntry(data, key, opts.normalized()); err != nil {
 		t.Errorf("written entry does not decode: %v", err)
 	}
 	if got, err := os.ReadFile(flat); err != nil || string(got) != gobEntry {
@@ -84,9 +86,7 @@ func TestDiskCacheV1Migration(t *testing.T) {
 	if n != 0 || cn["diskcache.hits"] != 1 {
 		t.Errorf("second cache: %d builds, counters %v; want a plain hit", n, cn)
 	}
-	a, b := *built, *loaded
-	a.Core, b.Core = nil, nil
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(built, loaded) {
 		t.Error("loaded table differs from the built table")
 	}
 
@@ -120,7 +120,7 @@ func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := contentKey(c, opts)
-			mem, err := decodeEntry(encodeEntry(key, built), key, c, opts)
+			mem, err := decodeEntry(encodeEntry(key, built), key, opts)
 			if err != nil {
 				t.Fatalf("round trip: %v", err)
 			}
@@ -128,7 +128,7 @@ func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 			if err := storeDiskTable(dir, key, built); err != nil {
 				t.Fatal(err)
 			}
-			disk, status, reason := loadDiskTable(dir, key, c, opts)
+			disk, status, reason := loadDiskTable(dir, key, opts)
 			if status != diskHit {
 				t.Fatalf("disk load: status %v (%v)", status, reason)
 			}
@@ -425,4 +425,90 @@ func TestDiskCacheBitFlipNeverPanics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// uploadCores returns k never-seen cores shaped like a socserve
+// upload's: the cores of a small industrial design, as soc.Synthesize
+// draws it at half scale and 24 patterns, each under a cube seed of its
+// own, so every core is a new cache key whose build generates a test
+// set of a few hundred KB.
+func uploadCores(t *testing.T, k int) []*soc.Core {
+	t.Helper()
+	s, err := soc.Synthesize(context.Background(), soc.SynthSpec{
+		Name: "upload", Profile: "industrial", Cores: 3, Seed: 33, Patterns: 24, Scale: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := make([]*soc.Core, k)
+	for i := range cores {
+		cores[i] = freshCore(s.Cores[i%len(s.Cores)])
+		cores[i].Seed = int64(1000 + i)
+	}
+	return cores
+}
+
+// TestCacheKeepsNoCore: a resident table holds nothing of the core it
+// was built for. A core passed to Get — the one whose build generated
+// and cached its test set, and a second parse of it that hits the entry
+// — is collected once the caller drops it, while the cache and the
+// returned table stay alive.
+func TestCacheKeepsNoCore(t *testing.T) {
+	var cc Cache
+	var collected atomic.Int64
+	var tabs []*Table
+	func() {
+		for _, c := range []*soc.Core{uploadCores(t, 1)[0], uploadCores(t, 1)[0]} {
+			runtime.SetFinalizer(c, func(*soc.Core) { collected.Add(1) })
+			tab, err := cc.Get(c, TableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabs = append(tabs, tab)
+		}
+	}()
+	if tabs[0] != tabs[1] {
+		t.Fatal("the second parse missed the cache")
+	}
+	// Finalizers run on their own goroutine after the cycle that found
+	// the object unreachable.
+	for i := 0; i < 50 && collected.Load() < 2; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != 2 {
+		t.Errorf("%d of 2 dropped cores collected: the cache or its table keeps a core, and its test set, alive", n)
+	}
+	runtime.KeepAlive(&cc)
+	runtime.KeepAlive(tabs)
+}
+
+// TestCacheRetainsOnlyRows: k upload-shaped cores built through one
+// cache, then dropped, leave the cache's k resident tables on the heap
+// and little else — at most k·tableMemBytes plus a fixed slack for the
+// map and the size-class rounding of the rows, where keeping each
+// core's test set would leave more than ten times that.
+func TestCacheRetainsOnlyRows(t *testing.T) {
+	const k = 12
+	cores := uploadCores(t, k)
+	var cc Cache
+	var probe *Table
+	grew := retainedBytes(func() any {
+		for i := range cores {
+			tab, err := cc.Get(cores[i], TableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe = tab
+			cores[i] = nil
+		}
+		return nil
+	})
+	t.Logf("%d cached tables left %d B on the heap (%d charged each)", k, grew, tableMemBytes(probe))
+	const slack = 64 << 10
+	if limit := k*tableMemBytes(probe) + slack; grew > limit {
+		t.Errorf("%d cached tables left %d B on the heap, over %d B (%d charged each, %d slack): the cache keeps more than its tables' rows",
+			k, grew, limit, tableMemBytes(probe), slack)
+	}
+	runtime.KeepAlive(&cc)
 }

@@ -46,7 +46,6 @@ import (
 	"sync"
 	"time"
 
-	"soctap/internal/soc"
 	"soctap/internal/telemetry"
 )
 
@@ -70,11 +69,11 @@ func diskPath(dir, key string) string {
 	return filepath.Join(dir, key[:2], key+".table")
 }
 
-// loadDiskTable reads the entry for key and re-attaches it to core c.
-// On anything but a hit the caller rebuilds; the status says whether
-// the entry was absent (diskMiss) or present but bad (diskCorrupt), and
-// reason carries the corruption detail for the warning callback.
-func loadDiskTable(dir, key string, c *soc.Core, opts TableOptions) (t *Table, status diskStatus, reason error) {
+// loadDiskTable reads and decodes the entry for key. On anything but a
+// hit the caller rebuilds; the status says whether the entry was absent
+// (diskMiss) or present but bad (diskCorrupt), and reason carries the
+// corruption detail for the warning callback.
+func loadDiskTable(dir, key string, opts TableOptions) (t *Table, status diskStatus, reason error) {
 	data, err := os.ReadFile(diskPath(dir, key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, diskMiss, nil
@@ -84,7 +83,7 @@ func loadDiskTable(dir, key string, c *soc.Core, opts TableOptions) (t *Table, s
 		// failure, not a plain miss.
 		return nil, diskCorrupt, err
 	}
-	t, err = decodeEntry(data, key, c, opts)
+	t, err = decodeEntry(data, key, opts)
 	if err != nil {
 		return nil, diskCorrupt, err
 	}
@@ -212,9 +211,9 @@ func (ds *diskStore) setCap(capBytes int64) {
 
 // load probes the store for key, counting the outcome into tel. On a
 // hit the entry's access time is re-stamped.
-func (ds *diskStore) load(key string, c *soc.Core, opts TableOptions, tel *telemetry.Sink, warnf func(string, ...any)) (*Table, diskStatus) {
+func (ds *diskStore) load(key string, opts TableOptions, tel *telemetry.Sink, warnf func(string, ...any)) (*Table, diskStatus) {
 	t0 := time.Now()
-	t, status, reason := loadDiskTable(ds.dir, key, c, opts)
+	t, status, reason := loadDiskTable(ds.dir, key, opts)
 	tel.Histogram("diskcache.load_seconds").Observe(time.Since(t0))
 	switch status {
 	case diskHit:

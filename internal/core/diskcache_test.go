@@ -61,11 +61,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if n := builds.Load(); n != 0 {
 		t.Errorf("%d builds on a warm disk cache, want 0", n)
 	}
-	// Compare every field except the Core pointer, which is re-attached
-	// on load (the content key guarantees structural identity).
-	a, b := *built, *loaded
-	a.Core, b.Core = nil, nil
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(built, loaded) {
 		t.Error("loaded table differs from built table")
 	}
 }
@@ -148,7 +144,7 @@ func TestDiskCacheCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := decodeEntry(data, contentKey(c, opts.normalized()), c, opts.normalized()); err != nil {
+			if _, err := decodeEntry(data, contentKey(c, opts.normalized()), opts.normalized()); err != nil {
 				t.Errorf("rewritten entry does not decode: %v", err)
 			}
 			var third Cache

@@ -16,7 +16,7 @@ package core
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"soctap/internal/cube"
@@ -138,12 +138,14 @@ type Evaluator struct {
 	// clock is only read when a sink is attached.
 	windowHist *telemetry.Histogram
 	// peakHeap is the heap high-water gauge, sampled at window
-	// boundaries every heapSampleStride loads (ReadMemStats is
-	// stop-the-world, so per-window sampling would dominate at small
-	// windows). Nil without a sink; gauge values are runtime
-	// observations, excluded from the determinism guarantee.
-	peakHeap *telemetry.Gauge
-	loadTick int
+	// boundaries every heapSampleStride loads into heapSample, the
+	// evaluator's own one-element runtime/metrics sample (made on its
+	// first read), so a read neither allocates nor stops the world. Nil
+	// without a sink; gauge values are runtime observations, excluded
+	// from the determinism guarantee.
+	peakHeap   *telemetry.Gauge
+	heapSample []metrics.Sample
+	loadTick   int
 
 	// ctx, when non-nil, is checked at every kernel entry so a cancelled
 	// sweep aborts at (w, m)-point granularity. Only cancellable contexts
@@ -155,6 +157,12 @@ type Evaluator struct {
 // heapSampleStride is the window-load sampling interval of the peak-heap
 // gauge.
 const heapSampleStride = 64
+
+// heapObjectsMetric is the runtime/metrics name of the bytes held by
+// heap objects, live ones and those not yet swept: the quantity
+// runtime.MemStats.HeapAlloc reports, read under a semaphore instead of
+// a stop-the-world pause.
+const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
 
 // attachTelemetry resolves the evaluator's kernel counters from the
 // sink; a nil sink leaves them nil, keeping the hot path free.
@@ -357,9 +365,11 @@ func (e *Evaluator) noteWindow(n int) {
 	if e.loadTick%heapSampleStride != 1 {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	e.peakHeap.Observe(int64(ms.HeapAlloc))
+	if e.heapSample == nil {
+		e.heapSample = []metrics.Sample{{Name: heapObjectsMetric}}
+	}
+	metrics.Read(e.heapSample)
+	e.peakHeap.Observe(int64(e.heapSample[0].Value.Uint64()))
 }
 
 // Design returns the wrapper design for m chains, reusing the previous

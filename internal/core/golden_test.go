@@ -44,12 +44,12 @@ func goldenCases() []goldenCase {
 // goldenTablesPath is the checked-in rendering of every golden table.
 var goldenTablesPath = filepath.Join("testdata", "golden_tables.txt")
 
-// renderTable renders one table as text: a header line naming the core
-// and the table's options, then one line per Config of each row, at
-// every width the row holds.
-func renderTable(t *Table) []byte {
+// renderTable renders core name's table as text: a header line naming
+// the core and the table's options, then one line per Config of each
+// row, at every width the row holds.
+func renderTable(name string, t *Table) []byte {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "table %s maxwidth=%d bandsamples=%d\n", t.Core.Name, t.Opts.MaxWidth, t.Opts.BandSamples)
+	fmt.Fprintf(&buf, "table %s maxwidth=%d bandsamples=%d\n", name, t.Opts.MaxWidth, t.Opts.BandSamples)
 	for _, row := range []struct {
 		name string
 		cfgs []Config
@@ -79,12 +79,12 @@ func goldenTables(t *testing.T) map[string][]byte {
 	return sections
 }
 
-// checkGoldenTable reports whether tbl renders to its core's section of
-// the golden tables.
-func checkGoldenTable(t *testing.T, want map[string][]byte, tbl *Table, what string) {
+// checkGoldenTable reports whether tbl, built for core name, renders to
+// that core's section of the golden tables.
+func checkGoldenTable(t *testing.T, want map[string][]byte, name string, tbl *Table, what string) {
 	t.Helper()
-	if got := renderTable(tbl); !bytes.Equal(got, want[tbl.Core.Name]) {
-		t.Errorf("%s %s: table differs from %s at %s", tbl.Core.Name, what, goldenTablesPath, firstDiff(got, want[tbl.Core.Name]))
+	if got := renderTable(name, tbl); !bytes.Equal(got, want[name]) {
+		t.Errorf("%s %s: table differs from %s at %s", name, what, goldenTablesPath, firstDiff(got, want[name]))
 	}
 }
 
@@ -102,7 +102,7 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, renderTable(tbl)...)
+			all = append(all, renderTable(gc.core.Name, tbl)...)
 		}
 		if err := os.WriteFile(goldenTablesPath, all, 0o644); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestGoldenTables(t *testing.T) {
 				} else {
 					bandSweeps++
 				}
-				checkGoldenTable(t, want, tbl, fmt.Sprintf("window=%d workers=%d", window, workers))
+				checkGoldenTable(t, want, gc.core.Name, tbl, fmt.Sprintf("window=%d workers=%d", window, workers))
 			}
 		}
 	}

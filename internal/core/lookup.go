@@ -97,9 +97,10 @@ func forEachEval(ctx context.Context, evs []*Evaluator, n int, tel *telemetry.Si
 }
 
 // Table holds, for one core, the best test configuration at every TAM
-// width from 1 to MaxWidth, for each access style.
+// width from 1 to MaxWidth, for each access style. It holds its options
+// and its four rows, nothing of the core it was built from, so a cached
+// table keeps no core's test set alive.
 type Table struct {
-	Core *soc.Core
 	Opts TableOptions
 
 	// NoTDC[u] is the direct-access configuration using u wrapper chains
@@ -150,7 +151,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t := newTable(c, opts.normalized())
+	t := newTable(opts.normalized())
 	maxM := c.MaxWrapperChains()
 
 	// Collect the TDC evaluation points: each codeword-width band is one
@@ -229,12 +230,12 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	return t, nil
 }
 
-// newTable returns c's table under normalized options opts, every row
+// newTable returns a table under normalized options opts, every row
 // zero at widths 0..MaxWidth; the four rows share one allocation.
-func newTable(c *soc.Core, opts TableOptions) *Table {
+func newTable(opts TableOptions) *Table {
 	n := opts.MaxWidth + 1
 	rows := make([]Config, 4*n)
-	return &Table{Core: c, Opts: opts, NoTDC: rows[:n:n], TDCExact: rows[n : 2*n : 2*n],
+	return &Table{Opts: opts, NoTDC: rows[:n:n], TDCExact: rows[n : 2*n : 2*n],
 		TDCBest: rows[2*n : 3*n : 3*n], Best: rows[3*n:]}
 }
 

@@ -96,6 +96,45 @@ func TestBuildTableInvariants(t *testing.T) {
 	}
 }
 
+// TestDeriveRowsTieBreaks pins deriveRows' two tie-breaks on a
+// hand-built table, since no golden table has a tie: at equal (time,
+// volume) TDCBest[u] keeps the narrower configuration TDCBest[u-1]
+// rather than the wider TDCExact[u], and Best[u] keeps TDCBest[u]
+// rather than an equal NoTDC[u]. A strict improvement still wins.
+func TestDeriveRowsTieBreaks(t *testing.T) {
+	tdc := func(w, m int, time, volume int64) Config {
+		return Config{Feasible: true, UseTDC: true, Codec: CodecSelEnc, Width: w, M: m, Time: time, Volume: volume}
+	}
+	direct := func(w int, time, volume int64) Config {
+		return Config{Feasible: true, Codec: CodecDirect, Width: w, M: w, Time: time, Volume: volume}
+	}
+	tab := newTable(TableOptions{MaxWidth: 5})
+	for u := 1; u <= 5; u++ {
+		tab.NoTDC[u] = direct(u, 1000, 1000)
+	}
+	tab.TDCExact[3] = tdc(3, 4, 100, 50)
+	tab.TDCExact[4] = tdc(4, 9, 100, 50) // ties TDCBest[3]
+	tab.NoTDC[4] = direct(4, 100, 50)    // ties TDCBest[4]
+	tab.TDCExact[5] = tdc(5, 17, 100, 49)
+	tab.NoTDC[5] = direct(5, 99, 1000)
+	deriveRows(tab)
+
+	for _, c := range []struct {
+		name      string
+		got, want Config
+	}{
+		{"TDCBest[4], tied with the narrower TDCBest[3]", tab.TDCBest[4], tab.TDCExact[3]},
+		{"Best[4], NoTDC[4] tied with TDCBest[4]", tab.Best[4], tab.TDCExact[3]},
+		{"TDCBest[5], a strictly lower volume", tab.TDCBest[5], tab.TDCExact[5]},
+		{"Best[5], a strictly shorter direct test", tab.Best[5], tab.NoTDC[5]},
+		{"Best[2], below the smallest TDC width", tab.Best[2], tab.NoTDC[2]},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestBuildTableDenseCorePrefersDirectOrTDC(t *testing.T) {
 	// At ~60% care density compression buys little; Best must still be
 	// well-formed and no worse than NoTDC.
@@ -422,7 +461,7 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGoldenTable(t, want, plain, fmt.Sprintf("unpruned workers=%d", workers))
+			checkGoldenTable(t, want, gc.core.Name, plain, fmt.Sprintf("unpruned workers=%d", workers))
 		}
 	}
 }

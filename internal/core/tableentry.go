@@ -25,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-
-	"soctap/internal/soc"
 )
 
 const (
@@ -75,10 +73,10 @@ func encodeEntry(key string, t *Table) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// decodeEntry parses an entry, checks it against the content key and
-// the options it was requested under, and attaches core c. Any flaw is
-// an error: the caller counts it as a corrupt entry and rebuilds.
-func decodeEntry(data []byte, key string, c *soc.Core, opts TableOptions) (*Table, error) {
+// decodeEntry parses an entry and checks it against the content key
+// and the options it was requested under. Any flaw is an error: the
+// caller counts it as a corrupt entry and rebuilds.
+func decodeEntry(data []byte, key string, opts TableOptions) (*Table, error) {
 	head := len(entryMagic) + 1
 	if len(data) < head+4 {
 		return nil, fmt.Errorf("%d-byte entry", len(data))
@@ -105,7 +103,7 @@ func decodeEntry(data []byte, key string, c *soc.Core, opts TableOptions) (*Tabl
 	if n < 0 || len(body)-r.off < 2*n*entryMinConfig {
 		return nil, fmt.Errorf("%d-byte entry too short for %d widths", len(data), n)
 	}
-	t := newTable(c, opts)
+	t := newTable(opts)
 	for _, row := range [2][]Config{t.NoTDC, t.TDCExact} {
 		for u := 1; u <= n; u++ {
 			row[u] = r.config()

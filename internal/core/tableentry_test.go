@@ -17,7 +17,7 @@ const layoutKey = "layout-key"
 // values from one byte to a full int64, its derived rows computed by
 // deriveRows.
 func layoutTable(n int) *Table {
-	t := newTable(nil, TableOptions{MaxWidth: n, BandSamples: 48})
+	t := newTable(TableOptions{MaxWidth: n, BandSamples: 48})
 	for u := 1; u <= n; u++ {
 		t.NoTDC[u] = Config{Feasible: true, Width: u, M: min(u, 3), Time: 90000 / int64(min(u, 3)), Volume: 4800}
 		switch {
@@ -61,7 +61,7 @@ func TestTableEntryLayout(t *testing.T) {
 	if want[len(entryMagic)] != entryVersion {
 		t.Fatalf("pinned entry has version %d, want %d", want[len(entryMagic)], entryVersion)
 	}
-	got, err := decodeEntry(want, layoutKey, nil, tbl.Opts)
+	got, err := decodeEntry(want, layoutKey, tbl.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +109,19 @@ func TestTableEntryRejects(t *testing.T) {
 		{"gob", []byte(gobEntry), opts},
 	}
 	for _, tc := range cases {
-		if tbl, err := decodeEntry(tc.data, layoutKey, nil, tc.opts); err == nil {
+		if tbl, err := decodeEntry(tc.data, layoutKey, tc.opts); err == nil {
 			t.Errorf("%s: decoded to a table of %d widths", tc.name, len(tbl.Best)-1)
 		}
 	}
 	for n := range len(good) {
-		if _, err := decodeEntry(good[:n], layoutKey, nil, opts); err == nil {
+		if _, err := decodeEntry(good[:n], layoutKey, opts); err == nil {
 			t.Fatalf("decoded a %d/%d-byte truncation", n, len(good))
 		}
 	}
 	for bit := range 8 * len(good) {
 		d := append([]byte(nil), good...)
 		d[bit/8] ^= 1 << (bit % 8)
-		if _, err := decodeEntry(d, layoutKey, nil, opts); err == nil {
+		if _, err := decodeEntry(d, layoutKey, opts); err == nil {
 			t.Fatalf("decoded an entry with bit %d flipped", bit)
 		}
 	}
@@ -151,7 +151,7 @@ func FuzzTableEntry(f *testing.F) {
 			entries = append(entries, reseal(append([]byte(nil), data...)))
 		}
 		for _, entry := range entries {
-			tbl, err := decodeEntry(entry, layoutKey, nil, opts)
+			tbl, err := decodeEntry(entry, layoutKey, opts)
 			if err != nil {
 				continue
 			}

@@ -181,6 +181,31 @@ func TestKernelDisabledTelemetryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPeakHeapSampleZeroAlloc: with a sink attached, the peak-heap
+// gauge samples the heap every heapSampleStride windows, on a producer
+// and on a mirror alike, into the evaluator's own runtime/metrics
+// sample, allocating nothing.
+func TestPeakHeapSampleZeroAlloc(t *testing.T) {
+	ev, err := NewEvaluator(compressibleCore(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	ev.attachTelemetry(tel)
+	mir := ev.mirror()
+	if n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < heapSampleStride; i++ {
+			ev.noteWindow(1)
+			mir.noteWindow(1)
+		}
+	}); n != 0 {
+		t.Fatalf("peak-heap sampling allocates %v per stride, want 0", n)
+	}
+	if peak := tel.Snapshot().Gauges["eval.peak_heap_bytes"]; peak <= 0 {
+		t.Errorf("peak-heap gauge recorded %d, want a positive high-water mark", peak)
+	}
+}
+
 // TestMakespanDisabledTelemetryZeroAlloc guards the scheduler side: the
 // warm makespan path with a nil Placements counter stays allocation
 // free.

@@ -11,7 +11,9 @@ package power
 
 import (
 	"fmt"
+	"slices"
 
+	"soctap/internal/cube"
 	"soctap/internal/soc"
 	"soctap/internal/wrapper"
 )
@@ -61,7 +63,10 @@ type Estimate struct {
 }
 
 // ScanInPower computes WTC estimates for the core's scan-in stimuli
-// through a wrapper with m chains under the given fill strategy.
+// through a wrapper with m chains under the given fill strategy. Each
+// pattern is priced from its care bits (see wtcCounter), so the work
+// per pattern follows its care-bit count, never the m × ScanIn cells of
+// the wrapper.
 func ScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, error) {
 	d, err := wrapper.New(c, m)
 	if err != nil {
@@ -73,73 +78,11 @@ func ScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs := d.StimulusMap()
-	si := d.ScanIn
-
 	est := &Estimate{Core: c.Name, M: m, Fill: fill, Patterns: src.Len()}
-
-	// Per-pattern dense reconstruction: value[ch][depth]. Reused across
-	// patterns; care[] marks specified cells per pattern.
-	type cell struct {
-		specified bool
-		value     bool
-	}
-	grid := make([][]cell, m)
-	for ch := range grid {
-		grid[ch] = make([]cell, si)
-	}
-	sliceOnes := make([]int, si)
-	sliceCare := make([]int, si)
-
+	w := newWTCCounter(d, fill)
 	var total int64
 	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
-		for ch := range grid {
-			for dep := range grid[ch] {
-				grid[ch][dep] = cell{}
-			}
-		}
-		for i := range sliceOnes {
-			sliceOnes[i], sliceCare[i] = 0, 0
-		}
-		for _, bit := range cb.Care {
-			r := refs[bit.Pos]
-			grid[r.Chain][r.Depth] = cell{specified: true, value: bit.Value}
-			sliceCare[r.Depth]++
-			if bit.Value {
-				sliceOnes[r.Depth]++
-			}
-		}
-		// Resolve fills.
-		for dep := 0; dep < si; dep++ {
-			var f bool
-			switch fill {
-			case FillZero:
-				f = false
-			case FillSlice:
-				f = sliceOnes[dep]*2 > sliceCare[dep]
-			}
-			for ch := 0; ch < m; ch++ {
-				if grid[ch][dep].specified {
-					continue
-				}
-				v := f
-				if fill == FillAlternate {
-					v = dep%2 == 1
-				}
-				grid[ch][dep].value = v
-			}
-		}
-		// WTC: a transition between scan-in slices dep and dep+1 on a
-		// chain is shifted through the remaining (si-1-dep) cells.
-		var wtc int64
-		for ch := 0; ch < m; ch++ {
-			row := grid[ch]
-			for dep := 0; dep+1 < si; dep++ {
-				if row[dep].value != row[dep+1].value {
-					wtc += int64(si - 1 - dep)
-				}
-			}
-		}
+		wtc := w.pattern(cb.Care)
 		total += wtc
 		if wtc > est.PeakWTC {
 			est.PeakWTC = wtc
@@ -149,6 +92,139 @@ func ScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, error) {
 		est.MeanWTC = float64(total) / float64(est.Patterns)
 	}
 	return est, nil
+}
+
+// wtcCounter prices one pattern's weighted transition count from its
+// care bits. Every wrapper chain is ScanIn cells deep, and a transition
+// between scan-in slices dep and dep+1 is shifted through the remaining
+// ScanIn-1-dep cells. A chain holding no care bit is the fill alone,
+// the same on every chain: no transition under zero-fill, every edge
+// (ScanIn·(ScanIn-1)/2 in all) under alternate fill, and under slice
+// fill the edges around the slices whose care bits fill them with 1 —
+// only a slice holding care bits can. The pattern's WTC is m times that
+// base, corrected on the edges its care bits touch: each care bit
+// replaces its slice's fill on the two edges beside it, and an edge
+// between two care bits is corrected once.
+type wtcCounter struct {
+	refs []wrapper.CellRef
+	m    int64
+	si   int
+	fill FillStrategy
+	// cells holds the pattern's care bits as chain·ScanIn + depth,
+	// shifted left one bit to carry the value, sorted: a cell's
+	// neighbours in its chain sit beside it.
+	cells []uint64
+	// ones and care count each slice's care bits that are 1 and in all,
+	// and depths lists the slices holding any (slice fill only; the
+	// counts are cleared through depths after each pattern).
+	ones, care []int32
+	depths     []int
+}
+
+func newWTCCounter(d *wrapper.Design, fill FillStrategy) *wtcCounter {
+	w := &wtcCounter{refs: d.StimulusMap(), m: int64(d.M), si: d.ScanIn, fill: fill}
+	if fill == FillSlice {
+		w.ones = make([]int32, d.ScanIn)
+		w.care = make([]int32, d.ScanIn)
+	}
+	return w
+}
+
+// fillAt is the value the fill gives an unspecified cell of slice dep.
+func (w *wtcCounter) fillAt(dep int) bool {
+	switch w.fill {
+	case FillSlice:
+		return w.ones[dep]*2 > w.care[dep]
+	case FillAlternate:
+		return dep%2 == 1
+	}
+	return false
+}
+
+// weight is the WTC of a transition between slices dep and dep+1.
+func (w *wtcCounter) weight(dep int) int64 { return int64(w.si - 1 - dep) }
+
+// edge prices a transition between values a and b: the edge's weight
+// when they differ, else 0.
+func (w *wtcCounter) edge(dep int, a, b bool) int64 {
+	if a != b {
+		return w.weight(dep)
+	}
+	return 0
+}
+
+// pattern returns the WTC of the pattern with the given care bits,
+// whose positions are distinct.
+func (w *wtcCounter) pattern(bits []cube.CareBit) int64 {
+	si := w.si
+	w.cells = w.cells[:0]
+	for _, bit := range bits {
+		r := w.refs[bit.Pos]
+		cell := uint64(int(r.Chain)*si+int(r.Depth)) << 1
+		if bit.Value {
+			cell |= 1
+		}
+		w.cells = append(w.cells, cell)
+		if w.fill == FillSlice {
+			if w.care[r.Depth] == 0 {
+				w.depths = append(w.depths, int(r.Depth))
+			}
+			w.care[r.Depth]++
+			if bit.Value {
+				w.ones[r.Depth]++
+			}
+		}
+	}
+	slices.Sort(w.cells)
+
+	var base int64
+	switch w.fill {
+	case FillAlternate:
+		base = int64(si) * int64(si-1) / 2
+	case FillSlice:
+		// A 1-filled slice's edges to 0-filled neighbours; an edge
+		// between two 1-filled slices does not switch.
+		for _, dep := range w.depths {
+			if !w.fillAt(dep) {
+				continue
+			}
+			if dep > 0 && !w.fillAt(dep-1) {
+				base += w.weight(dep - 1)
+			}
+			if dep+1 < si && !w.fillAt(dep+1) {
+				base += w.weight(dep)
+			}
+		}
+	}
+	wtc := w.m * base
+
+	for i, cell := range w.cells {
+		pos, v := int(cell>>1), cell&1 != 0
+		dep := pos % si
+		f := w.fillAt(dep)
+		// The edge to the slice before, unless a care bit there
+		// corrected it as its edge to this one.
+		if dep > 0 && (i == 0 || int(w.cells[i-1]>>1) != pos-1) {
+			prev := w.fillAt(dep - 1)
+			wtc += w.edge(dep-1, prev, v) - w.edge(dep-1, prev, f)
+		}
+		// The edge to the slice after, whose value is a care bit's or
+		// the fill's.
+		if dep+1 < si {
+			next := w.fillAt(dep + 1)
+			nv := next
+			if i+1 < len(w.cells) && int(w.cells[i+1]>>1) == pos+1 {
+				nv = w.cells[i+1]&1 != 0
+			}
+			wtc += w.edge(dep, v, nv) - w.edge(dep, f, next)
+		}
+	}
+
+	for _, dep := range w.depths {
+		w.ones[dep], w.care[dep] = 0, 0
+	}
+	w.depths = w.depths[:0]
+	return wtc
 }
 
 // Profile computes per-core peak WTC values for an SOC under a given

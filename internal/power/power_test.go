@@ -1,9 +1,12 @@
 package power
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"soctap/internal/soc"
+	"soctap/internal/wrapper"
 )
 
 func powerCore(seed int64, density float64) *soc.Core {
@@ -121,5 +124,149 @@ func TestFillStrategyString(t *testing.T) {
 	}
 	if FillStrategy(9).String() == "" {
 		t.Error("unknown strategy empty")
+	}
+}
+
+// gridScanInPower is the reference form of ScanInPower: it rebuilds
+// every pattern as a dense m × ScanIn grid of cells, resolves the fill
+// of every unspecified cell and counts the weighted transitions of
+// every chain. It also returns how many slices of all patterns held
+// care bits split evenly between 0 and 1, the majority ties of slice
+// fill.
+func gridScanInPower(c *soc.Core, m int, fill FillStrategy) (*Estimate, int, error) {
+	d, err := wrapper.New(c, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	src, err := c.Cubes()
+	if err != nil {
+		return nil, 0, err
+	}
+	refs := d.StimulusMap()
+	si := d.ScanIn
+
+	est := &Estimate{Core: c.Name, M: m, Fill: fill, Patterns: src.Len()}
+
+	type cell struct {
+		specified bool
+		value     bool
+	}
+	grid := make([][]cell, m)
+	for ch := range grid {
+		grid[ch] = make([]cell, si)
+	}
+	sliceOnes := make([]int, si)
+	sliceCare := make([]int, si)
+
+	var total int64
+	ties := 0
+	for cb, ok := src.Next(); ok; cb, ok = src.Next() {
+		for ch := range grid {
+			for dep := range grid[ch] {
+				grid[ch][dep] = cell{}
+			}
+		}
+		for i := range sliceOnes {
+			sliceOnes[i], sliceCare[i] = 0, 0
+		}
+		for _, bit := range cb.Care {
+			r := refs[bit.Pos]
+			grid[r.Chain][r.Depth] = cell{specified: true, value: bit.Value}
+			sliceCare[r.Depth]++
+			if bit.Value {
+				sliceOnes[r.Depth]++
+			}
+		}
+		for dep := 0; dep < si; dep++ {
+			if sliceCare[dep] > 0 && sliceOnes[dep]*2 == sliceCare[dep] {
+				ties++
+			}
+			var f bool
+			switch fill {
+			case FillZero:
+				f = false
+			case FillSlice:
+				f = sliceOnes[dep]*2 > sliceCare[dep]
+			}
+			for ch := 0; ch < m; ch++ {
+				if grid[ch][dep].specified {
+					continue
+				}
+				v := f
+				if fill == FillAlternate {
+					v = dep%2 == 1
+				}
+				grid[ch][dep].value = v
+			}
+		}
+		var wtc int64
+		for ch := 0; ch < m; ch++ {
+			row := grid[ch]
+			for dep := 0; dep+1 < si; dep++ {
+				if row[dep].value != row[dep+1].value {
+					wtc += int64(si - 1 - dep)
+				}
+			}
+		}
+		total += wtc
+		if wtc > est.PeakWTC {
+			est.PeakWTC = wtc
+		}
+	}
+	if est.Patterns > 0 {
+		est.MeanWTC = float64(total) / float64(est.Patterns)
+	}
+	return est, ties, nil
+}
+
+// randomPowerCore draws a small core: a few wrapper inputs and
+// bidirectionals, up to five scan chains of uneven length, and cubes
+// from sparse to fully specified.
+func randomPowerCore(rng *rand.Rand, i int) *soc.Core {
+	chains := make([]int, rng.Intn(6))
+	for j := range chains {
+		chains[j] = 1 + rng.Intn(40)
+	}
+	inputs := rng.Intn(12)
+	if inputs == 0 && len(chains) == 0 {
+		inputs = 1
+	}
+	return &soc.Core{
+		Name: fmt.Sprintf("rand-%d", i), Inputs: inputs, Outputs: rng.Intn(8), Bidirs: rng.Intn(3),
+		ScanChains: chains, Patterns: 1 + rng.Intn(20),
+		CareDensity: []float64{0.02, 0.1, 0.3, 0.7, 1}[rng.Intn(5)],
+		Clustering:  rng.Float64(), Seed: rng.Int63(),
+	}
+}
+
+// TestScanInPowerMatchesGrid: the care-bit pricing of ScanInPower gives
+// exactly the reference grid's Estimate on random cores, at every m and
+// under every fill, slices whose care bits tie included.
+func TestScanInPowerMatchesGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ties := 0
+	for i := 0; i < 40; i++ {
+		c := randomPowerCore(rng, i)
+		for m := 1; m <= c.MaxWrapperChains(); m++ {
+			for _, fill := range []FillStrategy{FillZero, FillSlice, FillAlternate} {
+				got, err := ScanInPower(c, m, fill)
+				if err != nil {
+					t.Fatalf("%s m=%d %v: %v", c.Name, m, fill, err)
+				}
+				want, n, err := gridScanInPower(c, m, fill)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *got != *want {
+					t.Errorf("%s m=%d %v: got %+v, grid gives %+v", c.Name, m, fill, *got, *want)
+				}
+				if fill == FillSlice {
+					ties += n
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no slice of any pattern tied its care bits; the majority tie went untested")
 	}
 }

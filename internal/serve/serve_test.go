@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"soctap"
 	"soctap/internal/core"
 	"soctap/internal/sched"
+	"soctap/internal/soc"
 )
 
 // tinyDesign is a 3-core SOC that optimizes in single-digit
@@ -633,5 +635,73 @@ func TestMetricsExposure(t *testing.T) {
 	// Client-cardinality per-core series must NOT be absorbed.
 	if strings.Contains(string(body), "soctap_prune_") || strings.Contains(string(body), "soctap_fused_") {
 		t.Error("/metrics leaked per-core prune./fused. series from a job sink")
+	}
+}
+
+// settledHeap is the live heap after a full collection.
+func settledHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestUploadHeapWithinCacheBudget: never-seen uploads to a server whose
+// cache has a small memory budget leave at most that budget on the
+// heap, plus a constant for the server itself. An upload's cubes become
+// garbage once its response is written, and the tables the cache keeps
+// hold only their rows, so the budget bounds what the uploads retain.
+// The uploads are shaped like socbench serve-mixed's: 3-core
+// industrial designs at half scale, each core a new cache key.
+func TestUploadHeapWithinCacheBudget(t *testing.T) {
+	const uploads = 24
+	const budget = 256 << 10 // 15 tables at MaxWidth 64
+	const constant = 1 << 20
+	cache, err := core.NewCache("", budget, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Cache: cache, MaxJobs: 1})
+	texts := make([][]byte, uploads+1)
+	for i := range texts {
+		s, err := soc.Synthesize(context.Background(), soc.SynthSpec{
+			Name: fmt.Sprintf("upload-%d", i), Profile: "industrial", Cores: 3, Seed: 33, Patterns: 24, Scale: 0.5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range s.Cores {
+			c.Seed = int64(1000*i + j + 1)
+		}
+		var buf bytes.Buffer
+		if err := soc.Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		texts[i] = buf.Bytes()
+	}
+	upload := func(text []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/optimize?width=32&style=tdc-per-core", "text/plain", bytes.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload: status %d, body %s", resp.StatusCode, body)
+		}
+	}
+	// The first upload sets up the connection and the server's series.
+	upload(texts[0])
+	before := settledHeap()
+	for _, text := range texts[1:] {
+		upload(text)
+	}
+	grew := settledHeap() - before
+	t.Logf("%d uploads grew the heap by %d B under a %d B cache budget", uploads, grew, budget)
+	if grew > budget+constant {
+		t.Errorf("%d uploads grew the heap by %d B, over the %d B cache budget plus %d B: the server keeps more than its cached tables' rows",
+			uploads, grew, budget, constant)
 	}
 }

@@ -73,6 +73,9 @@ type Schedule = sched.Schedule
 type Config = core.Config
 
 // Table is a per-core lookup table of best configurations by TAM width.
+// It holds its options and its four rows and no reference to the core
+// it was built for, so a table a Cache keeps retains none of that
+// core's test cubes.
 type Table = core.Table
 
 // TableOptions controls per-core lookup-table construction; in Options
@@ -92,7 +95,9 @@ type CoreChoice = core.CoreChoice
 // — the JSON the tooling and the socserve daemon hand to clients.
 type Plan = core.PlanJSON
 
-// Cache memoizes per-core lookup tables across optimizer runs.
+// Cache memoizes per-core lookup tables across optimizer runs. Its
+// memory budget charges each resident table for its rows, which are all
+// the table keeps.
 type Cache = core.Cache
 
 // Style selects the test-access architecture style (Figure 4 of the
