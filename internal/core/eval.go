@@ -139,12 +139,12 @@ type Evaluator struct {
 	windowHist *telemetry.Histogram
 	// peakHeap is the heap high-water gauge, sampled at window
 	// boundaries every heapSampleStride loads into heapSample, the
-	// evaluator's own one-element runtime/metrics sample (made on its
-	// first read), so a read neither allocates nor stops the world. Nil
-	// without a sink; gauge values are runtime observations, excluded
-	// from the determinism guarantee.
+	// evaluator's own one-element runtime/metrics sample, so a read
+	// neither allocates nor stops the world. Nil without a sink; gauge
+	// values are runtime observations, excluded from the determinism
+	// guarantee.
 	peakHeap   *telemetry.Gauge
-	heapSample []metrics.Sample
+	heapSample [1]metrics.Sample
 	loadTick   int
 
 	// ctx, when non-nil, is checked at every kernel entry so a cancelled
@@ -365,10 +365,8 @@ func (e *Evaluator) noteWindow(n int) {
 	if e.loadTick%heapSampleStride != 1 {
 		return
 	}
-	if e.heapSample == nil {
-		e.heapSample = []metrics.Sample{{Name: heapObjectsMetric}}
-	}
-	metrics.Read(e.heapSample)
+	e.heapSample[0].Name = heapObjectsMetric
+	metrics.Read(e.heapSample[:])
 	e.peakHeap.Observe(int64(e.heapSample[0].Value.Uint64()))
 }
 

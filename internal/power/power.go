@@ -11,7 +11,6 @@ package power
 
 import (
 	"fmt"
-	"slices"
 
 	"soctap/internal/cube"
 	"soctap/internal/soc"
@@ -110,118 +109,142 @@ type wtcCounter struct {
 	m    int64
 	si   int
 	fill FillStrategy
-	// cells holds the pattern's care bits as chain·ScanIn + depth,
-	// shifted left one bit to carry the value, sorted: a cell's
-	// neighbours in its chain sit beside it.
-	cells []uint64
-	// ones and care count each slice's care bits that are 1 and in all,
-	// and depths lists the slices holding any (slice fill only; the
-	// counts are cleared through depths after each pattern).
-	ones, care []int32
-	depths     []int
+	// marks holds the pattern's care bits by cell, chain·ScanIn + depth:
+	// markNone where the fill decides, markZero or markOne where a care
+	// bit does. It takes a byte per wrapper cell, made once per call; a
+	// pattern sets and clears only its own cells, so a care bit finds its
+	// chain neighbours in constant time.
+	marks []uint8
+	// fills is each slice's fill value, 0 or 1: 0 under zero fill,
+	// 0/1/0/1 under alternate fill, and under slice fill the majority of
+	// the slice's care bits, set for the slices in depths.
+	fills []uint8
+	// counts tallies each slice's care bits and depths lists the slices
+	// holding any (slice fill only; both are cleared through depths after
+	// each pattern).
+	counts []sliceCount
+	depths []int32
+}
+
+// sliceCount is one slice's care bits under slice fill: those that are
+// 1 and all of them.
+type sliceCount struct{ ones, care int32 }
+
+// Cell marks of wtcCounter.marks: markZero + v marks a care bit of
+// value v.
+const (
+	markNone uint8 = iota
+	markZero
+	markOne
+)
+
+// bitOf is b as a value, 0 or 1. The counter does arithmetic on values
+// (edge multiplies a weight by a XOR) rather than branching on them:
+// care values are as good as random, and a mispredicted branch per care
+// bit costs more than the arithmetic.
+func bitOf(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func newWTCCounter(d *wrapper.Design, fill FillStrategy) *wtcCounter {
-	w := &wtcCounter{refs: d.StimulusMap(), m: int64(d.M), si: d.ScanIn, fill: fill}
-	if fill == FillSlice {
-		w.ones = make([]int32, d.ScanIn)
-		w.care = make([]int32, d.ScanIn)
+	w := &wtcCounter{
+		refs: d.StimulusMap(), m: int64(d.M), si: d.ScanIn, fill: fill,
+		marks: make([]uint8, d.M*d.ScanIn),
+		fills: make([]uint8, d.ScanIn),
+	}
+	switch fill {
+	case FillSlice:
+		w.counts = make([]sliceCount, d.ScanIn)
+	case FillAlternate:
+		for dep := range w.fills {
+			w.fills[dep] = uint8(dep % 2)
+		}
 	}
 	return w
-}
-
-// fillAt is the value the fill gives an unspecified cell of slice dep.
-func (w *wtcCounter) fillAt(dep int) bool {
-	switch w.fill {
-	case FillSlice:
-		return w.ones[dep]*2 > w.care[dep]
-	case FillAlternate:
-		return dep%2 == 1
-	}
-	return false
 }
 
 // weight is the WTC of a transition between slices dep and dep+1.
 func (w *wtcCounter) weight(dep int) int64 { return int64(w.si - 1 - dep) }
 
-// edge prices a transition between values a and b: the edge's weight
-// when they differ, else 0.
-func (w *wtcCounter) edge(dep int, a, b bool) int64 {
-	if a != b {
-		return w.weight(dep)
-	}
-	return 0
-}
+// edge prices a transition between values a and b, 0 or 1: the edge's
+// weight when they differ, else 0.
+func (w *wtcCounter) edge(dep int, a, b uint8) int64 { return w.weight(dep) * int64(a^b) }
 
 // pattern returns the WTC of the pattern with the given care bits,
 // whose positions are distinct.
 func (w *wtcCounter) pattern(bits []cube.CareBit) int64 {
-	si := w.si
-	w.cells = w.cells[:0]
+	si, fills, slice := w.si, w.fills, w.fill == FillSlice
 	for _, bit := range bits {
 		r := w.refs[bit.Pos]
-		cell := uint64(int(r.Chain)*si+int(r.Depth)) << 1
-		if bit.Value {
-			cell |= 1
-		}
-		w.cells = append(w.cells, cell)
-		if w.fill == FillSlice {
-			if w.care[r.Depth] == 0 {
-				w.depths = append(w.depths, int(r.Depth))
+		v := bitOf(bit.Value)
+		w.marks[int(r.Chain)*si+int(r.Depth)] = markZero + v
+		if slice {
+			n := &w.counts[r.Depth]
+			if n.care == 0 {
+				w.depths = append(w.depths, r.Depth)
 			}
-			w.care[r.Depth]++
-			if bit.Value {
-				w.ones[r.Depth]++
-			}
+			n.care++
+			n.ones += int32(v)
 		}
 	}
-	slices.Sort(w.cells)
 
 	var base int64
 	switch w.fill {
 	case FillAlternate:
 		base = int64(si) * int64(si-1) / 2
 	case FillSlice:
-		// A 1-filled slice's edges to 0-filled neighbours; an edge
-		// between two 1-filled slices does not switch.
 		for _, dep := range w.depths {
-			if !w.fillAt(dep) {
-				continue
+			n := w.counts[dep]
+			fills[dep] = bitOf(n.ones*2 > n.care)
+		}
+		// A 1-filled slice's edges to 0-filled neighbours: f&neighbour
+		// differs from f only there. An edge between two 1-filled slices
+		// does not switch.
+		for _, d := range w.depths {
+			dep := int(d)
+			f := fills[dep]
+			if dep > 0 {
+				base += w.edge(dep-1, f, f&fills[dep-1])
 			}
-			if dep > 0 && !w.fillAt(dep-1) {
-				base += w.weight(dep - 1)
-			}
-			if dep+1 < si && !w.fillAt(dep+1) {
-				base += w.weight(dep)
+			if dep+1 < si {
+				base += w.edge(dep, f, f&fills[dep+1])
 			}
 		}
 	}
 	wtc := w.m * base
 
-	for i, cell := range w.cells {
-		pos, v := int(cell>>1), cell&1 != 0
-		dep := pos % si
-		f := w.fillAt(dep)
+	for _, bit := range bits {
+		r := w.refs[bit.Pos]
+		dep := int(r.Depth)
+		cell := int(r.Chain)*si + dep
+		v, f := bitOf(bit.Value), fills[dep]
 		// The edge to the slice before, unless a care bit there
 		// corrected it as its edge to this one.
-		if dep > 0 && (i == 0 || int(w.cells[i-1]>>1) != pos-1) {
-			prev := w.fillAt(dep - 1)
+		if dep > 0 && w.marks[cell-1] == markNone {
+			prev := fills[dep-1]
 			wtc += w.edge(dep-1, prev, v) - w.edge(dep-1, prev, f)
 		}
 		// The edge to the slice after, whose value is a care bit's or
 		// the fill's.
 		if dep+1 < si {
-			next := w.fillAt(dep + 1)
+			next := fills[dep+1]
 			nv := next
-			if i+1 < len(w.cells) && int(w.cells[i+1]>>1) == pos+1 {
-				nv = w.cells[i+1]&1 != 0
+			if mark := w.marks[cell+1]; mark != markNone {
+				nv = mark - markZero
 			}
 			wtc += w.edge(dep, v, nv) - w.edge(dep, f, next)
 		}
 	}
 
+	for _, bit := range bits {
+		r := w.refs[bit.Pos]
+		w.marks[int(r.Chain)*si+int(r.Depth)] = markNone
+	}
 	for _, dep := range w.depths {
-		w.ones[dep], w.care[dep] = 0, 0
+		w.counts[dep], fills[dep] = sliceCount{}, 0
 	}
 	w.depths = w.depths[:0]
 	return wtc

@@ -270,3 +270,44 @@ func TestScanInPowerMatchesGrid(t *testing.T) {
 		t.Error("no slice of any pattern tied its care bits; the majority tie went untested")
 	}
 }
+
+// BenchmarkScanInPower times ScanInPower ("care") against the grid
+// reference ("grid") on every d695 core, whose care densities run 0.32
+// to 0.60, and on the 3%-dense industrial core ckt-1, at m = 1 and at
+// m = 64 (or the core's widest wrapper), under every fill. A run times
+// the two forms of each case back to back, so N runs give N alternating
+// pairs (-count N would repeat each form N times in a row instead):
+//
+//	for i in $(seq 10); do go test -run '^$' -bench BenchmarkScanInPower -benchtime 100ms ./internal/power; done
+func BenchmarkScanInPower(b *testing.B) {
+	cores := append(soc.D695().Cores, soc.MustIndustrialCore("ckt-1"))
+	forms := []struct {
+		name  string
+		price func(c *soc.Core, m int, fill FillStrategy) error
+	}{
+		{"care", func(c *soc.Core, m int, fill FillStrategy) error { _, err := ScanInPower(c, m, fill); return err }},
+		{"grid", func(c *soc.Core, m int, fill FillStrategy) error {
+			_, _, err := gridScanInPower(c, m, fill)
+			return err
+		}},
+	}
+	for _, c := range cores {
+		// Generate the test set outside the timed loops.
+		if _, err := c.TestSet(); err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []int{1, min(64, c.MaxWrapperChains())} {
+			for _, fill := range []FillStrategy{FillZero, FillSlice, FillAlternate} {
+				for _, f := range forms {
+					b.Run(fmt.Sprintf("%s/m=%d/%v/%s", c.Name, m, fill, f.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if err := f.price(c, m, fill); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
