@@ -8,12 +8,17 @@ GO ?= go
 check: vet build test race bench-smoke bench-big-smoke telemetry-overhead kernel-equivalence fused-equivalence robustness cachefmt obs serve
 
 # vet also fails when any Go file in the tree is not gofmt-formatted.
+# bench/ is its own module, which ./... does not enter, so vet and build
+# also compile socbench: it imports internal packages, and a change to
+# their API must break the gate, not the next benchmark run.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build -o /dev/null ./socbench
 
 test:
 	$(GO) test ./...
@@ -147,8 +152,14 @@ bench-big-smoke:
 # share them), the fuzz seed corpora
 # for the word and codec kernels still pass (the word kernels': CopyBits
 # against a per-bit reference and a ReadBits/WriteBits round trip; the
-# codec's: encode/decode round trip, cost model = encoder, and the
-# append encoder leaving its buffer's prefix untouched), and every
+# codec's: encode/decode round trip, cost model = encoder, the append
+# encoder leaving its buffer's prefix untouched, and the decompressor
+# agreeing with the reference decoder on arbitrary streams), the
+# decompressor VerifyPlan replays through matches that reference decoder
+# on 200 random encoded streams at one cycle per codeword, emits each
+# slice on the next header, keeps an emitted slice intact until then in
+# its two recycled buffers with no allocation once warm, and rejects
+# every malformed stream, and every
 # dictionary configuration technique selection prices on d695 and
 # System1 (each m at capacities 4..256: Config, dictionary words and
 # stream digests) and 24 of their dictionary plans, each passing
@@ -165,7 +176,7 @@ kernel-equivalence:
 	$(GO) test -run 'TestNewMatchesReference|TestPackerMatchesReference' -count=1 ./internal/wrapper
 	$(GO) test -run 'TestGeneratorMatchesReference' -count=1 ./internal/cube
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
-	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
+	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream|TestQuickMachineEquivalence|TestStepEmitsOnNextHeader|TestStepRecyclesTwoBuffers|TestDecodeStreamErrors|TestNewValidation|TestHardwareCost' -count=1 ./internal/selenc
 	$(GO) test -run 'TestGoldenDict|TestGoldenSelEnc' -count=1 ./internal/sim
 
 # fused-equivalence asserts the fused single-pass sweep's exactness
@@ -242,12 +253,15 @@ robustness:
 # core passed to Get and dropped is collected, TestCacheKeepsNoCore,
 # and twelve upload-shaped cores built and dropped leave at most their
 # twelve tables' charge plus a fixed slack on the heap,
-# TestCacheRetainsOnlyRows), and, under the race detector, the one-lock
+# TestCacheRetainsOnlyRows), a table's charge is the heap keeping it
+# costs (TestTableMemBytesMatchesHeap, at MaxWidth 16, 32 and 64), a
+# technique selection keeps no core either
+# (TestTechSelectionKeepsNoCore), and, under the race detector, the one-lock
 # cache builds each key once and hands every caller the same table.
 cachefmt:
 	$(GO) test -run 'TestTableEntryLayout|TestTableEntryRejects|FuzzTableEntry|TestFormatV2MatchesV1OnBenchmarks' -count=1 ./internal/core
 	$(GO) test -run 'TestDiskCacheV1Migration|TestDiskCacheCorruption|TestDiskCacheBytesNetOfOverwrites|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound' -count=1 ./internal/core
-	$(GO) test -run 'TestCacheKeepsNoCore|TestCacheRetainsOnlyRows' -count=1 ./internal/core
+	$(GO) test -run 'TestCacheKeepsNoCore|TestCacheRetainsOnlyRows|TestTableMemBytesMatchesHeap|TestTechSelectionKeepsNoCore' -count=1 ./internal/core
 	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
 
 # telemetry-overhead asserts the zero-overhead-when-disabled contract:

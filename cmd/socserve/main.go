@@ -32,7 +32,6 @@ import (
 
 	"soctap/internal/cli"
 	"soctap/internal/serve"
-	"soctap/internal/units"
 )
 
 func main() {
@@ -125,7 +124,7 @@ func buildConfig(jobs, queue int, timeout, maxTimeout time.Duration, rate, burst
 		JobWorkers:     jobWorkers,
 	}
 	if maxBody != "" {
-		n, err := units.ParseBytes(maxBody)
+		n, err := cli.ParseBytes(maxBody)
 		if err != nil {
 			return cfg, fmt.Errorf("-max-body: %w", err)
 		}

@@ -109,21 +109,45 @@ func TestCompressedStreamsDecode(t *testing.T) {
 			if cfg.Codec != core.CodecSelEnc {
 				continue
 			}
-			cws, err := selenc.UnpackStream(cfg.M, s.Stream)
+			cws, err := selenc.AppendUnpackStream(nil, cfg.M, s.Stream)
 			if err != nil {
 				t.Fatalf("%s: unpack: %v", s.Core, err)
 			}
-			slices, err := selenc.DecodeStream(cfg.M, cws)
+			slices, err := countSlices(cfg.M, cws)
 			if err != nil {
 				t.Fatalf("%s: decode: %v", s.Core, err)
 			}
 			c := res.SOC.CoreByName(s.Core)
 			ts, _ := c.TestSet()
-			if len(slices)%ts.Len() != 0 {
-				t.Errorf("%s: %d slices not a multiple of %d patterns", s.Core, len(slices), ts.Len())
+			if slices%ts.Len() != 0 {
+				t.Errorf("%s: %d slices not a multiple of %d patterns", s.Core, slices, ts.Len())
 			}
 		}
 	}
+}
+
+// countSlices steps stream through a selenc.Decompressor with m outputs
+// and counts the slices it emits.
+func countSlices(m int, stream []selenc.Codeword) (int, error) {
+	d, err := selenc.New(m)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, cw := range stream {
+		s, err := d.Step(cw)
+		if err != nil {
+			return 0, err
+		}
+		if s != nil {
+			n++
+		}
+	}
+	s, err := d.Flush()
+	if s != nil {
+		n++
+	}
+	return n, err
 }
 
 func TestDictImage(t *testing.T) {

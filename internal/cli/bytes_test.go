@@ -1,4 +1,4 @@
-package units
+package cli
 
 import "testing"
 
@@ -43,39 +43,6 @@ func TestParseBytesErrors(t *testing.T) {
 	for _, in := range []string{"x", "12Q", "-1", "-1K", "M", "1..5G", "9999999999T", "1 5K"} {
 		if v, err := ParseBytes(in); err == nil {
 			t.Errorf("ParseBytes(%q) = %d, want error", in, v)
-		}
-	}
-}
-
-func TestFormatBytes(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{0, "0"},
-		{512, "512"},
-		{1023, "1023"},
-		{1024, "1K"},
-		{1536, "1.5K"},
-		{64 << 20, "64M"},
-		{3 << 29, "1.5G"},
-		{1 << 40, "1T"},
-	}
-	for _, tc := range cases {
-		if got := FormatBytes(tc.in); got != tc.want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	for _, n := range []int64{0, 1, 1023, 1024, 1536, 64 << 20, 3 << 29, 1 << 40} {
-		got, err := ParseBytes(FormatBytes(n))
-		if err != nil {
-			t.Fatalf("ParseBytes(FormatBytes(%d)): %v", n, err)
-		}
-		if got != n {
-			t.Errorf("round trip %d -> %q -> %d", n, FormatBytes(n), got)
 		}
 	}
 }

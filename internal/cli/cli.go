@@ -18,7 +18,6 @@ import (
 
 	"soctap/internal/core"
 	"soctap/internal/telemetry"
-	"soctap/internal/units"
 )
 
 // Flags holds the values of the shared engine, cache and telemetry
@@ -72,11 +71,11 @@ func (c *CacheFlags) register(fs *flag.FlagSet) {
 // warnings. A malformed budget, or -table-cache-size without
 // -table-cache, is an error naming the flag.
 func (c *CacheFlags) NewCache(warn func(msg string)) (*core.Cache, error) {
-	mem, err := units.ParseBytes(c.mem)
+	mem, err := ParseBytes(c.mem)
 	if err != nil {
 		return nil, fmt.Errorf("-table-cache-mem: %w", err)
 	}
-	size, err := units.ParseBytes(c.size)
+	size, err := ParseBytes(c.size)
 	if err != nil {
 		return nil, fmt.Errorf("-table-cache-size: %w", err)
 	}

@@ -22,18 +22,19 @@ package core
 // -table-cache-mem) the least-recently-used entries are evicted as soon
 // as the resident total exceeds it — an eviction only costs a rebuild
 // (or a disk reload) on the next Get. The zero budget is unbounded.
-// cache.bytes / cache.evictions count the accounting; sizes are the
-// tableMemBytes estimate, not exact heap bytes. A resident entry keeps
-// its key and its table, and a table keeps only its options and rows —
-// nothing of the core a caller passed to Get — so the budget bounds
-// what the cache holds on the heap: the cores, and the test sets their
-// builds generated, die with their callers.
+// cache.bytes / cache.evictions count the accounting; a size is
+// tableMemBytes, what keeping the table costs the heap. A resident
+// entry keeps its key and its table, and a table keeps only its options
+// and rows — nothing of the core a caller passed to Get — so the budget
+// bounds what the cache holds on the heap: the cores, and the test sets
+// their builds generated, die with their callers.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"soctap/internal/soc"
 	"soctap/internal/telemetry"
@@ -319,20 +320,21 @@ func (cc *Cache) unlink(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// configMemBytes approximates one Config's resident footprint: the
-// struct itself (two bools + string header + three ints + two int64s,
-// padded) — codec strings are interned literals, not charged.
-const configMemBytes = 64
+// cacheEntryOverhead is what a resident entry keeps besides its rows'
+// capacity: the entry, its key and done channel, the Table header, its
+// map slot, and the rows' allocation header and tail, 464 B as measured
+// with retainedBytes at MaxWidth 16, 32 and 64
+// (TestTableMemBytesMatchesHeap). A cached deterministic error costs
+// about this alone.
+const cacheEntryOverhead = 464
 
-// cacheEntryOverhead covers the entry, map slot and Table header for
-// budget accounting; cached deterministic errors cost just this.
-const cacheEntryOverhead = 256
-
-// tableMemBytes estimates an entry's resident size for the LRU budget.
+// tableMemBytes charges an entry's resident size for the LRU budget: the
+// rows' one allocation as the allocator sized it (newTable leaves Best's
+// capacity running to its end) plus the entry overhead.
 func tableMemBytes(t *Table) int64 {
 	if t == nil {
 		return cacheEntryOverhead
 	}
-	n := int64(len(t.NoTDC) + len(t.TDCExact) + len(t.TDCBest) + len(t.Best))
-	return cacheEntryOverhead + n*configMemBytes
+	n := len(t.NoTDC) + len(t.TDCExact) + len(t.TDCBest) + cap(t.Best)
+	return cacheEntryOverhead + int64(n)*int64(unsafe.Sizeof(Config{}))
 }

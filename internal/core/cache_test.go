@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -481,6 +482,43 @@ func TestCacheKeepsNoCore(t *testing.T) {
 	}
 	runtime.KeepAlive(&cc)
 	runtime.KeepAlive(tabs)
+}
+
+// TestTableMemBytesMatchesHeap: a resident table's charge is what
+// keeping it costs the heap, within 2%: the GC-settled growth of a cache
+// holding a table when it builds and keeps one more, the least of three
+// such tables (a stray allocation elsewhere only adds), at MaxWidth 16,
+// 32 and 64. Charging the rows' requested bytes and a guessed entry ran
+// 10-13% under it: the allocator rounds the rows up to a size class.
+func TestTableMemBytesMatchesHeap(t *testing.T) {
+	for _, mw := range []int{16, 32, 64} {
+		var cc Cache
+		get := func(i int) *Table {
+			// One worker: a build on more starts goroutines, and the
+			// runtime keeps a goroutine it had to allocate (448 B).
+			tab, err := cc.Get(uploadCores(t, i+1)[i], TableOptions{MaxWidth: mw, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tab
+		}
+		get(0)
+		get(1)
+		var tab *Table
+		grew := int64(math.MaxInt64)
+		for i := 2; i < 5; i++ {
+			grew = min(grew, retainedBytes(func() any {
+				tab = get(i)
+				return nil
+			}))
+		}
+		charge := tableMemBytes(tab)
+		t.Logf("MaxWidth %d: charged %d B, the heap grew %d B", mw, charge, grew)
+		if d := grew - charge; d*50 > charge || -d*50 > charge {
+			t.Errorf("MaxWidth %d: charged %d B, but keeping the table grew the heap %d B (off by more than 2%%)", mw, charge, grew)
+		}
+		runtime.KeepAlive(&cc)
+	}
 }
 
 // TestCacheRetainsOnlyRows: k upload-shaped cores built through one

@@ -13,21 +13,28 @@ import (
 // contentKey returns a hex digest identifying the lookup table for
 // (core, options): a hash of every core field that influences table
 // contents plus the normalized TableOptions. Two structurally identical
-// cores — e.g. the same design parsed from disk twice — produce the same
-// key, so they share in-memory cache entries and on-disk cache files.
-// Gate count is deliberately excluded (it never enters a Config);
+// cores — e.g. the same design parsed from disk twice, or uploaded by
+// two tenants under different names — produce the same key, so they
+// share in-memory cache entries and on-disk cache files. The name and
+// the gate count are deliberately excluded (neither enters a Config);
 // Workers is erased by normalization.
+//
+// Nor does a cached outcome carry a name. A table holds only options
+// and rows, and of the build errors, the deterministic ones that stay
+// cached, none names the core: wrapper.checkM does, but a build asks
+// only for m in [1, MaxWrapperChains()], which it accepts; the rest
+// (MaxWidth, the cube generator's spec checks) name no core. A
+// *PanicError, which does, is never cached.
 //
 // The leading version string salts the digest: any change to the hash
 // inputs or to the meaning of a Config bumps it, orphaning (never
 // corrupting) old disk-cache entries.
-const contentKeyVersion = "soctap-table-key-v1"
+const contentKeyVersion = "soctap-table-key-v2"
 
 func contentKey(c *soc.Core, opts TableOptions) string {
 	h := sha256.New()
 	w := hashWriter{h: h}
 	w.str(contentKeyVersion)
-	w.str(c.Name)
 	w.ints(c.Inputs, c.Outputs, c.Bidirs, len(c.ScanChains))
 	for _, l := range c.ScanChains {
 		w.ints(l)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"soctap/internal/par"
@@ -231,10 +232,12 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 }
 
 // newTable returns a table under normalized options opts, every row
-// zero at widths 0..MaxWidth; the four rows share one allocation.
+// zero at widths 0..MaxWidth; the four rows share one allocation, sized
+// up to the allocator's size class, and Best keeps its capacity to the
+// allocation's end, so tableMemBytes charges what the rows hold.
 func newTable(opts TableOptions) *Table {
 	n := opts.MaxWidth + 1
-	rows := make([]Config, 4*n)
+	rows := slices.Grow([]Config(nil), 4*n)[:4*n]
 	return &Table{Opts: opts, NoTDC: rows[:n:n], TDCExact: rows[n : 2*n : 2*n],
 		TDCBest: rows[2*n : 3*n : 3*n], Best: rows[3*n:]}
 }

@@ -278,8 +278,9 @@ func TestCacheGetSingleflight(t *testing.T) {
 }
 
 // TestCacheContentAddressed asserts the cache keys on core content, not
-// identity: a structurally identical core at a different address shares
-// the entry (no second build), while any content change gets its own.
+// identity or name: a structurally identical core at a different address
+// or under another name shares the entry (no second build), while any
+// content change gets its own.
 func TestCacheContentAddressed(t *testing.T) {
 	var cache Cache
 	var builds atomic.Int64
@@ -305,15 +306,19 @@ func TestCacheContentAddressed(t *testing.T) {
 
 	c3 := compressibleCore(5)
 	c3.Name = "renamed"
-	if _, err := cache.Get(c3, opts); err != nil {
+	t3, err := cache.Get(c3, opts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if t3 != t1 {
+		t.Error("a renamed but identical core got a different table")
 	}
 	c4 := compressibleCore(6) // different generator seed
 	if _, err := cache.Get(c4, opts); err != nil {
 		t.Fatal(err)
 	}
-	if n := builds.Load(); n != 3 {
-		t.Errorf("%d builds across three distinct contents, want 3", n)
+	if n := builds.Load(); n != 2 {
+		t.Errorf("%d builds across two distinct contents, want 2", n)
 	}
 }
 

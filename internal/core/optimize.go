@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"soctap/internal/decomp"
 	"soctap/internal/dictenc"
 	"soctap/internal/par"
 	"soctap/internal/sched"
+	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/tam"
 	"soctap/internal/telemetry"
@@ -604,7 +604,7 @@ func fillDetails(res *Result, selectors []selector) {
 					res.DecompFFs += hc.FFs
 					res.DecompGates += hc.Gates + hc.SRAMBits/8 // SRAM counted as gate equivalents
 				} else {
-					hc := decomp.HardwareCost(cfg.M)
+					hc := selenc.HardwareCost(cfg.M)
 					res.DecompFFs += hc.FlipFlops
 					res.DecompGates += hc.Gates
 				}
@@ -625,7 +625,7 @@ func fillDetails(res *Result, selectors []selector) {
 			}
 			res.InternalWires += m
 			res.Decompressors++
-			hc := decomp.HardwareCost(m)
+			hc := selenc.HardwareCost(m)
 			res.DecompFFs += hc.FlipFlops
 			res.DecompGates += hc.Gates
 		}

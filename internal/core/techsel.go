@@ -80,9 +80,10 @@ func evalDicts(ctx context.Context, c *soc.Core, m int, sizes []int) ([]Config, 
 
 // TechSelection is the outcome of per-core technique selection: the
 // best configuration at every TAM width over direct access, selective
-// encoding, and dictionary coding.
+// encoding, and dictionary coding. Like a Table, it keeps only its rows,
+// nothing of the core it priced, so a live selection does not keep the
+// core's test set alive.
 type TechSelection struct {
-	Core *soc.Core
 	// PerWidth[u] is the winning configuration at TAM width u; index 0
 	// is unused.
 	PerWidth []Config
@@ -133,7 +134,6 @@ func selectTechniquesWithTable(ctx context.Context, c *soc.Core, tab *Table, dic
 	mCands = append(mCands, maxM)
 
 	sel := &TechSelection{
-		Core:     c,
 		PerWidth: make([]Config, opts.MaxWidth+1),
 		DictBest: make([]Config, opts.MaxWidth+1),
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"soctap/internal/soc"
 )
@@ -44,6 +47,33 @@ func TestEvalDictVolumeIncludesDownload(t *testing.T) {
 	if small.Volume <= 0 {
 		t.Fatal("degenerate volume")
 	}
+}
+
+// TestTechSelectionKeepsNoCore: a selection holds nothing of the core
+// it priced. A core passed to SelectTechniques, whose table build and
+// dictionary sweep generated and cached its test set, is collected once
+// the caller drops it, while the returned selection stays live.
+func TestTechSelectionKeepsNoCore(t *testing.T) {
+	var collected atomic.Bool
+	sel := func() *TechSelection {
+		c := compressibleCore(22)
+		runtime.SetFinalizer(c, func(*soc.Core) { collected.Store(true) })
+		sel, err := SelectTechniques(c, TableOptions{MaxWidth: 16}, []int{16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}()
+	// Finalizers run on their own goroutine after the cycle that found
+	// the object unreachable.
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Error("the dropped core was not collected: the selection keeps it, and its test set, alive")
+	}
+	runtime.KeepAlive(sel)
 }
 
 func TestSelectTechniquesJoinsTables(t *testing.T) {

@@ -49,20 +49,6 @@ func NewCube(n int) *Cube {
 	return &Cube{NumBits: n}
 }
 
-// FromTrits converts a trit vector into a sparse cube.
-func FromTrits(tv *bitvec.TritVector) *Cube {
-	c := NewCube(tv.Len())
-	for i := 0; i < tv.Len(); i++ {
-		switch tv.Get(i) {
-		case bitvec.Zero:
-			c.Care = append(c.Care, CareBit{Pos: i, Value: false})
-		case bitvec.One:
-			c.Care = append(c.Care, CareBit{Pos: i, Value: true})
-		}
-	}
-	return c
-}
-
 // ToTrits expands the sparse cube into a dense trit vector.
 func (c *Cube) ToTrits() *bitvec.TritVector {
 	tv := bitvec.NewTrit(c.NumBits)

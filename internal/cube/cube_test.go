@@ -54,9 +54,24 @@ func TestCubeBoundsPanic(t *testing.T) {
 	}
 }
 
+// fromTrits converts a trit vector into a sparse cube, the inverse of
+// ToTrits.
+func fromTrits(tv *bitvec.TritVector) *Cube {
+	c := NewCube(tv.Len())
+	for i := 0; i < tv.Len(); i++ {
+		switch tv.Get(i) {
+		case bitvec.Zero:
+			c.Care = append(c.Care, CareBit{Pos: i, Value: false})
+		case bitvec.One:
+			c.Care = append(c.Care, CareBit{Pos: i, Value: true})
+		}
+	}
+	return c
+}
+
 func TestTritsRoundTrip(t *testing.T) {
 	tv, _ := bitvec.TritFromString("0X1X10XX1")
-	c := FromTrits(tv)
+	c := fromTrits(tv)
 	if c.CareCount() != 5 {
 		t.Fatalf("CareCount = %d, want 5", c.CareCount())
 	}
@@ -298,7 +313,7 @@ func TestQuickSparseDenseRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tv.Set(i, bitvec.Trit(rng.Intn(3)))
 		}
-		c := FromTrits(tv)
+		c := fromTrits(tv)
 		if c.CareCount() != tv.CareCount() {
 			return false
 		}

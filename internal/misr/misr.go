@@ -27,10 +27,8 @@ type MISR struct {
 	taps  []int // feedback tap positions (exponents of the polynomial), excluding the implicit x^width
 	state *bitvec.Vector
 	steps int64
-	// xBits counts unmasked X bits that reached the register; xCycles
-	// counts the steps in which at least one did. After the first, the
-	// signature is no longer predictable.
-	xBits   int64
+	// xCycles counts the steps in which an unmasked X reached the
+	// register. After the first, the signature is no longer predictable.
 	xCycles int64
 }
 
@@ -54,9 +52,6 @@ func (m *MISR) Width() int { return m.width }
 
 // Steps returns the number of compacted slices.
 func (m *MISR) Steps() int64 { return m.steps }
-
-// XContaminated reports whether any unmasked X reached the register.
-func (m *MISR) XContaminated() bool { return m.xBits > 0 }
 
 // XCycles returns the number of compaction cycles that absorbed at
 // least one unmasked X.
@@ -96,7 +91,6 @@ func (m *MISR) Step(resp *bitvec.TritVector, mask *bitvec.Vector) error {
 		case bitvec.One:
 			next.Set(i, !next.Get(i))
 		case bitvec.DontCare:
-			m.xBits++
 			sawX = true
 			// The model keeps the X as a 0 so simulation can continue,
 			// but the signature is flagged unpredictable.

@@ -276,15 +276,3 @@ func Profile(s *soc.SOC, chains func(c *soc.Core) int, fill FillStrategy, scale 
 	}
 	return out, nil
 }
-
-// FillOfConfigCodec maps a planner codec choice to the fill strategy its
-// hardware implies: selective encoding fills per slice; everything else
-// is modeled as 0-fill. The codec names mirror the core package's
-// constants (duplicated here to keep this substrate free of planner
-// dependencies).
-func FillOfConfigCodec(codec string) FillStrategy {
-	if codec == "selenc" {
-		return FillSlice
-	}
-	return FillZero
-}

@@ -108,15 +108,6 @@ func TestProfile(t *testing.T) {
 	}
 }
 
-func TestFillOfConfigCodec(t *testing.T) {
-	if FillOfConfigCodec("selenc") != FillSlice {
-		t.Error("selenc should map to slice fill")
-	}
-	if FillOfConfigCodec("") != FillZero || FillOfConfigCodec("dict") != FillZero {
-		t.Error("non-selenc codecs should map to zero fill")
-	}
-}
-
 func TestFillStrategyString(t *testing.T) {
 	if FillZero.String() != "zero-fill" || FillSlice.String() != "slice-fill" ||
 		FillAlternate.String() != "alternate-fill" {

@@ -7,9 +7,9 @@ import (
 	"soctap/internal/bitvec"
 )
 
-// FuzzDecodeStream asserts the decoder never panics on arbitrary bit
-// streams: every input either errors cleanly or yields well-formed
-// slices of the right width.
+// FuzzDecodeStream asserts the Decompressor never panics on arbitrary
+// bit streams and agrees with the reference decoder on each: both
+// reject it, or both yield the same slices of the right width.
 func FuzzDecodeStream(f *testing.F) {
 	f.Add(uint16(16), []byte{0x00, 0x01, 0x02})
 	f.Add(uint16(1), []byte{0xff})
@@ -19,7 +19,7 @@ func FuzzDecodeStream(f *testing.F) {
 		m := int(mRaw%512) + 1
 		w := CodewordWidth(m)
 		// Build a bit vector from the raw bytes, truncated to whole
-		// codewords so UnpackStream accepts it.
+		// codewords so AppendUnpackStream accepts it.
 		nBits := (len(raw) * 8 / w) * w
 		v := bitvec.New(nBits)
 		for i := 0; i < nBits; i++ {
@@ -27,17 +27,27 @@ func FuzzDecodeStream(f *testing.F) {
 				v.Set(i, true)
 			}
 		}
-		cws, err := UnpackStream(m, v)
+		cws, err := AppendUnpackStream(nil, m, v)
 		if err != nil {
 			t.Fatalf("aligned stream rejected: %v", err)
 		}
-		slices, err := DecodeStream(m, cws)
+		got, err := decodeStream(m, cws)
+		want, refErr := referenceDecodeStream(m, cws)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decompressor error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
 			return // malformed streams must error, not panic
 		}
-		for _, s := range slices {
+		if len(got) != len(want) {
+			t.Fatalf("%d slices, reference %d", len(got), len(want))
+		}
+		for i, s := range got {
 			if s.Len() != m {
 				t.Fatalf("decoded slice width %d, want %d", s.Len(), m)
+			}
+			if !s.Equal(want[i]) {
+				t.Fatalf("slice %d: %s, reference %s", i, s, want[i])
 			}
 		}
 	})
@@ -78,7 +88,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if !slices.Equal(got[len(prefix):], cws) {
 			t.Fatalf("AppendEncodeSlice appended %v, EncodeSlice returned %v", got[len(prefix):], cws)
 		}
-		decoded, err := DecodeStream(m, cws)
+		decoded, err := decodeStream(m, cws)
 		if err != nil || len(decoded) != 1 {
 			t.Fatalf("decode failed: %v", err)
 		}

@@ -1,10 +1,13 @@
 package selenc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"soctap/internal/bitvec"
 )
 
 // referenceEncodeSlice is the list form of the encoder, kept as the word
@@ -81,6 +84,63 @@ func referenceSliceCost(m int, care []CareBit) int {
 		inGroup++
 	}
 	return cost + min(inGroup, 2)
+}
+
+// referenceDecodeStream is the list form of the decoder, kept as the
+// Decompressor's oracle: it expands a codeword stream into one freshly
+// allocated, fully specified slice of width m per header, with no
+// recycled buffers and no cycle model.
+func referenceDecodeStream(m int, stream []Codeword) ([]*bitvec.Vector, error) {
+	k := PayloadBits(m)
+	nGroups := GroupCount(m)
+	var out []*bitvec.Vector
+	var cur *bitvec.Vector
+	pendingGroup := -1
+
+	for i, cw := range stream {
+		if pendingGroup >= 0 && cw.Prefix != PrefixData {
+			return nil, fmt.Errorf("codeword %d: expected data codeword after group %d", i, pendingGroup)
+		}
+		switch cw.Prefix {
+		case PrefixHeader:
+			cur = bitvec.New(m)
+			if cw.Payload&headerFillBit != 0 {
+				cur.SetAll(true)
+			}
+			out = append(out, cur)
+		case PrefixSingle:
+			if cur == nil {
+				return nil, fmt.Errorf("codeword %d: single-bit before any header", i)
+			}
+			pos := int(cw.Payload)
+			if pos >= m {
+				return nil, fmt.Errorf("codeword %d: target index %d out of range", i, pos)
+			}
+			cur.Set(pos, !cur.Get(pos))
+		case PrefixGroup:
+			if cur == nil {
+				return nil, fmt.Errorf("codeword %d: group-copy before any header", i)
+			}
+			g := int(cw.Payload)
+			if g >= nGroups {
+				return nil, fmt.Errorf("codeword %d: group index %d out of range", i, g)
+			}
+			pendingGroup = g
+		case PrefixData:
+			if pendingGroup < 0 {
+				return nil, fmt.Errorf("codeword %d: stray data codeword", i)
+			}
+			base := pendingGroup * k
+			cur.WriteBits(base, uint64(cw.Payload), min(k, m-base))
+			pendingGroup = -1
+		default:
+			return nil, fmt.Errorf("codeword %d: invalid prefix %d", i, cw.Prefix)
+		}
+	}
+	if pendingGroup >= 0 {
+		return nil, errors.New("stream ends inside a group-copy pair")
+	}
+	return out, nil
 }
 
 // pairsOf returns the word pairs of a slice of width m with the given

@@ -24,7 +24,7 @@
 //     group index, the second codeword (prefix 11) carries the k literal
 //     data bits. Used whenever a group holds two or more target bits.
 //
-// The encoder and decoder are bit-exact inverses at the stimulus level:
+// The encoder and the decoder are bit-exact inverses at the stimulus level:
 // decoding reproduces every care bit and fills every don't-care with the
 // slice's fill value.
 //
@@ -34,6 +34,10 @@
 // branch per care bit: the fill comes from popcounts, and the target
 // bits from one AND and one XOR per word. EncodeSlice adapts a sorted
 // care list to it.
+//
+// There is one decoder, Decompressor: the cycle-accurate model of the
+// on-chip decompressor that sim.VerifyPlan replays every shipped stream
+// through, one codeword per cycle. HardwareCost prices its silicon.
 package selenc
 
 import (
@@ -228,67 +232,6 @@ func literal(pairs []uint64, j int, fill uint64) uint64 {
 	return pairs[2*j+1]&c | fill&^c
 }
 
-// DecodeStream expands a codeword stream back into fully-specified
-// slices of width m. It returns one bit vector per encoded slice.
-func DecodeStream(m int, stream []Codeword) ([]*bitvec.Vector, error) {
-	k := PayloadBits(m)
-	nGroups := GroupCount(m)
-	var out []*bitvec.Vector
-	var cur *bitvec.Vector
-	pendingGroup := -1
-
-	for i, cw := range stream {
-		if pendingGroup >= 0 && cw.Prefix != PrefixData {
-			return nil, fmt.Errorf("selenc: codeword %d: expected data codeword after group %d", i, pendingGroup)
-		}
-		switch cw.Prefix {
-		case PrefixHeader:
-			cur = bitvec.New(m)
-			if cw.Payload&headerFillBit != 0 {
-				cur.SetAll(true)
-			}
-			out = append(out, cur)
-		case PrefixSingle:
-			if cur == nil {
-				return nil, fmt.Errorf("selenc: codeword %d: single-bit before any header", i)
-			}
-			pos := int(cw.Payload)
-			if pos >= m {
-				return nil, fmt.Errorf("selenc: codeword %d: target index %d out of range", i, pos)
-			}
-			// Target bits carry the complement of the fill value, which
-			// is the current value of the (so far untouched) position.
-			cur.Set(pos, !cur.Get(pos))
-		case PrefixGroup:
-			if cur == nil {
-				return nil, fmt.Errorf("selenc: codeword %d: group-copy before any header", i)
-			}
-			g := int(cw.Payload)
-			if g >= nGroups {
-				return nil, fmt.Errorf("selenc: codeword %d: group index %d out of range", i, g)
-			}
-			pendingGroup = g
-		case PrefixData:
-			if pendingGroup < 0 {
-				return nil, fmt.Errorf("selenc: codeword %d: stray data codeword", i)
-			}
-			base := pendingGroup * k
-			width := k
-			if m-base < width {
-				width = m - base
-			}
-			cur.WriteBits(base, uint64(cw.Payload), width)
-			pendingGroup = -1
-		default:
-			return nil, fmt.Errorf("selenc: codeword %d: invalid prefix %d", i, cw.Prefix)
-		}
-	}
-	if pendingGroup >= 0 {
-		return nil, fmt.Errorf("selenc: stream ends inside a group-copy pair")
-	}
-	return out, nil
-}
-
 // PackStream serializes codewords for slice width m into v, codeword 0
 // first, prefix bits before payload bits, LSB-first within each field.
 // The result models the exact TAM bit traffic; v is reset to its length,
@@ -303,15 +246,9 @@ func PackStream(v *bitvec.Vector, m int, stream []Codeword) {
 	}
 }
 
-// UnpackStream parses a bit vector produced by PackStream back into
-// codewords for slice width m.
-func UnpackStream(m int, v *bitvec.Vector) ([]Codeword, error) {
-	return AppendUnpackStream(nil, m, v)
-}
-
-// AppendUnpackStream is UnpackStream in append form: the codewords are
-// appended to dst, so a consumer unpacking stream after stream reuses
-// one buffer.
+// AppendUnpackStream parses a bit vector produced by PackStream back
+// into codewords for slice width m, appended to dst, so a consumer
+// unpacking stream after stream reuses one buffer.
 func AppendUnpackStream(dst []Codeword, m int, v *bitvec.Vector) ([]Codeword, error) {
 	w := CodewordWidth(m)
 	if v.Len()%w != 0 {

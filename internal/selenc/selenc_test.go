@@ -89,7 +89,7 @@ func TestEncodeEmptySlice(t *testing.T) {
 	if cws[0].Payload&headerFillBit != 0 {
 		t.Error("empty slice should fill with 0")
 	}
-	slices, err := DecodeStream(16, cws)
+	slices, err := decodeStream(16, cws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestEncodeAllFillOnes(t *testing.T) {
 	if len(cws) != 1 {
 		t.Fatalf("all-ones care slice used %d codewords, want 1", len(cws))
 	}
-	slices, err := DecodeStream(16, cws)
+	slices, err := decodeStream(16, cws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEncodeSingleBitMode(t *testing.T) {
 	if cws[1].Prefix != PrefixSingle || cws[1].Payload != 7 {
 		t.Errorf("single-bit codeword = %+v", cws[1])
 	}
-	slices, err := DecodeStream(64, cws)
+	slices, err := decodeStream(64, cws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestEncodeGroupCopyMode(t *testing.T) {
 	if cws[2].Prefix != PrefixData {
 		t.Errorf("data codeword = %+v", cws[2])
 	}
-	slices, err := DecodeStream(64, cws)
+	slices, err := decodeStream(64, cws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		m := rng.Intn(500) + 1
 		care := randomCare(rng, m, rng.Float64()*0.6)
 		cws := EncodeSlice(m, care)
-		slices, err := DecodeStream(m, cws)
+		slices, err := decodeStream(m, cws)
 		if err != nil || len(slices) != 1 {
 			return false
 		}
@@ -263,7 +263,7 @@ func TestQuickMultiSliceStream(t *testing.T) {
 			wantCare = append(wantCare, care)
 			stream = append(stream, EncodeSlice(m, care)...)
 		}
-		slices, err := DecodeStream(m, stream)
+		slices, err := decodeStream(m, stream)
 		if err != nil || len(slices) != nSlices {
 			return false
 		}
@@ -293,7 +293,7 @@ func TestQuickPackUnpack(t *testing.T) {
 		if v.Len() != len(cws)*CodewordWidth(m) {
 			return false
 		}
-		back, err := UnpackStream(m, v)
+		back, err := AppendUnpackStream(nil, m, v)
 		if err != nil || len(back) != len(cws) {
 			return false
 		}
@@ -311,11 +311,13 @@ func TestQuickPackUnpack(t *testing.T) {
 
 func TestUnpackStreamLengthError(t *testing.T) {
 	// m=16 -> w=7; a 8-bit stream is misaligned.
-	if _, err := UnpackStream(16, bitvec.New(8)); err == nil {
-		t.Error("UnpackStream accepted misaligned stream")
+	if _, err := AppendUnpackStream(nil, 16, bitvec.New(8)); err == nil {
+		t.Error("AppendUnpackStream accepted misaligned stream")
 	}
 }
 
+// TestDecodeStreamErrors: each malformed stream fails the Decompressor,
+// at a Step or at the Flush, and the reference decoder alike.
 func TestDecodeStreamErrors(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -332,8 +334,11 @@ func TestDecodeStreamErrors(t *testing.T) {
 		{"group out of range", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 99}}},
 	}
 	for _, c := range cases {
-		if _, err := DecodeStream(c.m, c.stream); err == nil {
-			t.Errorf("%s: DecodeStream accepted invalid stream", c.name)
+		if _, err := decodeStream(c.m, c.stream); err == nil {
+			t.Errorf("%s: the decompressor accepted an invalid stream", c.name)
+		}
+		if _, err := referenceDecodeStream(c.m, c.stream); err == nil {
+			t.Errorf("%s: the reference decoder accepted an invalid stream", c.name)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"soctap/internal/bitvec"
 	"soctap/internal/core"
 	"soctap/internal/cube"
-	"soctap/internal/decomp"
 	"soctap/internal/par"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
@@ -84,7 +83,7 @@ func RunTDCCore(c *soc.Core, m int) (*CoreReport, error) {
 // decompressor recycles its slice buffers), accumulating into rep.
 type receiver struct {
 	expected
-	dec      *decomp.Decompressor
+	dec      *selenc.Decompressor
 	so       int64 // scan-out depth
 	cws      []selenc.Codeword
 	depth    int // slices delivered so far in the pattern
@@ -93,7 +92,7 @@ type receiver struct {
 }
 
 func newReceiver(d *wrapper.Design) (*receiver, error) {
-	dec, err := decomp.New(d.M)
+	dec, err := selenc.New(d.M)
 	if err != nil {
 		return nil, err
 	}

@@ -63,38 +63,3 @@ func Even(total, k int) (Partition, error) {
 	}
 	return p, nil
 }
-
-// Architecture is a TAM partition plus the assignment of each core
-// (by index) to a bus.
-type Architecture struct {
-	Partition Partition
-	// CoreBus[i] is the bus index core i is assigned to.
-	CoreBus []int
-}
-
-// Validate checks the architecture for nCores cores.
-func (a *Architecture) Validate(nCores, maxTotal int) error {
-	if err := a.Partition.Validate(maxTotal); err != nil {
-		return err
-	}
-	if len(a.CoreBus) != nCores {
-		return fmt.Errorf("tam: %d core assignments, want %d", len(a.CoreBus), nCores)
-	}
-	for i, b := range a.CoreBus {
-		if b < 0 || b >= len(a.Partition) {
-			return fmt.Errorf("tam: core %d assigned to invalid bus %d", i, b)
-		}
-	}
-	return nil
-}
-
-// CoresOnBus returns the core indices assigned to bus b, in index order.
-func (a *Architecture) CoresOnBus(b int) []int {
-	var out []int
-	for i, bus := range a.CoreBus {
-		if bus == b {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -43,27 +43,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestArchitecture(t *testing.T) {
-	a := &Architecture{Partition: Partition{4, 4}, CoreBus: []int{0, 1, 0}}
-	if err := a.Validate(3, 8); err != nil {
-		t.Errorf("valid architecture rejected: %v", err)
-	}
-	if err := a.Validate(2, 8); err == nil {
-		t.Error("wrong core count accepted")
-	}
-	bad := &Architecture{Partition: Partition{4, 4}, CoreBus: []int{0, 2, 0}}
-	if err := bad.Validate(3, 8); err == nil {
-		t.Error("invalid bus index accepted")
-	}
-	on0 := a.CoresOnBus(0)
-	if len(on0) != 2 || on0[0] != 0 || on0[1] != 2 {
-		t.Errorf("CoresOnBus(0) = %v", on0)
-	}
-	if got := a.CoresOnBus(1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("CoresOnBus(1) = %v", got)
-	}
-}
-
 // Property: Even partitions conserve wires and differ by at most 1.
 func TestQuickPartitions(t *testing.T) {
 	f := func(seed int64) bool {

@@ -20,10 +20,10 @@
 //     static compaction
 //   - internal/soc      — core/SOC models, benchmark designs, file format
 //   - internal/wrapper  — IEEE-1500-style wrapper-chain design
-//   - internal/selenc   — selective encoding of scan slices (codec)
-//   - internal/decomp   — behavioral decompressor and hardware cost
+//   - internal/selenc   — selective encoding of scan slices: the
+//     encoder, the cycle-accurate decompressor and its hardware cost
 //   - internal/dictenc  — dictionary codec (technique selection)
-//   - internal/tam      — TAM partitions and architectures
+//   - internal/tam      — TAM partitions
 //   - internal/sched    — test scheduling (greedy, optimal,
 //     power-constrained)
 //   - internal/core     — per-core (w,m) exploration and the SOC-level
