@@ -176,7 +176,7 @@ kernel-equivalence:
 	$(GO) test -run 'TestNewMatchesReference|TestPackerMatchesReference' -count=1 ./internal/wrapper
 	$(GO) test -run 'TestGeneratorMatchesReference' -count=1 ./internal/cube
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
-	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream|TestQuickMachineEquivalence|TestStepEmitsOnNextHeader|TestStepRecyclesTwoBuffers|TestDecodeStreamErrors|TestNewValidation|TestHardwareCost' -count=1 ./internal/selenc
+	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream|TestQuickMachineEquivalence|TestStepMatchesReferenceDecoder|TestStepErrors|TestStepEmitsOnNextHeader|TestStepRecyclesTwoBuffers|TestDecodeStreamErrors|TestNewValidation|TestHardwareCost' -count=1 ./internal/selenc
 	$(GO) test -run 'TestGoldenDict|TestGoldenSelEnc' -count=1 ./internal/sim
 
 # fused-equivalence asserts the fused single-pass sweep's exactness

@@ -89,6 +89,80 @@ func TestQuickMachineEquivalence(t *testing.T) {
 	}
 }
 
+// TestStepMatchesReferenceDecoder: stepped one codeword at a time over
+// 100 random streams of 1 to 10 slices at care density 0.1, the
+// Decompressor emits each slice at the header of the next one and the
+// last at Flush, each equal to the reference decoder's, and counts one
+// cycle per codeword.
+func TestStepMatchesReferenceDecoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 100 {
+		m := rng.Intn(300) + 1
+		var stream []Codeword
+		var headers []int // index of each slice's header in stream
+		for range rng.Intn(10) + 1 {
+			headers = append(headers, len(stream))
+			stream = append(stream, EncodeSlice(m, randomCare(rng, m, 0.1))...)
+		}
+		want, err := referenceDecodeStream(m, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(headers) {
+			t.Fatalf("trial %d, m=%d: reference decoded %d slices, want %d", trial, m, len(want), len(headers))
+		}
+		d, _ := New(m)
+		n := 0 // slices emitted so far
+		for i, cw := range stream {
+			s, err := d.Step(cw)
+			if err != nil {
+				t.Fatalf("trial %d, m=%d, codeword %d: %v", trial, m, i, err)
+			}
+			if atHeader := n+1 < len(headers) && i == headers[n+1]; (s != nil) != atHeader {
+				t.Fatalf("trial %d, m=%d, codeword %d: emitted %v, want a slice only at the next header", trial, m, i, s != nil)
+			}
+			if s == nil {
+				continue
+			}
+			if !s.Equal(want[n]) {
+				t.Fatalf("trial %d, m=%d slice %d: %s != %s", trial, m, n, s, want[n])
+			}
+			n++
+		}
+		last, err := d.Flush()
+		if err != nil || last == nil || n != len(want)-1 || !last.Equal(want[n]) {
+			t.Fatalf("trial %d, m=%d: flush after %d slices: %v, %v", trial, m, n, last, err)
+		}
+		if d.cycles != int64(len(stream)) {
+			t.Fatalf("trial %d: %d cycles, want %d (one codeword per cycle)", trial, d.cycles, len(stream))
+		}
+	}
+}
+
+// TestStepErrors: the Decompressor rejects each malformed stream at the
+// codeword that breaks it, or at the Flush of a stream that ends inside
+// a group-copy pair, with no slice, and accepts every codeword before.
+func TestStepErrors(t *testing.T) {
+	for _, c := range malformedStreams {
+		d, _ := New(c.m)
+		for i, cw := range c.stream[:c.failAt] {
+			if _, err := d.Step(cw); err != nil {
+				t.Fatalf("%s: codeword %d rejected: %v", c.name, i, err)
+			}
+		}
+		var s *bitvec.Vector
+		var err error
+		if c.failAt < len(c.stream) {
+			s, err = d.Step(c.stream[c.failAt])
+		} else {
+			s, err = d.Flush()
+		}
+		if err == nil || s != nil {
+			t.Errorf("%s: step %d returned (%v, %v), want an error and no slice", c.name, c.failAt, s, err)
+		}
+	}
+}
+
 // TestStepRecyclesTwoBuffers: the machine builds slices in two buffers,
 // alternated per header. A slice a header emits stays intact while the
 // next slice's codewords are stepped, as sim's receiver relies on, and a

@@ -316,24 +316,28 @@ func TestUnpackStreamLengthError(t *testing.T) {
 	}
 }
 
+// malformedStreams are invalid codeword streams. failAt is the index of
+// the codeword whose Step must fail, or len(stream) where Flush must.
+var malformedStreams = []struct {
+	name   string
+	m      int
+	stream []Codeword
+	failAt int
+}{
+	{"single before header", 8, []Codeword{{Prefix: PrefixSingle, Payload: 0}}, 0},
+	{"group before header", 8, []Codeword{{Prefix: PrefixGroup, Payload: 0}}, 0},
+	{"stray data", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixData}}, 1},
+	{"group not followed by data", 8, []Codeword{
+		{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 0}, {Prefix: PrefixSingle, Payload: 1}}, 2},
+	{"dangling group", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 0}}, 2},
+	{"target out of range", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixSingle, Payload: 8}}, 1},
+	{"group out of range", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 99}}, 1},
+}
+
 // TestDecodeStreamErrors: each malformed stream fails the Decompressor,
 // at a Step or at the Flush, and the reference decoder alike.
 func TestDecodeStreamErrors(t *testing.T) {
-	cases := []struct {
-		name   string
-		m      int
-		stream []Codeword
-	}{
-		{"single before header", 8, []Codeword{{Prefix: PrefixSingle, Payload: 0}}},
-		{"group before header", 8, []Codeword{{Prefix: PrefixGroup, Payload: 0}}},
-		{"stray data", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixData}}},
-		{"group not followed by data", 8, []Codeword{
-			{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 0}, {Prefix: PrefixSingle, Payload: 1}}},
-		{"dangling group", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 0}}},
-		{"target out of range", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixSingle, Payload: 8}}},
-		{"group out of range", 8, []Codeword{{Prefix: PrefixHeader}, {Prefix: PrefixGroup, Payload: 99}}},
-	}
-	for _, c := range cases {
+	for _, c := range malformedStreams {
 		if _, err := decodeStream(c.m, c.stream); err == nil {
 			t.Errorf("%s: the decompressor accepted an invalid stream", c.name)
 		}
