@@ -25,9 +25,14 @@ test:
 
 # race re-runs the suite under the race detector; the parallel
 # evaluation engine (worker pools, singleflight table cache) is
-# exercised by dedicated determinism and contention tests.
+# exercised by dedicated determinism and contention tests. internal/core
+# runs in a go test of its own, then every other package: its race run
+# takes about four minutes alone on 2 vCPUs, and sharing them with the
+# other packages' race runs (go test runs package binaries in parallel)
+# could carry it past go test's default 10-minute timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race ./internal/core
+	$(GO) test -race $$($(GO) list ./... | grep -v '^soctap/internal/core$$')
 
 # bench runs the full benchmark harness (one bench per paper artifact
 # plus the engine micro-benchmarks). Slow: tab3 alone is minutes.

@@ -424,13 +424,7 @@ func BenchmarkAblationOptimalSchedule(b *testing.B) {
 		tables[i] = t
 	}
 	dur := func(c, width int) int64 {
-		if width < 1 {
-			return 0
-		}
-		if width > 16 {
-			width = 16
-		}
-		cfg := tables[c].Best[width]
+		cfg := tables[c].Choose(soctap.StyleTDCPerCore, width)
 		if !cfg.Feasible {
 			return 0
 		}

@@ -84,13 +84,7 @@ func main() {
 		tables[i] = t
 	}
 	dur := func(c, width int) int64 {
-		if width > 20 {
-			width = 20
-		}
-		if width < 1 {
-			return 0
-		}
-		return tables[c].Best[width].Time
+		return tables[c].Choose(soctap.StyleTDCPerCore, width).Time
 	}
 	// Derive per-core power from the delivered stimuli themselves:
 	// weighted transition counts under the fill each core's codec

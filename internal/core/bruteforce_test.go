@@ -39,7 +39,7 @@ func bruteForceOptimum(t *testing.T, s *soc.SOC, wtam int, style Style) int64 {
 			if i == n {
 				busTime := make([]int64, k)
 				for c, b := range assign {
-					cfg := chooseConfig(style, tables[c], widths[b])
+					cfg := tables[c].Choose(style, widths[b])
 					if !cfg.Feasible {
 						return
 					}

@@ -322,19 +322,19 @@ func (cc *Cache) unlink(e *cacheEntry) {
 
 // cacheEntryOverhead is what a resident entry keeps besides its rows'
 // capacity: the entry, its key and done channel, the Table header, its
-// map slot, and the rows' allocation header and tail, 464 B as measured
+// map slot, and the rows' allocation header and tail, 416 B as measured
 // with retainedBytes at MaxWidth 16, 32 and 64
 // (TestTableMemBytesMatchesHeap). A cached deterministic error costs
 // about this alone.
-const cacheEntryOverhead = 464
+const cacheEntryOverhead = 416
 
 // tableMemBytes charges an entry's resident size for the LRU budget: the
-// rows' one allocation as the allocator sized it (newTable leaves Best's
-// capacity running to its end) plus the entry overhead.
+// rows' one allocation as the allocator sized it (newTable leaves
+// TDCExact's capacity running to its end) plus the entry overhead.
 func tableMemBytes(t *Table) int64 {
 	if t == nil {
 		return cacheEntryOverhead
 	}
-	n := len(t.NoTDC) + len(t.TDCExact) + len(t.TDCBest) + cap(t.Best)
+	n := len(t.NoTDC) + cap(t.TDCExact)
 	return cacheEntryOverhead + int64(n)*int64(unsafe.Sizeof(Config{}))
 }

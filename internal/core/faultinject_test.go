@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,10 @@ func tmpFiles(t *testing.T, dir string) []string {
 func TestStoreDiskTableFaultInjection(t *testing.T) {
 	c := compressibleCore(31)
 	opts := TableOptions{MaxWidth: 8}
+	want, err := BuildTable(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Stages strictly before the rename: the entry must not appear under
 	// the final name at all.
@@ -72,7 +77,7 @@ func TestStoreDiskTableFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Get failed on a best-effort store fault: %v", err)
 			}
-			if tab == nil || !tab.Best[8].Feasible {
+			if !reflect.DeepEqual(tab, want) {
 				t.Fatal("store fault corrupted the returned table")
 			}
 			cn := sink.Snapshot().Counters
@@ -180,7 +185,7 @@ func TestDiskCacheShortEntryIsCorrupt(t *testing.T) {
 			t.Errorf("keep=%d: corrupt_rebuilds = %d, want 1 (counters: %v)",
 				keep, cn["diskcache.corrupt_rebuilds"], cn)
 		}
-		if tab.Best[8] != good.Best[8] {
+		if !reflect.DeepEqual(tab, good) {
 			t.Errorf("keep=%d: rebuilt table differs from original", keep)
 		}
 	}

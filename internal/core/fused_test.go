@@ -169,7 +169,7 @@ func TestFusedCountersWorkerInvariance(t *testing.T) {
 			}
 			continue
 		}
-		if !reflect.DeepEqual(tbl.Best, base.Best) || !reflect.DeepEqual(tbl.TDCExact, base.TDCExact) {
+		if !reflect.DeepEqual(tbl, base) {
 			t.Errorf("workers=%d: table differs from workers=1", workers)
 		}
 		for _, k := range keys {

@@ -46,14 +46,17 @@ var goldenTablesPath = filepath.Join("testdata", "golden_tables.txt")
 
 // renderTable renders core name's table as text: a header line naming
 // the core and the table's options, then one line per Config of each
-// row, at every width the row holds.
+// row, at every width the row holds: the two source rows, then the two
+// derived rows tables held until they kept only their sources, TDCBest
+// and Best, through the reference derivation (deriveRows).
 func renderTable(name string, t *Table) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "table %s maxwidth=%d bandsamples=%d\n", name, t.Opts.MaxWidth, t.Opts.BandSamples)
+	tdcBest, best := deriveRows(t)
 	for _, row := range []struct {
 		name string
 		cfgs []Config
-	}{{"NoTDC", t.NoTDC}, {"TDCExact", t.TDCExact}, {"TDCBest", t.TDCBest}, {"Best", t.Best}} {
+	}{{"NoTDC", t.NoTDC}, {"TDCExact", t.TDCExact}, {"TDCBest", tdcBest}, {"Best", best}} {
 		for u, cfg := range row.cfgs {
 			fmt.Fprintf(&buf, "%s %d %v\n", row.name, u, cfg)
 		}

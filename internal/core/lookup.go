@@ -99,8 +99,9 @@ func forEachEval(ctx context.Context, evs []*Evaluator, n int, tel *telemetry.Si
 
 // Table holds, for one core, the best test configuration at every TAM
 // width from 1 to MaxWidth, for each access style. It holds its options
-// and its four rows, nothing of the core it was built from, so a cached
-// table keeps no core's test set alive.
+// and its two source rows, nothing of the core it was built from, so a
+// cached table keeps no core's test set alive. What a style picks at a
+// width is derived from the rows on demand (Choose).
 type Table struct {
 	Opts TableOptions
 
@@ -111,12 +112,82 @@ type Table struct {
 	// width is exactly u, i.e. the best m in u's band (infeasible when
 	// the band lies wholly above the core's maximum chains or u < 3).
 	TDCExact []Config
-	// TDCBest[u] is the best decompressor configuration with input
-	// width at most u (unused TAM wires are left idle).
-	TDCBest []Config
-	// Best[u] is the proposed style's choice: the better of NoTDC[u]
-	// and TDCBest[u].
-	Best []Config
+}
+
+// Choose returns the configuration a core with this table uses on a bus
+// of the given width under style; a width beyond MaxWidth takes
+// MaxWidth's, a width below 1 (or an unknown style) an infeasible
+// Config. StyleNoTDC takes NoTDC; StyleTDCPerTAM takes TDCExact when
+// feasible, else NoTDC (bypass); StyleTDCPerCore takes the best
+// decompressor configuration of input width at most the bus's (ties
+// keep the narrower width; unused TAM wires are left idle) unless
+// NoTDC is strictly better.
+func (t *Table) Choose(style Style, width int) Config {
+	if width < 1 {
+		return Config{}
+	}
+	width = min(width, t.Opts.MaxWidth)
+	var tdc Config
+	if style == StyleTDCPerCore {
+		for u := 1; u <= width; u++ {
+			tdc = t.tdcStep(tdc, u)
+		}
+	}
+	return t.pick(style, width, tdc)
+}
+
+// tdcStep advances the running best decompressor configuration from
+// width u-1 to width u: TDCExact[u] replaces tdc only when strictly
+// better, so ties keep the narrower width. Folded over u = 1, 2, ...
+// from the zero Config it is the one derivation of every reader of the
+// best decompressor configuration within a width.
+func (t *Table) tdcStep(tdc Config, u int) Config {
+	if u >= 3 && t.TDCExact[u].better(tdc) {
+		return t.TDCExact[u]
+	}
+	return tdc
+}
+
+// pick is Choose at width u in [1, MaxWidth], given tdc, the running
+// best decompressor configuration at u (tdcStep's fold; only
+// StyleTDCPerCore reads it).
+func (t *Table) pick(style Style, u int, tdc Config) Config {
+	switch style {
+	case StyleNoTDC:
+		return t.NoTDC[u]
+	case StyleTDCPerTAM:
+		// The TAM-head decompressor consumes the full bus width; cores
+		// that cannot use the expansion band run in bypass mode.
+		if cfg := t.TDCExact[u]; cfg.Feasible {
+			return cfg
+		}
+		return t.NoTDC[u]
+	case StyleTDCPerCore:
+		if t.NoTDC[u].better(tdc) {
+			return t.NoTDC[u]
+		}
+		return tdc
+	default:
+		return Config{}
+	}
+}
+
+// fillTimes writes, in one pass over the widths, the test time style
+// picks at every width u of row (row[u], u >= 1; widths beyond MaxWidth
+// take MaxWidth's), 0 where the pick is infeasible: a core's row of the
+// search's duration matrix.
+func (t *Table) fillTimes(style Style, row []int64) {
+	var tdc, cfg Config
+	for u := 1; u < len(row); u++ {
+		if u <= t.Opts.MaxWidth {
+			tdc = t.tdcStep(tdc, u)
+			cfg = t.pick(style, u, tdc)
+		}
+		row[u] = 0
+		if cfg.Feasible {
+			row[u] = cfg.Time
+		}
+	}
 }
 
 // BuildTable constructs the lookup table for one core by exhaustive
@@ -223,7 +294,6 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	for _, b := range bands {
 		t.TDCExact[b.w] = b.best
 	}
-	deriveRows(t)
 	// One observation per completed build: the count mirrors
 	// tables.built on clean runs (failed/cancelled builds are absent),
 	// the distribution is wall clock.
@@ -231,36 +301,14 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	return t, nil
 }
 
-// newTable returns a table under normalized options opts, every row
-// zero at widths 0..MaxWidth; the four rows share one allocation, sized
-// up to the allocator's size class, and Best keeps its capacity to the
-// allocation's end, so tableMemBytes charges what the rows hold.
+// newTable returns a table under normalized options opts, both rows
+// zero at widths 0..MaxWidth; the two rows share one allocation, sized
+// up to the allocator's size class, and TDCExact keeps its capacity to
+// the allocation's end, so tableMemBytes charges what the rows hold.
 func newTable(opts TableOptions) *Table {
 	n := opts.MaxWidth + 1
-	rows := slices.Grow([]Config(nil), 4*n)[:4*n]
-	return &Table{Opts: opts, NoTDC: rows[:n:n], TDCExact: rows[n : 2*n : 2*n],
-		TDCBest: rows[2*n : 3*n : 3*n], Best: rows[3*n:]}
-}
-
-// deriveRows computes TDCBest and Best from NoTDC and TDCExact: the
-// reduction that ends a table build, and a cache entry's decoding,
-// which stores only the two source rows.
-func deriveRows(t *Table) {
-	for u := 1; u < len(t.Best); u++ {
-		best := Config{}
-		if u >= 3 {
-			best = t.TDCBest[u-1]
-			if t.TDCExact[u].better(best) {
-				best = t.TDCExact[u]
-			}
-		}
-		t.TDCBest[u] = best
-		if t.NoTDC[u].better(best) {
-			t.Best[u] = t.NoTDC[u]
-		} else {
-			t.Best[u] = best
-		}
-	}
+	rows := slices.Grow([]Config(nil), 2*n)[:2*n]
+	return &Table{Opts: opts, NoTDC: rows[:n:n], TDCExact: rows[n:]}
 }
 
 // newEvaluators prepares the evaluators of one table build or sweep

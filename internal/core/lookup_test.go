@@ -33,7 +33,7 @@ func TestBuildTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.NoTDC) != 25 || len(tab.TDCExact) != 25 || len(tab.TDCBest) != 25 || len(tab.Best) != 25 {
+	if len(tab.NoTDC) != 25 || len(tab.TDCExact) != 25 {
 		t.Fatal("table length wrong")
 	}
 	for u := 1; u <= 24; u++ {
@@ -43,12 +43,12 @@ func TestBuildTableShape(t *testing.T) {
 		if tab.NoTDC[u].Width != u {
 			t.Errorf("NoTDC[%d].Width = %d", u, tab.NoTDC[u].Width)
 		}
-		if !tab.Best[u].Feasible {
-			t.Errorf("Best[%d] infeasible", u)
+		if !tab.Choose(StyleTDCPerCore, u).Feasible {
+			t.Errorf("the per-core choice at width %d is infeasible", u)
 		}
 	}
 	// Widths below 3 cannot host a decompressor.
-	if tab.TDCExact[1].Feasible || tab.TDCExact[2].Feasible || tab.TDCBest[2].Feasible {
+	if tab.TDCExact[1].Feasible || tab.TDCExact[2].Feasible || tab.Choose(StyleTDCPerCore, 2).UseTDC {
 		t.Error("TDC feasible below width 3")
 	}
 }
@@ -59,18 +59,19 @@ func TestBuildTableInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tdcBest, best := deriveRows(tab)
 	for u := 1; u <= 20; u++ {
 		// Best is never worse than either pure option.
-		if tab.NoTDC[u].better(tab.Best[u]) {
+		if tab.NoTDC[u].better(best[u]) {
 			t.Errorf("Best[%d] worse than NoTDC", u)
 		}
-		if tab.TDCBest[u].better(tab.Best[u]) {
+		if tdcBest[u].better(best[u]) {
 			t.Errorf("Best[%d] worse than TDCBest", u)
 		}
 		// TDCBest times are non-increasing in width.
-		if u > 1 && tab.TDCBest[u-1].Feasible && tab.TDCBest[u].Time > tab.TDCBest[u-1].Time {
+		if u > 1 && tdcBest[u-1].Feasible && tdcBest[u].Time > tdcBest[u-1].Time {
 			t.Errorf("TDCBest time increased from width %d (%d) to %d (%d)",
-				u-1, tab.TDCBest[u-1].Time, u, tab.TDCBest[u].Time)
+				u-1, tdcBest[u-1].Time, u, tdcBest[u].Time)
 		}
 		// Exact-width configurations consume exactly that width.
 		if tab.TDCExact[u].Feasible && tab.TDCExact[u].Width != u {
@@ -88,19 +89,118 @@ func TestBuildTableInvariants(t *testing.T) {
 		}
 	}
 	// On this sparse core, compression must win clearly at width >= 8.
-	if tab.Best[8].UseTDC == false {
+	if best[8].UseTDC == false {
 		t.Error("sparse core should choose TDC at width 8")
 	}
-	if tab.Best[8].Time*2 > tab.NoTDC[8].Time {
-		t.Errorf("TDC advantage too small: %d vs %d", tab.Best[8].Time, tab.NoTDC[8].Time)
+	if best[8].Time*2 > tab.NoTDC[8].Time {
+		t.Errorf("TDC advantage too small: %d vs %d", best[8].Time, tab.NoTDC[8].Time)
+	}
+	checkChooseMatchesReference(t, "compr", tab)
+}
+
+// deriveRows is the reference derivation of the two rows a table held
+// besides its sources until it kept only those: tdcBest[u], the best
+// decompressor configuration of input width at most u, where a tie
+// keeps the narrower configuration tdcBest[u-1], and best[u], the
+// per-core style's choice, the better of NoTDC[u] and tdcBest[u], where
+// a tie keeps tdcBest[u]. Table.Choose, Table.fillTimes and technique
+// selection are held to it; TestGoldenTables renders both rows through
+// it.
+func deriveRows(t *Table) (tdcBest, best []Config) {
+	tdcBest = make([]Config, len(t.NoTDC))
+	best = make([]Config, len(t.NoTDC))
+	for u := 1; u < len(best); u++ {
+		b := Config{}
+		if u >= 3 {
+			b = tdcBest[u-1]
+			if t.TDCExact[u].better(b) {
+				b = t.TDCExact[u]
+			}
+		}
+		tdcBest[u] = b
+		if t.NoTDC[u].better(b) {
+			best[u] = t.NoTDC[u]
+		} else {
+			best[u] = b
+		}
+	}
+	return tdcBest, best
+}
+
+// referenceChoose is the configuration a style takes at a width, read
+// from the reference rows: widths clamp to [1, MaxWidth] (below 1, or
+// an unknown style, is infeasible), the per-TAM style falls back to
+// NoTDC where TDCExact is infeasible, and the per-core style takes
+// deriveRows' best.
+func referenceChoose(style Style, t *Table, width int) Config {
+	if width < 1 {
+		return Config{}
+	}
+	width = min(width, t.Opts.MaxWidth)
+	switch style {
+	case StyleNoTDC:
+		return t.NoTDC[width]
+	case StyleTDCPerTAM:
+		if t.TDCExact[width].Feasible {
+			return t.TDCExact[width]
+		}
+		return t.NoTDC[width]
+	case StyleTDCPerCore:
+		_, best := deriveRows(t)
+		return best[width]
+	default:
+		return Config{}
 	}
 }
 
-// TestDeriveRowsTieBreaks pins deriveRows' two tie-breaks on a
+// checkChooseMatchesReference holds the derivation to the reference
+// rows on one table, for all three styles: Choose at every width from
+// -1 to MaxWidth+2, fillTimes on a row of widths up to MaxWidth+2 and
+// on one up to MaxWidth/2, and the per-core pick's fold (the path
+// technique selection takes) at every width.
+func checkChooseMatchesReference(t *testing.T, name string, tab *Table) {
+	t.Helper()
+	mw := tab.Opts.MaxWidth
+	for _, style := range []Style{StyleNoTDC, StyleTDCPerTAM, StyleTDCPerCore} {
+		for u := -1; u <= mw+2; u++ {
+			if got, want := tab.Choose(style, u), referenceChoose(style, tab, u); got != want {
+				t.Fatalf("%s: Choose(%v, %d) = %+v, want %+v", name, style, u, got, want)
+			}
+		}
+		for _, n := range []int{mw + 3, mw/2 + 1} {
+			row := make([]int64, n)
+			for i := range row {
+				row[i] = -7 // every width the fill covers is overwritten
+			}
+			tab.fillTimes(style, row)
+			for u := 1; u < n; u++ {
+				want := referenceChoose(style, tab, u)
+				if !want.Feasible {
+					want.Time = 0
+				}
+				if row[u] != want.Time {
+					t.Fatalf("%s: fillTimes(%v) row[%d] = %d, want %d", name, style, u, row[u], want.Time)
+				}
+			}
+		}
+	}
+	_, best := deriveRows(tab)
+	var tdc Config
+	for u := 1; u <= mw; u++ {
+		tdc = tab.tdcStep(tdc, u)
+		if got := tab.pick(StyleTDCPerCore, u, tdc); got != best[u] {
+			t.Fatalf("%s: per-core pick at width %d = %+v, want %+v", name, u, got, best[u])
+		}
+	}
+}
+
+// TestDeriveRowsTieBreaks pins the derivation's two tie-breaks on a
 // hand-built table, since no golden table has a tie: at equal (time,
-// volume) TDCBest[u] keeps the narrower configuration TDCBest[u-1]
-// rather than the wider TDCExact[u], and Best[u] keeps TDCBest[u]
-// rather than an equal NoTDC[u]. A strict improvement still wins.
+// volume) the best decompressor configuration within width u keeps the
+// narrower configuration of width u-1 rather than the wider TDCExact[u],
+// and the per-core choice keeps it rather than an equal NoTDC[u]. A
+// strict improvement still wins. The reference rows show the rule, and
+// Choose, fillTimes and the per-core fold must follow it.
 func TestDeriveRowsTieBreaks(t *testing.T) {
 	tdc := func(w, m int, time, volume int64) Config {
 		return Config{Feasible: true, UseTDC: true, Codec: CodecSelEnc, Width: w, M: m, Time: time, Volume: volume}
@@ -117,20 +217,63 @@ func TestDeriveRowsTieBreaks(t *testing.T) {
 	tab.NoTDC[4] = direct(4, 100, 50)    // ties TDCBest[4]
 	tab.TDCExact[5] = tdc(5, 17, 100, 49)
 	tab.NoTDC[5] = direct(5, 99, 1000)
-	deriveRows(tab)
+	tdcBest, best := deriveRows(tab)
 
 	for _, c := range []struct {
 		name      string
 		got, want Config
 	}{
-		{"TDCBest[4], tied with the narrower TDCBest[3]", tab.TDCBest[4], tab.TDCExact[3]},
-		{"Best[4], NoTDC[4] tied with TDCBest[4]", tab.Best[4], tab.TDCExact[3]},
-		{"TDCBest[5], a strictly lower volume", tab.TDCBest[5], tab.TDCExact[5]},
-		{"Best[5], a strictly shorter direct test", tab.Best[5], tab.NoTDC[5]},
-		{"Best[2], below the smallest TDC width", tab.Best[2], tab.NoTDC[2]},
+		{"TDCBest[4], tied with the narrower TDCBest[3]", tdcBest[4], tab.TDCExact[3]},
+		{"Best[4], NoTDC[4] tied with TDCBest[4]", best[4], tab.TDCExact[3]},
+		{"TDCBest[5], a strictly lower volume", tdcBest[5], tab.TDCExact[5]},
+		{"Best[5], a strictly shorter direct test", best[5], tab.NoTDC[5]},
+		{"Best[2], below the smallest TDC width", best[2], tab.NoTDC[2]},
+		{"Choose at width 4", tab.Choose(StyleTDCPerCore, 4), tab.TDCExact[3]},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: got %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+	checkChooseMatchesReference(t, "tied", tab)
+}
+
+// TestChooseMatchesReferenceOnGoldenTables: on every golden table —
+// built once, and checked against its golden rendering first — Choose,
+// fillTimes and the per-core fold give the reference rows' choice at
+// every width under all three styles, and so does the duration matrix
+// newSearchCtx fills for d695 from its cores' tables.
+func TestChooseMatchesReferenceOnGoldenTables(t *testing.T) {
+	want := goldenTables(t)
+	tables := make(map[string]*Table)
+	for _, gc := range goldenCases() {
+		tab, err := BuildTable(gc.core, gc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGoldenTable(t, want, gc.core.Name, tab, "default build")
+		checkChooseMatchesReference(t, gc.core.Name, tab)
+		tables[gc.core.Name] = tab
+	}
+	s := soc.D695()
+	for _, style := range []Style{StyleNoTDC, StyleTDCPerTAM, StyleTDCPerCore} {
+		for _, wtam := range []int{16, 64} {
+			selectors := make([]selector, len(s.Cores))
+			for i, c := range s.Cores {
+				selectors[i] = selector{style: style, t: tables[c.Name]}
+			}
+			sc := newSearchCtx(context.Background(), s, wtam, selectors, Options{Style: style})
+			for i, c := range s.Cores {
+				row := sc.durs.Row(i)
+				for u := 1; u <= wtam; u++ {
+					cfg := referenceChoose(style, tables[c.Name], u)
+					if !cfg.Feasible {
+						cfg.Time = 0
+					}
+					if row[u] != cfg.Time {
+						t.Fatalf("%v, W_TAM %d: %s's duration at width %d = %d, want %d", style, wtam, c.Name, u, row[u], cfg.Time)
+					}
+				}
+			}
 		}
 	}
 }
@@ -147,8 +290,8 @@ func TestBuildTableDenseCorePrefersDirectOrTDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 1; u <= 16; u++ {
-		if tab.Best[u].Time > tab.NoTDC[u].Time {
-			t.Errorf("width %d: Best %d worse than NoTDC %d", u, tab.Best[u].Time, tab.NoTDC[u].Time)
+		if best := tab.Choose(StyleTDCPerCore, u); best.Time > tab.NoTDC[u].Time {
+			t.Errorf("width %d: Best %d worse than NoTDC %d", u, best.Time, tab.NoTDC[u].Time)
 		}
 	}
 }

@@ -252,10 +252,10 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 			if err != nil {
 				return err
 			}
-			selectors[i] = sel.selector()
+			selectors[i] = selector{ts: sel}
 			return nil
 		}
-		selectors[i] = tableSelector(opts.Style, t)
+		selectors[i] = selector{style: opts.Style, t: t}
 		return nil
 	})
 	if err != nil {
@@ -271,44 +271,36 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 // generate only neighbours whose width multiset is new to their round
 // (see firstOfWidth), so no candidate needs remembering.
 type searchCtx struct {
-	nCores int
-	wtam   int
-	durMat []int64 // dur[core*(wtam+1)+width], widths 1..wtam
-	naive  bool
+	wtam int
+	// durs holds each core's test time at every width 1..wtam; the
+	// planner places straight from it, and it keeps the longest-first
+	// order per widest bus width.
+	durs  *sched.Matrix
+	naive bool
 	// ctx governs the search. The planner consults ctx.Err once per
 	// schedule when ctx is cancellable, and a cancelled schedule reads
 	// as infeasible, so search checks ctx between phases before taking
 	// a non-positive makespan for infeasibility.
-	ctx context.Context
-	// durFn is sc.dur bound once, so the hot loops don't allocate a
-	// method value per schedule evaluation.
-	durFn   sched.Duration
+	ctx     context.Context
 	planner sched.Planner
 }
 
-// newSearchCtx precomputes the dense duration matrix: one flat int64
-// per (core, width) pair, replacing the selector->chooseConfig->table
-// closure chain in the scheduler's inner loop with an array load.
+// newSearchCtx precomputes the dense duration matrix, one flat int64
+// per (core, width) pair: each core's row is filled in one pass over
+// the widths from its selector (for a table, its two source rows).
 func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selector, opts Options) *searchCtx {
 	sc := &searchCtx{
-		nCores: len(s.Cores),
-		wtam:   wtam,
-		durMat: make([]int64, len(s.Cores)*(wtam+1)),
-		naive:  opts.NaiveOrder,
-		ctx:    ctx,
+		wtam:  wtam,
+		durs:  sched.NewMatrix(len(s.Cores), wtam),
+		naive: opts.NaiveOrder,
+		ctx:   ctx,
 	}
 	if ctx.Done() != nil {
 		sc.planner.Check = ctx.Err
 	}
 	for c := range s.Cores {
-		row := sc.durMat[c*(wtam+1) : (c+1)*(wtam+1)]
-		for w := 1; w <= wtam; w++ {
-			if cfg := selectors[c](w); cfg.Feasible {
-				row[w] = cfg.Time
-			}
-		}
+		selectors[c].fillTimes(sc.durs.Row(c))
 	}
-	sc.durFn = sc.dur
 	if sink := opts.Telemetry.Sink(); sink != nil {
 		sc.planner.Placements = sink.Counter("sched.placements")
 		sc.planner.ScheduleSeconds = sink.Histogram("sched.schedule_seconds")
@@ -316,26 +308,13 @@ func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selecto
 	return sc
 }
 
-// dur is the scheduler's duration callback over the dense matrix.
-// Partition widths never exceed W_TAM, but clamp defensively to match
-// chooseConfig's behavior.
-func (sc *searchCtx) dur(core, width int) int64 {
-	if width < 1 {
-		return 0
-	}
-	if width > sc.wtam {
-		width = sc.wtam
-	}
-	return sc.durMat[core*(sc.wtam+1)+width]
-}
-
 // schedule materializes the full schedule for a partition — used only
 // for the search winner; the search itself runs on makespans.
 func (sc *searchCtx) schedule(p tam.Partition) (*sched.Schedule, error) {
 	if sc.naive {
-		return sc.planner.InOrder(sc.nCores, p, sc.durFn)
+		return sc.planner.InOrder(sc.durs, p)
 	}
-	return sc.planner.Greedy(sc.nCores, p, sc.durFn)
+	return sc.planner.Greedy(sc.durs, p)
 }
 
 // makespan schedules one candidate partition: the schedule's makespan,
@@ -348,9 +327,9 @@ func (sc *searchCtx) makespan(p tam.Partition) int64 {
 	var mk int64
 	var err error
 	if sc.naive {
-		mk, err = sc.planner.InOrderMakespan(sc.nCores, p, sc.durFn)
+		mk, err = sc.planner.InOrderMakespan(sc.durs, p)
 	} else {
-		mk, err = sc.planner.GreedyMakespan(sc.nCores, p, sc.durFn)
+		mk, err = sc.planner.GreedyMakespan(sc.durs, p)
 	}
 	if err != nil {
 		return -1
@@ -530,51 +509,38 @@ func (sc *searchCtx) mergeSearch(kmax int) (tam.Partition, int64, error) {
 	return bestPart, bestMk, nil
 }
 
-// selector resolves the configuration one core uses on a bus of a given
+// selector resolves the configurations one core uses: its table under
+// the run's style, or, when t is nil, its technique selection.
+type selector struct {
+	style Style
+	t     *Table
+	ts    *TechSelection
+}
+
+// choose is the configuration the core uses on a bus of the given
 // width.
-type selector func(width int) Config
-
-// tableSelector adapts a lookup table to a selector under a style.
-func tableSelector(style Style, t *Table) selector {
-	return func(width int) Config { return chooseConfig(style, t, width) }
-}
-
-// selector adapts a technique selection to the optimizer.
-func (ts *TechSelection) selector() selector {
-	return func(width int) Config {
-		if width < 1 {
-			return Config{}
-		}
-		if width >= len(ts.PerWidth) {
-			width = len(ts.PerWidth) - 1
-		}
-		return ts.PerWidth[width]
+func (s selector) choose(width int) Config {
+	if s.t != nil {
+		return s.t.Choose(s.style, width)
 	}
-}
-
-// chooseConfig resolves the configuration a core uses on a bus of the
-// given width under a style.
-func chooseConfig(style Style, t *Table, width int) Config {
 	if width < 1 {
 		return Config{}
 	}
-	if width > t.Opts.MaxWidth {
-		width = t.Opts.MaxWidth
+	return s.ts.PerWidth[min(width, len(s.ts.PerWidth)-1)]
+}
+
+// fillTimes writes the core's test time at every width u >= 1 of row
+// into row[u], 0 where infeasible.
+func (s selector) fillTimes(row []int64) {
+	if s.t != nil {
+		s.t.fillTimes(s.style, row)
+		return
 	}
-	switch style {
-	case StyleNoTDC:
-		return t.NoTDC[width]
-	case StyleTDCPerTAM:
-		// The TAM-head decompressor consumes the full bus width; cores
-		// that cannot use the expansion band run in bypass mode.
-		if cfg := t.TDCExact[width]; cfg.Feasible {
-			return cfg
+	for u := 1; u < len(row); u++ {
+		row[u] = 0
+		if cfg := s.choose(u); cfg.Feasible {
+			row[u] = cfg.Time
 		}
-		return t.NoTDC[width]
-	case StyleTDCPerCore:
-		return t.Best[width]
-	default:
-		return Config{}
 	}
 }
 
@@ -586,7 +552,7 @@ func fillDetails(res *Result, selectors []selector) {
 	busM := make([]int, len(res.Partition))
 
 	for _, it := range res.Schedule.Items {
-		cfg := selectors[it.Core](res.Partition[it.Bus])
+		cfg := selectors[it.Core].choose(res.Partition[it.Bus])
 		res.Choices = append(res.Choices, CoreChoice{
 			Core:   res.SOC.Cores[it.Core].Name,
 			Bus:    it.Bus,

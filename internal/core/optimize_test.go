@@ -202,19 +202,19 @@ func TestChooseConfigClamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Width beyond the table clamps instead of panicking.
-	cfg := chooseConfig(StyleTDCPerCore, tab, 99)
-	if !cfg.Feasible {
-		t.Error("clamped width infeasible")
+	cfg := tab.Choose(StyleTDCPerCore, 99)
+	if !cfg.Feasible || cfg != tab.Choose(StyleTDCPerCore, 10) {
+		t.Errorf("width 99 gave %+v, want width 10's choice", cfg)
 	}
-	if got := chooseConfig(StyleTDCPerCore, tab, 0); got.Feasible {
+	if got := tab.Choose(StyleTDCPerCore, 0); got.Feasible {
 		t.Error("width 0 feasible")
 	}
-	if got := chooseConfig(Style(42), tab, 5); got.Feasible {
+	if got := tab.Choose(Style(42), 5); got.Feasible {
 		t.Error("unknown style feasible")
 	}
 	// Per-TAM bypass: width 2 cannot host a decompressor but must still
 	// test the core directly.
-	cfg = chooseConfig(StyleTDCPerTAM, tab, 2)
+	cfg = tab.Choose(StyleTDCPerTAM, 2)
 	if !cfg.Feasible || cfg.UseTDC {
 		t.Errorf("per-TAM bypass at width 2: %+v", cfg)
 	}

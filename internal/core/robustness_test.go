@@ -78,7 +78,7 @@ func TestCacheGetPanicNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get after evicted panic entry: %v", err)
 	}
-	if tab == nil || !tab.Best[10].Feasible {
+	if tab == nil || !tab.Choose(StyleTDCPerCore, 10).Feasible {
 		t.Fatal("rebuild after panic eviction produced a bad table")
 	}
 }
@@ -186,23 +186,29 @@ func TestForEachEvalPanicContained(t *testing.T) {
 }
 
 // TestSearchPanicContained: a panic inside the architecture search —
-// here the scheduler's duration callback, failing part-way through the
+// here the planner's per-schedule check, failing part-way through the
 // refinement — is returned as a *PanicError and counted on the run's
 // sink, never unwinding into the caller.
 func TestSearchPanicContained(t *testing.T) {
 	s := testSOC()
+	perWidth := make([]Config, 17)
+	for w := 1; w < len(perWidth); w++ {
+		perWidth[w] = Config{Feasible: true, Time: int64(1000 / w)}
+	}
 	selectors := make([]selector, len(s.Cores))
 	for i := range selectors {
-		selectors[i] = func(w int) Config { return Config{Feasible: true, Time: int64(1000 / w)} }
+		selectors[i] = selector{ts: &TechSelection{PerWidth: perWidth}}
 	}
 	sink := telemetry.New()
 	sc := newSearchCtx(context.Background(), s, 16, selectors, Options{Telemetry: sink.Root()})
-	calls := 0
-	sc.durFn = func(core, width int) int64 {
-		if calls++; calls > 200 {
+	schedules := 0
+	sc.planner.Check = func() error {
+		// The search schedules 16 partitions here; the 11th is one of
+		// the moves the refinement of the three-bus split tries.
+		if schedules++; schedules > 10 {
 			panic("scheduler blew up")
 		}
-		return sc.dur(core, width)
+		return nil
 	}
 	part, err := sc.search(len(s.Cores), Options{}, sink.Root())
 	var pe *PanicError

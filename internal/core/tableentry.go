@@ -14,11 +14,11 @@ package core
 //	crc      CRC-32 (IEEE) of every byte before it, 4 bytes
 //
 // MaxWidth is not stored: the content key covers the normalized
-// options, so the requesting options give it. TDCBest and Best are not
-// stored either: decoding recomputes them with deriveRows, the
-// reduction buildTable ends with, so a derived row cannot disagree
-// with its sources. Every Config is written in its one shortest form,
-// so an entry the decoder accepts re-encodes to the same bytes.
+// options, so the requesting options give it. The two rows are the
+// whole table: what a style picks at a width is derived from them on
+// demand (Table.Choose), so nothing derived is stored or recomputed on
+// decoding. Every Config is written in its one shortest form, so an
+// entry the decoder accepts re-encodes to the same bytes.
 
 import (
 	"encoding/binary"
@@ -115,7 +115,6 @@ func decodeEntry(data []byte, key string, opts TableOptions) (*Table, error) {
 	if r.off != len(body) {
 		return nil, fmt.Errorf("%d trailing bytes", len(body)-r.off)
 	}
-	deriveRows(t)
 	return t, nil
 }
 

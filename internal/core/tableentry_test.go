@@ -14,8 +14,7 @@ import (
 const layoutKey = "layout-key"
 
 // layoutTable is a table of n widths with every flag and codec and
-// values from one byte to a full int64, its derived rows computed by
-// deriveRows.
+// values from one byte to a full int64.
 func layoutTable(n int) *Table {
 	t := newTable(TableOptions{MaxWidth: n, BandSamples: 48})
 	for u := 1; u <= n; u++ {
@@ -28,7 +27,6 @@ func layoutTable(n int) *Table {
 			t.TDCExact[u] = Config{Feasible: true, UseTDC: true, Codec: CodecDict, Width: u, M: 200, DictWords: 64, Time: 1<<63 - 1, Volume: 12}
 		}
 	}
-	deriveRows(t)
 	return t
 }
 
@@ -110,7 +108,7 @@ func TestTableEntryRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if tbl, err := decodeEntry(tc.data, layoutKey, tc.opts); err == nil {
-			t.Errorf("%s: decoded to a table of %d widths", tc.name, len(tbl.Best)-1)
+			t.Errorf("%s: decoded to a table of %d widths", tc.name, len(tbl.NoTDC)-1)
 		}
 	}
 	for n := range len(good) {

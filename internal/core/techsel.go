@@ -149,6 +149,7 @@ func selectTechniquesWithTable(ctx context.Context, c *soc.Core, tab *Table, dic
 			dictCfgs[k*len(mCands)+i] = cfg
 		}
 	}
+	var tdc Config
 	for u := 1; u <= opts.MaxWidth; u++ {
 		best := Config{}
 		for _, cfg := range dictCfgs {
@@ -157,7 +158,8 @@ func selectTechniquesWithTable(ctx context.Context, c *soc.Core, tab *Table, dic
 			}
 		}
 		sel.DictBest[u] = best
-		win := tab.Best[u]
+		tdc = tab.tdcStep(tdc, u)
+		win := tab.pick(StyleTDCPerCore, u, tdc)
 		if best.better(win) {
 			win = best
 		}

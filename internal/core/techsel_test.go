@@ -86,15 +86,20 @@ func TestSelectTechniquesJoinsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, best := deriveRows(tab)
 	for u := 1; u <= 16; u++ {
 		win := sel.PerWidth[u]
 		if !win.Feasible {
 			t.Fatalf("width %d: no winner", u)
 		}
-		// The winner is never worse than the selenc/direct table alone.
-		if tab.Best[u].better(win) {
+		// The winner is never worse than the selenc/direct table alone,
+		// and is the table's own choice unless the dictionary beats it.
+		if best[u].better(win) {
 			t.Errorf("width %d: selection (%d) worse than base table (%d)",
-				u, win.Time, tab.Best[u].Time)
+				u, win.Time, best[u].Time)
+		}
+		if !sel.DictBest[u].better(best[u]) && win != best[u] {
+			t.Errorf("width %d: selection %+v, want the table's choice %+v", u, win, best[u])
 		}
 		// And never worse than the dictionary alone.
 		if sel.DictBest[u].better(win) {

@@ -210,14 +210,20 @@ func TestPeakHeapSampleZeroAlloc(t *testing.T) {
 // warm makespan path with a nil Placements counter stays allocation
 // free.
 func TestMakespanDisabledTelemetryZeroAlloc(t *testing.T) {
-	dur := func(core, width int) int64 { return int64(1000/(width+1) + core) }
+	m := sched.NewMatrix(8, 5)
+	for c := range 8 {
+		row := m.Row(c)
+		for w := 1; w <= 5; w++ {
+			row[w] = int64(1000/(w+1) + c)
+		}
+	}
 	widths := []int{5, 4, 3}
 	var pl sched.Planner
-	if _, err := pl.GreedyMakespan(8, widths, dur); err != nil {
+	if _, err := pl.GreedyMakespan(m, widths); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := pl.GreedyMakespan(8, widths, dur); err != nil {
+		if _, err := pl.GreedyMakespan(m, widths); err != nil {
 			panic(err)
 		}
 	}); n != 0 {

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -102,22 +103,100 @@ func (s *Schedule) Validate() error {
 // resulting finish time, breaking ties toward the wider bus. Returns an
 // error if some core is infeasible on every bus.
 func Greedy(nCores int, widths []int, dur Duration) (*Schedule, error) {
-	return new(Planner).Greedy(nCores, widths, dur)
+	m, err := tabulate(nCores, widths, dur)
+	if err != nil {
+		return nil, err
+	}
+	return new(Planner).Greedy(m, widths)
 }
 
 // InOrder builds a schedule placing cores in index order on the bus that
 // minimizes the resulting finish time. It is the ablation baseline for
 // the longest-first sort.
 func InOrder(nCores int, widths []int, dur Duration) (*Schedule, error) {
-	return new(Planner).InOrder(nCores, widths, dur)
+	m, err := tabulate(nCores, widths, dur)
+	if err != nil {
+		return nil, err
+	}
+	return new(Planner).InOrder(m, widths)
 }
 
-// Planner runs the greedy placement with reusable scratch: the per-bus
-// free-time array and the ordering buffers are kept across calls, so a
-// search that schedules thousands of candidate partitions does not
-// allocate per candidate. The zero value is ready to use. A Planner is
-// not safe for concurrent use; parallel searches give each worker its
-// own.
+// Matrix is the dense duration table schedules are placed from: row c,
+// indexed by bus width 0..MaxWidth, holds core c's test time on a bus
+// of that width, a non-positive time marking the combination
+// infeasible. It also keeps the longest-first order per widest bus
+// width, so a search that schedules many partitions over one matrix
+// sorts its cores once per distinct widest width. Fill every row before
+// the first schedule: a kept order is never recomputed.
+type Matrix struct {
+	cores, stride int
+	times         []int64
+	// orders[w] is the longest-first order of every partition whose
+	// widest bus has width w, kept once computed when each core's time
+	// at w is positive: the order then depends on w alone.
+	orders [][]int
+}
+
+// NewMatrix returns a matrix of nCores rows over bus widths
+// 0..maxWidth, every time zero (infeasible).
+func NewMatrix(nCores, maxWidth int) *Matrix {
+	return &Matrix{
+		cores:  nCores,
+		stride: maxWidth + 1,
+		times:  make([]int64, nCores*(maxWidth+1)),
+		orders: make([][]int, maxWidth+1),
+	}
+}
+
+// Row returns core c's row for filling: Row(c)[w] is its test time on a
+// bus of width w.
+func (m *Matrix) Row(c int) []int64 {
+	return m.times[c*m.stride : (c+1)*m.stride : (c+1)*m.stride]
+}
+
+// tabulate is dur's Matrix over the partition's widths: the time of
+// each core at each distinct width, asked once.
+func tabulate(nCores int, widths []int, dur Duration) (*Matrix, error) {
+	widest := 0
+	for _, w := range widths {
+		if w < 0 {
+			return nil, fmt.Errorf("sched: bus width %d", w)
+		}
+		widest = max(widest, w)
+	}
+	m := NewMatrix(nCores, widest)
+	asked := make([]bool, widest+1)
+	for _, w := range widths {
+		if asked[w] {
+			continue
+		}
+		asked[w] = true
+		for c := range nCores {
+			m.times[c*m.stride+w] = dur(c, w)
+		}
+	}
+	return m, nil
+}
+
+// widest returns the widest of widths, or an error for a width outside
+// the matrix.
+func (m *Matrix) widest(widths []int) (int, error) {
+	widest := 0
+	for _, w := range widths {
+		if w < 0 || w >= m.stride {
+			return 0, fmt.Errorf("sched: bus width %d outside the duration matrix's 0..%d", w, m.stride-1)
+		}
+		widest = max(widest, w)
+	}
+	return widest, nil
+}
+
+// Planner schedules partitions over a Matrix with reusable scratch: the
+// per-bus free-time array and the ordering buffers are kept across
+// calls, so a search that schedules thousands of candidate partitions
+// does not allocate per candidate. The zero value is ready to use. A
+// Planner is not safe for concurrent use, nor is a Matrix; parallel
+// searches give each worker its own.
 type Planner struct {
 	busTimes []int64 // per-bus finish-time scratch
 	cts      []coreTime
@@ -149,21 +228,27 @@ type coreTime struct {
 }
 
 // Greedy is the paper's longest-first heuristic (see the package-level
-// Greedy), reusing the planner's scratch for ordering.
-func (p *Planner) Greedy(nCores int, widths []int, dur Duration) (*Schedule, error) {
+// Greedy) over m's times.
+func (p *Planner) Greedy(m *Matrix, widths []int) (*Schedule, error) {
 	if err := p.check(); err != nil {
 		return nil, err
 	}
-	order := p.longestFirstOrder(nCores, widths, dur)
-	return placeInOrder(order, widths, dur)
+	order, err := p.longestFirst(m, widths)
+	if err != nil {
+		return nil, err
+	}
+	return schedule(m, order, widths, nil)
 }
 
 // InOrder places cores in index order (see the package-level InOrder).
-func (p *Planner) InOrder(nCores int, widths []int, dur Duration) (*Schedule, error) {
+func (p *Planner) InOrder(m *Matrix, widths []int) (*Schedule, error) {
 	if err := p.check(); err != nil {
 		return nil, err
 	}
-	return placeInOrder(p.indexOrder(nCores), widths, dur)
+	if _, err := m.widest(widths); err != nil {
+		return nil, err
+	}
+	return schedule(m, p.indexOrder(m.cores), widths, nil)
 }
 
 // check consults the cancellation hook, if armed.
@@ -177,15 +262,21 @@ func (p *Planner) check() error {
 // GreedyMakespan returns the makespan Greedy would produce without
 // materializing the schedule — the architecture search's inner loop,
 // which only compares makespans. It allocates nothing once the planner's
-// scratch is warm.
-func (p *Planner) GreedyMakespan(nCores int, widths []int, dur Duration) (int64, error) {
-	order := p.longestFirstOrder(nCores, widths, dur)
-	return p.placeMakespan(order, widths, dur)
+// scratch is warm and the matrix keeps the partition's order.
+func (p *Planner) GreedyMakespan(m *Matrix, widths []int) (int64, error) {
+	order, err := p.longestFirst(m, widths)
+	if err != nil {
+		return 0, err
+	}
+	return p.placeMakespan(m, order, widths)
 }
 
 // InOrderMakespan is GreedyMakespan for declaration-order placement.
-func (p *Planner) InOrderMakespan(nCores int, widths []int, dur Duration) (int64, error) {
-	return p.placeMakespan(p.indexOrder(nCores), widths, dur)
+func (p *Planner) InOrderMakespan(m *Matrix, widths []int) (int64, error) {
+	if _, err := m.widest(widths); err != nil {
+		return 0, err
+	}
+	return p.placeMakespan(m, p.indexOrder(m.cores), widths)
 }
 
 func (p *Planner) indexOrder(nCores int) []int {
@@ -199,21 +290,33 @@ func (p *Planner) indexOrder(nCores int) []int {
 	return p.order
 }
 
-func (p *Planner) longestFirstOrder(nCores int, widths []int, dur Duration) []int {
-	widest := 0
-	for _, w := range widths {
-		widest = max(widest, w)
+// longestFirst orders the cores by decreasing time on the partition's
+// widest bus, core index breaking ties. A core infeasible there is
+// ordered by its shortest feasible time on the partition's buses
+// instead, so the order depends on the other widths too and is built in
+// the planner's scratch; when no core is, it depends on the widest
+// width alone, and the matrix keeps it for every later partition of
+// that widest width.
+func (p *Planner) longestFirst(m *Matrix, widths []int) ([]int, error) {
+	widest, err := m.widest(widths)
+	if err != nil {
+		return nil, err
 	}
-	if cap(p.cts) < nCores {
-		p.cts = make([]coreTime, nCores)
+	if order := m.orders[widest]; order != nil {
+		return order, nil
 	}
-	cts := p.cts[:nCores]
-	for c := 0; c < nCores; c++ {
-		d := dur(c, widest)
+	if cap(p.cts) < m.cores {
+		p.cts = make([]coreTime, m.cores)
+	}
+	cts := p.cts[:m.cores]
+	keep := true
+	for c := range cts {
+		row := m.Row(c)
+		d := row[widest]
 		if d <= 0 {
-			// Fall back to the best feasible width for ordering purposes.
+			keep = false
 			for _, w := range widths {
-				if t := dur(c, w); t > 0 && (d <= 0 || t < d) {
+				if t := row[w]; t > 0 && (d <= 0 || t < d) {
 					d = t
 				}
 			}
@@ -231,19 +334,26 @@ func (p *Planner) longestFirstOrder(nCores int, widths []int, dur Duration) []in
 		}
 		return a.core - b.core
 	})
-	if cap(p.order) < nCores {
-		p.order = make([]int, nCores)
+	var order []int
+	if keep {
+		order = make([]int, m.cores)
+		m.orders[widest] = order
+	} else {
+		if cap(p.order) < m.cores {
+			p.order = make([]int, m.cores)
+		}
+		p.order = p.order[:m.cores]
+		order = p.order
 	}
-	p.order = p.order[:nCores]
 	for i, x := range cts {
-		p.order[i] = x.core
+		order[i] = x.core
 	}
-	return p.order
+	return order, nil
 }
 
-// placeMakespan runs the placement loop of placeInOrder tracking only
-// per-bus finish times, in the planner's scratch.
-func (p *Planner) placeMakespan(order []int, widths []int, dur Duration) (int64, error) {
+// placeMakespan runs the placement loop tracking only per-bus finish
+// times, in the planner's scratch.
+func (p *Planner) placeMakespan(m *Matrix, order, widths []int) (int64, error) {
 	if err := p.check(); err != nil {
 		return 0, err
 	}
@@ -254,30 +364,9 @@ func (p *Planner) placeMakespan(order []int, widths []int, dur Duration) (int64,
 	if cap(p.busTimes) < len(widths) {
 		p.busTimes = make([]int64, len(widths))
 	}
-	bt := p.busTimes[:len(widths)]
-	for i := range bt {
-		bt[i] = 0
-	}
-	var makespan int64
-	for _, c := range order {
-		bestBus := -1
-		var bestFinish int64
-		for b, w := range widths {
-			d := dur(c, w)
-			if d <= 0 {
-				continue
-			}
-			finish := bt[b] + d
-			if bestBus < 0 || finish < bestFinish ||
-				(finish == bestFinish && widths[b] > widths[bestBus]) {
-				bestBus, bestFinish = b, finish
-			}
-		}
-		if bestBus < 0 {
-			return 0, fmt.Errorf("sched: core %d infeasible on every bus", c)
-		}
-		bt[bestBus] = bestFinish
-		makespan = max(makespan, bestFinish)
+	makespan, err := place(m, order, widths, p.busTimes[:len(widths)], nil, nil)
+	if err != nil {
+		return 0, err
 	}
 	p.Placements.Add(int64(len(order)))
 	if p.ScheduleSeconds != nil {
@@ -286,36 +375,68 @@ func (p *Planner) placeMakespan(order []int, widths []int, dur Duration) (int64,
 	return makespan, nil
 }
 
-func placeInOrder(order []int, widths []int, dur Duration) (*Schedule, error) {
+// schedule materializes the placement of order as a Schedule.
+func schedule(m *Matrix, order, widths []int, pc *powerCeiling) (*Schedule, error) {
 	s := &Schedule{
 		Widths:   append([]int(nil), widths...),
 		BusTimes: make([]int64, len(widths)),
 	}
+	makespan, err := place(m, order, widths, s.BusTimes, s, pc)
+	if err != nil {
+		return nil, err
+	}
+	s.Makespan = makespan
+	s.sortItems()
+	return s, nil
+}
+
+// powerCeiling is GreedyPower's constraint: core c dissipates power[c]
+// while under test, and the sum over every bus stays within max.
+type powerCeiling struct {
+	power []int
+	max   int
+}
+
+// place is the one placement loop. Each core of order goes to the bus
+// on which it would finish first, ties going to the wider bus and then
+// to the lower index, and starts as soon as that bus is free or, under
+// a power ceiling, at the earliest time from then on that keeps the
+// ceiling. bt receives the buses' finish times; with s non-nil each
+// placement is appended to s.Items, which a power ceiling needs. It
+// returns the makespan.
+func place(m *Matrix, order, widths []int, bt []int64, s *Schedule, pc *powerCeiling) (int64, error) {
+	clear(bt)
+	var makespan int64
 	for _, c := range order {
-		bestBus := -1
-		var bestFinish, bestDur int64
+		row := m.Row(c)
+		// No feasible bus yet: any finish time is at most bestFinish,
+		// and any width beats bestWidth.
+		bestBus, bestWidth := -1, -1
+		bestStart, bestFinish := int64(0), int64(math.MaxInt64)
 		for b, w := range widths {
-			d := dur(c, w)
+			d := row[w]
 			if d <= 0 {
 				continue
 			}
-			finish := s.BusTimes[b] + d
-			if bestBus < 0 || finish < bestFinish ||
-				(finish == bestFinish && widths[b] > widths[bestBus]) {
-				bestBus, bestFinish, bestDur = b, finish, d
+			start := bt[b]
+			if pc != nil {
+				start = earliestPowerFeasible(s, pc.power, pc.max, pc.power[c], start, d)
+			}
+			finish := start + d
+			if finish < bestFinish || (finish == bestFinish && w > bestWidth) {
+				bestBus, bestWidth, bestStart, bestFinish = b, w, start, finish
 			}
 		}
 		if bestBus < 0 {
-			return nil, fmt.Errorf("sched: core %d infeasible on every bus", c)
+			return 0, fmt.Errorf("sched: core %d infeasible on every bus", c)
 		}
-		s.Items = append(s.Items, Item{Core: c, Bus: bestBus, Start: s.BusTimes[bestBus], Duration: bestDur})
-		s.BusTimes[bestBus] = bestFinish
-		if bestFinish > s.Makespan {
-			s.Makespan = bestFinish
+		if s != nil {
+			s.Items = append(s.Items, Item{Core: c, Bus: bestBus, Start: bestStart, Duration: bestFinish - bestStart})
 		}
+		bt[bestBus] = bestFinish
+		makespan = max(makespan, bestFinish)
 	}
-	s.sortItems()
-	return s, nil
+	return makespan, nil
 }
 
 // GreedyPower is the power-constrained extension: core c dissipates
@@ -332,37 +453,15 @@ func GreedyPower(nCores int, widths []int, dur Duration, power []int, maxPower i
 			return nil, fmt.Errorf("sched: core %d power %d exceeds ceiling %d", c, p, maxPower)
 		}
 	}
-	order := new(Planner).longestFirstOrder(nCores, widths, dur)
-	s := &Schedule{
-		Widths:   append([]int(nil), widths...),
-		BusTimes: make([]int64, len(widths)),
+	m, err := tabulate(nCores, widths, dur)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range order {
-		bestBus := -1
-		var bestStart, bestDur, bestFinish int64
-		for b, w := range widths {
-			d := dur(c, w)
-			if d <= 0 {
-				continue
-			}
-			start := earliestPowerFeasible(s, power, maxPower, power[c], s.BusTimes[b], d)
-			finish := start + d
-			if bestBus < 0 || finish < bestFinish ||
-				(finish == bestFinish && widths[b] > widths[bestBus]) {
-				bestBus, bestStart, bestDur, bestFinish = b, start, d, finish
-			}
-		}
-		if bestBus < 0 {
-			return nil, fmt.Errorf("sched: core %d infeasible on every bus", c)
-		}
-		s.Items = append(s.Items, Item{Core: c, Bus: bestBus, Start: bestStart, Duration: bestDur})
-		s.BusTimes[bestBus] = bestFinish
-		if bestFinish > s.Makespan {
-			s.Makespan = bestFinish
-		}
+	order, err := new(Planner).longestFirst(m, widths)
+	if err != nil {
+		return nil, err
 	}
-	s.sortItems()
-	return s, nil
+	return schedule(m, order, widths, &powerCeiling{power: power, max: maxPower})
 }
 
 // earliestPowerFeasible finds the earliest start >= minStart such that

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -263,10 +266,11 @@ func TestQuickSchedules(t *testing.T) {
 	}
 }
 
-// Property: the Planner methods are drop-in equivalents of the package
-// functions — same schedules item for item, and the makespan-only paths
-// agree with the full ones — across random instances and with the same
-// Planner reused (scratch reuse must not leak state between calls).
+// Property: the Planner methods over dur's Matrix are drop-in
+// equivalents of the package functions over dur — same schedules item
+// for item, and the makespan-only paths agree with the full ones —
+// across random instances and with the same Planner reused (scratch
+// reuse must not leak state between calls).
 func TestPlannerMatchesPackageFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var pl Planner
@@ -282,16 +286,20 @@ func TestPlannerMatchesPackageFunctions(t *testing.T) {
 			widths[i] = rng.Intn(8) + 1
 		}
 		dur := tableDur(base)
+		m, err := tabulate(n, widths, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		g, gerr := Greedy(n, widths, dur)
-		pg, pgerr := pl.Greedy(n, widths, dur)
+		pg, pgerr := pl.Greedy(m, widths)
 		if (gerr == nil) != (pgerr == nil) {
 			t.Fatalf("trial %d: Greedy err %v vs Planner err %v", trial, gerr, pgerr)
 		}
 		if gerr == nil && !reflect.DeepEqual(g, pg) {
 			t.Fatalf("trial %d: Planner.Greedy diverged", trial)
 		}
-		mk, mkerr := pl.GreedyMakespan(n, widths, dur)
+		mk, mkerr := pl.GreedyMakespan(m, widths)
 		if (gerr == nil) != (mkerr == nil) {
 			t.Fatalf("trial %d: GreedyMakespan err %v vs %v", trial, mkerr, gerr)
 		}
@@ -300,14 +308,14 @@ func TestPlannerMatchesPackageFunctions(t *testing.T) {
 		}
 
 		o, oerr := InOrder(n, widths, dur)
-		po, poerr := pl.InOrder(n, widths, dur)
+		po, poerr := pl.InOrder(m, widths)
 		if (oerr == nil) != (poerr == nil) {
 			t.Fatalf("trial %d: InOrder err %v vs Planner err %v", trial, oerr, poerr)
 		}
 		if oerr == nil && !reflect.DeepEqual(o, po) {
 			t.Fatalf("trial %d: Planner.InOrder diverged", trial)
 		}
-		omk, omkerr := pl.InOrderMakespan(n, widths, dur)
+		omk, omkerr := pl.InOrderMakespan(m, widths)
 		if (oerr == nil) != (omkerr == nil) {
 			t.Fatalf("trial %d: InOrderMakespan err %v vs %v", trial, omkerr, oerr)
 		}
@@ -317,9 +325,168 @@ func TestPlannerMatchesPackageFunctions(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedySchedule measures one warm Planner scheduling call — the
-// architecture search's innermost operation. The makespan-only variant
-// must be allocation-free once the scratch is warm.
+// referenceSchedule is the greedy placement read through a Duration
+// callback, the form the scheduler had before the Matrix, kept as the
+// reference the matrix placement is held to: cores in index order
+// (naive) or sorted by decreasing time at the widest bus — a core
+// infeasible there by its shortest feasible time on the partition's
+// buses — with the lower index first among equal times, each placed on
+// the bus where it finishes first, ties going to the wider bus and then
+// to the lower index.
+func referenceSchedule(nCores int, widths []int, dur Duration, naive bool) (*Schedule, error) {
+	order := make([]int, nCores)
+	for i := range order {
+		order[i] = i
+	}
+	if !naive {
+		widest := 0
+		for _, w := range widths {
+			widest = max(widest, w)
+		}
+		key := make([]int64, nCores)
+		for c := range key {
+			d := dur(c, widest)
+			if d <= 0 {
+				for _, w := range widths {
+					if t := dur(c, w); t > 0 && (d <= 0 || t < d) {
+						d = t
+					}
+				}
+			}
+			key[c] = d
+		}
+		sort.SliceStable(order, func(i, j int) bool { return key[order[i]] > key[order[j]] })
+	}
+	s := &Schedule{
+		Widths:   append([]int(nil), widths...),
+		BusTimes: make([]int64, len(widths)),
+	}
+	for _, c := range order {
+		bestBus := -1
+		var bestFinish, bestDur int64
+		for b, w := range widths {
+			d := dur(c, w)
+			if d <= 0 {
+				continue
+			}
+			finish := s.BusTimes[b] + d
+			if bestBus < 0 || finish < bestFinish ||
+				(finish == bestFinish && widths[b] > widths[bestBus]) {
+				bestBus, bestFinish, bestDur = b, finish, d
+			}
+		}
+		if bestBus < 0 {
+			return nil, fmt.Errorf("sched: core %d infeasible on every bus", c)
+		}
+		s.Items = append(s.Items, Item{Core: c, Bus: bestBus, Start: s.BusTimes[bestBus], Duration: bestDur})
+		s.BusTimes[bestBus] = bestFinish
+		s.Makespan = max(s.Makespan, bestFinish)
+	}
+	s.sortItems()
+	return s, nil
+}
+
+// TestMatrixPlacementMatchesReference: one Planner scheduling many
+// partitions over one Matrix, as the architecture search does, gives
+// every makespan and every schedule of the reference greedy, in
+// longest-first and in index order. Times are drawn from a small range,
+// so cores tie and buses of equal width tie; about one time in six is
+// infeasible, so some cores are infeasible at a partition's widest bus
+// and are ordered by the fallback, which depends on the partition's
+// other widths, while partitions of one widest width follow each other.
+// A kept order that skipped the fallback, or a sort or placement that
+// broke ties another way, diverges here.
+func TestMatrixPlacementMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	fallbacks := 0
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(10) + 1
+		maxWidth := rng.Intn(8) + 1
+		m := NewMatrix(n, maxWidth)
+		for c := range n {
+			row := m.Row(c)
+			for w := 1; w <= maxWidth; w++ {
+				if rng.Intn(6) > 0 {
+					row[w] = int64(rng.Intn(6) + 1)
+				}
+			}
+		}
+		dur := func(core, width int) int64 { return m.Row(core)[width] }
+		var pl Planner
+		for range 20 {
+			widths := make([]int, rng.Intn(4)+1)
+			for i := range widths {
+				widths[i] = rng.Intn(maxWidth) + 1
+			}
+			widest := slices.Max(widths)
+			for c := range n {
+				if dur(c, widest) <= 0 {
+					fallbacks++
+				}
+			}
+			for _, naive := range []bool{false, true} {
+				want, werr := referenceSchedule(n, widths, dur, naive)
+				var got *Schedule
+				var mk int64
+				var gerr, mkerr error
+				if naive {
+					got, gerr = pl.InOrder(m, widths)
+					mk, mkerr = pl.InOrderMakespan(m, widths)
+				} else {
+					got, gerr = pl.Greedy(m, widths)
+					mk, mkerr = pl.GreedyMakespan(m, widths)
+				}
+				if (werr == nil) != (gerr == nil) || (werr == nil) != (mkerr == nil) {
+					t.Fatalf("trial %d, widths %v, naive %v: errors %v / %v / %v", trial, widths, naive, werr, gerr, mkerr)
+				}
+				if werr != nil {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, widths %v, naive %v: schedule\n%+v\nwant\n%+v", trial, widths, naive, got, want)
+				}
+				if mk != want.Makespan {
+					t.Fatalf("trial %d, widths %v, naive %v: makespan %d, want %d", trial, widths, naive, mk, want.Makespan)
+				}
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no core was infeasible at a partition's widest bus")
+	}
+}
+
+// TestMatrixRejectsWidthsOutside: a bus width beyond the matrix, or a
+// negative one, is an error, not a read of another core's row.
+func TestMatrixRejectsWidthsOutside(t *testing.T) {
+	m, err := tabulate(2, []int{4}, tableDur([]int64{40, 30}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pl Planner
+	for _, widths := range [][]int{{4, 5}, {-1, 4}} {
+		if _, err := pl.Greedy(m, widths); err == nil {
+			t.Errorf("Greedy accepted widths %v on a matrix of widths 0..4", widths)
+		}
+		if _, err := pl.InOrder(m, widths); err == nil {
+			t.Errorf("InOrder accepted widths %v on a matrix of widths 0..4", widths)
+		}
+		if _, err := pl.GreedyMakespan(m, widths); err == nil {
+			t.Errorf("GreedyMakespan accepted widths %v on a matrix of widths 0..4", widths)
+		}
+		if _, err := pl.InOrderMakespan(m, widths); err == nil {
+			t.Errorf("InOrderMakespan accepted widths %v on a matrix of widths 0..4", widths)
+		}
+	}
+	if _, err := Greedy(2, []int{-1, 4}, tableDur([]int64{40, 30})); err == nil {
+		t.Error("Greedy accepted a negative bus width")
+	}
+}
+
+// BenchmarkGreedySchedule measures one warm Planner scheduling call over
+// a Matrix — the architecture search's innermost operation. The
+// makespan-only variant must be allocation-free once the scratch is warm
+// and the matrix keeps the order.
 func BenchmarkGreedySchedule(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	base := make([]int64, 50)
@@ -327,12 +494,15 @@ func BenchmarkGreedySchedule(b *testing.B) {
 		base[i] = int64(rng.Intn(100000) + 100)
 	}
 	widths := []int{12, 10, 9}
-	dur := tableDur(base)
+	m, err := tabulate(50, widths, tableDur(base))
+	if err != nil {
+		b.Fatal(err)
+	}
 	var pl Planner
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.Greedy(50, widths, dur); err != nil {
+			if _, err := pl.Greedy(m, widths); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -340,7 +510,7 @@ func BenchmarkGreedySchedule(b *testing.B) {
 	b.Run("makespan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.GreedyMakespan(50, widths, dur); err != nil {
+			if _, err := pl.GreedyMakespan(m, widths); err != nil {
 				b.Fatal(err)
 			}
 		}

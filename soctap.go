@@ -73,9 +73,13 @@ type Schedule = sched.Schedule
 type Config = core.Config
 
 // Table is a per-core lookup table of best configurations by TAM width.
-// It holds its options and its four rows and no reference to the core
-// it was built for, so a table a Cache keeps retains none of that
-// core's test cubes.
+// It holds its options and its two rows, NoTDC (direct access at each
+// width) and TDCExact (the best decompressor of exactly each input
+// width), and no reference to the core it was built for, so a table a
+// Cache keeps retains none of that core's test cubes. Table.Choose
+// derives from the two rows the configuration a style uses at a width:
+// under StyleTDCPerCore, the better of direct access and the best
+// decompressor of at most that width.
 type Table = core.Table
 
 // TableOptions controls per-core lookup-table construction; in Options

@@ -91,8 +91,8 @@ func TestPublicPerCoreAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Best[12].Feasible {
-		t.Error("table Best[12] infeasible")
+	if !tab.Choose(soctap.StyleTDCPerCore, 12).Feasible {
+		t.Error("table's per-core choice at width 12 infeasible")
 	}
 }
 
